@@ -19,26 +19,63 @@
 //                    simulation (tab_campus); orthogonal to --jobs
 //   --skew           where supported: skewed-load workload variant (e.g.
 //                    tab_campus hot-zone storms)
-//   --partitioner <prefix|measured>
-//                    where supported: cell->shard placement strategy
 //   --profile-out <file>
 //                    write the run's measured cell-rate profile
 //   --profile-in <file>
-//                    read a cell-rate profile; implies the measured
-//                    partitioner unless --partitioner prefix is explicit
-// plus --help. Binaries without an obs wiring still accept --trace and
-// --metrics but warn on stderr that nothing will be produced.
+//                    read a cell-rate profile and place cells by it
+//                    (measured-rate LPT); without it, prefix-quota
+// plus --help. Numeric values must be whole non-negative numbers
+// (decimal, 0x hex or 0 octal). Binaries without an obs wiring still
+// accept --trace and --metrics but warn on stderr that nothing will be
+// produced.
 #pragma once
 
+#include <cctype>
+#include <cerrno>
+#include <cinttypes>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <string_view>
 
+#include "sim/partitioner.hpp"
+
 namespace steelnet::bench {
+
+/// 16-digit lowercase hex, the way benches print fingerprints.
+inline std::string hex16(std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
+  return buf;
+}
+
+/// Reads a cell-rate profile (`--profile-in`); exits 2 if unreadable.
+inline sim::RateProfile read_profile(const char* prog,
+                                     const std::string& path) {
+  std::ifstream in{path};
+  if (!in) {
+    std::cerr << prog << ": cannot read profile '" << path << "'\n";
+    std::exit(2);
+  }
+  std::ostringstream text;
+  text << in.rdbuf();
+  return sim::RateProfile::parse(text.str());
+}
+
+/// Writes a cell-rate profile (`--profile-out`); reports on stderr so a
+/// CSV on stdout stays byte-comparable.
+inline void write_profile(const char* prog, const std::string& path,
+                          const sim::RateProfile& profile) {
+  std::ofstream{path} << profile.to_text();
+  std::cerr << prog << ": wrote profile " << path << " ("
+            << profile.cells.size() << " cells)\n";
+}
 
 struct BenchArgs {
   std::uint64_t seed = 0;
@@ -62,21 +99,11 @@ struct BenchArgs {
   std::size_t shards = 0;
   /// --skew: where supported, the skewed-load workload variant.
   bool skew = false;
-  /// --partitioner <prefix|measured>: placement strategy override;
-  /// unset means "binary default" (prefix, or measured when a profile
-  /// was supplied via --profile-in).
-  std::optional<std::string> partitioner;
   /// --profile-out <file>: write the measured cell-rate profile.
   std::optional<std::string> profile_out_path;
-  /// --profile-in <file>: read a calibration cell-rate profile.
+  /// --profile-in <file>: read a calibration cell-rate profile; cells are
+  /// placed by measured rate exactly when one is given.
   std::optional<std::string> profile_in_path;
-
-  /// True when the run should use the measured-rate partitioner: asked
-  /// for explicitly, or implied by a supplied calibration profile.
-  [[nodiscard]] bool wants_measured_partition() const {
-    if (partitioner.has_value()) return *partitioner == "measured";
-    return profile_in_path.has_value();
-  }
 
   /// Parses argv; exits on --help (0) and on malformed/unknown flags (2).
   static BenchArgs parse(int argc, char** argv,
@@ -91,10 +118,25 @@ struct BenchArgs {
       }
       return argv[i + 1];
     };
+    // Whole non-negative number or exit 2: strtoull alone would read
+    // "abc" as 0, "2x" as 2 and "-1" as 2^64-1.
+    auto need_number = [&](int i, std::string_view flag) -> std::uint64_t {
+      const char* text = need_value(i, flag);
+      char* end = nullptr;
+      errno = 0;
+      const unsigned long long v = std::strtoull(text, &end, 0);
+      if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
+          *end != '\0' || errno == ERANGE) {
+        std::cerr << prog << ": " << flag << " needs a non-negative integer, "
+                  << "got '" << text << "'\n";
+        std::exit(2);
+      }
+      return v;
+    };
     for (int i = 1; i < argc; ++i) {
       const std::string_view a = argv[i];
       if (a == "--seed") {
-        args.seed = std::strtoull(need_value(i, a), nullptr, 0);
+        args.seed = need_number(i, a);
         ++i;
       } else if (a == "--csv") {
         args.csv = true;
@@ -105,34 +147,22 @@ struct BenchArgs {
         args.metrics_path = need_value(i, a);
         ++i;
       } else if (a == "--sweep") {
-        args.sweep = std::strtoull(need_value(i, a), nullptr, 0);
+        args.sweep = need_number(i, a);
         ++i;
       } else if (a == "--jobs") {
-        args.jobs =
-            static_cast<std::size_t>(std::strtoull(need_value(i, a),
-                                                   nullptr, 0));
+        args.jobs = static_cast<std::size_t>(need_number(i, a));
         ++i;
       } else if (a == "--scale") {
-        args.scale = std::strtoull(need_value(i, a), nullptr, 0);
+        args.scale = need_number(i, a);
         ++i;
       } else if (a == "--bench-json") {
         args.bench_json_path = need_value(i, a);
         ++i;
       } else if (a == "--shards") {
-        args.shards =
-            static_cast<std::size_t>(std::strtoull(need_value(i, a),
-                                                   nullptr, 0));
+        args.shards = static_cast<std::size_t>(need_number(i, a));
         ++i;
       } else if (a == "--skew") {
         args.skew = true;
-      } else if (a == "--partitioner") {
-        args.partitioner = need_value(i, a);
-        ++i;
-        if (*args.partitioner != "prefix" && *args.partitioner != "measured") {
-          std::cerr << prog << ": --partitioner must be 'prefix' or "
-                    << "'measured', got '" << *args.partitioner << "'\n";
-          std::exit(2);
-        }
       } else if (a == "--profile-out") {
         args.profile_out_path = need_value(i, a);
         ++i;
@@ -145,7 +175,6 @@ struct BenchArgs {
                      " [--metrics <file>] [--sweep <n>] [--jobs <n>]"
                      " [--scale <n>] [--bench-json <file>]"
                      " [--shards <n>] [--skew]"
-                     " [--partitioner <prefix|measured>]"
                      " [--profile-out <file>] [--profile-in <file>]\n";
         std::exit(0);
       } else {

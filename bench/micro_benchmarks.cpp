@@ -2,9 +2,7 @@
 #include <benchmark/benchmark.h>
 
 #include <array>
-#include <functional>
 #include <memory>
-#include <queue>
 
 #include "core/sweep_runner.hpp"
 #include "ebpf/programs.hpp"
@@ -269,72 +267,12 @@ BENCHMARK(BM_SweepRunnerFaultScenarios)
 
 // ---------------------------------------------------------------------------
 // Event-kernel suite: the slab kernel (generation-counted slots + inplace
-// callbacks) against a faithful mirror of the kernel it replaced
-// (per-event shared_ptr<bool> liveness token + std::function callback).
-// The >=2x schedule+fire acceptance bar of the allocation-free kernel
-// work is measured here, with realistic frame-sized captures -- the
-// delivery closures the simulator actually schedules carry a Frame image
-// plus routing context, far beyond std::function's inline buffer.
+// callbacks) with realistic frame-sized captures -- the delivery closures
+// the simulator actually schedules carry a Frame image plus routing
+// context, far beyond std::function's inline buffer. The numbers of the
+// per-event shared_ptr + std::function kernel it replaced are kept in
+// BENCH_kernel.json.
 // ---------------------------------------------------------------------------
-
-namespace legacy {
-
-/// The pre-slab event queue, verbatim in structure: one shared_ptr<bool>
-/// control block per event, type-erased heap-allocating callbacks, dead
-/// entries skipped at pop.
-class EventQueue {
- public:
-  using Callback = std::function<void()>;
-
-  class Handle {
-   public:
-    Handle() = default;
-    [[nodiscard]] bool pending() const { return alive_ && *alive_; }
-    void cancel() {
-      if (alive_) *alive_ = false;
-    }
-
-   private:
-    friend class EventQueue;
-    explicit Handle(std::shared_ptr<bool> alive) : alive_(std::move(alive)) {}
-    std::shared_ptr<bool> alive_;
-  };
-
-  Handle schedule(sim::SimTime at, Callback cb) {
-    auto alive = std::make_shared<bool>(true);
-    heap_.push(Entry{at, seq_++, std::move(cb), alive});
-    return Handle{std::move(alive)};
-  }
-
-  bool pop_next(sim::SimTime& time_out, Callback& cb_out) {
-    while (!heap_.empty() && !*heap_.top().alive) heap_.pop();
-    if (heap_.empty()) return false;
-    auto& top = const_cast<Entry&>(heap_.top());
-    time_out = top.time;
-    cb_out = std::move(top.cb);
-    *top.alive = false;
-    heap_.pop();
-    return true;
-  }
-
- private:
-  struct Entry {
-    sim::SimTime time;
-    std::uint64_t seq;
-    Callback cb;
-    std::shared_ptr<bool> alive;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  std::uint64_t seq_ = 0;
-};
-
-}  // namespace legacy
 
 /// What a wire-delivery closure really carries: a frame image plus the
 /// destination. 88 bytes -- over std::function's inline buffer (16 on
@@ -346,8 +284,7 @@ struct DeliveryCapture {
   std::uint32_t pad;
 };
 
-template <typename Queue>
-void event_kernel_schedule_fire(benchmark::State& state) {
+void BM_EventKernelScheduleFire(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   sim::Rng rng{1};
   std::vector<std::int64_t> times(n);
@@ -357,8 +294,8 @@ void event_kernel_schedule_fire(benchmark::State& state) {
   std::uint64_t sink = 0;
   // The queue lives across iterations: this measures the steady-state
   // schedule+fire cost (the slab and heap stay warm), not first-run
-  // growth. The legacy kernel still allocates per event here.
-  Queue q;
+  // growth.
+  sim::EventQueue q;
   for (auto _ : state) {
     for (std::size_t i = 0; i < n; ++i) {
       proto.node = i;
@@ -366,36 +303,26 @@ void event_kernel_schedule_fire(benchmark::State& state) {
                  [proto, &sink] { sink += proto.node + proto.wire[0]; });
     }
     sim::SimTime t;
-    typename Queue::Callback cb;
+    sim::EventQueue::Callback cb;
     while (q.pop_next(t, cb)) cb();
     benchmark::DoNotOptimize(sink);
   }
   state.SetItemsProcessed(int64_t(state.iterations()) * int64_t(n));
 }
-
-void BM_EventKernelScheduleFire(benchmark::State& state) {
-  event_kernel_schedule_fire<sim::EventQueue>(state);
-}
 BENCHMARK(BM_EventKernelScheduleFire)->Arg(1024)->Arg(16384);
-
-void BM_EventKernelScheduleFireLegacy(benchmark::State& state) {
-  event_kernel_schedule_fire<legacy::EventQueue>(state);
-}
-BENCHMARK(BM_EventKernelScheduleFireLegacy)->Arg(1024)->Arg(16384);
 
 /// Cancellation-heavy mix, the retransmit-timer shape: schedule a window,
 /// cancel and reschedule half of it, then drain. Exercises the handle
-/// machinery (generation bump vs shared_ptr flag) on top of the heap.
-template <typename Queue, typename Handle>
-void event_kernel_cancel_heavy(benchmark::State& state) {
+/// machinery (generation bump) on top of the heap.
+void BM_EventKernelCancelHeavy(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   sim::Rng rng{2};
   std::vector<std::int64_t> times(n);
   for (auto& t : times) t = rng.uniform_int(0, 1'000'000);
   DeliveryCapture proto{};
   std::uint64_t sink = 0;
-  std::vector<Handle> handles(n);
-  Queue q;  // persists across iterations: steady-state cost
+  std::vector<sim::EventHandle> handles(n);
+  sim::EventQueue q;  // persists across iterations: steady-state cost
   for (auto _ : state) {
     for (std::size_t i = 0; i < n; ++i) {
       proto.node = i;
@@ -408,24 +335,14 @@ void event_kernel_cancel_heavy(benchmark::State& state) {
                               [proto, &sink] { sink += proto.port; });
     }
     sim::SimTime t;
-    typename Queue::Callback cb;
+    sim::EventQueue::Callback cb;
     while (q.pop_next(t, cb)) cb();
     benchmark::DoNotOptimize(sink);
   }
   // Items = schedules + cancels.
   state.SetItemsProcessed(int64_t(state.iterations()) * int64_t(n + n));
 }
-
-void BM_EventKernelCancelHeavy(benchmark::State& state) {
-  event_kernel_cancel_heavy<sim::EventQueue, sim::EventHandle>(state);
-}
 BENCHMARK(BM_EventKernelCancelHeavy)->Arg(8192);
-
-void BM_EventKernelCancelHeavyLegacy(benchmark::State& state) {
-  event_kernel_cancel_heavy<legacy::EventQueue, legacy::EventQueue::Handle>(
-      state);
-}
-BENCHMARK(BM_EventKernelCancelHeavyLegacy)->Arg(8192);
 
 /// End-to-end cyclic frames/second through the pooled data path: a
 /// host<->host echo loop drawing every frame from the FramePool. Counters

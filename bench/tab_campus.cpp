@@ -30,15 +30,13 @@
 //   --skew            hot-zone variant: the first quarter of the cells
 //                     runs 4x cyclic rate + fault storms (the workload
 //                     the measured-rate partitioner exists for)
-//   --partitioner <prefix|measured>  placement strategy of the run
 //   --profile-out <f> write the (first) run's measured cell-rate profile
-//   --profile-in <f>  feed a calibration profile back; implies the
-//                     measured partitioner unless --partitioner prefix
+//   --profile-in <f>  feed a calibration profile back: cells are placed
+//                     by measured rate (LPT) instead of prefix-quota
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -54,12 +52,9 @@ namespace {
 using steelnet::net::CampusOptions;
 using steelnet::net::CampusPartitioner;
 using steelnet::net::CampusResult;
+using steelnet::bench::hex16;
 
-std::string hex16(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-  return buf;
-}
+constexpr const char* kProg = "tab_campus";
 
 CampusOptions table_options(std::uint64_t seed) {
   CampusOptions opt;
@@ -102,25 +97,6 @@ Totals totals_of(const CampusResult& r) {
                c.dropped_receiver_down;
   }
   return t;
-}
-
-steelnet::sim::RateProfile load_profile(const std::string& path) {
-  std::ifstream in{path};
-  if (!in) {
-    std::cerr << "tab_campus: cannot read profile '" << path << "'\n";
-    std::exit(2);
-  }
-  std::ostringstream text;
-  text << in.rdbuf();
-  return steelnet::sim::RateProfile::parse(text.str());
-}
-
-void write_profile(const std::string& path,
-                   const steelnet::sim::RateProfile& profile) {
-  std::ofstream out{path};
-  out << profile.to_text();
-  std::cerr << "tab_campus: wrote profile " << path << " ("
-            << profile.cells.size() << " cells)\n";
 }
 
 /// JSON array of an integer vector, e.g. "[3,1,0]".
@@ -207,7 +183,7 @@ int main(int argc, char** argv) {
       }
     }
     if (args.profile_out_path.has_value()) {
-      write_profile(*args.profile_out_path, calibration);
+      bench::write_profile(kProg, *args.profile_out_path, calibration);
     }
     const auto rung_at = [&](std::size_t sh, const char* strategy) {
       for (const Rung& r : rungs) {
@@ -328,14 +304,14 @@ int main(int argc, char** argv) {
                        : std::vector<std::size_t>{1, 8};
   sim::RateProfile profile_in;
   if (args.profile_in_path.has_value()) {
-    profile_in = load_profile(*args.profile_in_path);
+    profile_in = bench::read_profile(kProg, *args.profile_in_path);
   }
   std::vector<CampusResult> results;
   for (const std::size_t sh : shard_counts) {
     CampusOptions opt = table_options(args.seed);
     opt.shards = sh;
     opt.skew = args.skew;
-    if (args.wants_measured_partition()) {
+    if (args.profile_in_path.has_value()) {
       opt.partitioner = CampusPartitioner::kMeasuredRate;
       opt.measured_weights = profile_in.weights();
     }
@@ -345,7 +321,8 @@ int main(int argc, char** argv) {
                  results.back().imbalance_permille);
   }
   if (args.profile_out_path.has_value()) {
-    write_profile(*args.profile_out_path, results.front().profile);
+    bench::write_profile(kProg, *args.profile_out_path,
+                         results.front().profile);
   }
 
   if (args.metrics_path.has_value()) {

@@ -27,13 +27,7 @@
 namespace {
 
 using namespace steelnet;
-
-std::string hex16(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
+using bench::hex16;
 
 // --- FlowCache scaling curve ------------------------------------------
 

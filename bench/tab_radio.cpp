@@ -21,15 +21,14 @@
 //                     vs watchdog bound per rung, per scenario family) as
 //                     a JSON benchmark artifact
 //   --profile-out <f> write the (first) run's measured cell-rate profile
-//   --profile-in <f>  feed a calibration profile back (the SNR ladder is
-//                     naturally skewed: dead rungs run far fewer events
-//                     than healthy ones); implies the measured-rate
-//                     partitioner unless --partitioner prefix
+//   --profile-in <f>  feed a calibration profile back: cells are placed
+//                     by measured rate (the SNR ladder is naturally
+//                     skewed: dead rungs run far fewer events than
+//                     healthy ones)
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -37,33 +36,28 @@
 #include "core/report.hpp"
 #include "core/sweep_runner.hpp"
 #include "net/radio_floor.hpp"
-#include "sim/partitioner.hpp"
 
 namespace {
 
 using steelnet::net::RadioCellReport;
 using steelnet::net::RadioFloorOptions;
 using steelnet::net::RadioFloorResult;
+using steelnet::bench::hex16;
 
-std::string hex16(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-  return buf;
-}
+constexpr const char* kProg = "tab_radio";
 
-steelnet::sim::RateProfile g_profile_in;
-bool g_measured = false;
+/// Measured weights of `--profile-in`; empty means prefix placement.
+std::vector<std::uint64_t> g_weights;
 
 RadioFloorOptions floor_options(std::uint64_t seed, std::size_t shards) {
   RadioFloorOptions opt;
   opt.seed = seed;
   opt.shards = shards;
-  if (g_measured) {
-    opt.measured_partition = true;
-    opt.measured_weights = g_profile_in.weights();
-  }
+  opt.measured_weights = g_weights;
   return opt;
 }
+
+const char* placement() { return g_weights.empty() ? "prefix" : "measured"; }
 
 }  // namespace
 
@@ -72,17 +66,8 @@ int main(int argc, char** argv) {
 
   const auto args = bench::BenchArgs::parse(argc, argv, /*default_seed=*/1);
   if (args.profile_in_path.has_value()) {
-    std::ifstream in{*args.profile_in_path};
-    if (!in) {
-      std::cerr << "tab_radio: cannot read profile '" << *args.profile_in_path
-                << "'\n";
-      return 2;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    g_profile_in = sim::RateProfile::parse(text.str());
+    g_weights = bench::read_profile(kProg, *args.profile_in_path).weights();
   }
-  g_measured = args.wants_measured_partition();
 
   // --- SNR-ladder degradation curve -> BENCH_radio.json ---------------------
   if (args.bench_json_path.has_value()) {
@@ -92,8 +77,7 @@ int main(int argc, char** argv) {
                                                           : args.shards));
     const bool monotone = net::degradation_monotone(r);
     if (args.profile_out_path.has_value()) {
-      std::ofstream{*args.profile_out_path} << r.profile.to_text();
-      std::cout << "wrote " << *args.profile_out_path << "\n";
+      bench::write_profile(kProg, *args.profile_out_path, r.profile);
     }
     std::ofstream out{*args.bench_json_path};
     out << "{\n  \"bench\": \"radio_snr_degradation\",\n"
@@ -101,7 +85,7 @@ int main(int argc, char** argv) {
         << ", \"horizon_ns\": " << r.horizon_ns
         << ", \"watchdog_bound_ns\": " << r.watchdog_bound_ns
         << ", \"cells\": " << r.cells.size() << ", \"partitioner\": \""
-        << (g_measured ? "measured" : "prefix")
+        << placement()
         << "\", \"imbalance_permille\": " << r.imbalance_permille
         << "},\n  \"points\": [\n";
     bool first = true;
@@ -188,13 +172,14 @@ int main(int argc, char** argv) {
     std::ofstream{*args.trace_path} << results.front().to_chrome_trace();
   }
   if (args.profile_out_path.has_value()) {
-    std::ofstream{*args.profile_out_path} << results.front().profile.to_text();
+    bench::write_profile(kProg, *args.profile_out_path,
+                         results.front().profile);
   }
   for (std::size_t i = 0; i < results.size(); ++i) {
     // Placement diagnostics go to stderr so the CSV byte stream on
     // stdout stays the CI-compared artifact.
     std::cerr << "tab_radio: shards=" << shard_counts[i]
-              << " partitioner=" << (g_measured ? "measured" : "prefix")
+              << " partitioner=" << placement()
               << " imbalance_permille=" << results[i].imbalance_permille
               << "\n";
   }

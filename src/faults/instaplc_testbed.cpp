@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "obs/exporters.hpp"
+#include "sim/hash.hpp"
 
 namespace steelnet::faults {
 
@@ -131,8 +132,8 @@ ScenarioOutcome InstaPlcTestbed::collect() {
   if (cfg_.opts.with_obs) {
     const std::string prom = hub_.metrics().to_prometheus();
     const std::string trace = obs::chrome_trace_json(hub_.tracer());
-    out.metrics_fp = fnv1a64(prom);
-    out.trace_fp = fnv1a64(trace);
+    out.metrics_fp = sim::fnv1a64(prom);
+    out.trace_fp = sim::fnv1a64(trace);
     if (cfg_.opts.keep_exports) {
       out.metrics_prom = prom;
       out.trace_json = trace;

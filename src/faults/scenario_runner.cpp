@@ -1,63 +1,46 @@
 #include "faults/scenario_runner.hpp"
 
 #include "faults/instaplc_testbed.hpp"
+#include "sim/hash.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 
 namespace steelnet::faults {
-namespace {
-
-void hash_u64(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 0x00000100000001b3ULL;
-  }
-}
-
-}  // namespace
-
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x00000100000001b3ULL;
-  }
-  return h;
-}
 
 sim::SimTime switchover_bound(const RunnerOptions& opts) {
   return opts.io_cycle * (opts.switchover_cycles + 1);
 }
 
 std::uint64_t ScenarioOutcome::fingerprint() const {
-  std::uint64_t h = fnv1a64(scenario);
-  hash_u64(h, seed);
-  hash_u64(h, switched_over ? 1 : 0);
-  hash_u64(h, static_cast<std::uint64_t>(switchover_at.nanos()));
-  hash_u64(h, static_cast<std::uint64_t>(switchover_latency.nanos()));
-  hash_u64(h, static_cast<std::uint64_t>(max_output_gap.nanos()));
-  hash_u64(h, device_watchdog_trips);
-  hash_u64(h, post_kill_deliveries);
-  hash_u64(h, secondary_running ? 1 : 0);
-  hash_u64(h, twin_synced ? 1 : 0);
-  hash_u64(h, net.frames_offered);
-  hash_u64(h, net.frames_delivered);
-  hash_u64(h, net.frames_dropped_no_link);
-  hash_u64(h, net.frames_in_flight);
-  hash_u64(h, net.bytes_delivered);
-  hash_u64(h, faults.dropped_link_down);
-  hash_u64(h, faults.dropped_loss);
-  hash_u64(h, faults.dropped_sender_down);
-  hash_u64(h, faults.dropped_receiver_down);
-  hash_u64(h, faults.suppressed_tx);
-  hash_u64(h, faults.suppressed_rx);
-  hash_u64(h, faults.corrupted);
-  hash_u64(h, faults.duplicated);
-  hash_u64(h, faults.reordered);
-  hash_u64(h, faults.jittered);
-  hash_u64(h, static_cast<std::uint64_t>(residual));
-  hash_u64(h, metrics_fp);
-  hash_u64(h, trace_fp);
+  using sim::fnv1a64_mix;
+  std::uint64_t h = sim::fnv1a64(scenario);
+  fnv1a64_mix(h, seed);
+  fnv1a64_mix(h, switched_over ? 1 : 0);
+  fnv1a64_mix(h, static_cast<std::uint64_t>(switchover_at.nanos()));
+  fnv1a64_mix(h, static_cast<std::uint64_t>(switchover_latency.nanos()));
+  fnv1a64_mix(h, static_cast<std::uint64_t>(max_output_gap.nanos()));
+  fnv1a64_mix(h, device_watchdog_trips);
+  fnv1a64_mix(h, post_kill_deliveries);
+  fnv1a64_mix(h, secondary_running ? 1 : 0);
+  fnv1a64_mix(h, twin_synced ? 1 : 0);
+  fnv1a64_mix(h, net.frames_offered);
+  fnv1a64_mix(h, net.frames_delivered);
+  fnv1a64_mix(h, net.frames_dropped_no_link);
+  fnv1a64_mix(h, net.frames_in_flight);
+  fnv1a64_mix(h, net.bytes_delivered);
+  fnv1a64_mix(h, faults.dropped_link_down);
+  fnv1a64_mix(h, faults.dropped_loss);
+  fnv1a64_mix(h, faults.dropped_sender_down);
+  fnv1a64_mix(h, faults.dropped_receiver_down);
+  fnv1a64_mix(h, faults.suppressed_tx);
+  fnv1a64_mix(h, faults.suppressed_rx);
+  fnv1a64_mix(h, faults.corrupted);
+  fnv1a64_mix(h, faults.duplicated);
+  fnv1a64_mix(h, faults.reordered);
+  fnv1a64_mix(h, faults.jittered);
+  fnv1a64_mix(h, static_cast<std::uint64_t>(residual));
+  fnv1a64_mix(h, metrics_fp);
+  fnv1a64_mix(h, trace_fp);
   return h;
 }
 

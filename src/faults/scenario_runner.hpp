@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/sweep_runner.hpp"
@@ -123,8 +122,5 @@ class ScenarioRunner {
 /// A property-test scenario: 1-3 random fault specs (kinds, targets,
 /// windows, probabilities) drawn deterministically from `seed`.
 [[nodiscard]] FaultScenario random_scenario(std::uint64_t seed);
-
-/// FNV-1a 64 over arbitrary bytes (the export fingerprint primitive).
-[[nodiscard]] std::uint64_t fnv1a64(std::string_view bytes);
 
 }  // namespace steelnet::faults

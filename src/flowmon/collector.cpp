@@ -4,6 +4,7 @@
 
 #include "net/network.hpp"
 #include "obs/hub.hpp"
+#include "sim/hash.hpp"
 
 namespace steelnet::flowmon {
 
@@ -215,13 +216,8 @@ std::vector<core::FlowStats> CollectorNode::measured_stats() const {
 }
 
 std::uint64_t CollectorNode::fingerprint() const {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  };
+  std::uint64_t h = sim::kFnv1aOffset;
+  const auto mix = [&h](std::uint64_t v) { sim::fnv1a64_mix(h, v); };
   for (const FlowView& v : flows()) {
     mix(v.key.src.bits());
     mix(v.key.dst.bits());

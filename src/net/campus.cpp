@@ -1,17 +1,15 @@
 #include "net/campus.hpp"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
 #include <memory>
 #include <utility>
 
 #include "faults/fault_plane.hpp"
 #include "faults/scenario.hpp"
-#include "faults/scenario_runner.hpp"
+#include "net/cell_artifacts.hpp"
 #include "net/network.hpp"
 #include "net/topology.hpp"
-#include "obs/metrics.hpp"
 #include "profinet/controller.hpp"
 #include "profinet/io_device.hpp"
 #include "sim/random.hpp"
@@ -200,16 +198,12 @@ CampusResult run_campus(const CampusOptions& opt) {
   }
   const std::size_t hot_cells = opt.skew ? std::max<std::size_t>(1, opt.cells / 4) : 0;
 
-  static const sim::LptPartitioner kMeasuredStrategy;
-  if (opt.partitioner == CampusPartitioner::kMeasuredRate) {
-    if (opt.measured_weights.empty()) {
-      throw sim::PartitionError(
-          sim::PartitionErrorCode::kProfileMismatch,
-          "run_campus: measured-rate partitioner needs measured_weights "
-          "(run a calibration pass and feed its profile back)");
-    }
-    ss.set_partitioner(&kMeasuredStrategy);
-    ss.set_measured_weights(opt.measured_weights);
+  const bool measured = opt.partitioner == CampusPartitioner::kMeasuredRate;
+  if (measured && opt.measured_weights.empty()) {
+    throw sim::PartitionError(
+        sim::PartitionErrorCode::kProfileMismatch,
+        "run_campus: measured-rate partitioner needs measured_weights "
+        "(run a calibration pass and feed its profile back)");
   }
 
   // Ring backbone with chords: cell i reports to (i+1 .. i+degree) mod n.
@@ -265,18 +259,9 @@ CampusResult run_campus(const CampusOptions& opt) {
   }
 
   CampusResult result;
-  result.horizon_ns = opt.horizon.nanos();
-  result.stats = ss.run(opt.horizon, opt.shards);
-
-  // Placement diagnostics: judge whatever partition ran by the rates the
-  // run actually measured. Diagnostic-only -- never rendered into the
-  // fingerprinted artifacts, which must stay placement-invariant.
-  result.partition = ss.partition_map();
-  result.profile = ss.rate_profile();
-  const sim::PartitionStats pstats =
-      sim::partition_stats(result.profile.weights(), result.partition);
-  result.shard_events = pstats.shard_load;
-  result.imbalance_permille = pstats.imbalance_permille();
+  run_placed(ss, opt.horizon, opt.shards,
+             measured ? opt.measured_weights : std::vector<std::uint64_t>{},
+             result);
 
   result.cells.reserve(opt.cells);
   for (std::size_t i = 0; i < opt.cells; ++i) {
@@ -323,119 +308,91 @@ CampusResult run_campus(const CampusOptions& opt) {
 }
 
 // --- artifacts --------------------------------------------------------------
-//
-// All three renderers read CellReports only -- never ShardRunStats'
-// timing-dependent fields -- so the byte streams are invariant to shard
-// count and thread scheduling.
 
-std::string CampusResult::to_prometheus() const {
-  obs::MetricsRegistry reg;
-  for (const CellReport& r : cells) {
-    const auto add = [&](const char* name, std::uint64_t v) {
-      reg.make_counter({r.name, "campus", name}) += v;
-    };
-    add("events_executed", r.events_executed);
-    add("cyclic_tx", r.cyclic_tx);
-    add("cyclic_rx", r.cyclic_rx);
-    add("device_tx", r.device_tx);
-    add("device_rx", r.device_rx);
-    add("watchdog_trips", r.watchdog_trips);
-    add("controller_trips", r.controller_trips);
-    add("frames_offered", r.frames_offered);
-    add("frames_delivered", r.frames_delivered);
-    add("bytes_delivered", r.bytes_delivered);
-    add("pool_reused", r.pool_reused);
-    add("reports_sent", r.reports_sent);
-    add("reports_received", r.reports_received);
-    add("report_bytes", r.report_bytes);
-    add("node_crashes", r.node_crashes);
-    add("node_restarts", r.node_restarts);
-    add("dropped_loss", r.dropped_loss);
-    add("dropped_link_down", r.dropped_link_down);
-    add("dropped_sender_down", r.dropped_sender_down);
-    add("dropped_receiver_down", r.dropped_receiver_down);
-    add("outages", r.outages);
-    reg.make_counter({r.name, "campus", "report_latency_ns_total"}) +=
-        static_cast<std::uint64_t>(r.report_latency_ns_total);
-    reg.make_counter({r.name, "campus", "outage_ns_total"}) +=
-        static_cast<std::uint64_t>(r.outage_ns_total);
+namespace {
+
+using Column = CellColumn<CampusResult, CellReport>;
+template <auto Member>
+constexpr auto field = &member_value<Member, CampusResult, CellReport>;
+
+using enum ColumnKind;
+using enum TraceArg;
+
+/// Every CellReport column, declared once: CSV name, Prometheus name (or
+/// CSV-only), kind, and the trace arg it feeds.
+constexpr Column kColumns[] = {
+    {"cell", nullptr, kU64, field<&CellReport::cell>},
+    {"name", nullptr, kString, field<&CellReport::name>},
+    {"events", "events_executed", kU64, field<&CellReport::events_executed>,
+     kOnSpan},
+    {"cyclic_tx", "cyclic_tx", kU64, field<&CellReport::cyclic_tx>,
+     kOnCounter, "tx"},
+    {"cyclic_rx", "cyclic_rx", kU64, field<&CellReport::cyclic_rx>,
+     kOnCounter, "rx"},
+    {"device_tx", "device_tx", kU64, field<&CellReport::device_tx>},
+    {"device_rx", "device_rx", kU64, field<&CellReport::device_rx>},
+    {"watchdog_trips", "watchdog_trips", kU64,
+     field<&CellReport::watchdog_trips>},
+    {"controller_trips", "controller_trips", kU64,
+     field<&CellReport::controller_trips>},
+    {"frames_offered", "frames_offered", kU64,
+     field<&CellReport::frames_offered>},
+    {"frames_delivered", "frames_delivered", kU64,
+     field<&CellReport::frames_delivered>},
+    {"bytes_delivered", "bytes_delivered", kU64,
+     field<&CellReport::bytes_delivered>},
+    {"pool_reused", "pool_reused", kU64, field<&CellReport::pool_reused>},
+    {"reports_sent", "reports_sent", kU64, field<&CellReport::reports_sent>},
+    {"reports_received", "reports_received", kU64,
+     field<&CellReport::reports_received>, kOnCounter, "reports"},
+    {"report_bytes", "report_bytes", kU64, field<&CellReport::report_bytes>},
+    {"report_latency_ns_total", "report_latency_ns_total", kI64,
+     field<&CellReport::report_latency_ns_total>},
+    {"node_crashes", "node_crashes", kU64, field<&CellReport::node_crashes>},
+    {"node_restarts", "node_restarts", kU64,
+     field<&CellReport::node_restarts>},
+    {"dropped_loss", "dropped_loss", kU64, field<&CellReport::dropped_loss>},
+    {"dropped_link_down", "dropped_link_down", kU64,
+     field<&CellReport::dropped_link_down>},
+    {"dropped_sender_down", "dropped_sender_down", kU64,
+     field<&CellReport::dropped_sender_down>},
+    {"dropped_receiver_down", "dropped_receiver_down", kU64,
+     field<&CellReport::dropped_receiver_down>},
+    {"conservation_residual", nullptr, kI64,
+     field<&CellReport::conservation_residual>},
+    {"outages", "outages", kU64, field<&CellReport::outages>},
+    {"outage_ns_total", "outage_ns_total", kI64,
+     field<&CellReport::outage_ns_total>},
     // The per-cell load-rate gauge: the same events + delivered-messages
     // sum a RateProfile row folds to, so a scrape of this family *is* a
     // calibration profile. Deterministic (both terms are part of the
     // determinism contract), hence safe inside the fingerprinted export.
-    reg.make_gauge({r.name, "campus", "load_rate"})
-        .set(static_cast<double>(r.events_executed + r.msgs_delivered));
-  }
-  return reg.to_prometheus();
+    {.csv = nullptr,
+     .prom = "load_rate",
+     .kind = kU64,
+     .get = [](const CampusResult&, const CellReport& r) -> CellValue {
+       return r.events_executed + r.msgs_delivered;
+     },
+     .gauge = true},
+};
+
+constexpr CellSchema<CampusResult, CellReport> kSchema{
+    "campus", "campus", "cyclic", kColumns};
+
+}  // namespace
+
+std::string CampusResult::to_prometheus() const {
+  return render_prometheus(*this, kSchema);
 }
 
 std::string CampusResult::to_chrome_trace() const {
-  // Hand-rendered trace-event JSON: one "X" span per cell over the run,
-  // one "C" counter sample at the horizon. Integer-only formatting.
-  std::string out = "{\"traceEvents\":[";
-  out +=
-      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
-      "\"args\":{\"name\":\"campus\"}}";
-  char buf[512];
-  const auto us = [](std::int64_t ns) { return ns / 1000; };
-  const auto frac = [](std::int64_t ns) { return ns % 1000; };
-  for (const CellReport& r : cells) {
-    std::snprintf(buf, sizeof(buf),
-                  ",{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%" PRIu32
-                  ",\"ts\":0.000,\"dur\":%" PRId64 ".%03" PRId64
-                  ",\"args\":{\"events\":%" PRIu64 "}}",
-                  r.name.c_str(), r.cell, us(horizon_ns), frac(horizon_ns),
-                  r.events_executed);
-    out += buf;
-    std::snprintf(buf, sizeof(buf),
-                  ",{\"name\":\"cyclic\",\"ph\":\"C\",\"pid\":1,\"tid\":%" PRIu32
-                  ",\"ts\":%" PRId64 ".%03" PRId64
-                  ",\"args\":{\"tx\":%" PRIu64 ",\"rx\":%" PRIu64
-                  ",\"reports\":%" PRIu64 "}}",
-                  r.cell, us(horizon_ns), frac(horizon_ns), r.cyclic_tx,
-                  r.cyclic_rx, r.reports_received);
-    out += buf;
-  }
-  out += "]}";
-  return out;
+  return render_chrome_trace(*this, kSchema);
 }
 
-std::string CampusResult::to_csv() const {
-  std::string out =
-      "cell,name,events,cyclic_tx,cyclic_rx,device_tx,device_rx,"
-      "watchdog_trips,controller_trips,frames_offered,frames_delivered,"
-      "bytes_delivered,pool_reused,reports_sent,reports_received,"
-      "report_bytes,report_latency_ns_total,node_crashes,node_restarts,"
-      "dropped_loss,dropped_link_down,dropped_sender_down,"
-      "dropped_receiver_down,conservation_residual,outages,"
-      "outage_ns_total\n";
-  char buf[640];
-  for (const CellReport& r : cells) {
-    std::snprintf(
-        buf, sizeof(buf),
-        "%" PRIu32 ",%s,%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64
-        ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64
-        ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64
-        ",%" PRId64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64
-        ",%" PRIu64 ",%" PRIu64 ",%" PRId64 ",%" PRIu64 ",%" PRId64 "\n",
-        r.cell, r.name.c_str(), r.events_executed, r.cyclic_tx, r.cyclic_rx,
-        r.device_tx, r.device_rx, r.watchdog_trips, r.controller_trips,
-        r.frames_offered, r.frames_delivered, r.bytes_delivered,
-        r.pool_reused, r.reports_sent, r.reports_received, r.report_bytes,
-        r.report_latency_ns_total, r.node_crashes, r.node_restarts,
-        r.dropped_loss, r.dropped_link_down, r.dropped_sender_down,
-        r.dropped_receiver_down, r.conservation_residual, r.outages,
-        r.outage_ns_total);
-    out += buf;
-  }
-  return out;
-}
+std::string CampusResult::to_csv() const { return render_csv(*this, kSchema); }
 
 std::uint64_t CampusResult::fingerprint() const {
-  std::uint64_t h = faults::fnv1a64(to_csv());
-  h ^= faults::fnv1a64(to_prometheus()) * 0x100000001b3ULL;
-  h ^= faults::fnv1a64(to_chrome_trace()) * 0x100000001b3ULL;
-  return h;
+  return artifact_fingerprint(to_csv(), to_prometheus(), to_chrome_trace());
 }
 
 }  // namespace steelnet::net

@@ -22,8 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/partitioner.hpp"
-#include "sim/sharded_simulator.hpp"
+#include "net/sharded_plant.hpp"
 #include "sim/time.hpp"
 
 namespace steelnet::net {
@@ -71,7 +70,7 @@ struct CampusOptions {
 };
 
 /// Deterministic per-cell outcome -- the only state artifacts are
-/// rendered from.
+/// rendered from (columns declared once in campus.cpp).
 struct CellReport {
   std::uint32_t cell = 0;
   std::string name;
@@ -109,21 +108,8 @@ struct CellReport {
   [[nodiscard]] bool operator==(const CellReport&) const = default;
 };
 
-struct CampusResult {
+struct CampusResult : ShardedRunResult {
   std::vector<CellReport> cells;
-  sim::ShardRunStats stats;  ///< rounds/spins/wall are timing-dependent
-  std::int64_t horizon_ns = 0;
-
-  // Placement diagnostics. The partition map and per-shard loads depend
-  // on the shard count and partitioner choice, so they are reported here
-  // (and in bench JSON) but NEVER rendered into the fingerprinted
-  // artifacts below -- those must stay invariant to placement.
-  std::vector<std::uint32_t> partition;    ///< cell -> shard of this run
-  std::vector<std::uint64_t> shard_events; ///< measured load per shard
-  std::uint64_t imbalance_permille = 0;    ///< max/mean load, 1000 = balanced
-  /// Measured per-cell rates (deterministic) -- the `--profile-out`
-  /// payload whose weights() feed a later run's measured partition.
-  sim::RateProfile profile;
 
   /// Prometheus text exposition of every per-cell counter, path-ordered.
   [[nodiscard]] std::string to_prometheus() const;
@@ -131,8 +117,8 @@ struct CampusResult {
   [[nodiscard]] std::string to_chrome_trace() const;
   /// `cell,name,...` rows in cell order (header included).
   [[nodiscard]] std::string to_csv() const;
-  /// FNV-1a over all three artifacts -- one number that pins the entire
-  /// export surface for cross-shard-count comparisons.
+  /// artifact_fingerprint() over all three -- one number that pins the
+  /// entire export surface for cross-shard-count comparisons.
   [[nodiscard]] std::uint64_t fingerprint() const;
 };
 

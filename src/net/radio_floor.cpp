@@ -1,15 +1,14 @@
 #include "net/radio_floor.hpp"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
 #include <memory>
 #include <utility>
 
 #include "faults/instaplc_testbed.hpp"
 #include "faults/scenario_runner.hpp"
+#include "net/cell_artifacts.hpp"
 #include "net/radio_backend.hpp"
-#include "obs/metrics.hpp"
 #include "sim/random.hpp"
 
 namespace steelnet::net {
@@ -141,33 +140,12 @@ RadioFloorResult run_radio_floor(const RadioFloorOptions& opt) {
   }
 
   RadioFloorResult result;
-  result.horizon_ns = opt.horizon.nanos();
   faults::RunnerOptions bound_opts;
   bound_opts.switchover_cycles = opt.switchover_cycles;
   bound_opts.io_cycle = opt.io_cycle;
   result.watchdog_bound_ns = faults::switchover_bound(bound_opts).nanos();
   result.io_cycle_ns = opt.io_cycle.nanos();
-
-  static const sim::LptPartitioner kMeasuredStrategy;
-  if (opt.measured_partition) {
-    if (opt.measured_weights.empty()) {
-      throw sim::PartitionError(
-          sim::PartitionErrorCode::kProfileMismatch,
-          "run_radio_floor: measured partition needs measured_weights");
-    }
-    ss.set_partitioner(&kMeasuredStrategy);
-    ss.set_measured_weights(opt.measured_weights);
-  }
-  result.stats = ss.run(opt.horizon, opt.shards);
-
-  // Placement diagnostics, judged by the rates this run measured.
-  // Diagnostic-only: excluded from the fingerprinted artifacts.
-  result.partition = ss.partition_map();
-  result.profile = ss.rate_profile();
-  const sim::PartitionStats pstats =
-      sim::partition_stats(result.profile.weights(), result.partition);
-  result.shard_events = pstats.shard_load;
-  result.imbalance_permille = pstats.imbalance_permille();
+  run_placed(ss, opt.horizon, opt.shards, opt.measured_weights, result);
 
   result.cells.reserve(floor_cells.size());
   for (std::size_t i = 0; i < floor_cells.size(); ++i) {
@@ -241,112 +219,98 @@ bool degradation_monotone(const RadioFloorResult& result) {
 }
 
 // --- artifacts --------------------------------------------------------------
-//
-// All three renderers read RadioCellReports only -- never ShardRunStats'
-// timing-dependent fields -- so the byte streams are invariant to shard
-// count and thread scheduling.
 
-std::string RadioFloorResult::to_prometheus() const {
-  obs::MetricsRegistry reg;
-  for (const RadioCellReport& r : cells) {
-    const auto add = [&](const char* name, std::uint64_t v) {
-      reg.make_counter({r.name, "radio", name}) += v;
-    };
-    add("events_executed", r.events_executed);
-    add("switched_over", r.switched_over);
-    add("switchover_latency_ns",
-        static_cast<std::uint64_t>(r.switchover_latency_ns));
-    add("max_output_gap_ns", static_cast<std::uint64_t>(r.max_output_gap_ns));
-    add("watchdog_trips", r.watchdog_trips);
-    add("frames_offered", r.frames_offered);
-    add("frames_delivered", r.frames_delivered);
-    add("dropped_backend", r.dropped_backend);
-    add("radio_planned", r.radio_planned);
-    add("radio_dropped_snr", r.radio_dropped_snr);
-    add("radio_dropped_no_assoc", r.radio_dropped_no_assoc);
-    add("radio_dropped_handoff", r.radio_dropped_handoff);
-    add("assoc_events", r.assoc_events);
-    add("roam_events", r.roam_events);
-    add("disassoc_events", r.disassoc_events);
-    add("rate_avg_bps", r.rate_avg_bps);
-    add("drop_permille", r.drop_permille());
+namespace {
+
+using Column = CellColumn<RadioFloorResult, RadioCellReport>;
+template <auto Member>
+constexpr auto field =
+    &member_value<Member, RadioFloorResult, RadioCellReport>;
+
+using enum ColumnKind;
+using enum TraceArg;
+
+/// Every RadioCellReport column, declared once: CSV name, Prometheus name
+/// (or CSV-only), kind, and the trace arg it feeds.
+constexpr Column kColumns[] = {
+    {"cell", nullptr, kU64, field<&RadioCellReport::cell>},
+    {"name", nullptr, kString, field<&RadioCellReport::name>},
+    {"scenario", nullptr, kString, field<&RadioCellReport::scenario>},
+    {"seed", nullptr, kU64, field<&RadioCellReport::seed>},
+    {"snr_offset_millidb", nullptr, kI64,
+     field<&RadioCellReport::snr_offset_millidb>},
+    {"events", "events_executed", kU64,
+     field<&RadioCellReport::events_executed>, kOnSpan},
+    {"switched_over", "switched_over", kU64,
+     field<&RadioCellReport::switched_over>},
+    {"switchover_latency_ns", "switchover_latency_ns", kI64,
+     field<&RadioCellReport::switchover_latency_ns>},
+    {"max_output_gap_ns", "max_output_gap_ns", kI64,
+     field<&RadioCellReport::max_output_gap_ns>, kOnCounter},
+    {"watchdog_bound_ns", nullptr, kI64,
+     [](const RadioFloorResult& f, const RadioCellReport&) -> CellValue {
+       return f.watchdog_bound_ns;
+     }},
+    {"watchdog_trips", "watchdog_trips", kU64,
+     field<&RadioCellReport::watchdog_trips>},
+    {"frames_offered", "frames_offered", kU64,
+     field<&RadioCellReport::frames_offered>},
+    {"frames_delivered", "frames_delivered", kU64,
+     field<&RadioCellReport::frames_delivered>},
+    {"dropped_backend", "dropped_backend", kU64,
+     field<&RadioCellReport::dropped_backend>},
+    {"radio_planned", "radio_planned", kU64,
+     field<&RadioCellReport::radio_planned>},
+    {"radio_dropped_snr", "radio_dropped_snr", kU64,
+     field<&RadioCellReport::radio_dropped_snr>},
+    {"radio_dropped_no_assoc", "radio_dropped_no_assoc", kU64,
+     field<&RadioCellReport::radio_dropped_no_assoc>},
+    {"radio_dropped_handoff", "radio_dropped_handoff", kU64,
+     field<&RadioCellReport::radio_dropped_handoff>},
+    {"drop_permille", "drop_permille", kU64,
+     field<&RadioCellReport::drop_permille>, kOnSpan},
+    {"assoc_events", "assoc_events", kU64,
+     field<&RadioCellReport::assoc_events>},
+    {"roam_events", "roam_events", kU64, field<&RadioCellReport::roam_events>,
+     kOnCounter, "roams"},
+    {"disassoc_events", "disassoc_events", kU64,
+     field<&RadioCellReport::disassoc_events>},
+    {"rate_avg_bps", "rate_avg_bps", kU64,
+     field<&RadioCellReport::rate_avg_bps>},
+    {"snr_avg_millidb", nullptr, kI64,
+     field<&RadioCellReport::snr_avg_millidb>},
+    {"residual", nullptr, kI64, field<&RadioCellReport::residual>},
+    {"metrics_fp", nullptr, kHex, field<&RadioCellReport::metrics_fp>},
+    {"trace_fp", nullptr, kHex, field<&RadioCellReport::trace_fp>},
     // Per-cell load-rate gauge (the calibration-profile weight). Radio
     // cells exchange no cross-shard messages, so it is just the event
     // count -- deterministic, hence safe in the fingerprinted export.
-    reg.make_gauge({r.name, "radio", "load_rate"})
-        .set(static_cast<double>(r.events_executed));
-  }
-  return reg.to_prometheus();
+    {.csv = nullptr,
+     .prom = "load_rate",
+     .kind = kU64,
+     .get = field<&RadioCellReport::events_executed>,
+     .gauge = true},
+};
+
+constexpr CellSchema<RadioFloorResult, RadioCellReport> kSchema{
+    "radio", "radio_floor", "gap", kColumns};
+
+}  // namespace
+
+std::string RadioFloorResult::to_prometheus() const {
+  return render_prometheus(*this, kSchema);
 }
 
 std::string RadioFloorResult::to_chrome_trace() const {
-  // Hand-rendered trace-event JSON, integer-only formatting.
-  std::string out = "{\"traceEvents\":[";
-  out +=
-      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
-      "\"args\":{\"name\":\"radio_floor\"}}";
-  char buf[512];
-  const auto us = [](std::int64_t ns) { return ns / 1000; };
-  const auto frac = [](std::int64_t ns) { return ns % 1000; };
-  for (const RadioCellReport& r : cells) {
-    std::snprintf(buf, sizeof(buf),
-                  ",{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%" PRIu32
-                  ",\"ts\":0.000,\"dur\":%" PRId64 ".%03" PRId64
-                  ",\"args\":{\"events\":%" PRIu64 ",\"drop_permille\":%" PRIu64
-                  "}}",
-                  r.name.c_str(), r.cell, us(horizon_ns), frac(horizon_ns),
-                  r.events_executed, r.drop_permille());
-    out += buf;
-    std::snprintf(buf, sizeof(buf),
-                  ",{\"name\":\"gap\",\"ph\":\"C\",\"pid\":1,\"tid\":%" PRIu32
-                  ",\"ts\":%" PRId64 ".%03" PRId64
-                  ",\"args\":{\"max_output_gap_ns\":%" PRId64
-                  ",\"roams\":%" PRIu64 "}}",
-                  r.cell, us(horizon_ns), frac(horizon_ns),
-                  r.max_output_gap_ns, r.roam_events);
-    out += buf;
-  }
-  out += "]}";
-  return out;
+  return render_chrome_trace(*this, kSchema);
 }
 
 std::string RadioFloorResult::to_csv() const {
-  std::string out =
-      "cell,name,scenario,seed,snr_offset_millidb,events,switched_over,"
-      "switchover_latency_ns,max_output_gap_ns,watchdog_bound_ns,"
-      "watchdog_trips,frames_offered,frames_delivered,dropped_backend,"
-      "radio_planned,radio_dropped_snr,radio_dropped_no_assoc,"
-      "radio_dropped_handoff,drop_permille,assoc_events,roam_events,"
-      "disassoc_events,rate_avg_bps,snr_avg_millidb,residual,metrics_fp,"
-      "trace_fp\n";
-  char buf[768];
-  for (const RadioCellReport& r : cells) {
-    std::snprintf(
-        buf, sizeof(buf),
-        "%" PRIu32 ",%s,%s,%" PRIu64 ",%" PRId64 ",%" PRIu64 ",%" PRIu32
-        ",%" PRId64 ",%" PRId64 ",%" PRId64 ",%" PRIu64 ",%" PRIu64
-        ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64
-        ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64
-        ",%" PRIu64 ",%" PRId64 ",%" PRId64 ",%016" PRIx64 ",%016" PRIx64
-        "\n",
-        r.cell, r.name.c_str(), r.scenario.c_str(), r.seed,
-        r.snr_offset_millidb, r.events_executed, r.switched_over,
-        r.switchover_latency_ns, r.max_output_gap_ns, watchdog_bound_ns,
-        r.watchdog_trips, r.frames_offered, r.frames_delivered,
-        r.dropped_backend, r.radio_planned, r.radio_dropped_snr,
-        r.radio_dropped_no_assoc, r.radio_dropped_handoff, r.drop_permille(),
-        r.assoc_events, r.roam_events, r.disassoc_events, r.rate_avg_bps,
-        r.snr_avg_millidb, r.residual, r.metrics_fp, r.trace_fp);
-    out += buf;
-  }
-  return out;
+  return render_csv(*this, kSchema);
 }
 
 std::uint64_t RadioFloorResult::fingerprint() const {
-  std::uint64_t h = faults::fnv1a64(to_csv());
-  h ^= faults::fnv1a64(to_prometheus()) * 0x100000001b3ULL;
-  h ^= faults::fnv1a64(to_chrome_trace()) * 0x100000001b3ULL;
-  return h;
+  return artifact_fingerprint(to_csv(), to_prometheus(), to_chrome_trace());
 }
 
 }  // namespace steelnet::net

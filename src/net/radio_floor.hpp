@@ -25,8 +25,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/partitioner.hpp"
-#include "sim/sharded_simulator.hpp"
+#include "net/sharded_plant.hpp"
 #include "sim/time.hpp"
 
 namespace steelnet::net {
@@ -38,17 +37,18 @@ struct RadioFloorOptions {
   /// Silent I/O cycles before the in-network monitor switches over.
   std::uint16_t switchover_cycles = 3;
   sim::SimTime io_cycle = sim::milliseconds(2);
-  /// Placement strategy (same semantics as CampusOptions): prefix-quota
-  /// over uniform declared weights, or LPT over `measured_weights`. The
+  /// Measured per-cell rates (one per cell, e.g. RateProfile::weights()
+  /// of a calibration run). Non-empty places cells by LPT over them;
+  /// empty keeps the prefix-quota walk over uniform declared weights. The
   /// SNR ladder is naturally skewed -- dead rungs execute far fewer
   /// events than healthy ones -- so a calibration profile has real
-  /// signal here. Artifacts are byte-identical under either choice.
-  bool measured_partition = false;
+  /// signal here. Artifacts are byte-identical under either placement.
   std::vector<std::uint64_t> measured_weights;
 };
 
 /// Deterministic per-cell outcome -- the only state artifacts are
-/// rendered from. All-integer (SNR telemetry in millidB).
+/// rendered from (columns declared once in radio_floor.cpp). All-integer
+/// (SNR telemetry in millidB).
 struct RadioCellReport {
   std::uint32_t cell = 0;
   std::string name;
@@ -92,17 +92,8 @@ struct RadioCellReport {
   [[nodiscard]] bool operator==(const RadioCellReport&) const = default;
 };
 
-struct RadioFloorResult {
+struct RadioFloorResult : ShardedRunResult {
   std::vector<RadioCellReport> cells;
-  sim::ShardRunStats stats;  ///< rounds/spins/wall are timing-dependent
-  std::int64_t horizon_ns = 0;
-
-  // Placement diagnostics -- shard-count dependent, never rendered into
-  // the fingerprinted artifacts (same contract as CampusResult).
-  std::vector<std::uint32_t> partition;    ///< cell -> shard of this run
-  std::vector<std::uint64_t> shard_events; ///< measured load per shard
-  std::uint64_t imbalance_permille = 0;    ///< max/mean load, 1000 = balanced
-  sim::RateProfile profile;                ///< measured per-cell rates
   /// (switchover_cycles + 1) x io_cycle -- the wired watchdog bound the
   /// degradation curve is measured against.
   std::int64_t watchdog_bound_ns = 0;
@@ -114,8 +105,8 @@ struct RadioFloorResult {
   [[nodiscard]] std::string to_chrome_trace() const;
   /// `cell,name,...` rows in cell order (header included).
   [[nodiscard]] std::string to_csv() const;
-  /// FNV-1a over all three artifacts -- one number that pins the entire
-  /// export surface for cross-shard-count comparisons.
+  /// artifact_fingerprint() over all three -- one number that pins the
+  /// entire export surface for cross-shard-count comparisons.
   [[nodiscard]] std::uint64_t fingerprint() const;
 };
 

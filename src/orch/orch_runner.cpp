@@ -3,28 +3,20 @@
 #include <algorithm>
 #include <cstring>
 
-#include "faults/scenario_runner.hpp"  // fnv1a64
 #include "net/switch_node.hpp"
 #include "net/topology.hpp"
 #include "obs/hub.hpp"
+#include "sim/hash.hpp"
 #include "sim/random.hpp"
 
 namespace steelnet::orch {
 
 namespace {
 
-void hash_u64(std::uint64_t& h, std::uint64_t v) {
-  // FNV-1a over the 8 little-endian bytes of v.
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= 1099511628211ULL;
-  }
-}
-
 void hash_double(std::uint64_t& h, double d) {
   std::uint64_t bits = 0;
   std::memcpy(&bits, &d, sizeof(bits));
-  hash_u64(h, bits);
+  sim::fnv1a64_mix(h, bits);
 }
 
 }  // namespace
@@ -57,52 +49,56 @@ OrchConfig small_orch_config(std::uint64_t seed) {
 }
 
 std::uint64_t OrchOutcome::fingerprint() const {
-  std::uint64_t h = 1469598103934665603ULL;
-  hash_u64(h, faults::fnv1a64(scenario));
-  hash_u64(h, faults::fnv1a64(policy));
-  hash_u64(h, seed);
-  hash_u64(h, compute_nodes);
-  hash_u64(h, racks);
-  hash_u64(h, vplcs_placed);
-  hash_u64(h, faults::fnv1a64(place_error));
-  hash_u64(h, fleet.placements);
-  hash_u64(h, fleet.placement_failures);
-  hash_u64(h, fleet.migrations);
-  hash_u64(h, fleet.failovers_started);
-  hash_u64(h, fleet.switchovers);
-  hash_u64(h, fleet.switchovers_within_bound);
-  hash_u64(h, fleet.slo_violations);
-  hash_u64(h, fleet.violations_activation_queue);
-  hash_u64(h, fleet.violations_cold);
-  hash_u64(h, fleet.cold_restarts);
-  hash_u64(h, fleet.graceful_handovers);
-  hash_u64(h, fleet.oversubscribed_promotions);
-  hash_u64(h, fleet.nodes_declared_dead);
-  hash_u64(h, fleet.nodes_fenced);
-  hash_u64(h, fleet.nodes_rejoined);
-  hash_u64(h, fleet.upgrades_started);
-  hash_u64(h, fleet.heartbeats_tx);
-  hash_u64(h, fleet.heartbeats_rx);
-  hash_u64(h, fleet.twins_warmed);
-  hash_u64(h, fleet.activations_run);
-  hash_u64(h, fleet.activation_queue_peak);
-  hash_u64(h, fleet.downtime_ns_total);
-  hash_u64(h, static_cast<std::uint64_t>(ledger_residual));
-  hash_u64(h, currently_down);
-  hash_u64(h, unprotected);
+  using sim::fnv1a64_mix;
+  // This recipe has always started from the decimal offset basis with its
+  // last digit dropped, i.e. kFnv1aOffset / 10. Kept: the orch goldens
+  // and every recorded tab_orch fingerprint depend on it.
+  std::uint64_t h = sim::kFnv1aOffset / 10;
+  fnv1a64_mix(h, sim::fnv1a64(scenario));
+  fnv1a64_mix(h, sim::fnv1a64(policy));
+  fnv1a64_mix(h, seed);
+  fnv1a64_mix(h, compute_nodes);
+  fnv1a64_mix(h, racks);
+  fnv1a64_mix(h, vplcs_placed);
+  fnv1a64_mix(h, sim::fnv1a64(place_error));
+  fnv1a64_mix(h, fleet.placements);
+  fnv1a64_mix(h, fleet.placement_failures);
+  fnv1a64_mix(h, fleet.migrations);
+  fnv1a64_mix(h, fleet.failovers_started);
+  fnv1a64_mix(h, fleet.switchovers);
+  fnv1a64_mix(h, fleet.switchovers_within_bound);
+  fnv1a64_mix(h, fleet.slo_violations);
+  fnv1a64_mix(h, fleet.violations_activation_queue);
+  fnv1a64_mix(h, fleet.violations_cold);
+  fnv1a64_mix(h, fleet.cold_restarts);
+  fnv1a64_mix(h, fleet.graceful_handovers);
+  fnv1a64_mix(h, fleet.oversubscribed_promotions);
+  fnv1a64_mix(h, fleet.nodes_declared_dead);
+  fnv1a64_mix(h, fleet.nodes_fenced);
+  fnv1a64_mix(h, fleet.nodes_rejoined);
+  fnv1a64_mix(h, fleet.upgrades_started);
+  fnv1a64_mix(h, fleet.heartbeats_tx);
+  fnv1a64_mix(h, fleet.heartbeats_rx);
+  fnv1a64_mix(h, fleet.twins_warmed);
+  fnv1a64_mix(h, fleet.activations_run);
+  fnv1a64_mix(h, fleet.activation_queue_peak);
+  fnv1a64_mix(h, fleet.downtime_ns_total);
+  fnv1a64_mix(h, static_cast<std::uint64_t>(ledger_residual));
+  fnv1a64_mix(h, currently_down);
+  fnv1a64_mix(h, unprotected);
   hash_double(h, availability);
   hash_double(h, rack_local_fraction);
   hash_double(h, utilization_spread);
-  hash_u64(h, watchdog_bound_ns);
-  hash_u64(h, latency_count);
+  fnv1a64_mix(h, watchdog_bound_ns);
+  fnv1a64_mix(h, latency_count);
   hash_double(h, latency_mean_us);
   hash_double(h, latency_p50_us);
   hash_double(h, latency_p99_us);
   hash_double(h, latency_max_us);
-  hash_u64(h, frames_delivered);
-  hash_u64(h, static_cast<std::uint64_t>(conservation_residual));
-  hash_u64(h, trace_fp);
-  hash_u64(h, metrics_fp);
+  fnv1a64_mix(h, frames_delivered);
+  fnv1a64_mix(h, static_cast<std::uint64_t>(conservation_residual));
+  fnv1a64_mix(h, trace_fp);
+  fnv1a64_mix(h, metrics_fp);
   return h;
 }
 
@@ -261,10 +257,10 @@ OrchOutcome OrchRunner::run(const OrchConfig& cfg) {
   }
   out.frames_delivered = net.counters().frames_delivered;
   out.conservation_residual = plane.conservation_residual();
-  out.trace_fp = faults::fnv1a64(fleet.placement_trace());
+  out.trace_fp = sim::fnv1a64(fleet.placement_trace());
   if (hub.has_value()) {
     const std::string prom = hub->metrics().to_prometheus();
-    out.metrics_fp = faults::fnv1a64(prom);
+    out.metrics_fp = sim::fnv1a64(prom);
     if (cfg.keep_exports) out.metrics_prom = prom;
   }
   if (cfg.keep_exports) out.trace_text = fleet.placement_trace();

@@ -4,20 +4,13 @@
 #include <numbers>
 #include <stdexcept>
 
+#include "sim/hash.hpp"
+
 namespace steelnet::sim {
 
 namespace {
 constexpr std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
-}
-/// FNV-1a over a label, for derive().
-constexpr std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
 }
 }  // namespace
 
@@ -111,7 +104,7 @@ std::size_t Rng::categorical(const std::vector<double>& weights) {
 Rng Rng::fork() { return Rng{next_u64()}; }
 
 Rng Rng::derive(std::string_view label) const {
-  SplitMix64 sm{seed_ ^ fnv1a(label)};
+  SplitMix64 sm{seed_ ^ fnv1a64(label)};
   return Rng{sm.next()};
 }
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "flowmon/mix_scenario.hpp"
 #include "flowmon/report.hpp"
 
 namespace steelnet::flowmon {
@@ -166,6 +167,20 @@ TEST(Federation, DeterministicAcrossRunsAndSeedSensitive) {
   FederationSpec other = small_spec();
   other.seed = 22;
   EXPECT_NE(run_federation(other).plant_fingerprint, a.plant_fingerprint);
+}
+
+// Golden pins at tab_flowmon's default seed: the fingerprint values
+// themselves, not only run-to-run agreement.
+TEST(FederationGolden, MeasuredMixFingerprintPinned) {
+  MeasuredMixSpec spec;
+  spec.seed = 7;
+  EXPECT_EQ(run_measured_mix(spec).fingerprint, 0x2c5409eda6330389ULL);
+}
+
+TEST(FederationGolden, PlantFingerprintPinned) {
+  FederationSpec spec;
+  spec.seed = 7;
+  EXPECT_EQ(run_federation(spec).plant_fingerprint, 0xd0441aad6add7b39ULL);
 }
 
 TEST(Federation, ReportRendersTiersAndConservation) {

@@ -8,8 +8,8 @@
 #include <cstring>
 
 #include "core/traffic_mix.hpp"
+#include "sim/hash.hpp"
 #include "sim/random.hpp"
-#include "sim/trace.hpp"
 #include "tap/reflection.hpp"
 
 namespace steelnet {
@@ -19,29 +19,20 @@ using namespace steelnet::sim::literals;
 
 /// FNV-1a over a double sequence's bit patterns.
 std::uint64_t fingerprint(const std::vector<double>& values) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  std::uint64_t h = sim::kFnv1aOffset;
   for (double v : values) {
     std::uint64_t bits;
     static_assert(sizeof bits == sizeof v);
     std::memcpy(&bits, &v, sizeof bits);
-    for (int i = 0; i < 8; ++i) {
-      h ^= (bits >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
+    sim::fnv1a64_mix(h, bits);
   }
   return h;
 }
 
 TEST(Golden, RngStreamPinned) {
   sim::Rng rng{2025};
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (int i = 0; i < 64; ++i) {
-    const auto v = rng.next_u64();
-    for (int b = 0; b < 8; ++b) {
-      h ^= (v >> (8 * b)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  }
+  std::uint64_t h = sim::kFnv1aOffset;
+  for (int i = 0; i < 64; ++i) sim::fnv1a64_mix(h, rng.next_u64());
   EXPECT_EQ(h, 10222540825773612038ULL) << "xoshiro sequence changed";
 }
 
@@ -63,20 +54,6 @@ TEST(Golden, TrafficMixPinned) {
   for (const auto& f : flows) bytes.push_back(double(f.total_bytes));
   EXPECT_EQ(fingerprint(bytes), 17498984022749266986ULL)
       << "traffic-mix generation changed";
-}
-
-TEST(Golden, TraceFingerprintStableAcrossRuns) {
-  // Structural (not pinned): two identical runs emit identical traces.
-  auto run = [] {
-    sim::Trace trace;
-    sim::Rng rng{5};
-    for (int i = 0; i < 100; ++i) {
-      trace.emit(sim::SimTime{i * 100}, "v",
-                 std::to_string(rng.uniform_int(0, 1 << 20)));
-    }
-    return trace.fingerprint();
-  };
-  EXPECT_EQ(run(), run());
 }
 
 }  // namespace

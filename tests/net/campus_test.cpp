@@ -22,6 +22,31 @@ CampusOptions small_campus(std::size_t shards) {
   return opt;
 }
 
+/// The tab_campus table campus: 48 cells x 8 devices, faults on.
+CampusOptions table_campus(bool skew) {
+  CampusOptions opt;
+  opt.cells = 48;
+  opt.devices_per_cell = 8;
+  opt.cycle = sim::milliseconds(4);
+  opt.horizon = sim::milliseconds(150);
+  opt.seed = 1;
+  opt.faults = true;
+  opt.skew = skew;
+  return opt;
+}
+
+// Golden pins: the artifact bytes themselves, not just their agreement
+// across shard counts. A refactor of the renderers must keep these.
+TEST(Campus, TableCampusFingerprintPinned) {
+  EXPECT_EQ(run_campus(table_campus(false)).fingerprint(),
+            0x522f8f18a43c9a70ULL);
+}
+
+TEST(Campus, SkewedTableCampusFingerprintPinned) {
+  EXPECT_EQ(run_campus(table_campus(true)).fingerprint(),
+            0x3d94b2cac8a5b1ecULL);
+}
+
 TEST(Campus, ArtifactsByteIdenticalAcrossShardCounts) {
   const CampusResult golden = run_campus(small_campus(1));
   const std::string csv = golden.to_csv();

@@ -77,7 +77,6 @@ TEST(RadioFloor, MeasuredPartitionKeepsArtifactsByteIdentical) {
 
   RadioFloorOptions opt = calib;
   opt.shards = 8;
-  opt.measured_partition = true;
   opt.measured_weights = golden.profile.weights();
   const RadioFloorResult measured = run_radio_floor(opt);
   EXPECT_EQ(measured.cells, golden.cells);
@@ -96,16 +95,10 @@ TEST(RadioFloor, MeasuredPartitionKeepsArtifactsByteIdentical) {
   EXPECT_LE(measured.imbalance_permille, prefix.imbalance_permille);
 }
 
-TEST(RadioFloor, MeasuredPartitionWithoutWeightsIsTyped) {
-  RadioFloorOptions opt;
-  opt.horizon = sim::milliseconds(100);
-  opt.measured_partition = true;
-  try {
-    (void)run_radio_floor(opt);
-    FAIL() << "expected PartitionError";
-  } catch (const sim::PartitionError& e) {
-    EXPECT_EQ(e.code(), sim::PartitionErrorCode::kProfileMismatch);
-  }
+TEST(RadioFloor, DefaultFloorFingerprintPinned) {
+  // Golden pin of the artifact bytes of the default floor (seed 1).
+  EXPECT_EQ(run_radio_floor(RadioFloorOptions{}).fingerprint(),
+            0x301b7df05e86c83dULL);
 }
 
 TEST(RadioFloor, SeedSelectsTheFloor) {

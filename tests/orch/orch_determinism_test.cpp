@@ -44,6 +44,12 @@ TEST(OrchDeterminism, PrometheusExportCarriesFleetCounters) {
   }
 }
 
+TEST(OrchDeterminism, SmallConfigFingerprintPinned) {
+  // Golden pin of the whole outcome hash, not only run-to-run agreement.
+  EXPECT_EQ(OrchRunner::run(small_orch_config(1)).fingerprint(),
+            0x1c1d6f8cbe254fcaULL);
+}
+
 TEST(OrchDeterminism, DifferentSeedsDiverge) {
   const OrchOutcome a = OrchRunner::run(stormy(1));
   const OrchOutcome b = OrchRunner::run(stormy(2));
