@@ -88,7 +88,10 @@ void EgressQueue::drain() {
     }
     return;
   }
-  if (!net.has_channel(owner_.id(), port_)) {
+  // One channel lookup serves the connected check, the idle check and
+  // the transmit below.
+  const Network::ChannelId ch = net.channel_at(owner_.id(), port_);
+  if (ch == Network::kNoChannel) {
     // Unconnected port: drain everything into the network's drop counter
     // (transmit() on a missing channel counts frames_dropped_no_link).
     for (auto& q : queues_) {
@@ -103,7 +106,7 @@ void EgressQueue::drain() {
     }
     return;
   }
-  if (!net.channel_idle(owner_.id(), port_)) return;  // re-drained on idle
+  if (!net.channel_idle(ch)) return;  // re-drained on idle
 
   const sim::SimTime now = net.sim().now();
   // Gate checks need the head frame's wire occupancy; the channel's link
@@ -131,7 +134,7 @@ void EgressQueue::drain() {
     if (hub != nullptr && f.trace_id != 0) {
       hub->queue_exit(f.trace_id, obs_track(*hub), now);
     }
-    net.transmit(owner_.id(), port_, std::move(f));
+    net.transmit(ch, std::move(f));
     return;
   }
   // Nothing eligible now; if a gate opens later, retry then.

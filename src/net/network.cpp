@@ -16,7 +16,7 @@ void Network::connect(NodeId a, PortId port_a, NodeId b, PortId port_b,
   if (a >= nodes_.size() || b >= nodes_.size()) {
     throw sim::SimError("Network::connect: unknown node");
   }
-  if (channels_.contains(key(a, port_a)) || channels_.contains(key(b, port_b))) {
+  if (has_channel(a, port_a) || has_channel(b, port_b)) {
     throw sim::SimError("Network::connect: port already connected");
   }
   if (params.bits_per_second == 0) {
@@ -38,66 +38,73 @@ void Network::connect(NodeId a, PortId port_a, NodeId b, PortId port_b,
   LinkBackend* be = backend != nullptr ? backend : wired_.get();
   be->validate_link(a, port_a, params);
   be->validate_link(b, port_b, params);
-  channels_.emplace(key(a, port_a),
-                    Channel{b, port_b, params, sim::SimTime::zero(), be});
-  channels_.emplace(key(b, port_b),
-                    Channel{a, port_a, params, sim::SimTime::zero(), be});
+  const auto add = [this, &params, be](NodeId node, PortId port,
+                                       NodeId peer, PortId peer_port) {
+    if (port_index_.size() <= node) port_index_.resize(node + 1u);
+    std::vector<ChannelId>& ports = port_index_[node];
+    if (ports.size() <= port) ports.resize(port + 1u, kNoChannel);
+    ports[port] = static_cast<ChannelId>(channels_.size());
+    channels_.push_back(Channel{node, port, peer, peer_port, params,
+                                sim::SimTime::zero(), be});
+  };
+  add(a, port_a, b, port_b);
+  add(b, port_b, a, port_a);
 }
 
-bool Network::has_channel(NodeId node, PortId port) const {
-  return channels_.contains(key(node, port));
+const Network::Channel& Network::connected(NodeId node, PortId port,
+                                           const char* what) const {
+  const ChannelId id = channel_at(node, port);
+  if (id == kNoChannel) {
+    throw sim::SimError(std::string("Network::") + what +
+                        ": port not connected");
+  }
+  return channels_[id];
 }
 
 bool Network::channel_idle(NodeId node, PortId port) const {
-  const auto it = channels_.find(key(node, port));
-  if (it == channels_.end()) return false;
-  return it->second.busy_until <= sim_.now();
+  const ChannelId id = channel_at(node, port);
+  return id != kNoChannel && channel_idle(id);
 }
 
 std::uint64_t Network::channel_rate(NodeId node, PortId port) const {
-  const auto it = channels_.find(key(node, port));
-  if (it == channels_.end()) {
-    throw sim::SimError("Network::channel_rate: port not connected");
-  }
-  return it->second.params.bits_per_second;
+  return connected(node, port, "channel_rate").params.bits_per_second;
 }
 
 LinkBackend& Network::channel_backend(NodeId node, PortId port) const {
-  const auto it = channels_.find(key(node, port));
-  if (it == channels_.end()) {
-    throw sim::SimError("Network::channel_backend: port not connected");
-  }
-  return *it->second.backend;
+  return *connected(node, port, "channel_backend").backend;
 }
 
 sim::SimTime Network::serialization_estimate(NodeId node, PortId port,
                                              const Frame& frame) {
-  const auto it = channels_.find(key(node, port));
-  if (it == channels_.end()) {
-    throw sim::SimError("Network::serialization_estimate: port not connected");
-  }
-  Channel& ch = it->second;
+  const Channel& ch = connected(node, port, "serialization_estimate");
   return ch.backend->serialize_estimate(node, port, frame, ch.params,
                                         sim_.now());
 }
 
-std::uint32_t Network::link_track(Channel& ch, NodeId node, PortId port) {
+std::uint32_t Network::link_track(Channel& ch) {
   if (ch.obs_track == static_cast<std::uint32_t>(-1)) {
-    ch.obs_track = obs_->track("link:" + nodes_.at(node)->name() + ":p" +
-                               std::to_string(port));
+    ch.obs_track = obs_->track("link:" + nodes_.at(ch.node)->name() + ":p" +
+                               std::to_string(ch.port));
   }
   return ch.obs_track;
 }
 
 sim::SimTime Network::transmit(NodeId node, PortId port, Frame frame) {
-  ++counters_.frames_offered;
-  const auto it = channels_.find(key(node, port));
-  if (it == channels_.end()) {
+  const ChannelId id = channel_at(node, port);
+  if (id == kNoChannel) {
+    ++counters_.frames_offered;
     ++counters_.frames_dropped_no_link;
     pool_.recycle(std::move(frame));
     return sim_.now();
   }
-  Channel& ch = it->second;
+  return transmit(id, std::move(frame));
+}
+
+sim::SimTime Network::transmit(ChannelId id, Frame frame) {
+  ++counters_.frames_offered;
+  Channel& ch = channels_[id];
+  const NodeId node = ch.node;
+  const PortId port = ch.port;
   if (ch.busy_until > sim_.now()) {
     throw sim::SimError("Network::transmit on busy channel from node " +
                         nodes_.at(node)->name());
@@ -125,19 +132,19 @@ sim::SimTime Network::transmit(NodeId node, PortId port, Frame frame) {
     arrival += v.extra_delay;
     if (obs_ != nullptr && frame.trace_id != 0) {
       if (v.corrupted) {
-        obs_->fault_event(frame.trace_id, link_track(ch, node, port),
+        obs_->fault_event(frame.trace_id, link_track(ch),
                           sim_.now(), "corrupt");
       }
       if (v.duplicate) {
-        obs_->fault_event(frame.trace_id, link_track(ch, node, port),
+        obs_->fault_event(frame.trace_id, link_track(ch),
                           sim_.now(), "duplicate");
       }
       if (v.reordered) {
-        obs_->fault_event(frame.trace_id, link_track(ch, node, port),
+        obs_->fault_event(frame.trace_id, link_track(ch),
                           sim_.now(), "reorder");
       }
       if (v.drop) {
-        obs_->fault_event(frame.trace_id, link_track(ch, node, port),
+        obs_->fault_event(frame.trace_id, link_track(ch),
                           sim_.now(), v.cause);
       }
     }
@@ -150,14 +157,14 @@ sim::SimTime Network::transmit(NodeId node, PortId port, Frame frame) {
     survives = false;
     ++counters_.frames_dropped_backend;
     if (obs_ != nullptr && frame.trace_id != 0) {
-      obs_->fault_event(frame.trace_id, link_track(ch, node, port), sim_.now(),
+      obs_->fault_event(frame.trace_id, link_track(ch), sim_.now(),
                         plan.cause);
     }
   }
 
   if (survives) {
     if (obs_ != nullptr && frame.trace_id != 0) {
-      obs_->link_transit(frame.trace_id, link_track(ch, node, port),
+      obs_->link_transit(frame.trace_id, link_track(ch),
                          sim_.now(), arrival);
     }
     const NodeId peer_node = ch.peer_node;
@@ -203,9 +210,9 @@ sim::SimTime Network::transmit(NodeId node, PortId port, Frame frame) {
 
 std::uint64_t Network::kill_in_flight(NodeId node, PortId port,
                                       const char* cause) {
-  const auto it = channels_.find(key(node, port));
-  if (it == channels_.end()) return 0;
-  Channel& ch = it->second;
+  const ChannelId id = channel_at(node, port);
+  if (id == kNoChannel) return 0;
+  Channel& ch = channels_[id];
   if (ch.busy_until <= sim_.now()) return 0;  // nothing mid-serialization
   std::uint64_t killed = 0;
   for (PendingDelivery& p : ch.pending) {
@@ -217,7 +224,7 @@ std::uint64_t Network::kill_in_flight(NodeId node, PortId port,
     --counters_.frames_in_flight;
     ++killed;
     if (obs_ != nullptr && p.trace_id != 0) {
-      obs_->fault_event(p.trace_id, link_track(ch, node, port), sim_.now(),
+      obs_->fault_event(p.trace_id, link_track(ch), sim_.now(),
                         cause);
     }
     p = PendingDelivery{};
@@ -260,19 +267,20 @@ void Network::register_metrics(obs::ObsHub& hub,
 
 std::optional<std::pair<NodeId, PortId>> Network::peer(NodeId node,
                                                        PortId port) const {
-  const auto it = channels_.find(key(node, port));
-  if (it == channels_.end()) return std::nullopt;
-  return std::make_pair(it->second.peer_node, it->second.peer_port);
+  const ChannelId id = channel_at(node, port);
+  if (id == kNoChannel) return std::nullopt;
+  return std::make_pair(channels_[id].peer_node, channels_[id].peer_port);
 }
 
 std::vector<std::pair<PortId, NodeId>> Network::ports_of(NodeId node) const {
   std::vector<std::pair<PortId, NodeId>> out;
-  for (const auto& [k, ch] : channels_) {
-    if ((k >> 16) == node) {
-      out.emplace_back(static_cast<PortId>(k & 0xffff), ch.peer_node);
+  if (node >= port_index_.size()) return out;
+  const std::vector<ChannelId>& ports = port_index_[node];
+  for (std::size_t p = 0; p < ports.size(); ++p) {
+    if (ports[p] != kNoChannel) {
+      out.emplace_back(static_cast<PortId>(p), channels_[ports[p]].peer_node);
     }
   }
-  std::sort(out.begin(), out.end());
   return out;
 }
 

@@ -5,7 +5,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -76,9 +75,27 @@ class Network {
   void connect(NodeId a, PortId port_a, NodeId b, PortId port_b,
                LinkParams params = {}, LinkBackend* backend = nullptr);
 
+  /// Dense index of a directed channel (stable for the network's life).
+  using ChannelId = std::uint32_t;
+  static constexpr ChannelId kNoChannel = static_cast<ChannelId>(-1);
+
+  /// The channel out of (node, port), or kNoChannel if not connected.
+  /// Two vector indexings -- hot paths resolve once and reuse the id.
+  [[nodiscard]] ChannelId channel_at(NodeId node, PortId port) const {
+    if (node >= port_index_.size()) return kNoChannel;
+    const std::vector<ChannelId>& ports = port_index_[node];
+    return port < ports.size() ? ports[port] : kNoChannel;
+  }
+
   /// True if (node, port) has an attached idle channel.
   [[nodiscard]] bool channel_idle(NodeId node, PortId port) const;
-  [[nodiscard]] bool has_channel(NodeId node, PortId port) const;
+  /// True if channel `ch` (a valid id) is idle.
+  [[nodiscard]] bool channel_idle(ChannelId ch) const {
+    return channels_[ch].busy_until <= sim_.now();
+  }
+  [[nodiscard]] bool has_channel(NodeId node, PortId port) const {
+    return channel_at(node, port) != kNoChannel;
+  }
   /// Channel bit rate of (node, port); throws if not connected.
   [[nodiscard]] std::uint64_t channel_rate(NodeId node, PortId port) const;
   /// Backend driving (node, port); throws if not connected.
@@ -96,6 +113,8 @@ class Network {
   /// channel_idle); callers are expected to queue otherwise. Returns the
   /// time at which the channel becomes idle again.
   sim::SimTime transmit(NodeId node, PortId port, Frame frame);
+  /// Same, on an already resolved channel (a valid id).
+  sim::SimTime transmit(ChannelId ch, Frame frame);
 
   /// Kills the frame(s) still *serializing* out of (node, port) -- the
   /// fault plane calls this when a link hard-downs mid-frame, so the cut
@@ -161,6 +180,8 @@ class Network {
   };
 
   struct Channel {
+    NodeId node;  ///< sending end
+    PortId port;
     NodeId peer_node;
     PortId peer_port;
     LinkParams params;
@@ -177,17 +198,18 @@ class Network {
   };
 
   /// Interns (lazily) and returns the obs track of the directed channel.
-  std::uint32_t link_track(Channel& ch, NodeId node, PortId port);
-
-  static std::uint64_t key(NodeId node, PortId port) {
-    return (static_cast<std::uint64_t>(node) << 16) | port;
-  }
+  std::uint32_t link_track(Channel& ch);
+  /// The channel out of (node, port); throws naming `what` if unconnected.
+  const Channel& connected(NodeId node, PortId port, const char* what) const;
 
   sim::Simulator& sim_;
   /// Default driver for channels connected without an explicit backend.
   std::unique_ptr<LinkBackend> wired_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  std::unordered_map<std::uint64_t, Channel> channels_;
+  /// Every directed channel, in connect order, plus node -> port ->
+  /// channel id (kNoChannel for unconnected ports).
+  std::vector<Channel> channels_;
+  std::vector<std::vector<ChannelId>> port_index_;
   FramePool pool_;
   NetworkCounters counters_;
   obs::ObsHub* obs_ = nullptr;

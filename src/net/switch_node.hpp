@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -65,7 +64,7 @@ class SwitchNode : public Node {
   void forward(Frame frame, PortId out_port);
 
   SwitchConfig cfg_;
-  std::map<std::uint64_t, PortId> fdb_;
+  std::unordered_map<std::uint64_t, PortId> fdb_;  ///< never iterated
   std::vector<std::unique_ptr<EgressQueue>> egress_;  // lazily sized
   std::uint32_t obs_track_ = static_cast<std::uint32_t>(-1);
   SwitchCounters counters_;

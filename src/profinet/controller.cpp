@@ -102,24 +102,26 @@ void CyclicController::controller_cycle() {
     ++counters_.device_watchdog_trips;
     if (device_lost_handler_) device_lost_handler_();
   }
-  CyclicData out;
+  CyclicData& out = std::get<CyclicData>(tx_pdu_);
   out.ar_id = cfg_.ar_id;
   out.cycle_counter = tx_cycle_counter_++;
   out.data_status = 0b101;
-  out.data = output_provider_
-                 ? output_provider_(cfg_.output_bytes)
-                 : std::vector<std::uint8_t>(cfg_.output_bytes, 0);
+  if (output_provider_) {
+    out.data = output_provider_(cfg_.output_bytes);
+  } else {
+    out.data.assign(cfg_.output_bytes, 0);
+  }
   ++counters_.cyclic_tx;
-  send_pdu(out);
+  send_pdu(tx_pdu_);
 }
 
 void CyclicController::on_frame(const net::Frame& frame, sim::SimTime) {
   if (frame.ethertype != net::EtherType::kProfinetRt) return;
   if (state_ == ControllerState::kStopped) return;
-  const auto pdu = decode(frame.payload);
-  if (!pdu.has_value()) return;
+  if (!decode_into(frame.payload, rx_pdu_)) return;
+  const Pdu* pdu = &rx_pdu_;
 
-  if (const auto* resp = std::get_if<ConnectResp>(&*pdu)) {
+  if (const auto* resp = std::get_if<ConnectResp>(pdu)) {
     if (state_ != ControllerState::kConnecting ||
         resp->ar_id != cfg_.ar_id) {
       return;
@@ -148,7 +150,7 @@ void CyclicController::on_frame(const net::Frame& frame, sim::SimTime) {
     if (connected_handler_) connected_handler_(true);
     return;
   }
-  if (const auto* data = std::get_if<CyclicData>(&*pdu)) {
+  if (const auto* data = std::get_if<CyclicData>(pdu)) {
     if (data->ar_id != cfg_.ar_id) return;
     ++counters_.cyclic_rx;
     last_input_rx_ = host_.network().sim().now();
@@ -159,7 +161,7 @@ void CyclicController::on_frame(const net::Frame& frame, sim::SimTime) {
     if (input_handler_) input_handler_(data->data);
     return;
   }
-  if (std::get_if<Alarm>(&*pdu) != nullptr) {
+  if (std::get_if<Alarm>(pdu) != nullptr) {
     ++counters_.alarms_rx;
     return;
   }

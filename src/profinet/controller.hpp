@@ -113,6 +113,10 @@ class CyclicController {
   std::uint16_t tx_cycle_counter_ = 0;
   sim::SimTime last_input_rx_ = sim::SimTime::zero();
   std::vector<std::uint8_t> last_inputs_;
+  /// Reused every cycle / every received frame so the steady cyclic
+  /// exchange never touches the allocator.
+  Pdu tx_pdu_{CyclicData{}};
+  Pdu rx_pdu_;
 
   std::function<std::vector<std::uint8_t>(std::size_t)> output_provider_;
   std::function<void(const std::vector<std::uint8_t>&)> input_handler_;

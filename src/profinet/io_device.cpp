@@ -37,20 +37,20 @@ void IoDevice::send_pdu(const Pdu& pdu) {
 
 void IoDevice::on_frame(const net::Frame& frame, sim::SimTime) {
   if (frame.ethertype != net::EtherType::kProfinetRt) return;
-  const auto pdu = decode(frame.payload);
-  if (!pdu.has_value()) {
+  if (!decode_into(frame.payload, rx_pdu_)) {
     ++counters_.malformed;
     return;
   }
-  if (const auto* p = std::get_if<ConnectReq>(&*pdu)) {
+  const Pdu* pdu = &rx_pdu_;
+  if (const auto* p = std::get_if<ConnectReq>(pdu)) {
     handle(*p, frame.src);
-  } else if (const auto* p = std::get_if<ParamRecord>(&*pdu)) {
+  } else if (const auto* p = std::get_if<ParamRecord>(pdu)) {
     handle(*p);
-  } else if (const auto* p = std::get_if<ParamDone>(&*pdu)) {
+  } else if (const auto* p = std::get_if<ParamDone>(pdu)) {
     handle(*p);
-  } else if (const auto* p = std::get_if<CyclicData>(&*pdu)) {
+  } else if (const auto* p = std::get_if<CyclicData>(pdu)) {
     handle(*p, frame.src);
-  } else if (const auto* p = std::get_if<Release>(&*pdu)) {
+  } else if (const auto* p = std::get_if<Release>(pdu)) {
     handle(*p);
   }
 }
@@ -124,15 +124,17 @@ void IoDevice::device_cycle() {
   }
   // Keep publishing inputs even in safe state (diagnosis needs them);
   // data_status reflects RUN.
-  CyclicData out;
+  CyclicData& out = std::get<CyclicData>(tx_pdu_);
   out.ar_id = ar_id_;
   out.cycle_counter = tx_cycle_counter_++;
   out.data_status = state_ == DeviceState::kDataExchange ? 0b101 : 0b100;
-  out.data = input_provider_
-                 ? input_provider_(input_bytes_)
-                 : std::vector<std::uint8_t>(input_bytes_, 0);
+  if (input_provider_) {
+    out.data = input_provider_(input_bytes_);
+  } else {
+    out.data.assign(input_bytes_, 0);
+  }
   ++counters_.cyclic_tx;
-  send_pdu(out);
+  send_pdu(tx_pdu_);
 }
 
 void IoDevice::handle(const CyclicData& p, net::MacAddress from) {

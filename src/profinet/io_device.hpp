@@ -109,6 +109,10 @@ class IoDevice {
   std::unique_ptr<sim::PeriodicTask> cycle_task_;
   sim::SimTime last_output_rx_ = sim::SimTime::zero();
   std::uint16_t tx_cycle_counter_ = 0;
+  /// Reused every cycle / every received frame so the steady cyclic
+  /// exchange never touches the allocator.
+  Pdu tx_pdu_{CyclicData{}};
+  Pdu rx_pdu_;
 
   std::function<std::vector<std::uint8_t>(std::size_t)> input_provider_;
   std::function<void(const std::vector<std::uint8_t>&, bool)> output_handler_;

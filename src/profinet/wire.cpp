@@ -72,6 +72,14 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
+/// The `T` alternative of `pdu`, keeping its storage if it already holds
+/// one and emplacing a fresh one otherwise.
+template <typename T>
+T& reuse(Pdu& pdu) {
+  if (T* p = std::get_if<T>(&pdu)) return *p;
+  return pdu.emplace<T>();
+}
+
 struct Encoder {
   Writer w;
 
@@ -132,62 +140,53 @@ std::vector<std::uint8_t> encode(const Pdu& pdu) {
   return out;
 }
 
-std::optional<Pdu> decode(const std::vector<std::uint8_t>& payload) {
+bool decode_into(const std::vector<std::uint8_t>& payload, Pdu& out) {
   Reader r(payload);
   std::uint8_t type_raw;
-  if (!r.u8(type_raw)) return std::nullopt;
+  if (!r.u8(type_raw)) return false;
   switch (static_cast<PduType>(type_raw)) {
     case PduType::kConnectReq: {
-      ConnectReq p;
-      if (!r.u16(p.ar_id) || !r.u32(p.cycle_time_us) ||
-          !r.u16(p.watchdog_factor) || !r.u16(p.input_bytes) ||
-          !r.u16(p.output_bytes)) {
-        return std::nullopt;
-      }
-      return p;
+      ConnectReq& p = reuse<ConnectReq>(out);
+      return r.u16(p.ar_id) && r.u32(p.cycle_time_us) &&
+             r.u16(p.watchdog_factor) && r.u16(p.input_bytes) &&
+             r.u16(p.output_bytes);
     }
     case PduType::kConnectResp: {
-      ConnectResp p;
-      if (!r.u16(p.ar_id) || !r.u8(p.status) || !r.u32(p.device_id)) {
-        return std::nullopt;
-      }
-      return p;
+      ConnectResp& p = reuse<ConnectResp>(out);
+      return r.u16(p.ar_id) && r.u8(p.status) && r.u32(p.device_id);
     }
     case PduType::kParamRecord: {
-      ParamRecord p;
+      ParamRecord& p = reuse<ParamRecord>(out);
       std::uint16_t len;
-      if (!r.u16(p.ar_id) || !r.u16(p.record_index) || !r.u16(len) ||
-          !r.bytes(p.data, len)) {
-        return std::nullopt;
-      }
-      return p;
+      return r.u16(p.ar_id) && r.u16(p.record_index) && r.u16(len) &&
+             r.bytes(p.data, len);
     }
     case PduType::kParamDone: {
-      ParamDone p;
-      if (!r.u16(p.ar_id)) return std::nullopt;
-      return p;
+      ParamDone& p = reuse<ParamDone>(out);
+      return r.u16(p.ar_id);
     }
     case PduType::kCyclicData: {
-      CyclicData p;
+      CyclicData& p = reuse<CyclicData>(out);
       std::uint16_t len;
-      if (!r.u16(p.ar_id) || !r.u16(p.cycle_counter) ||
-          !r.u8(p.data_status) || !r.u16(len) || !r.bytes(p.data, len)) {
-        return std::nullopt;
-      }
-      return p;
+      return r.u16(p.ar_id) && r.u16(p.cycle_counter) &&
+             r.u8(p.data_status) && r.u16(len) && r.bytes(p.data, len);
     }
     case PduType::kAlarm: {
-      Alarm p;
-      if (!r.u16(p.ar_id) || !r.u8(p.alarm_type)) return std::nullopt;
-      return p;
+      Alarm& p = reuse<Alarm>(out);
+      return r.u16(p.ar_id) && r.u8(p.alarm_type);
     }
     case PduType::kRelease: {
-      Release p;
-      if (!r.u16(p.ar_id)) return std::nullopt;
-      return p;
+      Release& p = reuse<Release>(out);
+      return r.u16(p.ar_id);
     }
   }
-  return std::nullopt;
+  return false;
+}
+
+std::optional<Pdu> decode(const std::vector<std::uint8_t>& payload) {
+  Pdu pdu;
+  if (!decode_into(payload, pdu)) return std::nullopt;
+  return pdu;
 }
 
 std::optional<PduType> peek_type(const std::vector<std::uint8_t>& payload) {

@@ -108,6 +108,13 @@ void encode_into(const Pdu& pdu, std::vector<std::uint8_t>& out);
 [[nodiscard]] std::optional<Pdu> decode(
     const std::vector<std::uint8_t>& payload);
 
+/// Parses a payload into `out`, reusing its storage when it already holds
+/// the decoded PDU type -- the allocation-free RX path when `out` is a
+/// long-lived member. Returns false on malformed/truncated input (`out`
+/// is then unspecified).
+[[nodiscard]] bool decode_into(const std::vector<std::uint8_t>& payload,
+                               Pdu& out);
+
 /// Reads just the PDU type / AR id without a full parse (fast path used
 /// by the data plane).
 [[nodiscard]] std::optional<PduType> peek_type(

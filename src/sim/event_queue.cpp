@@ -32,6 +32,11 @@ EventHandle EventQueue::schedule(SimTime at, Callback cb) {
     slot = static_cast<std::uint32_t>(slots_.size());
     slots_.emplace_back();
     gens_->gen.push_back(0);
+    // Keep the free list able to hold every slot, so release_slot never
+    // allocates once the slot table has reached its steady size.
+    if (free_slots_.capacity() < slots_.capacity()) {
+      free_slots_.reserve(slots_.capacity());
+    }
   }
   const std::uint32_t gen = gens_->gen[slot];
   slots_[slot] = std::move(cb);

@@ -25,6 +25,7 @@ const char* to_string(ShardingErrorCode code) {
     case ShardingErrorCode::kBadShardCount: return "bad-shard-count";
     case ShardingErrorCode::kAlreadyRan: return "already-ran";
     case ShardingErrorCode::kNoCells: return "no-cells";
+    case ShardingErrorCode::kSendBelowFloor: return "send-below-floor";
   }
   return "unknown";
 }
@@ -43,14 +44,33 @@ void ShardedSimulator::Cell::send(std::uint32_t dst_cell,
   if (extra_delay < SimTime::zero()) {
     throw SimError("send: negative extra delay");
   }
+  const std::int64_t now_ns = sim_.now().nanos();
+  if (now_ns < send_floor_) {
+    // The cell already published send_floor_ as its null message, so a
+    // neighbour may have run past this message's delivery time: fail the
+    // run with a diagnosis instead of delivering it out of order.
+    throw ShardingError(ShardingErrorCode::kSendBelowFloor,
+                        "send: cell " + name_ + " sends at " +
+                            std::to_string(now_ns) +
+                            " ns, below its promised send floor " +
+                            std::to_string(send_floor_) + " ns");
+  }
   ShardChannel& ch = *it->second;
   ShardMsg msg = payload;
   msg.src_cell = id_;
   msg.seq = ++send_seq_;
-  msg.send_ns = sim_.now().nanos();
+  msg.send_ns = now_ns;
   msg.deliver_ns = msg.send_ns + ch.latency_ns + extra_delay.nanos();
   ++msgs_sent_;
   owner_.route(ch, std::move(msg));
+}
+
+void ShardedSimulator::Cell::promise_no_send_before(SimTime t) {
+  send_floor_ = std::max(send_floor_, to_ns(t));
+}
+
+SimTime ShardedSimulator::Cell::send_floor() const {
+  return send_floor_ >= kForeverNs ? SimTime::max() : SimTime{send_floor_};
 }
 
 SimTime ShardedSimulator::Cell::latency_to(std::uint32_t dst_cell) const {
@@ -117,6 +137,12 @@ void ShardedSimulator::connect(std::uint32_t src, std::uint32_t dst,
   ShardChannel* ch = channels_.back().get();
   cells_[src]->out_by_dst_.emplace(dst, ch);
   cells_[dst]->inbound_.push_back(ch);
+}
+
+void ShardedSimulator::seal_send_floors() {
+  for (auto& c : cells_) {
+    if (c->out_by_dst_.empty()) c->send_floor_ = kForeverNs;
+  }
 }
 
 ShardedSimulator::Cell& ShardedSimulator::cell(std::uint32_t id) {
@@ -186,9 +212,7 @@ bool ShardedSimulator::drain_inbound(Cell& c) {
 bool ShardedSimulator::advance_cell(Cell& c, std::int64_t bound_ns) {
   bool any = false;
   while (true) {
-    const SimTime local = c.sim_.next_event_time();
-    const std::int64_t local_ns =
-        local == SimTime::max() ? kForeverNs : local.nanos();
+    const std::int64_t local_ns = to_ns(c.sim_.next_event_time());
     const std::int64_t msg_ns =
         c.staging_.empty() ? kForeverNs : c.staging_.top().deliver_ns;
     const std::int64_t t = std::min(local_ns, msg_ns);
@@ -224,11 +248,11 @@ bool ShardedSimulator::cell_round(Cell& c, std::int64_t horizon_ns) {
   // it cannot be needed below the window we are about to execute.
   //
   // Idle-neighbour fast path: the forever sentinel is absorbing (a done
-  // cell never sends again, its published clock never moves back down),
-  // so once every inbound sender has published it and one more drain has
-  // emptied the rings, no message can ever arrive here again -- the
-  // snapshot and drain become pure cache traffic and are skipped for the
-  // rest of the run.
+  // cell, or one with a forever send floor, never sends again, and its
+  // published clock never moves back down), so once every inbound sender
+  // has published it and one more drain has emptied the rings, no message
+  // can ever arrive here again -- the snapshot and drain become pure
+  // cache traffic and are skipped for the rest of the run.
   std::int64_t lbts = kForeverNs;
   bool drained = false;
   if (!c.inbound_quiet_) {
@@ -249,32 +273,37 @@ bool ShardedSimulator::cell_round(Cell& c, std::int64_t horizon_ns) {
   const std::int64_t bound = std::min(lbts, sat_add(horizon_ns, 1));
   const bool executed = advance_cell(c, bound);
 
-  const SimTime local = c.sim_.next_event_time();
-  const std::int64_t local_ns =
-      local == SimTime::max() ? kForeverNs : local.nanos();
+  const std::int64_t local_ns = to_ns(c.sim_.next_event_time());
   const std::int64_t msg_ns =
       c.staging_.empty() ? kForeverNs : c.staging_.top().deliver_ns;
 
   if (lbts > horizon_ns && local_ns > horizon_ns && msg_ns > horizon_ns) {
     // Nothing at or below the horizon can still execute here or arrive
     // from a neighbor: this cell is finished. Publish "never sends again"
-    // so downstream LBTS windows open all the way.
+    // so downstream LBTS windows open all the way (unless a forever send
+    // floor already did).
     c.done_ = true;
-    c.pub_shadow_ = kForeverNs;
-    ++c.publishes_;
-    c.pub_.store(kForeverNs, std::memory_order_release);
+    if (c.pub_shadow_ < kForeverNs) {
+      c.pub_shadow_ = kForeverNs;
+      ++c.publishes_;
+      c.pub_.store(kForeverNs, std::memory_order_release);
+    }
     return drained || executed;
   }
 
   // The null message: everything this cell might still send originates
   // from its next local event, its next staged message, or a message yet
-  // to arrive (no earlier than LBTS). Monotone by construction. The store
+  // to arrive (no earlier than LBTS). The send floor is a second, and
+  // independent, lower bound: send() refuses to stamp anything below it.
+  // The max of two valid lower bounds is one, so publishing it is safe,
+  // and it stays monotone because both terms only ever grow. The store
   // is coalesced onto frontier advances: pub_shadow_ is the owner
   // thread's copy of the last published value, so an unchanged frontier
   // costs no atomic op at all. Receivers then read a possibly stale but
   // still monotone lower bound -- their LBTS can only be tighter than the
   // truth, never looser, which is the safe direction.
-  const std::int64_t lb = std::min({local_ns, msg_ns, lbts});
+  const std::int64_t lb =
+      std::max(std::min({local_ns, msg_ns, lbts}), c.send_floor_);
   if (lb > c.pub_shadow_) {
     c.pub_shadow_ = lb;
     ++c.publishes_;
@@ -307,12 +336,11 @@ void ShardedSimulator::worker(const std::vector<Cell*>& group,
       // beyond-horizon messages, and a full ring would stall them.
       if (!progress) std::this_thread::yield();
     }
-  } catch (const std::exception& e) {
+  } catch (...) {
     {
       const std::lock_guard<std::mutex> lock(failure_mu_);
-      if (!failed_.load(std::memory_order_relaxed)) failure_ = e.what();
+      if (!failure_) failure_ = std::current_exception();
     }
-    failed_.store(true, std::memory_order_release);
     done_flag_.store(true, std::memory_order_release);
   }
   tl_group = nullptr;
@@ -332,6 +360,7 @@ ShardRunStats ShardedSimulator::run(SimTime horizon, std::size_t shards) {
   }
   ran_ = true;
   shards = std::min(shards, cells_.size());
+  seal_send_floors();
 
   std::vector<std::uint64_t> weights;
   if (measured_weights_.empty()) {
@@ -377,9 +406,7 @@ ShardRunStats ShardedSimulator::run(SimTime horizon, std::size_t shards) {
   }
 
   const auto wall_end = std::chrono::steady_clock::now();
-  if (failed_.load(std::memory_order_acquire)) {
-    throw SimError("sharded run failed: " + failure_);
-  }
+  if (failure_) std::rethrow_exception(failure_);
 
   // Quiescent now: drain ring leftovers (beyond-horizon traffic) so the
   // accounting is exact and deterministic.
@@ -415,6 +442,7 @@ ShardRunStats ShardedSimulator::run_reference(SimTime horizon) {
   }
   ran_ = true;
   reference_mode_ = true;
+  seal_send_floors();
   const std::int64_t horizon_ns = horizon.nanos();
   const auto wall_start = std::chrono::steady_clock::now();
 
@@ -426,9 +454,7 @@ ShardRunStats ShardedSimulator::run_reference(SimTime horizon) {
     Cell* best = nullptr;
     std::int64_t best_t = kForeverNs;
     for (auto& c : cells_) {
-      const SimTime local = c->sim_.next_event_time();
-      const std::int64_t local_ns =
-          local == SimTime::max() ? kForeverNs : local.nanos();
+      const std::int64_t local_ns = to_ns(c->sim_.next_event_time());
       const std::int64_t msg_ns =
           c->staging_.empty() ? kForeverNs : c->staging_.top().deliver_ns;
       const std::int64_t t = std::min(local_ns, msg_ns);

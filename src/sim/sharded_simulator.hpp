@@ -10,6 +10,14 @@
 // LBTS = min over inbound channels of published clock + latency) lets
 // shards advance independently while never violating causal order.
 //
+// Application lookahead: a cell may also promise not to send before some
+// future time (Cell::promise_no_send_before). The published bound is then
+// max(kernel bound, send floor) -- both are lower bounds on the cell's
+// future send times, so their max is one too -- which lets neighbours run
+// up to the next real send instead of the next local event. A send below
+// the floor throws ShardingError{kSendBelowFloor} rather than silently
+// reordering the run. Cells without outbound channels get a forever floor.
+//
 // Determinism contract -- the property every test in tests/sim pins:
 // a cell's execution depends only on (its own initial state, its own RNG
 // streams, the totally ordered sequence of inbound messages). Inbound
@@ -29,8 +37,10 @@
 // cross-shard cancel test).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -56,6 +66,7 @@ enum class ShardingErrorCode : std::uint8_t {
   kBadShardCount,     ///< run() with shards == 0
   kAlreadyRan,        ///< run()/run_reference() called twice
   kNoCells,           ///< run() on an empty simulation
+  kSendBelowFloor,    ///< send() earlier than the cell's promised floor
 };
 
 [[nodiscard]] const char* to_string(ShardingErrorCode code);
@@ -121,9 +132,20 @@ class ShardedSimulator {
     /// Sends a message to `dst_cell` over the connected channel; delivery
     /// happens at now + channel latency + extra_delay. Must be called
     /// from this cell's own execution context (an event or message
-    /// handler). Throws ShardingError{kNoChannel} without a channel.
+    /// handler). Throws ShardingError{kNoChannel} without a channel and
+    /// ShardingError{kSendBelowFloor} when now() is below the send floor.
     void send(std::uint32_t dst_cell, const ShardMsg& payload,
               SimTime extra_delay = SimTime::zero());
+
+    /// Promises that this cell sends nothing before `t`: the kernel may
+    /// then publish `t` as the cell's null message, widening every
+    /// neighbour's window past this cell's own next events. The floor is
+    /// monotone -- a promise below the current floor is a no-op. Call it
+    /// at build time or from the cell's own execution context.
+    void promise_no_send_before(SimTime t);
+    /// The current send floor (SimTime::zero() until a promise is made,
+    /// SimTime::max() once no send can ever happen).
+    [[nodiscard]] SimTime send_floor() const;
 
     /// Channel latency toward `dst_cell` (the receiver's lookahead
     /// contribution from this cell).
@@ -180,6 +202,9 @@ class ShardedSimulator {
     /// cell_round is pure overhead and gets skipped.
     bool inbound_quiet_ = false;
     std::vector<FireRecord> fire_log_;
+    /// No send happens before this time (application lookahead; kForeverNs
+    /// for a cell without outbound channels). Owner-thread only.
+    std::int64_t send_floor_ = 0;
     /// Owner-thread shadow of pub_, so the publish in cell_round can
     /// skip the atomic store when the frontier did not advance.
     std::int64_t pub_shadow_ = 0;
@@ -244,7 +269,8 @@ class ShardedSimulator {
   /// Runs every cell to `horizon` (inclusive) on `shards` worker threads
   /// (shards == 1 runs inline on the caller, spawning nothing). Cells are
   /// partitioned by weight; shards is clamped to the cell count. One-shot:
-  /// a second run throws.
+  /// a second run throws. An exception escaping a cell (e.g. a send below
+  /// its floor) stops every worker and is rethrown here.
   ShardRunStats run(SimTime horizon, std::size_t shards);
 
   /// Single-threaded globally ordered reference engine: repeatedly
@@ -262,6 +288,11 @@ class ShardedSimulator {
  private:
   static constexpr std::int64_t kForeverNs =
       std::numeric_limits<std::int64_t>::max() / 4;
+  /// SimTime -> engine nanoseconds, with SimTime::max() (and anything
+  /// past the sentinel) mapped to kForeverNs.
+  static std::int64_t to_ns(SimTime t) {
+    return std::min(t.nanos(), kForeverNs);
+  }
   static std::int64_t sat_add(std::int64_t a, std::int64_t b) {
     return a >= kForeverNs - b ? kForeverNs : a + b;
   }
@@ -282,6 +313,8 @@ class ShardedSimulator {
   void worker(const std::vector<Cell*>& group, std::int64_t horizon_ns,
               std::size_t n_shards);
   void check_cell_id(std::uint32_t id) const;
+  /// Gives every cell without outbound channels a forever send floor.
+  void seal_send_floors();
 
   std::vector<std::unique_ptr<Cell>> cells_;
   std::vector<std::unique_ptr<ShardChannel>> channels_;
@@ -297,9 +330,9 @@ class ShardedSimulator {
   std::atomic<std::uint64_t> push_spins_{0};
   std::atomic<std::uint64_t> rounds_{0};
   std::atomic<std::uint64_t> fast_skips_{0};
-  /// First worker exception (what()), surfaced after the join.
-  std::atomic<bool> failed_{false};
-  std::string failure_;
+  /// First worker exception, rethrown unchanged after the join (so a
+  /// typed ShardingError keeps its code).
+  std::exception_ptr failure_;
   std::mutex failure_mu_;
 };
 

@@ -3,6 +3,9 @@
 // zero heap allocations per cycle. This is the acceptance criterion of
 // the pooled-frame/slab-kernel work -- a regression that reintroduces
 // per-frame or per-event churn fails this test, not just a benchmark.
+// The same holds one layer up: a PROFINET controller<->device pair
+// exchanging cyclic data through a star switch (encode, switch, decode,
+// watchdog) allocates nothing per cycle either.
 //
 // The binary overrides global operator new/delete to count allocations.
 // Sanitizer builds replace the allocator themselves, so the override (and
@@ -15,6 +18,9 @@
 
 #include "net/host_node.hpp"
 #include "net/network.hpp"
+#include "net/topology.hpp"
+#include "profinet/controller.hpp"
+#include "profinet/io_device.hpp"
 #include "sim/simulator.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -109,6 +115,47 @@ TEST(AllocFree, SteadyStateCyclicTrafficDoesNotAllocate) {
   // serialize, deliver, echo, retire -- without touching the allocator.
   EXPECT_EQ(during, 0u) << "steady-state cyclic traffic allocated " << during
                         << " times over 1000 cycles";
+#endif
+}
+
+TEST(AllocFree, SteadyStateProfinetCyclicExchangeDoesNotAllocate) {
+#if !STEELNET_ALLOC_COUNTING
+  GTEST_SKIP() << "allocation counting is disabled under sanitizers";
+#else
+  sim::Simulator simulator;
+  Network network{simulator};
+  Fabric fabric = build_star(network, 2);
+  install_shortest_path_routes(fabric);
+  HostNode& dev_host = fabric.host(0);
+  HostNode& ctl_host = fabric.host(1);
+
+  profinet::IoDevice device(dev_host);
+  profinet::ControllerConfig cfg;
+  cfg.device_mac = dev_host.mac();
+  cfg.cycle = 100_us;
+  cfg.input_bytes = 16;
+  cfg.output_bytes = 16;
+  profinet::CyclicController controller(ctl_host, cfg);
+  controller.connect();
+
+  // Warm-up: connection establishment plus enough cycles to size the
+  // event slab, pool free list, FDB and the reused tx/rx PDUs.
+  simulator.run_until(sim::milliseconds(10));
+  ASSERT_EQ(controller.state(), profinet::ControllerState::kRunning);
+  ASSERT_EQ(device.state(), profinet::DeviceState::kDataExchange);
+
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t tx_before = controller.counters().cyclic_tx;
+  const std::uint64_t rx_before = controller.counters().cyclic_rx;
+  simulator.run_until(sim::milliseconds(110));  // 1000 more cycles
+  const std::uint64_t during =
+      g_allocations.load(std::memory_order_relaxed) - before;
+
+  EXPECT_EQ(controller.counters().cyclic_tx, tx_before + 1000);
+  EXPECT_GE(controller.counters().cyclic_rx, rx_before + 999);
+  EXPECT_EQ(device.counters().watchdog_trips, 0u);
+  EXPECT_EQ(during, 0u) << "steady-state PROFINET cyclic exchange allocated "
+                        << during << " times over 1000 cycles";
 #endif
 }
 

@@ -113,6 +113,20 @@ TEST(Campus, ShardCountDoesNotLeakIntoStats) {
   EXPECT_EQ(a.stats.beyond_horizon, b.stats.beyond_horizon);
 }
 
+TEST(Campus, ReportFloorsLetEachVisitCoverAReportPeriod) {
+  // Only the 10 ms reporter sends, and it promises its next tick, so a
+  // cell's window ends at its neighbours' next reports instead of their
+  // next PROFINET hop: a single-shard run needs at most one round per
+  // report period (single-shard round counts are deterministic). Without
+  // the promises this campus takes over 300 rounds.
+  const CampusOptions opt = table_campus(false);
+  const CampusResult r = run_campus(opt);
+  const auto periods = static_cast<std::uint64_t>(
+      opt.horizon.nanos() / opt.report_period.nanos());
+  EXPECT_GT(r.stats.msgs_delivered, 0u);
+  EXPECT_LE(r.stats.rounds, periods);
+}
+
 TEST(Campus, SeedChangesArtifactsUnderFaults) {
   // Without faults, the fault-free campus quantizes to the same integer
   // counters for nearby seeds (jitter shifts phases, not counts); the

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "net/host_node.hpp"
+#include "net/switch_node.hpp"
 #include "sim/simulator.hpp"
 
 namespace steelnet::net {
@@ -101,6 +102,30 @@ TEST(Network, PeerLookup) {
   EXPECT_EQ(p->first, t.b->id());
   EXPECT_EQ(p->second, 0);
   EXPECT_FALSE(t.net.peer(t.a->id(), 5).has_value());
+}
+
+TEST(Network, PortsOfIsPortOrderedAndPerNode) {
+  // Ports connected out of order, with a node added after earlier
+  // connects: ports_of lists only that node's ports, in port order.
+  sim::Simulator sim;
+  Network net{sim};
+  auto& sw = net.add_node<SwitchNode>("sw");
+  auto& a = net.add_node<HostNode>("a", MacAddress{1});
+  net.connect(sw.id(), 7, a.id(), 0);
+  auto& b = net.add_node<HostNode>("b", MacAddress{2});
+  auto& c = net.add_node<HostNode>("c", MacAddress{3});
+  net.connect(sw.id(), 3, b.id(), 0);
+  net.connect(c.id(), 2, sw.id(), 0);
+
+  using Ports = std::vector<std::pair<PortId, NodeId>>;
+  EXPECT_EQ(net.ports_of(sw.id()),
+            (Ports{{0, c.id()}, {3, b.id()}, {7, a.id()}}));
+  EXPECT_EQ(net.ports_of(c.id()), (Ports{{2, sw.id()}}));
+  EXPECT_TRUE(net.ports_of(99).empty());
+  EXPECT_FALSE(net.has_channel(sw.id(), 1));
+  EXPECT_FALSE(net.has_channel(sw.id(), 8));
+  EXPECT_TRUE(net.has_channel(sw.id(), 7));
+  EXPECT_EQ(net.peer(c.id(), 2), std::make_pair(sw.id(), PortId{0}));
 }
 
 TEST(Network, ChannelRate) {

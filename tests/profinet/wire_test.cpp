@@ -98,6 +98,33 @@ TEST(Wire, DecodeRejectsMalformed) {
   EXPECT_FALSE(decode(bytes).has_value());
 }
 
+TEST(Wire, DecodeIntoReusesStorageAndMatchesDecode) {
+  CyclicData big;
+  big.ar_id = 2;
+  big.cycle_counter = 41;
+  big.data.assign(16, 0xab);
+  CyclicData small = big;
+  small.cycle_counter = 42;
+  small.data = {7, 8};
+  ConnectReq req;
+  req.ar_id = 9;
+
+  Pdu into;
+  ASSERT_TRUE(decode_into(encode(Pdu{big}), into));
+  const std::uint8_t* buffer = std::get<CyclicData>(into).data.data();
+  // Same type again: parsed in place, the data buffer is reused.
+  ASSERT_TRUE(decode_into(encode(Pdu{small}), into));
+  EXPECT_EQ(std::get<CyclicData>(into).data.data(), buffer);
+  EXPECT_EQ(encode(into), encode(Pdu{small}));
+  // Switching types decodes exactly what decode() does.
+  for (const Pdu& pdu : {Pdu{req}, Pdu{big}}) {
+    const auto bytes = encode(pdu);
+    ASSERT_TRUE(decode_into(bytes, into));
+    EXPECT_EQ(encode(into), encode(*decode(bytes)));
+  }
+  EXPECT_FALSE(decode_into({1, 0x34}, into));  // truncated ConnectReq
+}
+
 TEST(Wire, PeekTypeAndAr) {
   CyclicData p;
   p.ar_id = 0xabcd;
