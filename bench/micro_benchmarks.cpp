@@ -3,6 +3,7 @@
 
 #include <array>
 #include <memory>
+#include <string>
 
 #include "core/sweep_runner.hpp"
 #include "ebpf/programs.hpp"
@@ -12,10 +13,12 @@
 #include "flowmon/flow_cache.hpp"
 #include "net/host_node.hpp"
 #include "net/switch_node.hpp"
+#include "obs/exporters.hpp"
 #include "obs/hub.hpp"
 #include "profinet/wire.hpp"
 #include "sdn/pipeline.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/hash.hpp"
 #include "sim/partitioner.hpp"
 #include "sim/random.hpp"
 #include "sim/sharded_simulator.hpp"
@@ -238,6 +241,51 @@ void BM_ObsSwitchForwarding(benchmark::State& state) {
   state.SetItemsProcessed(int64_t(state.iterations()) * 1000);
 }
 BENCHMARK(BM_ObsSwitchForwarding)->Arg(0)->Arg(1);
+
+// A fixed 100k-span trace shaped like one traced InstaPLC testbed's: 16
+// port tracks, four hop spans per trace id, times out to ~3 s of sim time.
+const obs::SpanTracer& hop_trace() {
+  static const obs::SpanTracer tracer = [] {
+    obs::SpanTracer tr;
+    constexpr obs::Hop kHops[] = {obs::Hop::kHostTx, obs::Hop::kQueue,
+                                  obs::Hop::kLink, obs::Hop::kHostRx};
+    for (int i = 0; i < 16; ++i) tr.track("node" + std::to_string(i) + "/p0");
+    for (std::int64_t i = 0; i < 100'000; ++i) {
+      const sim::SimTime start = sim::nanoseconds(i * 29'989);
+      tr.hop(static_cast<std::uint64_t>(i / 4 + 1), kHops[i % 4],
+             static_cast<obs::TrackId>(i % 16), start,
+             start + sim::nanoseconds(1'200 + i % 977));
+    }
+    return tr;
+  }();
+  return tracer;
+}
+
+// The trace fingerprint as collect() takes it: rendered straight into an
+// FNV-1a sink, no text kept. Bytes/s counts the rendered trace.
+void BM_ChromeTraceFingerprint(benchmark::State& state) {
+  const obs::SpanTracer& tr = hop_trace();
+  const auto bytes =
+      static_cast<std::int64_t>(obs::chrome_trace_json(tr).size());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(obs::chrome_trace_fingerprint(tr));
+  }
+  state.SetBytesProcessed(state.iterations() * bytes);
+}
+BENCHMARK(BM_ChromeTraceFingerprint)->Unit(benchmark::kMillisecond);
+
+// The same fingerprint by building the whole JSON string first, then
+// hashing it -- what keep_exports pays.
+void BM_ChromeTraceJsonThenHash(benchmark::State& state) {
+  const obs::SpanTracer& tr = hop_trace();
+  const auto bytes =
+      static_cast<std::int64_t>(obs::chrome_trace_json(tr).size());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim::fnv1a64(obs::chrome_trace_json(tr)));
+  }
+  state.SetBytesProcessed(state.iterations() * bytes);
+}
+BENCHMARK(BM_ChromeTraceJsonThenHash)->Unit(benchmark::kMillisecond);
 
 // Sweep throughput: the tab_faults-style seed sweep (independent seeded
 // full-stack fault simulations) through the core::SweepRunner worker

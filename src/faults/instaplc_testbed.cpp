@@ -129,15 +129,16 @@ ScenarioOutcome InstaPlcTestbed::collect() {
   out.net = network_.counters();
   out.faults = plane_->counters();
   out.residual = plane_->conservation_residual();
-  if (cfg_.opts.with_obs) {
-    const std::string prom = hub_.metrics().to_prometheus();
-    const std::string trace = obs::chrome_trace_json(hub_.tracer());
-    out.metrics_fp = sim::fnv1a64(prom);
-    out.trace_fp = sim::fnv1a64(trace);
-    if (cfg_.opts.keep_exports) {
-      out.metrics_prom = prom;
-      out.trace_json = trace;
-    }
+  // The fingerprints are streamed from the renderers; the text itself is
+  // only built when the caller keeps it.
+  if (cfg_.opts.with_obs && cfg_.opts.keep_exports) {
+    out.metrics_prom = hub_.metrics().to_prometheus();
+    out.trace_json = obs::chrome_trace_json(hub_.tracer());
+    out.metrics_fp = sim::fnv1a64(out.metrics_prom);
+    out.trace_fp = sim::fnv1a64(out.trace_json);
+  } else if (cfg_.opts.with_obs) {
+    out.metrics_fp = hub_.metrics().prometheus_fingerprint();
+    out.trace_fp = obs::chrome_trace_fingerprint(hub_.tracer());
   }
   return out;
 }

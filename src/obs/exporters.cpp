@@ -1,86 +1,138 @@
 #include "obs/exporters.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <ostream>
 #include <sstream>
+#include <string_view>
+
+#include "obs/text_out.hpp"
+#include "sim/hash.hpp"
 
 namespace steelnet::obs {
 
 namespace {
 
-/// Minimal JSON string escaping (quotes, backslash, control chars).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
+/// Writes through to a stream (write_chrome_trace's output).
+struct StreamOut {
+  std::ostream& os;
+
+  void append(std::string_view bytes) {
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  void put(char c) { os.put(c); }
+};
+
+/// A JSON string body. Only a name holding a quote, backslash or control
+/// byte is escaped; any other name is written as is.
+template <typename Out>
+void append_json_string(Out& out, std::string_view s) {
+  const auto needs_escape = [](char c) {
+    return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+  };
+  if (std::none_of(s.begin(), s.end(), needs_escape)) {
+    out.append(s);
+    return;
+  }
+  for (const char c : s) {
     switch (c) {
       case '"':
-        out += "\\\"";
+        out.append("\\\"");
         break;
       case '\\':
-        out += "\\\\";
+        out.append("\\\\");
         break;
       case '\n':
-        out += "\\n";
+        out.append("\\n");
         break;
       case '\t':
-        out += "\\t";
+        out.append("\\t");
         break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
+          constexpr char kHex[] = "0123456789abcdef";
+          const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                              kHex[c & 0xf]};
+          out.append({esc, sizeof esc});
         } else {
-          out += c;
+          out.put(c);
         }
     }
   }
-  return out;
 }
 
-/// Nanoseconds rendered as microseconds with fixed three decimals --
+/// Nanoseconds rendered as microseconds with exactly three decimals --
 /// Chrome trace `ts`/`dur` are in µs; three decimals keep ns resolution.
-std::string us(sim::SimTime t) {
-  char buf[40];
+/// The sign survives a magnitude below 1 µs: -500 ns is `-0.500`.
+template <typename Out>
+void append_us(Out& out, sim::SimTime t) {
   const std::int64_t ns = t.nanos();
-  std::snprintf(buf, sizeof buf, "%lld.%03lld",
-                static_cast<long long>(ns / 1000),
-                static_cast<long long>(ns % 1000 < 0 ? -(ns % 1000)
-                                                     : ns % 1000));
-  return buf;
+  // Unsigned negation keeps INT64_MIN's magnitude representable.
+  const std::uint64_t mag = ns < 0 ? 0 - static_cast<std::uint64_t>(ns)
+                                   : static_cast<std::uint64_t>(ns);
+  if (ns < 0) out.put('-');
+  detail::append_u64(out, mag / 1000);
+  const auto frac = static_cast<unsigned>(mag % 1000);
+  const char decimals[] = {'.', static_cast<char>('0' + frac / 100),
+                           static_cast<char>('0' + frac / 10 % 10),
+                           static_cast<char>('0' + frac % 10)};
+  out.append({decimals, sizeof decimals});
+}
+
+/// The one Chrome-trace renderer: every trace export, kept or only
+/// fingerprinted, is these bytes.
+template <typename Out>
+void render_chrome_trace(Out& out, const SpanTracer& tracer) {
+  out.append("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
+  bool first = true;
+  for (TrackId t = 0; t < tracer.track_count(); ++t) {
+    if (!first) out.put(',');
+    first = false;
+    out.append("{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":");
+    detail::append_u64(out, t);
+    out.append(",\"args\":{\"name\":\"");
+    append_json_string(out, tracer.track_name(t));
+    out.append("\"}}");
+  }
+  for (const Span& s : tracer.spans()) {
+    if (!first) out.put(',');
+    first = false;
+    out.append("{\"ph\":\"X\",\"cat\":\"frame\",\"name\":\"");
+    append_json_string(out, s.name);
+    out.append("\",\"pid\":1,\"tid\":");
+    detail::append_u64(out, s.track);
+    out.append(",\"ts\":");
+    append_us(out, s.start);
+    out.append(",\"dur\":");
+    append_us(out, s.duration());
+    if (s.trace_id != 0) {
+      out.append(",\"args\":{\"trace_id\":");
+      detail::append_u64(out, s.trace_id);
+      out.put('}');
+    }
+    out.put('}');
+  }
+  out.append("]}\n");
 }
 
 }  // namespace
 
 std::string chrome_trace_json(const SpanTracer& tracer) {
-  std::ostringstream os;
-  write_chrome_trace(os, tracer);
-  return os.str();
+  std::string text;
+  detail::StringOut out{text};
+  render_chrome_trace(out, tracer);
+  return text;
 }
 
 void write_chrome_trace(std::ostream& os, const SpanTracer& tracer) {
-  os << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-  bool first = true;
-  for (TrackId t = 0; t < tracer.track_count(); ++t) {
-    if (!first) os << ',';
-    first = false;
-    os << "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":" << t
-       << ",\"args\":{\"name\":\"" << json_escape(tracer.track_name(t))
-       << "\"}}";
-  }
-  for (const Span& s : tracer.spans()) {
-    if (!first) os << ',';
-    first = false;
-    os << "{\"ph\":\"X\",\"cat\":\"frame\",\"name\":\"" << json_escape(s.name)
-       << "\",\"pid\":1,\"tid\":" << s.track << ",\"ts\":" << us(s.start)
-       << ",\"dur\":" << us(s.duration());
-    if (s.trace_id != 0) {
-      os << ",\"args\":{\"trace_id\":" << s.trace_id << "}";
-    }
-    os << "}";
-  }
-  os << "]}\n";
+  StreamOut out{os};
+  render_chrome_trace(out, tracer);
+}
+
+std::uint64_t chrome_trace_fingerprint(const SpanTracer& tracer) {
+  sim::Fnv1aSink sink;
+  render_chrome_trace(sink, tracer);
+  return sink.digest();
 }
 
 std::string spans_csv(const SpanTracer& tracer) {

@@ -1,8 +1,12 @@
 #include "obs/metrics.hpp"
 
+#include <charconv>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
+
+#include "obs/text_out.hpp"
+#include "sim/hash.hpp"
 
 namespace steelnet::obs {
 
@@ -116,59 +120,95 @@ std::string prom_sanitize(const std::string& s) {
 }
 
 /// Fixed-format double: integers print bare, the rest with 6 significant
-/// digits -- locale-free and stable across platforms.
-std::string num(double v) {
-  if (v == std::floor(v) && std::abs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.0f", v);
-    return buf;
-  }
+/// digits (printf's `%.0f` / `%.6g`) -- locale-free and stable across
+/// platforms.
+template <typename Out>
+void append_num(Out& out, double v) {
   char buf[48];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  return buf;
+  const char* end =
+      v == std::floor(v) && std::abs(v) < 1e15
+          ? std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed,
+                          0).ptr
+          : std::to_chars(buf, buf + sizeof buf, v,
+                          std::chars_format::general, 6).ptr;
+  out.append({buf, static_cast<std::size_t>(end - buf)});
 }
 
 }  // namespace
 
-std::string MetricsRegistry::to_prometheus() const {
-  std::ostringstream os;
+template <typename Out>
+void MetricsRegistry::render_prometheus(Out& out) const {
+  using detail::append_u64;
   for (const auto& [key, e] : entries_) {
     (void)key;
-    const std::string name =
-        "steelnet_" + prom_sanitize(e.path.module) + "_" +
-        prom_sanitize(e.path.name);
-    const char* type = e.kind == MetricKind::kCounter ? "counter" : "gauge";
-    if (e.kind == MetricKind::kHistogram) type = "histogram";
-    os << "# TYPE " << name << ' ' << type << '\n';
+    const std::string name = "steelnet_" + prom_sanitize(e.path.module) +
+                             "_" + prom_sanitize(e.path.name);
+    // `<name><suffix>{node="<node>"`; the caller closes the label set.
+    const auto series = [&](std::string_view suffix) {
+      out.append(name);
+      out.append(suffix);
+      out.append("{node=\"");
+      out.append(e.path.node);
+      out.put('"');
+    };
+    out.append("# TYPE ");
+    out.append(name);
+    out.put(' ');
+    out.append(to_string(e.kind));
+    out.put('\n');
     if (e.kind == MetricKind::kHistogram && e.owned_hist != nullptr) {
       const sim::Histogram& h = *e.owned_hist;
       std::uint64_t cum = 0;
       for (std::size_t i = 0; i < h.bins(); ++i) {
         cum += h.bin_count(i);
-        os << name << "_bucket{node=\"" << e.path.node << "\",le=\""
-           << num(h.bin_hi(i)) << "\"} " << cum << '\n';
+        series("_bucket");
+        out.append(",le=\"");
+        append_num(out, h.bin_hi(i));
+        out.append("\"} ");
+        append_u64(out, cum);
+        out.put('\n');
       }
-      os << name << "_bucket{node=\"" << e.path.node << "\",le=\"+Inf\"} "
-         << h.count() << '\n';
-      os << name << "_count{node=\"" << e.path.node << "\"} " << h.count()
-         << '\n';
+      series("_bucket");
+      out.append(",le=\"+Inf\"} ");
+      append_u64(out, h.count());
+      out.put('\n');
+      series("_count");
+      out.append("} ");
+      append_u64(out, h.count());
+      out.put('\n');
       continue;
     }
-    os << name << "{node=\"" << e.path.node << "\"} " << num(e.value())
-       << '\n';
+    series("");
+    out.append("} ");
+    append_num(out, e.value());
+    out.put('\n');
   }
-  return os.str();
+}
+
+std::string MetricsRegistry::to_prometheus() const {
+  std::string text;
+  detail::StringOut out{text};
+  render_prometheus(out);
+  return text;
+}
+
+std::uint64_t MetricsRegistry::prometheus_fingerprint() const {
+  sim::Fnv1aSink sink;
+  render_prometheus(sink);
+  return sink.digest();
 }
 
 std::string MetricsRegistry::to_csv() const {
-  std::ostringstream os;
-  os << "node,module,metric,kind,value\n";
+  std::string text = "node,module,metric,kind,value\n";
+  detail::StringOut out{text};
   for (const auto& [key, e] : entries_) {
     (void)key;
-    os << e.path.node << ',' << e.path.module << ',' << e.path.name << ','
-       << to_string(e.kind) << ',' << num(e.value()) << '\n';
+    text += e.path.node + ',' + e.path.module + ',' + e.path.name + ',' +
+            to_string(e.kind) + ',';
+    append_num(out, e.value());
+    out.put('\n');
   }
-  return os.str();
+  return text;
 }
 
 }  // namespace steelnet::obs

@@ -117,6 +117,8 @@ class MetricsRegistry {
 
   /// Prometheus text exposition: `steelnet_<module>_<name>{node="..."}`.
   [[nodiscard]] std::string to_prometheus() const;
+  /// FNV-1a 64 of to_prometheus(), streamed without building the text.
+  [[nodiscard]] std::uint64_t prometheus_fingerprint() const;
   /// `node,module,metric,kind,value` lines (histograms export count/mean).
   [[nodiscard]] std::string to_csv() const;
 
@@ -135,6 +137,10 @@ class MetricsRegistry {
   };
 
   Entry& emplace(MetricPath path, MetricKind kind);
+  /// The one Prometheus renderer behind to_prometheus() and its
+  /// fingerprint; `Out` is a text sink (append(string_view), put(char)).
+  template <typename Out>
+  void render_prometheus(Out& out) const;
 
   std::map<std::string, Entry> entries_;  ///< keyed by full path
 };

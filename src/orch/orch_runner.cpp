@@ -258,10 +258,11 @@ OrchOutcome OrchRunner::run(const OrchConfig& cfg) {
   out.frames_delivered = net.counters().frames_delivered;
   out.conservation_residual = plane.conservation_residual();
   out.trace_fp = sim::fnv1a64(fleet.placement_trace());
-  if (hub.has_value()) {
-    const std::string prom = hub->metrics().to_prometheus();
-    out.metrics_fp = sim::fnv1a64(prom);
-    if (cfg.keep_exports) out.metrics_prom = prom;
+  if (hub.has_value() && cfg.keep_exports) {
+    out.metrics_prom = hub->metrics().to_prometheus();
+    out.metrics_fp = sim::fnv1a64(out.metrics_prom);
+  } else if (hub.has_value()) {
+    out.metrics_fp = hub->metrics().prometheus_fingerprint();
   }
   if (cfg.keep_exports) out.trace_text = fleet.placement_trace();
   return out;

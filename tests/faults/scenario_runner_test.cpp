@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/hash.hpp"
+
 namespace steelnet::faults {
 namespace {
 
@@ -145,6 +147,28 @@ TEST(ScenarioRunner, SameSeedSameScenarioIsByteIdentical) {
       EXPECT_EQ(a.metrics_fp, b.metrics_fp);
       EXPECT_EQ(a.trace_fp, b.trace_fp);
     }
+  }
+}
+
+TEST(InstaPlcTestbed, CollectStreamsTheFingerprintsOfTheKeptExports) {
+  // collect() hashes the exports without building them unless they are
+  // kept; both ways must give the same fingerprints, and the kept text
+  // must hash to them.
+  RunnerOptions kept;
+  kept.keep_exports = true;
+  for (const FaultScenario& sc :
+       {primary_crash_scenario(3), random_scenario(29)}) {
+    SCOPED_TRACE(sc.name);
+    const ScenarioOutcome streamed = ScenarioRunner{}.run(sc);
+    const ScenarioOutcome full = ScenarioRunner{kept}.run(sc);
+    EXPECT_TRUE(streamed.metrics_prom.empty());
+    EXPECT_TRUE(streamed.trace_json.empty());
+    ASSERT_FALSE(full.trace_json.empty());
+    EXPECT_EQ(streamed.metrics_fp, full.metrics_fp);
+    EXPECT_EQ(streamed.trace_fp, full.trace_fp);
+    EXPECT_EQ(full.metrics_fp, sim::fnv1a64(full.metrics_prom));
+    EXPECT_EQ(full.trace_fp, sim::fnv1a64(full.trace_json));
+    EXPECT_EQ(streamed.fingerprint(), full.fingerprint());
   }
 }
 

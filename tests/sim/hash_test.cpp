@@ -22,5 +22,30 @@ TEST(Hash, MixFoldsTheLittleEndianBytes) {
   EXPECT_EQ(h, fnv1a64(std::string{"\x01\x02\x03\x04\x05\x06\x07\x08"}));
 }
 
+TEST(Hash, SinkDigestIgnoresHowBytesWereSplit) {
+  // Pieces that straddle the 64 KiB buffer, single chars, and one piece
+  // longer than the whole buffer appended onto a partly filled one.
+  std::string all;
+  Fnv1aSink sink;
+  EXPECT_EQ(Fnv1aSink{}.digest(), kFnv1aOffset);
+  for (int i = 0; i < 3000; ++i) {
+    const std::string piece = "piece-" + std::to_string(i * 7919) + ";";
+    sink.append(piece);
+    sink.put('|');
+    all += piece;
+    all += '|';
+  }
+  const std::string big(200 * 1024, 'x');
+  sink.append(big);
+  sink.append({});
+  all += big;
+  sink.put('!');
+  all += '!';
+  EXPECT_EQ(sink.digest(), fnv1a64(all));
+  // digest() may be read mid-stream; appending continues the same hash.
+  sink.append("tail");
+  EXPECT_EQ(sink.digest(), fnv1a64(all + "tail"));
+}
+
 }  // namespace
 }  // namespace steelnet::sim
