@@ -16,7 +16,8 @@
 //   --bench-json <f> where supported: write the scaling curve as a JSON
 //                    benchmark artifact
 //   --shards <n>     where supported: worker shards of one sharded
-//                    simulation (tab_campus); orthogonal to --jobs
+//                    simulation (tab_campus, tab_radio); orthogonal to
+//                    --jobs
 //   --skew           where supported: skewed-load workload variant (e.g.
 //                    tab_campus hot-zone storms)
 //   --profile-out <file>

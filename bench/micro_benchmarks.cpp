@@ -561,13 +561,10 @@ void BM_PartitionCompute(benchmark::State& state) {
   for (auto& w : weights) {
     w = static_cast<std::uint64_t>(rng.uniform_int(1, 10'000));
   }
-  const sim::PrefixQuotaPartitioner prefix;
-  const sim::LptPartitioner measured;
-  const sim::Partitioner& strategy =
-      lpt ? static_cast<const sim::Partitioner&>(measured)
-          : static_cast<const sim::Partitioner&>(prefix);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(strategy.assign(weights, 8));
+    benchmark::DoNotOptimize(
+        lpt ? sim::LptPartitioner{}.assign(weights, 8)
+            : sim::PrefixQuotaPartitioner{}.assign(weights, 8));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));

@@ -19,15 +19,4 @@ std::size_t effective_jobs(std::size_t requested, std::size_t tasks,
                                                      tasks, 1)));
 }
 
-std::vector<std::size_t> weighted_order(
-    const std::vector<std::uint64_t>& weights) {
-  std::vector<std::size_t> order(weights.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&weights](std::size_t a, std::size_t b) {
-                     return weights[a] > weights[b];
-                   });
-  return order;
-}
-
 }  // namespace steelnet::core

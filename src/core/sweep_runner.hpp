@@ -54,13 +54,6 @@ struct SweepSlot {
   [[nodiscard]] bool ok() const { return value.has_value(); }
 };
 
-/// Dispatch order for run_weighted: task indices sorted by (weight desc,
-/// index asc) -- the sweep-level LPT rule, so the heaviest task starts
-/// first instead of possibly landing last and stretching the sweep tail.
-/// Equal weights yield exactly 0..n-1, the classic dispatch order.
-[[nodiscard]] std::vector<std::size_t> weighted_order(
-    const std::vector<std::uint64_t>& weights);
-
 class SweepRunner {
  public:
   /// `jobs == 0` (the default) means one worker per hardware thread.
@@ -82,32 +75,7 @@ class SweepRunner {
   template <typename Fn>
   [[nodiscard]] auto run(std::size_t tasks, Fn&& fn) const
       -> std::vector<SweepSlot<std::invoke_result_t<Fn&, std::size_t>>> {
-    std::vector<std::size_t> order(tasks);
-    for (std::size_t i = 0; i < tasks; ++i) order[i] = i;
-    return run_ordered(order, fn);
-  }
-
-  /// run(), but tasks are *dispatched* heaviest-first (weighted_order) so
-  /// the pool's tail is bounded by the heaviest task, not by whichever
-  /// task happened to start last -- the sweep-level counterpart of the
-  /// kernel's LPT partitioner, for sweeps whose tasks have known uneven
-  /// cost (e.g. scenarios with different fault counts). Results are still
-  /// slot-per-task in task order, so every aggregate built from the slots
-  /// is byte-identical to run(); only wall clock changes.
-  template <typename Fn>
-  [[nodiscard]] auto run_weighted(const std::vector<std::uint64_t>& weights,
-                                  Fn&& fn) const
-      -> std::vector<SweepSlot<std::invoke_result_t<Fn&, std::size_t>>> {
-    return run_ordered(weighted_order(weights), fn);
-  }
-
- private:
-  template <typename Fn>
-  [[nodiscard]] auto run_ordered(const std::vector<std::size_t>& order,
-                                 Fn& fn) const
-      -> std::vector<SweepSlot<std::invoke_result_t<Fn&, std::size_t>>> {
     using R = std::invoke_result_t<Fn&, std::size_t>;
-    const std::size_t tasks = order.size();
     std::vector<SweepSlot<R>> slots(tasks);
     auto run_one = [&fn, &slots](std::size_t i) {
       try {
@@ -121,14 +89,14 @@ class SweepRunner {
     const std::size_t workers = effective_jobs(jobs_, tasks,
                                                shards_per_task_);
     if (workers <= 1) {
-      for (std::size_t i = 0; i < tasks; ++i) run_one(order[i]);
+      for (std::size_t i = 0; i < tasks; ++i) run_one(i);
       return slots;
     }
     std::atomic<std::size_t> next{0};
     auto worker = [&] {
       for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
            i < tasks; i = next.fetch_add(1, std::memory_order_relaxed)) {
-        run_one(order[i]);
+        run_one(i);
       }
     };
     std::vector<std::thread> pool;
@@ -138,6 +106,7 @@ class SweepRunner {
     return slots;
   }
 
+ private:
   std::size_t jobs_;
   std::size_t shards_per_task_;
 };

@@ -7,6 +7,12 @@
 #include "sim/hash.hpp"
 
 namespace steelnet::faults {
+namespace {
+
+/// When the secondary vPLC connects (the primary connects at t=0).
+constexpr sim::SimTime kSecondaryConnectAt = sim::milliseconds(100);
+
+}  // namespace
 
 InstaPlcTestbed::InstaPlcTestbed(sim::Simulator& sim, FaultScenario scenario,
                                  Config cfg)
@@ -23,8 +29,7 @@ InstaPlcTestbed::InstaPlcTestbed(sim::Simulator& sim, FaultScenario scenario,
   if (cfg_.before_device_connect) {
     cfg_.before_device_connect(dev_host_->id(), 0, sw_->id(), 0);
   }
-  network_.connect(dev_host_->id(), 0, sw_->id(), 0, cfg_.device_link,
-                   cfg_.device_backend);
+  network_.connect(dev_host_->id(), 0, sw_->id(), 0, {}, cfg_.device_backend);
   network_.connect(v1_host_->id(), 0, sw_->id(), 1);
   network_.connect(v2_host_->id(), 0, sw_->id(), 2);
 
@@ -51,19 +56,17 @@ InstaPlcTestbed::InstaPlcTestbed(sim::Simulator& sim, FaultScenario scenario,
   plane_->set_crash_handler(v2_host_->id(), [this] { vplc2_->stop(); });
   plane_->set_restart_handler(v2_host_->id(), [this] { vplc2_->connect(); });
 
-  if (opts.with_obs) {
-    network_.set_obs(&hub_);
-    network_.register_metrics(hub_);
-    sw_->register_metrics(hub_);
-    v1_host_->register_metrics(hub_);
-    v2_host_->register_metrics(hub_);
-    dev_host_->register_metrics(hub_);
-    device_->register_metrics(hub_);
-    vplc1_->register_metrics(hub_);
-    vplc2_->register_metrics(hub_);
-    app_->register_metrics(hub_, "sdn");
-    plane_->register_metrics(hub_);
-  }
+  network_.set_obs(&hub_);
+  network_.register_metrics(hub_);
+  sw_->register_metrics(hub_);
+  v1_host_->register_metrics(hub_);
+  v2_host_->register_metrics(hub_);
+  dev_host_->register_metrics(hub_);
+  device_->register_metrics(hub_);
+  vplc1_->register_metrics(hub_);
+  vplc2_->register_metrics(hub_);
+  app_->register_metrics(hub_, "sdn");
+  plane_->register_metrics(hub_);
 
   // Invariant probes.
   for (const FaultSpec& f : scenario_.faults) {
@@ -107,8 +110,7 @@ void InstaPlcTestbed::start() {
   if (started_) throw sim::SimError("InstaPlcTestbed: start() called twice");
   started_ = true;
   vplc1_->connect();
-  sim_.schedule_at(cfg_.opts.secondary_connect_at,
-                   [this] { vplc2_->connect(); });
+  sim_.schedule_at(kSecondaryConnectAt, [this] { vplc2_->connect(); });
   plane_->schedule(scenario_);
 }
 
@@ -131,12 +133,12 @@ ScenarioOutcome InstaPlcTestbed::collect() {
   out.residual = plane_->conservation_residual();
   // The fingerprints are streamed from the renderers; the text itself is
   // only built when the caller keeps it.
-  if (cfg_.opts.with_obs && cfg_.opts.keep_exports) {
+  if (cfg_.opts.keep_exports) {
     out.metrics_prom = hub_.metrics().to_prometheus();
     out.trace_json = obs::chrome_trace_json(hub_.tracer());
     out.metrics_fp = sim::fnv1a64(out.metrics_prom);
     out.trace_fp = sim::fnv1a64(out.trace_json);
-  } else if (cfg_.opts.with_obs) {
+  } else {
     out.metrics_fp = hub_.metrics().prometheus_fingerprint();
     out.trace_fp = obs::chrome_trace_fingerprint(hub_.tracer());
   }

@@ -33,8 +33,6 @@ class InstaPlcTestbed {
  public:
   struct Config {
     RunnerOptions opts{};
-    /// Physical parameters of the device <-> switch link.
-    net::LinkParams device_link{};
     /// Link driver for the device link; nullptr = the network's built-in
     /// wired backend (byte-identical to the pre-backend testbed).
     net::LinkBackend* device_backend = nullptr;

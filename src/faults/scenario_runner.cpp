@@ -54,17 +54,8 @@ ScenarioOutcome ScenarioRunner::run(const FaultScenario& scenario) const {
 
 std::vector<core::SweepSlot<ScenarioOutcome>> ScenarioRunner::run_sweep(
     const std::vector<FaultScenario>& scenarios, std::size_t jobs) const {
-  // Heaviest-first dispatch: a scenario's fault count is a cheap proxy
-  // for its cost, and LPT dispatch keeps a fat scenario from landing
-  // last and stretching the sweep tail. Slot order (and therefore every
-  // aggregate) is unchanged.
-  std::vector<std::uint64_t> weights;
-  weights.reserve(scenarios.size());
-  for (const FaultScenario& sc : scenarios) {
-    weights.push_back(sc.faults.size() + 1);
-  }
-  return core::SweepRunner{jobs}.run_weighted(
-      weights, [&](std::size_t i) { return run(scenarios[i]); });
+  return core::SweepRunner{jobs}.run(
+      scenarios.size(), [&](std::size_t i) { return run(scenarios[i]); });
 }
 
 // --- canonical scenarios ----------------------------------------------------

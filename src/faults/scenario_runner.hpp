@@ -29,14 +29,10 @@ namespace steelnet::faults {
 
 struct RunnerOptions {
   sim::SimTime horizon = sim::seconds(3);
-  /// When the secondary vPLC connects (the primary connects at t=0).
-  sim::SimTime secondary_connect_at = sim::milliseconds(100);
   /// Silent I/O cycles before the in-network monitor switches over.
   std::uint16_t switchover_cycles = 3;
   /// PROFINET I/O cycle of both vPLCs and the device.
   sim::SimTime io_cycle = sim::milliseconds(2);
-  /// Attach an ObsHub and export metrics/trace fingerprints.
-  bool with_obs = true;
   /// Keep the full Prometheus/Chrome-trace text in the outcome (tests
   /// that diff exports byte-for-byte; costs memory).
   bool keep_exports = false;
@@ -66,7 +62,7 @@ struct ScenarioOutcome {
   FaultCounters faults;
   std::int64_t residual = 0;  ///< conservation residual; must be 0
 
-  // Obs export fingerprints (FNV-1a over the exact bytes); 0 without obs.
+  // Obs export fingerprints (FNV-1a over the exact bytes).
   std::uint64_t metrics_fp = 0;
   std::uint64_t trace_fp = 0;
   std::string metrics_prom;  ///< only with RunnerOptions::keep_exports

@@ -44,6 +44,8 @@ struct CellPlant {
 };
 
 constexpr std::size_t kReportBytes = 32;
+/// Minimum inter-cell delivery delay == the conservative lookahead.
+constexpr sim::SimTime kBackboneLatency = sim::microseconds(20);
 /// Backbone ring depth. A channel carries one report per report period,
 /// so 64 slots leave ample headroom while keeping the 720 rings of a
 /// 240-cell campus small (the 1024-slot default is ~155 KB per ring).
@@ -168,9 +170,9 @@ void build_cell(sim::ShardedSimulator::Cell& cell, CellPlant& plant,
   // neighbor. Cell::send stamps send_ns/seq, so the receiver's merge
   // order -- and everything downstream -- is shard-count independent.
   if (!plant.report_dsts.empty()) {
+    const sim::SimTime period = kCampusReportPeriod;
     const std::int64_t stagger =
-        cell_rng.derive("report").uniform_int(0, opt.report_period.nanos() / 4);
-    const sim::SimTime period = opt.report_period;
+        cell_rng.derive("report").uniform_int(0, period.nanos() / 4);
     const sim::SimTime first_report = period + sim::SimTime{stagger};
     // The reporter is this cell's only sender, so its ticks are the cell's
     // application lookahead: promising them lets neighbours run a whole
@@ -200,7 +202,6 @@ void build_cell(sim::ShardedSimulator::Cell& cell, CellPlant& plant,
 CampusResult run_campus(const CampusOptions& opt) {
   if (opt.cells == 0) throw sim::SimError("run_campus: cells must be >= 1");
   sim::ShardedSimulator ss;
-  ss.set_record_fire_log(opt.record_fire_log);
   // Declared weights stay uniform even under skew -- skew exists to make
   // the up-front guess wrong, so only a measured profile can fix it.
   for (std::size_t i = 0; i < opt.cells; ++i) {
@@ -224,7 +225,7 @@ CampusResult run_campus(const CampusOptions& opt) {
     for (std::size_t i = 0; i < opt.cells; ++i) {
       for (std::size_t d = 1; d <= degree; ++d) {
         const auto dst = static_cast<std::uint32_t>((i + d) % opt.cells);
-        ss.connect(static_cast<std::uint32_t>(i), dst, opt.backbone_latency,
+        ss.connect(static_cast<std::uint32_t>(i), dst, kBackboneLatency,
                    kBackboneRingSlots);
         dsts[i].push_back(dst);
       }

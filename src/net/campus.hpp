@@ -29,6 +29,8 @@ namespace steelnet::net {
 
 /// ShardMsg.kind of an inter-cell telemetry report.
 inline constexpr std::uint32_t kCampusReportMsg = 1;
+/// Period of every cell's telemetry report to its backbone neighbours.
+inline constexpr sim::SimTime kCampusReportPeriod = sim::milliseconds(10);
 
 /// Placement strategy for the campus run. Placement decides wall-clock
 /// only; artifacts are byte-identical under either choice.
@@ -47,14 +49,10 @@ struct CampusOptions {
   /// Outbound report channels per cell: neighbors (i+1 .. i+degree) mod n
   /// on the ring backbone.
   std::size_t backbone_degree = 2;
-  /// Minimum inter-cell delivery delay == the conservative lookahead.
-  sim::SimTime backbone_latency = sim::microseconds(20);
-  sim::SimTime report_period = sim::milliseconds(10);
   /// Inject a deterministic controller-crash + link-loss scenario in
   /// every cell (per-cell FaultPlane, seed derived from `seed` and the
   /// cell id).
   bool faults = false;
-  bool record_fire_log = false;
   /// Skewed-load mode: the first quarter of the cells (at least one) runs
   /// at a 4x cyclic rate with fault storms enabled, while declared cell
   /// weights stay uniform -- the workload the static prefix-quota

@@ -6,11 +6,7 @@ void run_placed(sim::ShardedSimulator& ss, sim::SimTime horizon,
                 std::size_t shards,
                 const std::vector<std::uint64_t>& measured_weights,
                 ShardedRunResult& out) {
-  static const sim::LptPartitioner kMeasuredStrategy;
-  if (!measured_weights.empty()) {
-    ss.set_partitioner(&kMeasuredStrategy);
-    ss.set_measured_weights(measured_weights);
-  }
+  ss.set_measured_weights(measured_weights);
   out.horizon_ns = horizon.nanos();
   out.stats = ss.run(horizon, shards);
 

@@ -22,7 +22,7 @@ struct ShardedRunResult {
   std::int64_t horizon_ns = 0;
 
   // Placement diagnostics. The partition map and per-shard loads depend
-  // on the shard count and partitioner choice, so they are reported here
+  // on the shard count and the placement, so they are reported here
   // (and in bench JSON) but NEVER rendered into the fingerprinted
   // artifacts -- those must stay invariant to placement.
   std::vector<std::uint32_t> partition;    ///< cell -> shard of this run
@@ -34,9 +34,10 @@ struct ShardedRunResult {
 };
 
 /// Runs `ss` to `horizon` on `shards` worker threads and fills `out`.
-/// Non-empty `measured_weights` (one per cell, e.g. a calibration run's
-/// RateProfile::weights()) place cells by LPT over them; empty ones keep
-/// the prefix-quota walk over declared weights.
+/// `measured_weights` go to ShardedSimulator::set_measured_weights, so
+/// non-empty ones (one per cell, e.g. a calibration run's
+/// RateProfile::weights()) place cells by LPT over them and empty ones
+/// keep the prefix-quota walk over declared weights.
 void run_placed(sim::ShardedSimulator& ss, sim::SimTime horizon,
                 std::size_t shards,
                 const std::vector<std::uint64_t>& measured_weights,

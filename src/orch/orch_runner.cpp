@@ -176,16 +176,13 @@ OrchOutcome OrchRunner::run(const OrchConfig& cfg) {
   }
   out.vplcs_placed = static_cast<std::uint32_t>(fleet.vplcs().size());
 
-  std::optional<obs::ObsHub> hub;
-  if (cfg.with_obs) {
-    obs::TraceConfig tc;
-    tc.trace_frames = false;  // heartbeats are bulk traffic; metrics only
-    tc.track_deliveries = false;
-    hub.emplace(tc);
-    net.register_metrics(*hub);
-    plane.register_metrics(*hub);
-    fleet.register_metrics(*hub);
-  }
+  obs::TraceConfig tc;
+  tc.trace_frames = false;  // heartbeats are bulk traffic; metrics only
+  tc.track_deliveries = false;
+  obs::ObsHub hub{tc};
+  net.register_metrics(hub);
+  plane.register_metrics(hub);
+  fleet.register_metrics(hub);
 
   fleet.start();
 
@@ -258,11 +255,11 @@ OrchOutcome OrchRunner::run(const OrchConfig& cfg) {
   out.frames_delivered = net.counters().frames_delivered;
   out.conservation_residual = plane.conservation_residual();
   out.trace_fp = sim::fnv1a64(fleet.placement_trace());
-  if (hub.has_value() && cfg.keep_exports) {
-    out.metrics_prom = hub->metrics().to_prometheus();
+  if (cfg.keep_exports) {
+    out.metrics_prom = hub.metrics().to_prometheus();
     out.metrics_fp = sim::fnv1a64(out.metrics_prom);
-  } else if (hub.has_value()) {
-    out.metrics_fp = hub->metrics().prometheus_fingerprint();
+  } else {
+    out.metrics_fp = hub.metrics().prometheus_fingerprint();
   }
   if (cfg.keep_exports) out.trace_text = fleet.placement_trace();
   return out;

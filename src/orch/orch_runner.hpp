@@ -71,8 +71,6 @@ struct OrchConfig {
 
   FleetConfig fleet;
 
-  /// Attach an ObsHub and fingerprint the Prometheus export.
-  bool with_obs = true;
   /// Keep full export/trace text in the outcome (byte-diff tests).
   bool keep_exports = false;
 };
@@ -114,7 +112,7 @@ struct OrchOutcome {
   std::uint64_t frames_delivered = 0;
   std::int64_t conservation_residual = 0;  ///< frame ledger; must be 0
 
-  // Fingerprints (FNV-1a over exact bytes; 0 when not collected).
+  // Fingerprints (FNV-1a over exact bytes).
   std::uint64_t trace_fp = 0;    ///< placement trace
   std::uint64_t metrics_fp = 0;  ///< Prometheus export
   std::string trace_text;        ///< only with keep_exports

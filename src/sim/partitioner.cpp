@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <limits>
 #include <numeric>
 #include <sstream>
 
@@ -23,7 +24,7 @@ std::size_t checked_shards(const std::vector<std::uint64_t>& weights,
                            std::size_t shards) {
   if (shards == 0) {
     throw PartitionError(PartitionErrorCode::kBadShardCount,
-                         "Partitioner::assign: shards must be >= 1");
+                         "assign: shards must be >= 1");
   }
   return std::min(shards, weights.size());
 }
@@ -195,7 +196,13 @@ std::uint64_t parse_count(const std::string& field, std::size_t line_no) {
                            "profile line " + std::to_string(line_no) +
                                ": non-numeric count '" + field + "'");
     }
-    v = v * 10 + static_cast<std::uint64_t>(ch - '0');
+    const auto digit = static_cast<std::uint64_t>(ch - '0');
+    if (v > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
+      throw PartitionError(PartitionErrorCode::kMalformedProfile,
+                           "profile line " + std::to_string(line_no) +
+                               ": count '" + field + "' overflows 64 bits");
+    }
+    v = v * 10 + digit;
   }
   return v;
 }

@@ -1,17 +1,18 @@
-// Cell -> shard placement strategies for the sharded PDES kernel.
+// Cell -> shard placement for the sharded PDES kernel.
 //
-// A Partitioner maps per-cell weights to shard ids. Placement decides
+// Both placements map per-cell weights to shard ids. Placement decides
 // wall-clock only, never simulation results: the kernel's determinism
 // contract (per-cell fire order a pure function of initial state + own
 // RNG + totally ordered inbound messages) holds for *any* assignment,
-// so strategies are free to chase balance. Two strategies ship:
+// so placement is free to chase balance. ShardedSimulator::run applies
+// one rule over the two:
 //
-//   * PrefixQuotaPartitioner -- the static contiguous walk the kernel
-//     has always used; cheap, cache-friendly groups, assumes declared
-//     weights are honest.
+//   * PrefixQuotaPartitioner -- the static contiguous walk over the
+//     declared weights; cheap, cache-friendly groups, assumes declared
+//     weights are honest. Used when no measured weights are set.
 //   * LptPartitioner -- longest-processing-time greedy bin-pack over
 //     *measured* per-cell rates (see RateProfile); the profile-guided
-//     strategy for skewed floors. Tie-break rule: an all-equal profile
+//     placement for skewed floors. Tie-break rule: an all-equal profile
 //     reproduces the prefix-quota assignment exactly, so calibration
 //     noise-free uniform floors cannot churn placements.
 //
@@ -21,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,7 +31,7 @@ namespace steelnet::sim {
 
 enum class PartitionErrorCode : std::uint8_t {
   kBadShardCount,    ///< assign() with shards == 0
-  kBadAssignment,    ///< strategy returned an invalid cell->shard map
+  kBadAssignment,    ///< an invalid cell->shard map
   kProfileMismatch,  ///< measured weights don't match the cell count
   kMalformedProfile, ///< RateProfile::parse on text that isn't a profile
 };
@@ -48,30 +48,20 @@ class PartitionError : public SimError {
   PartitionErrorCode code_;
 };
 
-/// Strategy interface. assign() returns one shard id per weight, with
-/// every shard id in [0, min(shards, weights.size())) used at least
-/// once. Implementations must be deterministic and side-effect free.
-class Partitioner {
- public:
-  virtual ~Partitioner() = default;
-  [[nodiscard]] virtual const char* name() const = 0;
-  /// Throws PartitionError{kBadShardCount} when shards == 0. An empty
-  /// weight vector yields an empty assignment. shards above the cell
-  /// count clamps (trailing shards would be empty otherwise).
-  [[nodiscard]] virtual std::vector<std::uint32_t> assign(
-      const std::vector<std::uint64_t>& weights, std::size_t shards) const = 0;
-};
+// Both assign() return one shard id per weight, with every shard id in
+// [0, min(shards, weights.size())) used at least once, and throw
+// PartitionError{kBadShardCount} when shards == 0. An empty weight
+// vector yields an empty assignment; shards above the cell count clamp
+// (trailing shards would be empty otherwise).
 
 /// Contiguous weighted walk: cell i joins shard s until the weight
 /// prefix crosses quota (s+1)/shards of the total, with a must-advance
 /// guard that keeps every later shard nonempty. Groups are contiguous
 /// cell ranges -- friendly to topologies wired by index locality.
-class PrefixQuotaPartitioner final : public Partitioner {
+class PrefixQuotaPartitioner {
  public:
-  [[nodiscard]] const char* name() const override { return "prefix"; }
   [[nodiscard]] std::vector<std::uint32_t> assign(
-      const std::vector<std::uint64_t>& weights,
-      std::size_t shards) const override;
+      const std::vector<std::uint64_t>& weights, std::size_t shards) const;
 };
 
 /// Greedy LPT bin-pack over measured rates: cells sorted by (weight
@@ -80,12 +70,10 @@ class PrefixQuotaPartitioner final : public Partitioner {
 /// as occupancy. When every weight is equal the measured profile says
 /// nothing prefix-quota doesn't already know, so LPT delegates to it
 /// verbatim -- the regression pin that keeps uniform floors stable.
-class LptPartitioner final : public Partitioner {
+class LptPartitioner {
  public:
-  [[nodiscard]] const char* name() const override { return "measured"; }
   [[nodiscard]] std::vector<std::uint32_t> assign(
-      const std::vector<std::uint64_t>& weights,
-      std::size_t shards) const override;
+      const std::vector<std::uint64_t>& weights, std::size_t shards) const;
 };
 
 /// Post-hoc balance report for an assignment under (possibly different)
@@ -107,9 +95,9 @@ struct PartitionStats {
     const std::vector<std::uint64_t>& weights,
     const std::vector<std::uint32_t>& assignment);
 
-/// Validates an assignment against the Partitioner contract (size,
-/// range, no empty shard) -- the kernel runs this on whatever strategy
-/// the caller plugged in before trusting it with worker threads.
+/// Validates an assignment against the assign() contract (size, range,
+/// no empty shard) -- the kernel runs this before trusting a placement
+/// with worker threads.
 void validate_assignment(const std::vector<std::uint32_t>& assignment,
                          std::size_t n_cells, std::size_t shards);
 
@@ -123,7 +111,7 @@ void validate_assignment(const std::vector<std::uint32_t>& assignment,
 ///
 /// Cell order in the file is the kernel's cell-id order; the parser
 /// preserves it. weights() folds each row to max(events + msgs, 1) --
-/// the per-cell work estimate the LPT strategy packs by.
+/// the per-cell work estimate LPT packs by.
 struct RateProfile {
   struct CellRate {
     std::string name;
@@ -135,7 +123,8 @@ struct RateProfile {
   [[nodiscard]] std::vector<std::uint64_t> weights() const;
   [[nodiscard]] std::string to_text() const;
   /// Throws PartitionError{kMalformedProfile} on anything that isn't a
-  /// v1 profile: missing header, short rows, non-numeric counts.
+  /// v1 profile: missing header, short rows, non-numeric counts, counts
+  /// that do not fit in 64 bits.
   [[nodiscard]] static RateProfile parse(const std::string& text);
 };
 

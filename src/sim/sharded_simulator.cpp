@@ -150,19 +150,6 @@ ShardedSimulator::Cell& ShardedSimulator::cell(std::uint32_t id) {
   return *cells_[id];
 }
 
-// --- partitioner ------------------------------------------------------------
-
-std::vector<std::uint32_t> ShardedSimulator::partition(
-    const std::vector<std::uint64_t>& weights, std::size_t shards) {
-  // The algorithm lives in PrefixQuotaPartitioner now; this static
-  // keeps the original signature and its ShardingError contract.
-  if (shards == 0) {
-    throw ShardingError(ShardingErrorCode::kBadShardCount,
-                        "partition: shards must be >= 1");
-  }
-  return PrefixQuotaPartitioner{}.assign(weights, shards);
-}
-
 RateProfile ShardedSimulator::rate_profile() const {
   RateProfile profile;
   profile.cells.reserve(cells_.size());
@@ -362,10 +349,11 @@ ShardRunStats ShardedSimulator::run(SimTime horizon, std::size_t shards) {
   shards = std::min(shards, cells_.size());
   seal_send_floors();
 
-  std::vector<std::uint64_t> weights;
   if (measured_weights_.empty()) {
-    weights.reserve(cells_.size());
-    for (const auto& c : cells_) weights.push_back(c->weight_);
+    std::vector<std::uint64_t> declared;
+    declared.reserve(cells_.size());
+    for (const auto& c : cells_) declared.push_back(c->weight_);
+    partition_map_ = PrefixQuotaPartitioner{}.assign(declared, shards);
   } else {
     if (measured_weights_.size() != cells_.size()) {
       throw PartitionError(PartitionErrorCode::kProfileMismatch,
@@ -373,12 +361,8 @@ ShardRunStats ShardedSimulator::run(SimTime horizon, std::size_t shards) {
                                " measured weights for " +
                                std::to_string(cells_.size()) + " cells");
     }
-    weights = measured_weights_;
+    partition_map_ = LptPartitioner{}.assign(measured_weights_, shards);
   }
-  static const PrefixQuotaPartitioner kDefaultPartitioner;
-  const Partitioner& strategy =
-      partitioner_ != nullptr ? *partitioner_ : kDefaultPartitioner;
-  partition_map_ = strategy.assign(weights, shards);
   validate_assignment(partition_map_, cells_.size(), shards);
 
   std::vector<std::vector<Cell*>> groups(shards);

@@ -218,8 +218,8 @@ class ShardedSimulator {
   ShardedSimulator(const ShardedSimulator&) = delete;
   ShardedSimulator& operator=(const ShardedSimulator&) = delete;
 
-  /// Adds a cell; `weight` drives the balanced partition (e.g. device
-  /// count). Returns the cell id (dense, creation order).
+  /// Adds a cell; `weight` is its declared load for placement (e.g.
+  /// device count). Returns the cell id (dense, creation order).
   std::uint32_t add_cell(std::string name, std::uint64_t weight = 1);
 
   /// Connects a directed channel src -> dst with the given minimum
@@ -236,20 +236,12 @@ class ShardedSimulator {
   /// tests. Off by default (memory).
   void set_record_fire_log(bool on) { record_fire_log_ = on; }
 
-  /// Plugs a placement strategy into run() (non-owning; must outlive the
-  /// run). Default is the built-in prefix-quota walk over declared
-  /// weights. Placement never changes simulation results -- only which
-  /// thread executes which cell -- so any strategy keeps artifacts
-  /// byte-identical; run() validates the returned assignment before
-  /// trusting it with worker threads.
-  void set_partitioner(const Partitioner* partitioner) {
-    partitioner_ = partitioner;
-  }
-
   /// Overrides the declared per-cell weights with measured rates (e.g.
-  /// a RateProfile from a calibration run) for partitioning only. Must
-  /// have one entry per cell; run() throws PartitionError
-  /// {kProfileMismatch} otherwise.
+  /// a RateProfile from a calibration run) for placement only: run()
+  /// then places cells by LPT over them instead of the prefix-quota walk
+  /// over declared weights. Placement never changes simulation results
+  /// -- only which thread executes which cell. Must have one entry per
+  /// cell; run() throws PartitionError{kProfileMismatch} otherwise.
   void set_measured_weights(std::vector<std::uint64_t> weights) {
     measured_weights_ = std::move(weights);
   }
@@ -268,7 +260,10 @@ class ShardedSimulator {
 
   /// Runs every cell to `horizon` (inclusive) on `shards` worker threads
   /// (shards == 1 runs inline on the caller, spawning nothing). Cells are
-  /// partitioned by weight; shards is clamped to the cell count. One-shot:
+  /// placed by LptPartitioner over the measured weights when
+  /// set_measured_weights() was given any, and by PrefixQuotaPartitioner
+  /// over the declared weights otherwise; shards is clamped to the cell
+  /// count. One-shot:
   /// a second run throws. An exception escaping a cell (e.g. a send below
   /// its floor) stops every worker and is rethrown here.
   ShardRunStats run(SimTime horizon, std::size_t shards);
@@ -278,12 +273,6 @@ class ShardedSimulator {
   /// lower cell id across cells) until the horizon. Same per-cell
   /// ordering rules as run(), so per-cell fire logs must match exactly.
   ShardRunStats run_reference(SimTime horizon);
-
-  /// Balanced contiguous partition of `weights` into `shards` groups:
-  /// cell i -> group out[i], groups are contiguous, nonempty, and
-  /// deterministic (prefix-quota walk). Clamps shards to the cell count.
-  [[nodiscard]] static std::vector<std::uint32_t> partition(
-      const std::vector<std::uint64_t>& weights, std::size_t shards);
 
  private:
   static constexpr std::int64_t kForeverNs =
@@ -321,7 +310,6 @@ class ShardedSimulator {
   bool record_fire_log_ = false;
   bool ran_ = false;
   bool reference_mode_ = false;
-  const Partitioner* partitioner_ = nullptr;
   std::vector<std::uint64_t> measured_weights_;
   std::vector<std::uint32_t> partition_map_;
 

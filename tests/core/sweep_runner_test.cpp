@@ -128,52 +128,5 @@ TEST(SweepRunner, ParallelMatchesSequentialExactly) {
   }
 }
 
-TEST(SweepRunner, WeightedOrderSortsHeaviestFirstWithStableTies) {
-  // (weight desc, index asc): LPT dispatch order for run_weighted.
-  EXPECT_EQ(weighted_order({5, 9, 9, 1}),
-            (std::vector<std::size_t>{1, 2, 0, 3}));
-  // All-equal weights keep the natural order -- the no-signal case must
-  // not shuffle anything.
-  EXPECT_EQ(weighted_order({7, 7, 7}),
-            (std::vector<std::size_t>{0, 1, 2}));
-  EXPECT_TRUE(weighted_order({}).empty());
-}
-
-TEST(SweepRunner, RunWeightedExecutesHeaviestFirstAtJobsOne) {
-  // At jobs=1 the dispatch order is observable as the execution order.
-  std::vector<std::size_t> executed;
-  const std::vector<std::uint64_t> weights{1, 50, 10, 50};
-  const auto slots = SweepRunner{1}.run_weighted(weights, [&](std::size_t i) {
-    executed.push_back(i);
-    return i;
-  });
-  EXPECT_EQ(executed, (std::vector<std::size_t>{1, 3, 2, 0}));
-  // ...but slots still land in task order.
-  ASSERT_EQ(slots.size(), 4u);
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    ASSERT_TRUE(slots[i].ok());
-    EXPECT_EQ(*slots[i].value, i);
-  }
-}
-
-TEST(SweepRunner, RunWeightedMatchesRunForAnyJobCount) {
-  auto fn = [](std::size_t i) { return i * 31 + 7; };
-  std::vector<std::uint64_t> weights(48);
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    weights[i] = (i * 2654435761u) % 100;  // arbitrary deterministic skew
-  }
-  const auto plain = SweepRunner{1}.run(48, fn);
-  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4},
-                                 std::size_t{8}}) {
-    SCOPED_TRACE("jobs=" + std::to_string(jobs));
-    const auto weighted = SweepRunner{jobs}.run_weighted(weights, fn);
-    ASSERT_EQ(weighted.size(), plain.size());
-    for (std::size_t i = 0; i < plain.size(); ++i) {
-      ASSERT_TRUE(weighted[i].ok()) << weighted[i].error;
-      EXPECT_EQ(*weighted[i].value, *plain[i].value);
-    }
-  }
-}
-
 }  // namespace
 }  // namespace steelnet::core

@@ -122,7 +122,7 @@ TEST(Campus, ReportFloorsLetEachVisitCoverAReportPeriod) {
   const CampusOptions opt = table_campus(false);
   const CampusResult r = run_campus(opt);
   const auto periods = static_cast<std::uint64_t>(
-      opt.horizon.nanos() / opt.report_period.nanos());
+      opt.horizon.nanos() / kCampusReportPeriod.nanos());
   EXPECT_GT(r.stats.msgs_delivered, 0u);
   EXPECT_LE(r.stats.rounds, periods);
 }

@@ -1,4 +1,4 @@
-// The Partitioner contract: both strategies are deterministic, use every
+// The assign() contract: both placements are deterministic, use every
 // shard, clamp to the cell count, and fail with typed errors -- and the
 // LPT tie-break rule (all-equal weights delegate to prefix-quota) pins
 // uniform floors to their historical placement. RateProfile's text
@@ -28,13 +28,17 @@ std::uint64_t load_of(const std::vector<std::uint64_t>& w,
 }
 
 TEST(PrefixQuota, MatchesTheKernelsStaticPartition) {
-  // ShardedSimulator::partition() now delegates here; pin the other
-  // direction too, so neither can drift from the historical walk.
+  // Without measured weights the kernel places cells by the prefix-quota
+  // walk over their declared weights.
   const std::vector<std::uint64_t> weights{100, 1, 1, 1, 7, 7, 3, 9};
   const PrefixQuotaPartitioner prefix;
   for (std::size_t shards = 1; shards <= weights.size(); ++shards) {
-    EXPECT_EQ(prefix.assign(weights, shards),
-              ShardedSimulator::partition(weights, shards))
+    ShardedSimulator ss;
+    for (const std::uint64_t w : weights) {
+      ss.add_cell("cell" + std::to_string(ss.cell_count()), w);
+    }
+    (void)ss.run(SimTime{1}, shards);
+    EXPECT_EQ(ss.partition_map(), prefix.assign(weights, shards))
         << "shards=" << shards;
   }
 }
@@ -106,26 +110,24 @@ TEST(Lpt, GreedyPackingBalancesTheClassicExample) {
 }
 
 TEST(Partitioners, SharedContractEdgeCases) {
-  const PrefixQuotaPartitioner prefix;
-  const LptPartitioner lpt;
-  for (const Partitioner* p :
-       {static_cast<const Partitioner*>(&prefix),
-        static_cast<const Partitioner*>(&lpt)}) {
+  const auto check = [](const auto& p, const char* name) {
+    SCOPED_TRACE(name);
     // shards == 0 is a typed error.
     try {
-      (void)p->assign({1, 2, 3}, 0);
-      FAIL() << p->name() << ": expected PartitionError";
+      (void)p.assign({1, 2, 3}, 0);
+      FAIL() << "expected PartitionError";
     } catch (const PartitionError& e) {
       EXPECT_EQ(e.code(), PartitionErrorCode::kBadShardCount);
     }
     // Empty weights yield an empty assignment.
-    EXPECT_TRUE(p->assign({}, 4).empty());
+    EXPECT_TRUE(p.assign({}, 4).empty());
     // Shards clamp to the cell count: 2 cells over 8 shards use {0, 1}.
-    const auto clamped = p->assign({3, 3}, 8);
-    ASSERT_EQ(clamped.size(), 2u);
+    const auto clamped = p.assign({3, 3}, 8);
+    EXPECT_EQ(clamped, (std::vector<std::uint32_t>{0, 1}));
     EXPECT_NO_THROW(validate_assignment(clamped, 2, 8));
-    for (const std::uint32_t s : clamped) EXPECT_LT(s, 2u);
-  }
+  };
+  check(PrefixQuotaPartitioner{}, "prefix");
+  check(LptPartitioner{}, "lpt");
 }
 
 TEST(PartitionStats, HandComputedImbalance) {
@@ -199,6 +201,7 @@ TEST(RateProfile, MalformedTextIsATypedError) {
       "cell,events,msgs\na,1\n",                     // short row
       "cell,events,msgs\na,1,2,3\n",                 // long row
       "cell,events,msgs\na,x,2\n",                   // non-numeric count
+      "cell,events,msgs\na,18446744073709551616,0\n", // count over 2^64-1
   };
   for (const char* text : kBad) {
     try {
@@ -208,6 +211,11 @@ TEST(RateProfile, MalformedTextIsATypedError) {
       EXPECT_EQ(e.code(), PartitionErrorCode::kMalformedProfile);
     }
   }
+  // The largest count that fits still parses.
+  EXPECT_EQ(RateProfile::parse("cell,events,msgs\na,0,18446744073709551615\n")
+                .cells[0]
+                .msgs,
+            UINT64_MAX);
 }
 
 }  // namespace

@@ -27,10 +27,21 @@ using namespace steelnet::sim::literals;
 
 // --- partition --------------------------------------------------------------
 
+// The placement run() chooses for cells of the given declared weights.
+std::vector<std::uint32_t> placement_of(
+    const std::vector<std::uint64_t>& weights, std::size_t shards) {
+  ShardedSimulator ss;
+  for (const std::uint64_t w : weights) {
+    ss.add_cell("cell" + std::to_string(ss.cell_count()), w);
+  }
+  (void)ss.run(SimTime{1}, shards);
+  return ss.partition_map();
+}
+
 TEST(Partition, ContiguousNonemptyBalanced) {
   const std::vector<std::uint64_t> weights = {3, 1, 4, 1, 5, 9, 2, 6};
   for (std::size_t shards = 1; shards <= weights.size(); ++shards) {
-    const auto assign = ShardedSimulator::partition(weights, shards);
+    const auto assign = placement_of(weights, shards);
     ASSERT_EQ(assign.size(), weights.size());
     // Contiguous and monotone: group ids never decrease, never skip.
     EXPECT_EQ(assign.front(), 0u);
@@ -45,18 +56,18 @@ TEST(Partition, ContiguousNonemptyBalanced) {
 
 TEST(Partition, FrontLoadedWeightsStillFillEveryShard) {
   // A pathological prefix (one huge cell) must not starve later shards.
-  const auto assign = ShardedSimulator::partition({100, 1, 1, 1}, 4);
+  const auto assign = placement_of({100, 1, 1, 1}, 4);
   EXPECT_EQ(assign, (std::vector<std::uint32_t>{0, 1, 2, 3}));
 }
 
 TEST(Partition, ShardsClampedToCellCount) {
-  const auto assign = ShardedSimulator::partition({1, 1}, 16);
+  const auto assign = placement_of({1, 1}, 16);
   EXPECT_EQ(assign, (std::vector<std::uint32_t>{0, 1}));
 }
 
 TEST(Partition, ZeroShardsThrowsTyped) {
   try {
-    (void)ShardedSimulator::partition({1}, 0);
+    (void)placement_of({1}, 0);
     FAIL() << "expected ShardingError";
   } catch (const ShardingError& e) {
     EXPECT_EQ(e.code(), ShardingErrorCode::kBadShardCount);
@@ -469,7 +480,7 @@ TEST(ShardedSimulator, LookaheadReportsMinInboundLatency) {
   EXPECT_EQ(ss.cell(0).latency_to(2), 30_us);
 }
 
-// --- pluggable placement ----------------------------------------------------
+// --- placement --------------------------------------------------------------
 
 TEST(ShardedPlacement, MeasuredLptKeepsFireLogsIdenticalToReference) {
   // The core claim of the balancing work: placement decides wall-clock
@@ -487,16 +498,17 @@ TEST(ShardedPlacement, MeasuredLptKeepsFireLogsIdenticalToReference) {
     for (auto& w : measured) {
       w = static_cast<std::uint64_t>(rng.uniform_int(1, 100'000));
     }
-    const LptPartitioner lpt;
     for (const std::size_t shards : {1, 2, 4, 8}) {
       BounceWorld w;
       build_bounce_world(w, seed, cells);
-      w.ss.set_partitioner(&lpt);
       w.ss.set_measured_weights(measured);
       const BounceOutcome got = harvest(w, w.ss.run(2_ms, shards));
       EXPECT_TRUE(got == want)
           << "seed=" << seed << " shards=" << shards
           << " diverged under measured LPT placement";
+      // Measured weights alone select LPT: the kernel's placement rule.
+      EXPECT_EQ(w.ss.partition_map(), LptPartitioner{}.assign(measured, shards))
+          << "seed=" << seed << " shards=" << shards;
       EXPECT_NO_THROW(validate_assignment(w.ss.partition_map(), cells,
                                           std::min(shards, cells)));
     }
@@ -505,15 +517,13 @@ TEST(ShardedPlacement, MeasuredLptKeepsFireLogsIdenticalToReference) {
 
 TEST(ShardedPlacement, EqualMeasuredWeightsReproducePrefixPartition) {
   // Regression pin of the LPT tie-break rule at the kernel level: a flat
-  // calibration profile carries no signal, so the measured strategy
-  // falls back to the prefix-quota walk over those same flat weights
-  // instead of inventing a round-robin scatter.
+  // calibration profile carries no signal, so measured placement falls
+  // back to the prefix-quota walk over those same flat weights instead of
+  // inventing a round-robin scatter.
   constexpr std::size_t kCells = 9;
   const std::vector<std::uint64_t> flat(kCells, 5);
   BounceWorld a;
   build_bounce_world(a, 3, kCells);
-  const LptPartitioner lpt;
-  a.ss.set_partitioner(&lpt);
   a.ss.set_measured_weights(flat);
   (void)a.ss.run(1_ms, 4);
   EXPECT_EQ(a.ss.partition_map(),
