@@ -165,7 +165,9 @@ void BM_FlowCacheHotPath(benchmark::State& state) {
     frames[i].payload.resize(64 + std::size_t(rng.uniform_int(0, 1400)));
   }
   for (auto _ : state) {
-    flowmon::FlowCache cache(2 * num_flows);
+    flowmon::FlowCacheConfig cfg;
+    cfg.capacity = 2 * num_flows;
+    flowmon::FlowCache cache{cfg};
     sim::SimTime now = sim::SimTime::zero();
     std::size_t fi = 0;
     for (std::size_t i = 0; i < kFrames; ++i) {

@@ -255,10 +255,10 @@ int main(int argc, char** argv) {
   std::cout << "top flows by bytes:\n"
             << flowmon::flows_table(result.flows, 15);
 
-  std::uint64_t meter_exports = 0, cell_received = 0, cell_lost = 0,
+  std::uint64_t meter_records = 0, cell_received = 0, cell_lost = 0,
                 reexported = 0;
   for (const flowmon::TierRow& row : fed.cells) {
-    meter_exports += row.offered;
+    meter_records += row.offered;
     cell_received += row.received;
     cell_lost += row.lost;
     reexported += row.reexported;
@@ -266,7 +266,7 @@ int main(int argc, char** argv) {
   std::cout << "\n=== collector federation: cell meters -> cell collectors "
                "-> plant (RFC 7011 on the wire) ===\n\n"
             << flowmon::federation_table(fed);
-  std::cout << "\nconservation: meter exports (" << meter_exports
+  std::cout << "\nconservation: meter exports (" << meter_records
             << ") == cell received (" << cell_received << ") + cell lost ("
             << cell_lost << ")  ["
             << (fed.cell_conservation_ok ? "OK" : "VIOLATED") << "]\n"

@@ -8,8 +8,23 @@
 
 namespace steelnet::flowmon {
 
-CollectorNode::CollectorNode(net::MacAddress mac, PeriodicityConfig cfg)
-    : mac_(mac), cfg_(cfg) {}
+namespace {
+
+// Cadence-based deterministic-microflow detection: a flow is periodic
+// when its best-sampled record has at least kPeriodicMinPackets packets
+// and jitter <= max(kJitterFraction * mean_iat, kJitterFloor).
+constexpr std::uint64_t kPeriodicMinPackets = 8;
+constexpr double kJitterFraction = 0.1;
+constexpr sim::SimTime kJitterFloor = sim::microseconds(5);
+
+// The mediator's exporting process: its domain when the rules set none,
+// and its template re-advertisement period.
+constexpr std::uint32_t kReExportDomain = 100;
+constexpr std::uint32_t kReExportTemplateRefresh = 16;
+
+}  // namespace
+
+CollectorNode::CollectorNode(net::MacAddress mac) : mac_(mac) {}
 
 void CollectorNode::account_sequence(std::uint64_t session,
                                      std::uint32_t domain,
@@ -95,8 +110,8 @@ void CollectorNode::absorb(const ExportRecord& r) {
     a.jitter = r.jitter;
   }
 
-  if (reexport_enabled_) {
-    if (compiled_.keep(r)) {
+  if (reexporter_) {
+    if (reexporter_->transform().keep(r)) {
       pending_.push_back(r);
     } else {
       ++counters_.transform_dropped;
@@ -123,49 +138,23 @@ void CollectorNode::absorb(const ExportRecord& r) {
 }
 
 void CollectorNode::enable_reexport(net::HostNode& uplink, ReExportConfig cfg) {
-  uplink_ = &uplink;
-  recfg_ = std::move(cfg);
-  compiled_ = CompiledTransform{recfg_.rules, flow_template()};
-  reexport_enabled_ = true;
+  reexporter_.emplace(uplink, cfg.upstream_mac, kReExportDomain,
+                      kReExportTemplateRefresh,
+                      CompiledTransform{cfg.rules, flow_template()});
   if (attached()) {
     sim::Simulator& sim = network().sim();
     reexport_task_ = std::make_unique<sim::PeriodicTask>(
-        sim, sim.now() + recfg_.interval, recfg_.interval,
+        sim, sim.now() + cfg.interval, cfg.interval,
         [this] { flush_reexport(); });
   }
 }
 
 void CollectorNode::flush_reexport() {
-  if (!reexport_enabled_ || pending_.empty()) return;
+  if (!reexporter_ || pending_.empty()) return;
   const sim::SimTime now =
       attached() ? network().sim().now() : sim::SimTime{};
-  for (std::size_t off = 0; off < pending_.size();
-       off += recfg_.max_records_per_frame) {
-    const std::size_t n =
-        std::min(recfg_.max_records_per_frame, pending_.size() - off);
-    const std::vector<ExportRecord> chunk(pending_.begin() + off,
-                                          pending_.begin() + off + n);
-    const bool with_template = frames_since_template_ == 0;
-    if (++frames_since_template_ >= recfg_.template_refresh_frames) {
-      frames_since_template_ = 0;
-    }
-
-    MessageHeader header;
-    header.observation_domain =
-        compiled_.domain_or(recfg_.observation_domain);
-    header.sequence = reexport_sequence_;
-    header.export_time = now;
-    reexport_sequence_ += static_cast<std::uint32_t>(n);
-
-    net::Frame frame;
-    frame.dst = recfg_.upstream_mac;
-    frame.ethertype = net::EtherType::kFlowmonExport;
-    frame.pcp = recfg_.pcp;
-    frame.payload = encode_transformed(header, compiled_, with_template, chunk);
-    uplink_->send(std::move(frame));
-    ++counters_.reexport_frames;
-    counters_.reexported_records += n;
-  }
+  counters_.reexport_frames += reexporter_->send(pending_, now);
+  counters_.reexported_records += pending_.size();
   pending_.clear();
 }
 
@@ -185,10 +174,9 @@ FlowView CollectorNode::view_of(const FlowKey& key,
   v.incarnations = a.incarnations + (a.has_live ? 1 : 0);
   v.open_ended = !a.ended;
   const sim::SimTime tolerance{std::max<std::int64_t>(
-      static_cast<std::int64_t>(cfg_.jitter_fraction *
-                                double(a.mean_iat.nanos())),
-      cfg_.jitter_floor.nanos())};
-  v.periodic = a.cadence_packets >= cfg_.min_packets &&
+      static_cast<std::int64_t>(kJitterFraction * double(a.mean_iat.nanos())),
+      kJitterFloor.nanos())};
+  v.periodic = a.cadence_packets >= kPeriodicMinPackets &&
                a.mean_iat > sim::SimTime::zero() && a.jitter <= tolerance;
   return v;
 }

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/traffic_mix.hpp"
@@ -37,14 +38,6 @@ class ObsHub;
 }
 
 namespace steelnet::flowmon {
-
-/// Cadence-based deterministic-microflow detection knobs.
-struct PeriodicityConfig {
-  std::uint64_t min_packets = 8;
-  /// jitter <= max(jitter_fraction * mean_iat, jitter_floor) => periodic.
-  double jitter_fraction = 0.1;
-  sim::SimTime jitter_floor = sim::microseconds(5);
-};
 
 struct CollectorCounters {
   std::uint64_t frames_in = 0;
@@ -71,12 +64,9 @@ struct CollectorCounters {
 /// Mediation settings for the upstream hop of a federated collector.
 struct ReExportConfig {
   net::MacAddress upstream_mac;
-  /// Our exporting-process domain (rules.rewrite_domain overrides).
-  std::uint32_t observation_domain = 100;
   sim::SimTime interval = sim::milliseconds(100);
-  std::size_t max_records_per_frame = 16;
-  std::uint32_t template_refresh_frames = 16;
-  std::uint8_t pcp = 0;
+  /// rules.rewrite_domain sets the re-export observation domain (100
+  /// when left at 0).
   TransformRules rules;
 };
 
@@ -106,7 +96,7 @@ struct FlowView {
 
 class CollectorNode : public net::Node {
  public:
-  explicit CollectorNode(net::MacAddress mac, PeriodicityConfig cfg = {});
+  explicit CollectorNode(net::MacAddress mac);
 
   void handle_frame(net::Frame frame, net::PortId in_port) override;
 
@@ -180,7 +170,6 @@ class CollectorNode : public net::Node {
                                  const FlowAccum& a) const;
 
   net::MacAddress mac_;
-  PeriodicityConfig cfg_;
   TemplateStore templates_;
   std::map<FlowKey, FlowAccum> flows_;
   /// Expected next sequence per (exporter session, observation domain).
@@ -191,13 +180,8 @@ class CollectorNode : public net::Node {
   mutable sim::Histogram* lag_hist_ = nullptr;  ///< registry-owned
 
   // Mediator state (enable_reexport).
-  bool reexport_enabled_ = false;
-  net::HostNode* uplink_ = nullptr;
-  ReExportConfig recfg_;
-  CompiledTransform compiled_;
+  std::optional<Exporter> reexporter_;
   std::vector<ExportRecord> pending_;
-  std::uint32_t reexport_sequence_ = 0;
-  std::uint32_t frames_since_template_ = 0;
   std::unique_ptr<sim::PeriodicTask> reexport_task_;
 };
 

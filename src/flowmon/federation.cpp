@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "flowmon/flow_sender.hpp"
 #include "net/network.hpp"
 #include "net/switch_node.hpp"
 #include "obs/hub.hpp"
@@ -23,65 +24,6 @@ constexpr std::uint64_t kUplinkBase = 0x1f'0000'000001ULL;
 constexpr std::uint64_t kFlowDstBase = 0x2c'0000'000001ULL;
 constexpr std::uint64_t kPlantColMac = 0x20'0000'000001ULL;
 constexpr std::uint64_t kCellStride = 0x100;
-
-/// A self-scheduling traffic source: periodic (vPLC cadence) or bounded
-/// with randomized gaps (bursty) -- the FlowSender idiom from
-/// mix_scenario, trimmed to what the federation needs.
-class CellFlow {
- public:
-  struct Plan {
-    net::MacAddress dst;
-    net::EtherType ethertype = net::EtherType::kIpv4;
-    std::uint8_t pcp = 0;
-    std::size_t payload_bytes = 256;
-    std::uint64_t total_frames = 0;  ///< 0 = unbounded (periodic flows)
-    sim::SimTime start;
-    bool periodic = false;
-    sim::SimTime cycle;
-    sim::SimTime gap_lo, gap_hi;
-  };
-
-  CellFlow(sim::Simulator& sim, net::HostNode& host, Plan plan, sim::Rng rng,
-           sim::SimTime window_end, std::uint64_t& frames_sent)
-      : sim_(sim),
-        host_(host),
-        plan_(plan),
-        rng_(std::move(rng)),
-        window_end_(window_end),
-        frames_sent_(frames_sent) {
-    sim_.schedule_at(plan_.start, [this] { fire(); });
-  }
-
- private:
-  void fire() {
-    net::Frame frame = host_.network().frame_pool().make(plan_.payload_bytes);
-    frame.dst = plan_.dst;
-    frame.ethertype = plan_.ethertype;
-    frame.pcp = plan_.pcp;
-    frame.seq = sent_;
-    host_.send(std::move(frame));
-    ++frames_sent_;
-    ++sent_;
-
-    if (plan_.total_frames != 0 && sent_ >= plan_.total_frames) return;
-    const sim::SimTime gap =
-        plan_.periodic
-            ? plan_.cycle
-            : sim::SimTime{static_cast<std::int64_t>(rng_.uniform(
-                  double(plan_.gap_lo.nanos()), double(plan_.gap_hi.nanos())))};
-    const sim::SimTime next = sim_.now() + gap;
-    if (next > window_end_) return;
-    sim_.schedule_at(next, [this] { fire(); });
-  }
-
-  sim::Simulator& sim_;
-  net::HostNode& host_;
-  Plan plan_;
-  sim::Rng rng_;
-  sim::SimTime window_end_;
-  std::uint64_t& frames_sent_;
-  std::uint64_t sent_ = 0;
-};
 
 TierRow row_of(std::string tier, const CollectorNode& col) {
   TierRow row;
@@ -134,7 +76,7 @@ FederationResult run_federation(const FederationSpec& spec) {
   std::uint64_t next_dst = 0;
   FederationResult result;
   sim::Rng root{spec.seed};
-  std::vector<std::unique_ptr<CellFlow>> flows;
+  std::vector<std::unique_ptr<FlowSender>> flows;
 
   for (std::size_t c = 0; c < spec.cells; ++c) {
     Cell& cell = cells[c];
@@ -201,22 +143,23 @@ FederationResult run_federation(const FederationSpec& spec) {
     // --- offered workload for this cell --------------------------------
     const double window_s = spec.observation.seconds();
     sim::Rng cell_rng = root.derive(label);
-    auto add_flow = [&](net::HostNode& host, CellFlow::Plan plan,
+    auto add_flow = [&](net::HostNode& host, FlowSender::Plan plan,
                         sim::Rng rng) {
       plan.dst = net::MacAddress{kFlowDstBase + next_dst++};
       cell.sw->add_fdb_entry(plan.dst, sink_port);
-      flows.push_back(std::make_unique<CellFlow>(sim, host, plan,
-                                                 std::move(rng),
-                                                 spec.observation,
-                                                 result.frames_sent));
+      flows.push_back(std::make_unique<FlowSender>(sim, host, plan,
+                                                   std::move(rng),
+                                                   spec.observation,
+                                                   result.frames_sent));
     };
     sim::Rng bursty_rng = cell_rng.derive("bursty");
     for (std::size_t h = 0; h < spec.hosts_per_cell; ++h) {
       for (std::size_t f = 0; f < spec.bursty_per_host; ++f) {
-        CellFlow::Plan p;
+        FlowSender::Plan p;
         p.payload_bytes = 600;
-        p.total_frames =
-            static_cast<std::uint64_t>(bursty_rng.uniform(4, 40));
+        p.total_bytes =
+            static_cast<std::uint64_t>(bursty_rng.uniform(4, 40)) *
+            p.payload_bytes;
         p.start = sim::SimTime{static_cast<std::int64_t>(
             bursty_rng.uniform(0, 0.4 * window_s * 1e9))};
         p.gap_lo = sim::microseconds(50);
@@ -226,7 +169,7 @@ FederationResult run_federation(const FederationSpec& spec) {
     }
     sim::Rng vplc_rng = cell_rng.derive("vplc");
     for (std::size_t f = 0; f < spec.vplc_per_cell; ++f) {
-      CellFlow::Plan p;
+      FlowSender::Plan p;
       p.ethertype = net::EtherType::kProfinetRt;
       p.pcp = 6;
       p.periodic = true;
@@ -252,7 +195,7 @@ FederationResult run_federation(const FederationSpec& spec) {
   sim.run_until(spec.observation + sim::milliseconds(40));
 
   // --- per-tier rows + conservation -------------------------------------
-  std::uint64_t meter_exports_total = 0;
+  std::uint64_t meter_records_total = 0;
   std::uint64_t cell_received_total = 0;
   std::uint64_t cell_lost_total = 0;
   std::uint64_t reexported_total = 0;
@@ -260,7 +203,7 @@ FederationResult run_federation(const FederationSpec& spec) {
     Cell& cell = cells[c];
     TierRow row = row_of("cell" + std::to_string(c), *cell.col);
     row.offered = cell.meter->stats().records_exported;
-    meter_exports_total += row.offered;
+    meter_records_total += row.offered;
     cell_received_total += row.received;
     cell_lost_total += row.lost;
     reexported_total += row.reexported;
@@ -270,7 +213,7 @@ FederationResult run_federation(const FederationSpec& spec) {
   result.plant = row_of("plant", plant_col);
   result.plant.offered = reexported_total;
   result.cell_conservation_ok =
-      meter_exports_total == cell_received_total + cell_lost_total;
+      meter_records_total == cell_received_total + cell_lost_total;
   result.plant_conservation_ok =
       reexported_total == result.plant.received + result.plant.lost;
   result.plant_fingerprint = plant_col.fingerprint();

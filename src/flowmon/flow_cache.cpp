@@ -14,14 +14,6 @@ std::size_t round_up_pow2(std::size_t n) {
 
 }  // namespace
 
-FlowCache::FlowCache(std::size_t capacity)
-    : FlowCache([capacity] {
-        FlowCacheConfig cfg;
-        cfg.capacity = capacity;
-        cfg.engine = ExpiryEngine::kScan;  // legacy behaviour: no timers
-        return cfg;
-      }()) {}
-
 FlowCache::FlowCache(const FlowCacheConfig& cfg)
     : cfg_(cfg),
       slots_(round_up_pow2(cfg.capacity)),
@@ -134,7 +126,7 @@ bool FlowCache::erase(const FlowKey& key) {
   return true;
 }
 
-void FlowCache::emit_candidates(sim::SimTime now, const ExportFn& fn) {
+void FlowCache::sort_candidates() {
   // Canonical export order: (first_seen, FlowKey) -- independent of slot
   // layout and of which engine nominated the candidates, so wheel and
   // scan produce byte-identical export streams.
@@ -147,6 +139,10 @@ void FlowCache::emit_candidates(sim::SimTime now, const ExportFn& fn) {
               }
               return ra.key < rb.key;
             });
+}
+
+void FlowCache::emit_candidates(sim::SimTime now, const ExportFn& fn) {
+  sort_candidates();
   evict_.clear();
   for (const auto& [idx, reason] : candidates_) {
     Slot& slot = slots_[idx];
@@ -216,15 +212,7 @@ std::size_t FlowCache::flush(const ExportFn& fn) {
   }
   // Emit in canonical order, then drop everything wholesale (no
   // per-record compaction needed when the table empties).
-  std::sort(candidates_.begin(), candidates_.end(),
-            [this](const auto& a, const auto& b) {
-              const FlowRecord& ra = slots_[a.first].record;
-              const FlowRecord& rb = slots_[b.first].record;
-              if (!(ra.first_seen == rb.first_seen)) {
-                return ra.first_seen < rb.first_seen;
-              }
-              return ra.key < rb.key;
-            });
+  sort_candidates();
   for (const auto& [idx, reason] : candidates_) {
     fn(slots_[idx].record, reason);
     slots_[idx].used = false;

@@ -4,19 +4,20 @@
 // after the find-or-create flow caches of software IPFIX meters
 // (ipfix-wrt/Vermont lineage): the per-packet hot path is one hash, a
 // short probe run, and a handful of counter updates. Expiry (active /
-// idle timeout) runs through sweep(), driven by one of two engines:
-//
-//   kScan  -- the legacy full-table walk, O(capacity) per sweep;
-//   kWheel -- a hierarchical timing wheel (sim::TimerWheel) holding one
-//             deadline per flow, O(1) amortized per expiry, so a plant
-//             tier can hold millions of live flows without scans.
+// idle timeout) runs through sweep(), driven by a hierarchical timing
+// wheel (sim::TimerWheel) holding one deadline per flow, O(1) amortized
+// per expiry, so a plant tier can hold millions of live flows without
+// scans. MeterPoint always runs the wheel; FlowCacheConfig::engine can
+// still select kScan, the full-table walk (O(capacity) per sweep) the
+// wheel replaced, kept as the reference for tab_flowmon's scan-vs-wheel
+// curve and the engine-equivalence tests.
 //
 // Both engines yield *identical* export streams at the same sweep times:
 // expired candidates are emitted in the canonical (first_seen, FlowKey)
 // order, and wheel timers fire on the rounded-down tick -- never late --
 // with the true deadline lazily re-checked and re-armed. The wheel's
 // equivalence guarantee needs consecutive sweeps at least one wheel tick
-// apart (MeterPoint clamps the tick to its export interval).
+// apart (MeterPoint sets the tick to its export interval).
 #pragma once
 
 #include <cstdint>
@@ -100,7 +101,7 @@ struct FlowCacheConfig {
   sim::SimTime active_timeout = sim::seconds(1);
   ExpiryEngine engine = ExpiryEngine::kWheel;
   /// Wheel granularity; sweeps closer together than this fall back to the
-  /// next tick, so keep it <= the sweep cadence (MeterPoint enforces).
+  /// next tick, so keep it <= the sweep cadence.
   sim::SimTime wheel_tick = sim::milliseconds(100);
 };
 
@@ -111,8 +112,6 @@ struct FlowCacheConfig {
 /// churn; wheel timers ride along via cookie rebinding.
 class FlowCache {
  public:
-  /// Legacy knob-free form: scan engine, default timeouts.
-  explicit FlowCache(std::size_t capacity = 4096);
   explicit FlowCache(const FlowCacheConfig& cfg);
 
   /// Hot path: account one frame to its flow, creating the record if the
@@ -177,6 +176,7 @@ class FlowCache {
   [[nodiscard]] std::size_t probe(const FlowKey& key) const;
   /// Earliest of the record's idle and active deadlines.
   [[nodiscard]] sim::SimTime deadline_of(const FlowRecord& r) const;
+  void sort_candidates();
   void emit_candidates(sim::SimTime now, const ExportFn& fn);
 
   FlowCacheConfig cfg_;

@@ -42,6 +42,16 @@ constexpr std::uint16_t kTemplateSetId = 2;
 constexpr std::uint16_t kMinDataSetId = 256;
 constexpr std::int64_t kNsPerSecond = 1'000'000'000;
 
+/// ns time fields are unsigned64 on the wire; past INT64_MAX they have
+/// no SimTime.
+bool set_ns(sim::SimTime& t, std::uint64_t v) {
+  if (v > static_cast<std::uint64_t>(sim::SimTime::max().nanos())) {
+    return false;
+  }
+  t = sim::SimTime{static_cast<std::int64_t>(v)};
+  return true;
+}
+
 /// Pads `buf` with zero octets to the next 4-byte set boundary measured
 /// from `set_start` (RFC 7011 §3.3.1 set padding).
 void pad_set(std::vector<std::uint8_t>& buf, std::size_t set_start) {
@@ -77,7 +87,7 @@ std::uint64_t field_value(const ExportRecord& r, FieldId id) {
   return 0;
 }
 
-void assign_field(ExportRecord& r, FieldId id, std::uint64_t v) {
+bool assign_field(ExportRecord& r, FieldId id, std::uint64_t v) {
   switch (id) {
     case FieldId::kOctets: r.bytes = v; break;
     case FieldId::kPackets: r.packets = v; break;
@@ -86,12 +96,8 @@ void assign_field(ExportRecord& r, FieldId id, std::uint64_t v) {
     case FieldId::kEndReason:
       r.end_reason = static_cast<EndReason>(v);
       break;
-    case FieldId::kFirstSeenNs:
-      r.first_seen = sim::SimTime{static_cast<std::int64_t>(v)};
-      break;
-    case FieldId::kLastSeenNs:
-      r.last_seen = sim::SimTime{static_cast<std::int64_t>(v)};
-      break;
+    case FieldId::kFirstSeenNs: return set_ns(r.first_seen, v);
+    case FieldId::kLastSeenNs: return set_ns(r.last_seen, v);
     case FieldId::kVlanPcp:
       r.key.pcp = static_cast<std::uint8_t>(v);
       break;
@@ -99,17 +105,12 @@ void assign_field(ExportRecord& r, FieldId id, std::uint64_t v) {
       r.key.ethertype = static_cast<net::EtherType>(v);
       break;
     case FieldId::kLayer2Octets: r.wire_bytes = v; break;
-    case FieldId::kMinIatNs:
-      r.min_iat = sim::SimTime{static_cast<std::int64_t>(v)};
-      break;
-    case FieldId::kMeanIatNs:
-      r.mean_iat = sim::SimTime{static_cast<std::int64_t>(v)};
-      break;
-    case FieldId::kJitterNs:
-      r.jitter = sim::SimTime{static_cast<std::int64_t>(v)};
-      break;
+    case FieldId::kMinIatNs: return set_ns(r.min_iat, v);
+    case FieldId::kMeanIatNs: return set_ns(r.mean_iat, v);
+    case FieldId::kJitterNs: return set_ns(r.jitter, v);
     case FieldId::kForeignField: break;  // foreign PEN: value dropped
   }
+  return true;
 }
 
 std::size_t Template::record_bytes() const {
@@ -303,7 +304,7 @@ std::optional<DecodedMessage> decode_message(
         ExportRecord r;
         for (const auto& f : tmpl->fields) {
           if (!read_be(payload, at, f.width, v)) return std::nullopt;
-          assign_field(r, f.id, v);
+          if (!assign_field(r, f.id, v)) return std::nullopt;
         }
         msg.records.push_back(r);
       }

@@ -95,7 +95,9 @@ struct ExportRecord {
 /// truth shared by the encoder and mediation transforms.
 [[nodiscard]] std::uint64_t field_value(const ExportRecord& r, FieldId id);
 /// Inverse of field_value for the decoder; kForeignField binds nothing.
-void assign_field(ExportRecord& r, FieldId id, std::uint64_t v);
+/// Returns false, leaving `r` unchanged, for an ns time above INT64_MAX.
+[[nodiscard]] bool assign_field(ExportRecord& r, FieldId id,
+                                std::uint64_t v);
 
 struct MessageHeader {
   std::uint16_t version = kVersion;
@@ -151,8 +153,9 @@ struct DecodedMessage {
 
 /// Parses a message, learning templates into `store` (under `session`)
 /// and decoding data records through it. Returns nullopt on a malformed
-/// buffer -- truncated set, bad version, zero-field template, or a data
-/// set whose length does not tile into whole records (+ <=3 padding).
+/// buffer -- truncated set, bad version, zero-field template, a data
+/// set whose length does not tile into whole records (+ <=3 padding), or
+/// a nanosecond time field above INT64_MAX.
 [[nodiscard]] std::optional<DecodedMessage> decode_message(
     const std::vector<std::uint8_t>& payload, TemplateStore& store,
     std::uint64_t session = 0);

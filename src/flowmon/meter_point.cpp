@@ -1,7 +1,5 @@
 #include "flowmon/meter_point.hpp"
 
-#include <algorithm>
-
 #include "net/network.hpp"
 #include "obs/hub.hpp"
 
@@ -11,11 +9,10 @@ namespace {
 
 FlowCacheConfig cache_config(const MeterConfig& cfg) {
   FlowCacheConfig c;
-  c.capacity = cfg.cache_capacity;
   c.idle_timeout = cfg.idle_timeout;
   c.active_timeout = cfg.active_timeout;
-  c.engine = cfg.expiry_engine;
-  c.wheel_tick = std::min(cfg.wheel_tick, cfg.export_interval);
+  // Sweeps run exactly one tick apart: the wheel's equivalence condition.
+  c.wheel_tick = cfg.export_interval;
   return c;
 }
 
@@ -24,9 +21,11 @@ FlowCacheConfig cache_config(const MeterConfig& cfg) {
 MeterPoint::MeterPoint(net::Node& observed, net::HostNode& export_nic,
                        MeterConfig cfg)
     : observed_(observed),
-      export_nic_(export_nic),
       cfg_(cfg),
-      cache_(cache_config(cfg)) {
+      cache_(cache_config(cfg)),
+      exporter_(export_nic, cfg.collector_mac, cfg.observation_domain,
+                cfg.template_refresh_frames,
+                CompiledTransform{TransformRules{}, flow_template()}) {
   observed_.add_frame_observer(this);
   sim::Simulator& sim = observed_.network().sim();
   sweeper_ = std::make_unique<sim::PeriodicTask>(
@@ -38,8 +37,8 @@ MeterPoint::~MeterPoint() { observed_.remove_frame_observer(this); }
 
 void MeterPoint::on_frame(const net::Frame& frame, net::PortId in_port) {
   (void)in_port;
-  if (!cfg_.meter_exports &&
-      frame.ethertype == net::EtherType::kFlowmonExport) {
+  // Telemetry is not part of the measured mix.
+  if (frame.ethertype == net::EtherType::kFlowmonExport) {
     ++stats_.frames_ignored;
     return;
   }
@@ -58,7 +57,7 @@ void MeterPoint::sweep() {
       ++stats_.active_checkpoints;
     }
   });
-  if (!out.empty()) export_records(std::move(out));
+  if (!out.empty()) export_records(out);
 }
 
 void MeterPoint::flush() {
@@ -67,38 +66,13 @@ void MeterPoint::flush() {
     out.push_back(to_export_record(r, reason));
     ++stats_.flushed;
   });
-  if (!out.empty()) export_records(std::move(out));
+  if (!out.empty()) export_records(out);
 }
 
-void MeterPoint::export_records(std::vector<ExportRecord> records) {
-  const sim::SimTime now = observed_.network().sim().now();
-  for (std::size_t off = 0; off < records.size();
-       off += cfg_.max_records_per_frame) {
-    const std::size_t n =
-        std::min(cfg_.max_records_per_frame, records.size() - off);
-    const std::vector<ExportRecord> chunk(records.begin() + off,
-                                          records.begin() + off + n);
-    const bool with_template = frames_since_template_ == 0;
-    if (++frames_since_template_ >= cfg_.template_refresh_frames) {
-      frames_since_template_ = 0;
-    }
-
-    MessageHeader header;
-    header.observation_domain = cfg_.observation_domain;
-    header.sequence = sequence_;
-    header.export_time = now;
-    sequence_ += static_cast<std::uint32_t>(n);
-
-    net::Frame frame;
-    frame.dst = cfg_.collector_mac;
-    frame.ethertype = net::EtherType::kFlowmonExport;
-    frame.pcp = cfg_.export_pcp;
-    frame.payload =
-        encode_message(header, flow_template(), with_template, chunk);
-    export_nic_.send(std::move(frame));
-    ++stats_.export_frames;
-    stats_.records_exported += n;
-  }
+void MeterPoint::export_records(const std::vector<ExportRecord>& records) {
+  stats_.export_frames +=
+      exporter_.send(records, observed_.network().sim().now());
+  stats_.records_exported += records.size();
 }
 
 std::optional<sim::SimTime> MeterPoint::last_seen(const FlowKey& key) const {

@@ -22,42 +22,30 @@
 #include <optional>
 
 #include "flowmon/flow_cache.hpp"
-#include "flowmon/ipfix.hpp"
+#include "flowmon/transform.hpp"
 #include "net/host_node.hpp"
 #include "sim/simulator.hpp"
 
 namespace steelnet::flowmon {
 
 struct MeterConfig {
-  std::size_t cache_capacity = 4096;
   /// Silence after which a flow is considered over and evicted.
   sim::SimTime idle_timeout = sim::milliseconds(500);
   /// Checkpoint interval for still-running flows.
   sim::SimTime active_timeout = sim::seconds(1);
-  /// Sweep cadence (also bounds export latency).
+  /// Sweep cadence (also bounds export latency and sets the cache's
+  /// timer-wheel tick).
   sim::SimTime export_interval = sim::milliseconds(100);
   /// Destination of export frames.
   net::MacAddress collector_mac;
   std::uint32_t observation_domain = 1;
-  std::uint8_t export_pcp = 0;
-  /// Records per export frame; 16 x 80 B records fit a 1.4 kB payload.
-  std::size_t max_records_per_frame = 16;
   /// Resend the template every N export frames (IPFIX re-advertisement).
   std::uint32_t template_refresh_frames = 16;
-  /// Meter the telemetry itself? Off by default so export traffic does
-  /// not show up in the measured mix.
-  bool meter_exports = false;
-  /// Expiry engine for the cache (wheel by default; scan is the legacy
-  /// full-table walk kept for A/B benchmarking).
-  ExpiryEngine expiry_engine = ExpiryEngine::kWheel;
-  /// Wheel granularity; clamped to export_interval so the byte-identical
-  /// wheel-vs-scan guarantee holds (see FlowCache).
-  sim::SimTime wheel_tick = sim::milliseconds(100);
 };
 
 struct MeterStats {
   std::uint64_t frames_seen = 0;
-  std::uint64_t frames_ignored = 0;  ///< export frames, when meter_exports off
+  std::uint64_t frames_ignored = 0;  ///< export frames (never metered)
   std::uint64_t records_exported = 0;
   std::uint64_t export_frames = 0;
   std::uint64_t idle_expired = 0;
@@ -103,15 +91,13 @@ class MeterPoint : public net::FrameObserver {
 
  private:
   void sweep();
-  void export_records(std::vector<ExportRecord> records);
+  void export_records(const std::vector<ExportRecord>& records);
 
   net::Node& observed_;
-  net::HostNode& export_nic_;
   MeterConfig cfg_;
   FlowCache cache_;
+  Exporter exporter_;
   std::unique_ptr<sim::PeriodicTask> sweeper_;
-  std::uint32_t sequence_ = 0;
-  std::uint32_t frames_since_template_ = 0;
   MeterStats stats_;
 };
 

@@ -1,6 +1,7 @@
 #include "flowmon/transform.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace steelnet::flowmon {
 
@@ -52,6 +53,46 @@ std::vector<std::uint8_t> encode_transformed(
       [&](std::size_t r, std::size_t f) {
         return t.value_of(records[r], f);
       });
+}
+
+Exporter::Exporter(net::HostNode& nic, net::MacAddress dst,
+                   std::uint32_t domain, std::uint32_t template_refresh,
+                   CompiledTransform transform)
+    : nic_(&nic),
+      dst_(dst),
+      domain_(transform.domain_or(domain)),
+      template_refresh_(template_refresh),
+      transform_(std::move(transform)) {}
+
+std::size_t Exporter::send(const std::vector<ExportRecord>& records,
+                           sim::SimTime now) {
+  std::size_t frames = 0;
+  for (std::size_t off = 0; off < records.size();
+       off += kRecordsPerMessage) {
+    const std::size_t n =
+        std::min(kRecordsPerMessage, records.size() - off);
+    const std::vector<ExportRecord> chunk(records.begin() + off,
+                                          records.begin() + off + n);
+    const bool with_template = frames_since_template_ == 0;
+    if (++frames_since_template_ >= template_refresh_) {
+      frames_since_template_ = 0;
+    }
+
+    MessageHeader header;
+    header.observation_domain = domain_;
+    header.sequence = sequence_;
+    header.export_time = now;
+    sequence_ += static_cast<std::uint32_t>(n);
+
+    net::Frame frame;
+    frame.dst = dst_;
+    frame.ethertype = net::EtherType::kFlowmonExport;
+    frame.payload =
+        encode_transformed(header, transform_, with_template, chunk);
+    nic_->send(std::move(frame));
+    ++frames;
+  }
+  return frames;
 }
 
 }  // namespace steelnet::flowmon

@@ -8,12 +8,16 @@
 // binds the rules to a concrete input template once, yielding the output
 // wire template plus a per-field source map, so applying the transform
 // per record is branch-free arithmetic.
+//
+// Exporter is the RFC 7011 exporting process that meters (identity
+// rules) and mediating collectors (their compiled rules) share.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "flowmon/ipfix.hpp"
+#include "net/host_node.hpp"
 
 namespace steelnet::flowmon {
 
@@ -83,5 +87,40 @@ class CompiledTransform {
 [[nodiscard]] std::vector<std::uint8_t> encode_transformed(
     const MessageHeader& header, const CompiledTransform& t,
     bool include_template, const std::vector<ExportRecord>& records);
+
+/// The exporting process: splits records into messages of at most
+/// kRecordsPerMessage, re-advertises the template every
+/// `template_refresh` messages, stamps the RFC 7011 sequence number of
+/// its (exporter, domain) stream and sends each message as one frame
+/// from `nic` to `dst`. Identity rules (TransformRules{}) encode exactly
+/// what encode_message would.
+class Exporter {
+ public:
+  /// 16 x 80 B flow records fit a 1.4 kB frame payload.
+  static constexpr std::size_t kRecordsPerMessage = 16;
+
+  /// Messages carry `transform.domain_or(domain)`. `nic` is not owned
+  /// and must outlive the exporter.
+  Exporter(net::HostNode& nic, net::MacAddress dst, std::uint32_t domain,
+           std::uint32_t template_refresh, CompiledTransform transform);
+
+  /// Sends `records` stamped with export time `now`; returns the number
+  /// of frames sent.
+  std::size_t send(const std::vector<ExportRecord>& records,
+                   sim::SimTime now);
+
+  [[nodiscard]] const CompiledTransform& transform() const {
+    return transform_;
+  }
+
+ private:
+  net::HostNode* nic_;
+  net::MacAddress dst_;
+  std::uint32_t domain_;
+  std::uint32_t template_refresh_;
+  CompiledTransform transform_;
+  std::uint32_t sequence_ = 0;
+  std::uint32_t frames_since_template_ = 0;
+};
 
 }  // namespace steelnet::flowmon

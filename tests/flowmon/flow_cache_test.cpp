@@ -20,6 +20,12 @@ net::Frame make_frame(std::uint64_t src, std::uint64_t dst,
   return f;
 }
 
+FlowCacheConfig with_capacity(std::size_t capacity) {
+  FlowCacheConfig cfg;
+  cfg.capacity = capacity;
+  return cfg;
+}
+
 TEST(FlowKey, IdentityAndHashStability) {
   const auto f = make_frame(1, 2, 64, 3);
   const FlowKey k = FlowKey::of(f);
@@ -38,7 +44,7 @@ TEST(FlowKey, IdentityAndHashStability) {
 }
 
 TEST(FlowCache, FindOrCreateAccumulates) {
-  FlowCache cache(64);
+  FlowCache cache{with_capacity(64)};
   const auto f = make_frame(1, 2, 150);
   EXPECT_NE(cache.record(f, 1_us), nullptr);
   EXPECT_NE(cache.record(f, 2_us), nullptr);
@@ -55,7 +61,7 @@ TEST(FlowCache, FindOrCreateAccumulates) {
 }
 
 TEST(FlowCache, InterArrivalStatistics) {
-  FlowCache cache(64);
+  FlowCache cache{with_capacity(64)};
   const auto f = make_frame(1, 2);
   // Arrivals at 0, 100, 210, 300 us: IATs 100, 110, 90.
   for (std::int64_t t : {0, 100, 210, 300}) {
@@ -71,7 +77,7 @@ TEST(FlowCache, InterArrivalStatistics) {
 }
 
 TEST(FlowCache, IatUndefinedBelowThreePackets) {
-  FlowCache cache(64);
+  FlowCache cache{with_capacity(64)};
   const auto f = make_frame(1, 2);
   cache.record(f, 1_ms);
   const FlowRecord* r = cache.find(FlowKey::of(f));
@@ -84,7 +90,7 @@ TEST(FlowCache, IatUndefinedBelowThreePackets) {
 }
 
 TEST(FlowCache, CapacityRoundsUpAndCapsLoad) {
-  FlowCache cache(10);  // rounds to 16; load cap 12
+  FlowCache cache{with_capacity(10)};  // rounds to 16; load cap 12
   EXPECT_EQ(cache.capacity(), 16u);
   EXPECT_EQ(cache.load_cap(), 12u);
   for (std::uint64_t i = 0; i < 12; ++i) {
@@ -102,7 +108,7 @@ TEST(FlowCache, EraseKeepsClustersReachable) {
   // Fill a small table to force collision clusters, erase every other
   // flow, and verify backward-shift compaction keeps every survivor
   // findable (the classic open-addressing deletion bug this guards).
-  FlowCache cache(32);  // load cap 24
+  FlowCache cache{with_capacity(32)};  // load cap 24
   std::vector<FlowKey> keys;
   for (std::uint64_t i = 0; i < 24; ++i) {
     const auto f = make_frame(i * 7 + 1, 42);
@@ -133,7 +139,7 @@ TEST(FlowCache, EraseKeepsClustersReachable) {
 }
 
 TEST(FlowCache, ForEachVisitsEveryLiveRecord) {
-  FlowCache cache(64);
+  FlowCache cache{with_capacity(64)};
   for (std::uint64_t i = 1; i <= 10; ++i) {
     cache.record(make_frame(i, 2), 1_us);
   }

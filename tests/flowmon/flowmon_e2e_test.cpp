@@ -3,12 +3,15 @@
 // determinism pin, and the InstaPLC flowmon-backed liveness monitor.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/traffic_mix.hpp"
 #include "flowmon/collector.hpp"
 #include "flowmon/meter_point.hpp"
 #include "flowmon/mix_scenario.hpp"
 #include "flowmon/report.hpp"
 #include "instaplc/instaplc.hpp"
+#include "net/network.hpp"
 #include "net/switch_node.hpp"
 #include "profinet/controller.hpp"
 #include "profinet/io_device.hpp"
@@ -308,6 +311,23 @@ TEST(Collector, WireSentinelMinIatNeverLeaksIntoMergedView) {
   const auto flows = c.flows();
   ASSERT_EQ(flows.size(), 1u);
   EXPECT_EQ(flows[0].min_iat, sim::SimTime::zero());
+}
+
+TEST(Collector, RejectsWireTimesBeyondSimTime) {
+  // lastSeenNs = 2^63 is a valid unsigned64 on the wire but has no
+  // SimTime; an attached collector would compute its export lag as
+  // now - INT64_MIN. The message is malformed and nothing is absorbed.
+  sim::Simulator sim;
+  net::Network net{sim};
+  auto& c = net.add_node<CollectorNode>("col", net::MacAddress{0xC0});
+  sim.run_until(5_ms);
+  auto r = record_with(10, 1000, EndReason::kIdleTimeout);
+  r.last_seen = sim::SimTime{std::numeric_limits<std::int64_t>::min()};
+  c.handle_frame(export_frame(c.mac(), 0, true, {r}), 0);
+  EXPECT_EQ(c.counters().malformed, 1u);
+  EXPECT_EQ(c.counters().records, 0u);
+  EXPECT_TRUE(c.flows().empty());
+  EXPECT_EQ(c.export_lag_us().count(), 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -317,8 +317,8 @@ TEST(Ipfix, ExportRecordSnapshotGuardsUnsampledIat) {
 }
 
 TEST(Ipfix, RecordBytesMatchesTemplate) {
-  // 6+6+2+1+8*8+1 = 80 bytes per record, the budget MeterConfig's
-  // max_records_per_frame is sized against.
+  // 6+6+2+1+8*8+1 = 80 bytes per record, the budget
+  // Exporter::kRecordsPerMessage is sized against.
   EXPECT_EQ(flow_template().record_bytes(), 80u);
 }
 

@@ -40,6 +40,9 @@ TEST(Transform, IdentityRulesPassRecordsVerbatim) {
   h.observation_domain = 42;
   const auto buf = encode_transformed(h, t, /*include_template=*/true,
                                       {sample_record()});
+  // The meter's exporter relies on this: identity rules encode the very
+  // bytes encode_message does.
+  EXPECT_EQ(buf, encode_message(h, flow_template(), true, {sample_record()}));
   TemplateStore store;
   const auto msg = decode_message(buf, store);
   ASSERT_TRUE(msg.has_value());
