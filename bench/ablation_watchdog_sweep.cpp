@@ -7,16 +7,15 @@
 // first. The sweep shows the trade-off.
 #include <iostream>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "bench_args.hpp"
 #include "core/report.hpp"
 #include "core/sweep_runner.hpp"
-#include "host/samplers.hpp"
+#include "faults/instaplc_testbed.hpp"
 #include "host/host_path.hpp"
-#include "instaplc/instaplc.hpp"
-#include "profinet/controller.hpp"
-#include "profinet/io_device.hpp"
+#include "host/samplers.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -40,39 +39,26 @@ struct SweepResult {
 
 SweepResult run_one(std::uint16_t threshold, bool inject_failure,
                     std::uint64_t seed) {
-  sim::Simulator simulator;
-  net::Network network{simulator};
-  auto& sw = network.add_node<sdn::SdnSwitchNode>("sdn");
-  auto& dev_host = network.add_node<net::HostNode>("dev", net::MacAddress{0xD});
-  auto& a_host = network.add_node<net::HostNode>("v1", net::MacAddress{0x1});
-  auto& b_host = network.add_node<net::HostNode>("v2", net::MacAddress{0x2});
-  network.connect(dev_host.id(), 0, sw.id(), 0);
-  network.connect(a_host.id(), 0, sw.id(), 1);
-  network.connect(b_host.id(), 0, sw.id(), 2);
-  auto stalls = stall_prone_host(seed);
-  a_host.set_host_path(stalls.get());
-
-  profinet::IoDevice device(dev_host);
-  instaplc::InstaPlcApp app(sw,
-                            {.device_port = 0, .switchover_cycles = threshold});
-  profinet::ControllerConfig c1;
-  c1.ar_id = 1;
-  c1.device_mac = dev_host.mac();
-  profinet::CyclicController vplc1(a_host, c1);
-  profinet::ControllerConfig c2 = c1;
-  c2.ar_id = 2;
-  profinet::CyclicController vplc2(b_host, c2);
-
-  vplc1.connect();
-  simulator.schedule_at(100_ms, [&] { vplc2.connect(); });
   const auto fail_at = 10_s;
+  faults::FaultScenario scenario;  // no faults: the quiet run
   if (inject_failure) {
-    simulator.schedule_at(fail_at, [&] { vplc1.stop(); });
+    scenario = faults::silent_primary_scenario(seed);
+    scenario.faults[0].at = fail_at;
   }
+  faults::InstaPlcTestbed::Config cfg;
+  cfg.opts.switchover_cycles = threshold;
+  auto stalls = stall_prone_host(seed);
+  sim::Simulator simulator;
+  faults::InstaPlcTestbed testbed{simulator, scenario, std::move(cfg)};
+  testbed.primary_host().set_host_path(stalls.get());
+  // The sweep reads only app and device counters: no frame tracing.
+  testbed.network().set_obs(nullptr);
+  testbed.start();
   simulator.run_until(inject_failure ? fail_at + 2_s : 20_s);
 
   SweepResult r;
-  r.device_trips = device.counters().watchdog_trips;
+  r.device_trips = testbed.device().counters().watchdog_trips;
+  const instaplc::InstaPlcApp& app = testbed.app();
   if (app.switched_over()) {
     if (!inject_failure || *app.stats().switchover_at < fail_at) {
       r.false_switchover = true;

@@ -10,9 +10,7 @@
 
 #include "bench_args.hpp"
 #include "core/report.hpp"
-#include "instaplc/instaplc.hpp"
-#include "profinet/controller.hpp"
-#include "profinet/io_device.hpp"
+#include "faults/instaplc_testbed.hpp"
 #include "sim/simulator.hpp"
 
 int main(int argc, char** argv) {
@@ -22,31 +20,14 @@ int main(int argc, char** argv) {
   const auto args = bench::BenchArgs::parse(argc, argv);
   args.warn_obs_unsupported("fig5_instaplc");  // tab_obs traces this run
 
+  // Timeline: vPLC1 connects at t=0, vPLC2 at t=100 ms, vPLC1 stops at
+  // t=1.5 s (as in Fig. 5), run to 3 s.
+  faults::FaultScenario scenario = faults::silent_primary_scenario(1);
+  scenario.faults[0].at = 1500_ms;
   sim::Simulator simulator;
-  net::Network network{simulator};
-
-  auto& sw = network.add_node<sdn::SdnSwitchNode>("instaplc-switch");
-  auto& dev_host = network.add_node<net::HostNode>("io-device",
-                                                   net::MacAddress{0xD0});
-  auto& v1_host = network.add_node<net::HostNode>("vplc1",
-                                                  net::MacAddress{0x01});
-  auto& v2_host = network.add_node<net::HostNode>("vplc2",
-                                                  net::MacAddress{0x02});
-  network.connect(dev_host.id(), 0, sw.id(), 0);
-  network.connect(v1_host.id(), 0, sw.id(), 1);
-  network.connect(v2_host.id(), 0, sw.id(), 2);
-
-  profinet::IoDevice device(dev_host);
-  instaplc::InstaPlcApp app(sw, {.device_port = 0, .switchover_cycles = 3});
-
-  profinet::ControllerConfig c1;
-  c1.ar_id = 1;
-  c1.device_mac = dev_host.mac();
-  c1.cycle = 2_ms;
-  profinet::CyclicController vplc1(v1_host, c1);
-  profinet::ControllerConfig c2 = c1;
-  c2.ar_id = 2;
-  profinet::CyclicController vplc2(v2_host, c2);
+  faults::InstaPlcTestbed testbed{simulator, scenario, {}};
+  instaplc::InstaPlcApp& app = testbed.app();
+  const profinet::IoDevice& device = testbed.device();
 
   sim::TimeSeriesBinner from_v1(50_ms), from_v2(50_ms), to_io(50_ms);
   app.set_observer([&](instaplc::InstaPlcEvent e, sim::SimTime at) {
@@ -65,11 +46,7 @@ int main(int argc, char** argv) {
     }
   });
 
-  // Timeline: vPLC1 connects at t=0, vPLC2 at t=100 ms, vPLC1 crashes at
-  // t=1.5 s (as in Fig. 5), run to 3 s.
-  vplc1.connect();
-  simulator.schedule_at(100_ms, [&] { vplc2.connect(); });
-  simulator.schedule_at(1500_ms, [&] { vplc1.stop(); });
+  testbed.start();
   simulator.run_until(3_s);
 
   std::cout << "=== Fig. 5a: packets per 50 ms from the vPLCs ===\n\n";

@@ -23,7 +23,7 @@
 #include "core/availability.hpp"
 #include "core/report.hpp"
 #include "core/sweep_runner.hpp"
-#include "instaplc/instaplc.hpp"
+#include "faults/instaplc_testbed.hpp"
 #include "net/switch_node.hpp"
 #include "plc/redundancy.hpp"
 #include "profinet/controller.hpp"
@@ -100,33 +100,14 @@ sim::SimTime measure_hw_pair() {
   return probe.max_gap;
 }
 
+/// The fault matrix's testbed; its primary vPLC stops at 1 s.
 sim::SimTime measure_instaplc() {
   sim::Simulator simulator;
-  net::Network network{simulator};
-  auto& sw = network.add_node<sdn::SdnSwitchNode>("sdn");
-  auto& dev_host = network.add_node<net::HostNode>("dev", net::MacAddress{0xD});
-  auto& a_host = network.add_node<net::HostNode>("v1", net::MacAddress{0x1});
-  auto& b_host = network.add_node<net::HostNode>("v2", net::MacAddress{0x2});
-  network.connect(dev_host.id(), 0, sw.id(), 0);
-  network.connect(a_host.id(), 0, sw.id(), 1);
-  network.connect(b_host.id(), 0, sw.id(), 2);
-  profinet::IoDevice device(dev_host);
-  instaplc::InstaPlcApp app(sw, {.device_port = 0, .switchover_cycles = 3});
-  profinet::ControllerConfig c1;
-  c1.ar_id = 1;
-  c1.device_mac = dev_host.mac();
-  profinet::CyclicController vplc1(a_host, c1);
-  profinet::ControllerConfig c2 = c1;
-  c2.ar_id = 2;
-  profinet::CyclicController vplc2(b_host, c2);
-  GapProbe probe;
-  probe.attach(device, simulator);
-
-  vplc1.connect();
-  simulator.schedule_at(100_ms, [&] { vplc2.connect(); });
-  simulator.schedule_at(1_s, [&] { vplc1.stop(); });
+  faults::InstaPlcTestbed testbed{simulator,
+                                  faults::silent_primary_scenario(1), {}};
+  testbed.start();
   simulator.run_until(5_s);
-  return probe.max_gap;
+  return testbed.collect().max_output_gap;
 }
 
 }  // namespace

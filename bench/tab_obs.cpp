@@ -16,11 +16,9 @@
 
 #include "bench_args.hpp"
 #include "core/report.hpp"
-#include "instaplc/instaplc.hpp"
+#include "faults/instaplc_testbed.hpp"
 #include "obs/exporters.hpp"
 #include "obs/hub.hpp"
-#include "profinet/controller.hpp"
-#include "profinet/io_device.hpp"
 #include "sim/simulator.hpp"
 
 int main(int argc, char** argv) {
@@ -29,50 +27,18 @@ int main(int argc, char** argv) {
 
   const auto args = bench::BenchArgs::parse(argc, argv);
 
+  // Same testbed and timeline as fig5_instaplc; the testbed registers
+  // every module's counters on its hub.
+  faults::FaultScenario scenario = faults::silent_primary_scenario(1);
+  scenario.faults[0].at = 1500_ms;
   sim::Simulator simulator;
-  net::Network network{simulator};
-  obs::ObsHub hub;
-  network.set_obs(&hub);
-
-  // Same topology and timeline as fig5_instaplc, now fully instrumented.
-  auto& sw = network.add_node<sdn::SdnSwitchNode>("instaplc-switch");
-  auto& dev_host = network.add_node<net::HostNode>("io-device",
-                                                   net::MacAddress{0xD0});
-  auto& v1_host = network.add_node<net::HostNode>("vplc1",
-                                                  net::MacAddress{0x01});
-  auto& v2_host = network.add_node<net::HostNode>("vplc2",
-                                                  net::MacAddress{0x02});
-  network.connect(dev_host.id(), 0, sw.id(), 0);
-  network.connect(v1_host.id(), 0, sw.id(), 1);
-  network.connect(v2_host.id(), 0, sw.id(), 2);
-
-  profinet::IoDevice device(dev_host);
-  instaplc::InstaPlcApp app(sw, {.device_port = 0, .switchover_cycles = 3});
-
-  profinet::ControllerConfig c1;
-  c1.ar_id = 1;
-  c1.device_mac = dev_host.mac();
-  c1.cycle = 2_ms;
-  profinet::CyclicController vplc1(v1_host, c1);
-  profinet::ControllerConfig c2 = c1;
-  c2.ar_id = 2;
-  profinet::CyclicController vplc2(v2_host, c2);
-
-  // Every module binds its counters onto the shared registry.
-  network.register_metrics(hub);
-  sw.register_metrics(hub);
-  dev_host.register_metrics(hub);
-  v1_host.register_metrics(hub);
-  v2_host.register_metrics(hub);
-  device.register_metrics(hub);
-  vplc1.register_metrics(hub);
-  vplc2.register_metrics(hub);
-  app.register_metrics(hub, sw.name());
+  faults::InstaPlcTestbed testbed{simulator, scenario, {}};
+  obs::ObsHub& hub = testbed.hub();
+  const instaplc::InstaPlcApp& app = testbed.app();
+  const profinet::IoDevice& device = testbed.device();
   obs::Snapshotter snapshotter(simulator, hub.metrics(), 250_ms);
 
-  vplc1.connect();
-  simulator.schedule_at(100_ms, [&] { vplc2.connect(); });
-  simulator.schedule_at(1500_ms, [&] { vplc1.stop(); });
+  testbed.start();
   simulator.run_until(3_s);
 
   if (args.csv) {
@@ -95,7 +61,7 @@ int main(int argc, char** argv) {
 
   // The frame under the microscope: the first cyclic frame delivered to
   // the I/O device after vPLC2 took over.
-  const auto io_track = hub.track("io-device");
+  const auto io_track = hub.track("dev");
   std::optional<obs::Delivery> pick;
   for (const auto& d : hub.deliveries()) {
     if (d.at == io_track && d.created_at >= switchover) {
@@ -104,12 +70,12 @@ int main(int argc, char** argv) {
     }
   }
   if (!pick) {
-    std::cout << "MISMATCH: no post-switchover delivery to io-device\n";
+    std::cout << "MISMATCH: no post-switchover delivery to dev\n";
     return 1;
   }
 
   std::cout << "frame trace #" << pick->trace_id
-            << ": vplc2 -> io-device, created " << pick->created_at.to_string()
+            << ": v2 -> dev, created " << pick->created_at.to_string()
             << ", delivered " << pick->delivered_at.to_string() << "\n\n";
 
   core::TextTable table({"hop", "where", "start (ns)", "end (ns)",
@@ -139,7 +105,7 @@ int main(int argc, char** argv) {
   core::TextTable mt({"metric", "value"});
   for (const auto& s : hub.metrics().snapshot()) {
     if (s.path.module == "instaplc" || s.path.name == "frames_delivered" ||
-        (s.path.node == "io-device" && s.path.name == "received")) {
+        (s.path.node == "dev" && s.path.name == "received")) {
       mt.add_row({s.path.node + "/" + s.path.module + "/" + s.path.name,
                   core::TextTable::num(s.value, 0)});
     }

@@ -9,7 +9,7 @@
 //     SLO ledger;
 //   * rack-failure storm ladder -- crash 1/2/4/8 hosts of one rack at the
 //     same instant and watch the switchover-latency distribution broaden
-//     against the (watchdog_heartbeats + 1) x heartbeat_period bound as
+//     against the (kWatchdogHeartbeats + 1) x kHeartbeatPeriod bound as
 //     per-node activation queues fill;
 //   * placement ablation -- bin-packing vs latency-aware under identical
 //     fleets: rack-locality, load spread, and what a rack-0 storm costs a

@@ -94,16 +94,6 @@ InstaPlcTestbed::InstaPlcTestbed(sim::Simulator& sim, FaultScenario scenario,
         saw_output_ = true;
         last_valid_output_ = now;
       });
-
-  app_->set_observer([this](instaplc::InstaPlcEvent ev, sim::SimTime at) {
-    if (ev == instaplc::InstaPlcEvent::kPrimaryCyclic) {
-      last_primary_seen_ = at;
-    }
-    if (ev == instaplc::InstaPlcEvent::kSwitchover) {
-      switchover_latency_ =
-          at - app_->stats().primary_last_seen.value_or(last_primary_seen_);
-    }
-  });
 }
 
 void InstaPlcTestbed::start() {
@@ -121,7 +111,7 @@ ScenarioOutcome InstaPlcTestbed::collect() {
   out.switched_over = app_->switched_over();
   out.switchover_at =
       app_->stats().switchover_at.value_or(sim::SimTime::zero());
-  out.switchover_latency = switchover_latency_;
+  out.switchover_latency = app_->stats().switchover_latency;
   out.max_output_gap = max_gap_;
   out.device_watchdog_trips = device_->counters().watchdog_trips;
   out.post_kill_deliveries = post_kill_.violations();

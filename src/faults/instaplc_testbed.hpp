@@ -5,13 +5,18 @@
 // sweep can stand the same testbed up against an external simulator --
 // most importantly the radio floor (net::run_radio_floor), which builds
 // one testbed per sharded cell with a LossyRadioBackend injected on the
-// device link. Construction order, obs registration order and RNG stream
-// derivations are exactly the pre-extraction ScenarioRunner sequence,
-// which is what keeps the wired golden fingerprints byte-identical.
+// device link. The InstaPLC benches (Fig. 5, the hop breakdown, the
+// availability table and the watchdog sweep) stand it up too; a primary
+// failure is a `stop node=v1` fault. Construction order, obs
+// registration order and RNG stream derivations are exactly the
+// pre-extraction ScenarioRunner sequence, which is what keeps the wired
+// golden fingerprints byte-identical.
 //
-// Lifecycle: construct against a simulator, call start() once (connects
-// the primary, schedules the secondary and the fault scenario), drive the
-// simulator (run_until or a sharded cell's execution), then collect().
+// Lifecycle: construct against a simulator, attach whatever the caller
+// measures (an app observer, a host path, a snapshotter), call start()
+// once (connects the primary, schedules the secondary and the fault
+// scenario), drive the simulator (run_until or a sharded cell's
+// execution), then collect().
 #pragma once
 
 #include <cstdint>
@@ -59,6 +64,13 @@ class InstaPlcTestbed {
   [[nodiscard]] FaultPlane& plane() { return *plane_; }
   [[nodiscard]] obs::ObsHub& hub() { return hub_; }
   [[nodiscard]] const RunnerOptions& options() const { return cfg_.opts; }
+  /// The InstaPLC app on "sdn". The testbed sets no observer on it, so a
+  /// caller may install one without changing the outcome.
+  [[nodiscard]] instaplc::InstaPlcApp& app() { return *app_; }
+  /// The I/O device on "dev" (switch port 0).
+  [[nodiscard]] profinet::IoDevice& device() { return *device_; }
+  /// The primary vPLC's host, "v1" (switch port 1).
+  [[nodiscard]] net::HostNode& primary_host() { return *v1_host_; }
   /// Time of the last valid (run-state) device output; zero + !saw_output
   /// when the device never produced one. The radio floor folds the dead
   /// tail (horizon - last output) into its degradation metric.
@@ -108,8 +120,6 @@ class InstaPlcTestbed {
   sim::SimTime last_valid_output_;
   sim::SimTime max_gap_;
   bool saw_output_ = false;
-  sim::SimTime last_primary_seen_;
-  sim::SimTime switchover_latency_;
   bool started_ = false;
 };
 

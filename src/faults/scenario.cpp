@@ -5,6 +5,7 @@
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <utility>
 
 #include "sim/simulator.hpp"
@@ -44,15 +45,19 @@ std::vector<std::string_view> split_ws(std::string_view line) {
   return out;
 }
 
-std::int64_t parse_int(std::string_view text, std::string_view what) {
-  std::int64_t v = 0;
+/// A plain decimal that fits in T: no sign, no trailing bytes, no
+/// overflow.
+template <typename T>
+T parse_uint(std::string_view text, std::string_view what) {
+  std::uint64_t v = 0;
   const auto [ptr, ec] =
       std::from_chars(text.data(), text.data() + text.size(), v);
-  if (ec != std::errc{} || ptr != text.data() + text.size()) {
+  if (ec != std::errc{} || ptr != text.data() + text.size() ||
+      v > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
     fail("scenario: bad " + std::string(what) + " '" + std::string(text) +
          "'");
   }
-  return v;
+  return static_cast<T>(v);
 }
 
 double parse_double(std::string_view text) {
@@ -94,13 +99,21 @@ sim::SimTime parse_duration(std::string_view text) {
     ++digits;
   }
   if (digits == 0) fail("scenario: bad duration '" + std::string(text) + "'");
-  const std::int64_t value = parse_int(text.substr(0, digits), "duration");
+  const auto value =
+      parse_uint<std::int64_t>(text.substr(0, digits), "duration");
   const std::string_view unit = text.substr(digits);
-  if (unit == "ns") return sim::nanoseconds(value);
-  if (unit == "us") return sim::microseconds(value);
-  if (unit == "ms") return sim::milliseconds(value);
-  if (unit == "s") return sim::seconds(value);
-  fail("scenario: bad duration unit '" + std::string(text) + "'");
+  const std::int64_t unit_ns = unit == "ns"   ? 1
+                               : unit == "us" ? 1'000
+                               : unit == "ms" ? 1'000'000
+                               : unit == "s"  ? 1'000'000'000
+                                              : 0;
+  if (unit_ns == 0) {
+    fail("scenario: bad duration unit '" + std::string(text) + "'");
+  }
+  if (value > std::numeric_limits<std::int64_t>::max() / unit_ns) {
+    fail("scenario: duration out of range '" + std::string(text) + "'");
+  }
+  return sim::nanoseconds(value * unit_ns);
 }
 
 std::string format_duration(sim::SimTime t) {
@@ -162,7 +175,7 @@ FaultScenario FaultScenario::parse(std::string_view text) {
     }
     if (head == "seed") {
       if (tokens.size() != 2) fail("scenario: seed takes one token");
-      sc.seed = static_cast<std::uint64_t>(parse_int(tokens[1], "seed"));
+      sc.seed = parse_uint<std::uint64_t>(tokens[1], "seed");
       continue;
     }
     FaultSpec spec;
@@ -189,8 +202,7 @@ FaultScenario FaultScenario::parse(std::string_view text) {
           fail("scenario: link needs node:port, got '" + std::string(v) + "'");
         }
         spec.node = std::string(v.substr(0, colon));
-        spec.port = static_cast<net::PortId>(
-            parse_int(v.substr(colon + 1), "port"));
+        spec.port = parse_uint<net::PortId>(v.substr(colon + 1), "port");
       } else if (k == "node") {
         spec.node = std::string(v);
       } else if (k == "at") {
@@ -202,7 +214,7 @@ FaultScenario FaultScenario::parse(std::string_view text) {
       } else if (k == "delay" || k == "max") {
         spec.delay = parse_duration(v);
       } else if (k == "count") {
-        spec.count = static_cast<std::uint32_t>(parse_int(v, "count"));
+        spec.count = parse_uint<std::uint32_t>(v, "count");
       } else if (k == "period") {
         spec.period = parse_duration(v);
       } else {

@@ -205,6 +205,7 @@ void InstaPlcApp::do_switchover() {
           secondary_->port, secondary_->mac, profinet::offsets::kArId,
           ar_bytes(secondary_->ar_id))});
   stats_.switchover_at = sw_.network().sim().now();
+  stats_.switchover_latency = *stats_.switchover_at - *stats_.primary_last_seen;
   emit(InstaPlcEvent::kSwitchover);
 }
 

@@ -47,6 +47,8 @@ struct InstaPlcStats {
   std::uint64_t from_device = 0;
   std::optional<sim::SimTime> primary_last_seen;
   std::optional<sim::SimTime> switchover_at;
+  /// switchover_at - primary_last_seen at the switchover; zero until then.
+  sim::SimTime switchover_latency;
 };
 
 /// Observable events, timestamped, for the Fig. 5 time series.

@@ -27,10 +27,9 @@ std::optional<Heartbeat> Heartbeat::decode(const net::Frame& f) {
 
 // --- construction / wiring ---------------------------------------------------
 
-FleetManager::FleetManager(sim::Simulator& sim, FleetConfig cfg)
+FleetManager::FleetManager(sim::Simulator& sim, PolicyKind policy)
     : sim_(sim),
-      cfg_(cfg),
-      policy_(make_policy(cfg.policy)),
+      policy_(make_policy(policy)),
       placer_(*policy_),
       trace_("t_ns,vplc,role,node,cause\n") {}
 
@@ -84,7 +83,7 @@ void FleetManager::release(ComputeId node, std::uint32_t mcpu) {
 
 std::uint32_t FleetManager::twin_idle_mcpu(std::uint32_t demand) const {
   const auto idle =
-      static_cast<std::uint32_t>(demand * cfg_.twin_idle_fraction);
+      static_cast<std::uint32_t>(demand * kTwinIdleFraction);
   return std::max(1u, idle);
 }
 
@@ -109,7 +108,7 @@ std::optional<FleetManager::FleetError> FleetManager::place_fleet(
     const auto v = static_cast<VplcId>(vplcs_.size());
     VplcState s;
     s.spec = spec;
-    s.demand_mcpu = cpu_demand_mcpu(spec.cycle, cfg_.mcpu_per_khz);
+    s.demand_mcpu = cpu_demand_mcpu(spec.cycle, kMcpuPerKhz);
 
     PlacementRequest preq;
     preq.vplc = v;
@@ -155,19 +154,19 @@ void FleetManager::start() {
     // Stagger first transmissions across one period so the fleet never
     // synchronizes its heartbeats into a burst.
     const sim::SimTime offset =
-        sim::nanoseconds(cfg_.heartbeat_period.nanos() * i / n);
+        sim::nanoseconds(kHeartbeatPeriod.nanos() * i / n);
     runtime_[i].last_hb_rx = sim_.now();
     start_agent(i, offset);
     arm_deadline(i, sim_.now() + offset +
-                        sim::nanoseconds(cfg_.heartbeat_period.nanos() *
-                                         cfg_.watchdog_heartbeats));
+                        sim::nanoseconds(kHeartbeatPeriod.nanos() *
+                                         kWatchdogHeartbeats));
   }
 }
 
 void FleetManager::start_agent(ComputeId idx, sim::SimTime first) {
   NodeRuntime& rt = runtime_[idx];
   rt.hb_task = std::make_unique<sim::PeriodicTask>(
-      sim_, sim_.now() + first, cfg_.heartbeat_period,
+      sim_, sim_.now() + first, kHeartbeatPeriod,
       [this, idx] { send_heartbeat(idx); });
 }
 
@@ -196,8 +195,8 @@ void FleetManager::on_heartbeat(const Heartbeat& hb, sim::SimTime at) {
   ++counters_.heartbeats_rx;
   rt.last_hb_rx = at;
   arm_deadline(hb.node,
-               at + sim::nanoseconds(cfg_.heartbeat_period.nanos() *
-                                     cfg_.watchdog_heartbeats));
+               at + sim::nanoseconds(kHeartbeatPeriod.nanos() *
+                                     kWatchdogHeartbeats));
 }
 
 void FleetManager::arm_deadline(ComputeId idx, sim::SimTime at) {
@@ -337,12 +336,12 @@ void FleetManager::rejoin(ComputeId idx) {
   ++rt.agent_incarnation;
   const auto cnt = static_cast<std::int64_t>(runtime_.size());
   const sim::SimTime offset =
-      sim::nanoseconds(cfg_.heartbeat_period.nanos() * idx / cnt);
+      sim::nanoseconds(kHeartbeatPeriod.nanos() * idx / cnt);
   rt.last_hb_rx = sim_.now();
   start_agent(idx, offset);
   arm_deadline(idx, sim_.now() + offset +
-                        sim::nanoseconds(cfg_.heartbeat_period.nanos() *
-                                         cfg_.watchdog_heartbeats));
+                        sim::nanoseconds(kHeartbeatPeriod.nanos() *
+                                         kWatchdogHeartbeats));
   retry_pending();
 }
 
@@ -461,7 +460,7 @@ void FleetManager::enqueue_activation(ComputeId node, VplcId v, ActKind kind,
   vplcs_[v].activating = true;
   NodeRuntime& rt = runtime_[node];
   const PendingActivation act{v, kind, extra};
-  if (rt.busy_slots < cfg_.activation_slots) {
+  if (rt.busy_slots < kActivationSlots) {
     start_activation(node, act);
     return;
   }
@@ -477,7 +476,7 @@ void FleetManager::start_activation(ComputeId node,
   ++rt.busy_slots;
   rt.inflight.push_back(act);
   ++counters_.activations_run;
-  sim_.schedule_in(cfg_.activation_cost + act.extra,
+  sim_.schedule_in(kActivationCost + act.extra,
                    [this, node, inc = nodes_[node].incarnation, act] {
                      on_activation_done(node, inc, act);
                    });
@@ -502,7 +501,7 @@ void FleetManager::on_activation_done(ComputeId node,
     }
   }
   complete_switchover(act.vplc, node, act.kind, act.extra);
-  while (rt.busy_slots < cfg_.activation_slots && !rt.queue.empty()) {
+  while (rt.busy_slots < kActivationSlots && !rt.queue.empty()) {
     const PendingActivation next = rt.queue.front();
     rt.queue.pop_front();
     start_activation(node, next);
@@ -652,8 +651,8 @@ void FleetManager::reboot_node(ComputeId idx, sim::SimTime reboot) {
 // --- introspection -----------------------------------------------------------
 
 sim::SimTime FleetManager::watchdog_bound() const {
-  return sim::nanoseconds(cfg_.heartbeat_period.nanos() *
-                          (cfg_.watchdog_heartbeats + 1));
+  return sim::nanoseconds(kHeartbeatPeriod.nanos() *
+                          (kWatchdogHeartbeats + 1));
 }
 
 sim::SimTime FleetManager::twin_warmup(std::uint32_t bytes) const {
@@ -661,8 +660,8 @@ sim::SimTime FleetManager::twin_warmup(std::uint32_t bytes) const {
   // still ships one real unit instead of a truncated fraction.
   const auto kib = static_cast<std::int64_t>(
       (static_cast<std::uint64_t>(bytes) + 1023) / 1024);
-  return sim::nanoseconds(cfg_.twin_warmup_base.nanos() +
-                          cfg_.twin_sync_per_kib.nanos() * kib);
+  return sim::nanoseconds(kTwinWarmupBase.nanos() +
+                          kTwinSyncPerKib.nanos() * kib);
 }
 
 std::int64_t FleetManager::ledger_residual() const {

@@ -9,9 +9,9 @@
 //   * every compute node runs a NodeAgent that heartbeats the manager
 //     over the *simulated network* (real frames through real switches,
 //     visible to the obs/flowmon planes); the manager's per-node watchdog
-//     declares a node dead after `watchdog_heartbeats` silent periods,
+//     declares a node dead after `kWatchdogHeartbeats` silent periods,
 //     exactly the InstaPLC monitor discipline, so switchover latency is
-//     bounded by (watchdog_heartbeats + 1) x heartbeat_period;
+//     bounded by (kWatchdogHeartbeats + 1) x kHeartbeatPeriod;
 //   * a declared-dead node triggers a failover for every primary it
 //     hosted: the warm twin is activated on its node (activation slots
 //     per node serialize a storm -- the queueing is the measured tail),
@@ -61,24 +61,22 @@ struct VplcSpec {
   std::uint32_t twin_state_bytes = 256;
 };
 
-struct FleetConfig {
-  sim::SimTime heartbeat_period = sim::milliseconds(2);
-  /// Silent heartbeat periods before a node is declared dead.
-  std::uint16_t watchdog_heartbeats = 3;
-  /// Time to activate one warm twin (config swap + takeover).
-  sim::SimTime activation_cost = sim::microseconds(500);
-  /// Concurrent activations one compute node can run; further ones queue.
-  std::uint32_t activation_slots = 2;
-  /// Base warm-sync time of a fresh twin, plus per-KiB shipping cost
-  /// (charged per begun KiB: even a sub-KiB snapshot ships one unit).
-  sim::SimTime twin_warmup_base = sim::milliseconds(20);
-  sim::SimTime twin_sync_per_kib = sim::milliseconds(1);
-  /// CPU a parked warm twin costs, as a fraction of the vPLC demand.
-  double twin_idle_fraction = 0.25;
-  /// CPU demand of a 1 kHz (1 ms cycle) vPLC, millicores.
-  std::uint32_t mcpu_per_khz = 200;
-  PolicyKind policy = PolicyKind::kLatencyAware;
-};
+// The fleet's fixed timing and cost model.
+inline constexpr sim::SimTime kHeartbeatPeriod = sim::milliseconds(2);
+/// Silent heartbeat periods before a node is declared dead.
+inline constexpr std::uint16_t kWatchdogHeartbeats = 3;
+/// Time to activate one warm twin (config swap + takeover).
+inline constexpr sim::SimTime kActivationCost = sim::microseconds(500);
+/// Concurrent activations one compute node can run; further ones queue.
+inline constexpr std::uint32_t kActivationSlots = 2;
+/// Base warm-sync time of a fresh twin, plus per-KiB shipping cost
+/// (charged per begun KiB: even a sub-KiB snapshot ships one unit).
+inline constexpr sim::SimTime kTwinWarmupBase = sim::milliseconds(20);
+inline constexpr sim::SimTime kTwinSyncPerKib = sim::milliseconds(1);
+/// CPU a parked warm twin costs, as a fraction of the vPLC demand.
+inline constexpr double kTwinIdleFraction = 0.25;
+/// CPU demand of a 1 kHz (1 ms cycle) vPLC, millicores.
+inline constexpr std::uint32_t kMcpuPerKhz = 200;
 
 /// The fleet ledger. Failover conservation:
 ///   failovers_started == switchovers + currently_down()
@@ -156,7 +154,7 @@ struct RollingUpgradeOptions {
 
 class FleetManager {
  public:
-  FleetManager(sim::Simulator& sim, FleetConfig cfg);
+  FleetManager(sim::Simulator& sim, PolicyKind policy);
   FleetManager(const FleetManager&) = delete;
   FleetManager& operator=(const FleetManager&) = delete;
   ~FleetManager();
@@ -202,7 +200,7 @@ class FleetManager {
     return latency_us_;
   }
   /// Watchdog bound on detection + activation:
-  /// (watchdog_heartbeats + 1) x heartbeat_period.
+  /// (kWatchdogHeartbeats + 1) x kHeartbeatPeriod.
   [[nodiscard]] sim::SimTime watchdog_bound() const;
   /// Warm-sync time of a twin with `bytes` of snapshot state.
   [[nodiscard]] sim::SimTime twin_warmup(std::uint32_t bytes) const;
@@ -238,8 +236,6 @@ class FleetManager {
   /// before traffic.
   void register_metrics(obs::ObsHub& hub, const std::string& label = "fleet");
 
-  [[nodiscard]] const FleetConfig& config() const { return cfg_; }
-
  private:
   enum class ActKind : std::uint8_t {
     kFailover,  ///< warm-twin promotion after a declared death
@@ -249,7 +245,7 @@ class FleetManager {
   struct PendingActivation {
     VplcId vplc;
     ActKind kind;
-    sim::SimTime extra;  ///< added to activation_cost (cold warm-sync)
+    sim::SimTime extra;  ///< added to kActivationCost (cold warm-sync)
   };
   /// Runtime companion of nodes_[i] (simulation wiring, not placement
   /// state).
@@ -304,7 +300,6 @@ class FleetManager {
   void record_trace(VplcId v, char role, ComputeId node, const char* cause);
 
   sim::Simulator& sim_;
-  FleetConfig cfg_;
   std::unique_ptr<PlacementPolicy> policy_;
   Placer placer_;
 

@@ -114,9 +114,7 @@ OrchOutcome OrchRunner::run(const OrchConfig& cfg) {
   faults::FaultPlane plane(net, cfg.seed);
   net.set_faults(&plane);
 
-  FleetConfig fc = cfg.fleet;
-  fc.policy = cfg.policy;
-  FleetManager fleet(sim, fc);
+  FleetManager fleet(sim, cfg.policy);
 
   // --- leaf-spine topology: spine -> one ToR per rack -> compute hosts,
   //     manager on its own spine port. Heartbeats route to the manager

@@ -18,7 +18,7 @@
 //                      instant (correlated power/ToR failure); every
 //                      hosted primary fails over in one mass switchover
 //                      storm whose latency distribution vs the
-//                      (watchdog_heartbeats + 1) x heartbeat_period bound
+//                      (kWatchdogHeartbeats + 1) x kHeartbeatPeriod bound
 //                      is the experiment.
 //
 // Everything the invariant checks need comes back in an OrchOutcome:
@@ -68,8 +68,6 @@ struct OrchConfig {
   /// "orch/storm" stream. Pinning it makes policy ablations compare the
   /// same blast radius.
   std::uint32_t victim_rack = kNoRack;
-
-  FleetConfig fleet;
 
   /// Keep full export/trace text in the outcome (byte-diff tests).
   bool keep_exports = false;

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "faults/scenario.hpp"
 #include "net/host_node.hpp"
 #include "obs/exporters.hpp"
@@ -68,6 +70,11 @@ TEST(Scenario, TextRoundTripsExactly) {
   EXPECT_EQ(parsed, sc);
   // And the rendering itself is stable.
   EXPECT_EQ(parsed.to_text(), text);
+  // Seeds use the whole u64 range.
+  for (const std::uint64_t seed : {std::uint64_t{1} << 63, ~std::uint64_t{0}}) {
+    sc.seed = seed;
+    EXPECT_EQ(FaultScenario::parse(sc.to_text()), sc);
+  }
 }
 
 TEST(Scenario, ParseReadsHumanFormat) {
@@ -98,6 +105,28 @@ TEST(Scenario, ParseRejectsMalformedInput) {
   EXPECT_THROW(FaultScenario::parse("loss link=v1 at=1s"), sim::SimError);
   EXPECT_THROW(FaultScenario::parse("loss link=v1:0 at=1s zorp=3"),
                sim::SimError);
+  // Numbers outside their field's range are rejected, not wrapped.
+  for (const char* text : {
+           "seed -1",
+           "loss link=v1:-1 at=1s",
+           "loss link=v1:70000 at=1s",
+           "flap link=v1:0 at=1s down=1ms period=2ms count=-1",
+           "flap link=v1:0 at=1s down=1ms period=2ms count=4294967296",
+           "stop node=v1 at=9300000000s",
+           "loss link=v1:0 at=1s dur=9223372036855ms",
+       }) {
+    SCOPED_TRACE(text);
+    EXPECT_THROW(FaultScenario::parse(text), sim::SimError);
+  }
+  // The largest in-range values still parse.
+  const FaultSpec edge =
+      FaultScenario::parse(
+          "flap link=v1:65535 at=9223372036854775807ns down=1ms "
+          "period=2ms count=4294967295")
+          .faults.at(0);
+  EXPECT_EQ(edge.port, 65535);
+  EXPECT_EQ(edge.at.nanos(), std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(edge.count, 4294967295u);
 }
 
 // ---------------------------------------------------------------------

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include "faults/instaplc_testbed.hpp"
 #include "sim/hash.hpp"
+#include "sim/simulator.hpp"
 
 namespace steelnet::faults {
 namespace {
@@ -170,6 +172,28 @@ TEST(InstaPlcTestbed, CollectStreamsTheFingerprintsOfTheKeptExports) {
     EXPECT_EQ(full.trace_fp, sim::fnv1a64(full.trace_json));
     EXPECT_EQ(streamed.fingerprint(), full.fingerprint());
   }
+}
+
+TEST(InstaPlcTestbed, CallerObserverLeavesTheOutcomeUnchanged) {
+  // The testbed sets no observer of its own on the app, so a caller's
+  // (Fig. 5 bins its time series from one) sees every event and changes
+  // nothing -- switchover latency included.
+  const FaultScenario sc = silent_primary_scenario(1);
+  sim::Simulator simulator;
+  InstaPlcTestbed testbed{simulator, sc, {}};
+  std::uint64_t events = 0;
+  std::uint64_t switchovers = 0;
+  testbed.app().set_observer([&](instaplc::InstaPlcEvent ev, sim::SimTime) {
+    ++events;
+    if (ev == instaplc::InstaPlcEvent::kSwitchover) ++switchovers;
+  });
+  testbed.start();
+  simulator.run_until(RunnerOptions{}.horizon);
+  const ScenarioOutcome out = testbed.collect();
+  EXPECT_GT(events, 0u);
+  EXPECT_EQ(switchovers, 1u);
+  EXPECT_GT(out.switchover_latency, sim::SimTime::zero());
+  EXPECT_EQ(out.fingerprint(), ScenarioRunner{}.run(sc).fingerprint());
 }
 
 TEST(ScenarioRunner, SweepJobs8MatchesJobs1ByteForByte) {

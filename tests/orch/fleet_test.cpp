@@ -30,9 +30,8 @@ struct FleetFixture {
   net::HostNode* mgr;
 
   explicit FleetFixture(std::uint32_t n_nodes, std::uint32_t n_racks,
-                        std::uint32_t capacity_mcpu = 4000,
-                        FleetConfig cfg = {})
-      : fleet(simulator, cfg) {
+                        std::uint32_t capacity_mcpu = 4000)
+      : fleet(simulator, PolicyKind::kLatencyAware) {
     network.set_faults(&plane);
     net::SwitchConfig sw_cfg;
     sw_cfg.num_ports = n_nodes + 1;
@@ -66,10 +65,9 @@ struct FleetFixture {
 void ExpectFleetBooksConsistent(const FleetManager& fleet) {
   const auto& nodes = fleet.nodes();
   const auto& vplcs = fleet.vplcs();
-  const FleetConfig& cfg = fleet.config();
   const auto twin_idle = [&](std::uint32_t demand) {
-    return std::max(
-        1u, static_cast<std::uint32_t>(demand * cfg.twin_idle_fraction));
+    return std::max(1u,
+                    static_cast<std::uint32_t>(demand * kTwinIdleFraction));
   };
   std::vector<std::uint32_t> want_mcpu(nodes.size(), 0);
   std::size_t want_primaries = 0;
@@ -130,22 +128,15 @@ TEST(Fleet, HeartbeatCodecRoundTrips) {
 
 TEST(Fleet, WatchdogBoundAndWarmupFormulas) {
   sim::Simulator simulator;
-  FleetConfig cfg;
-  cfg.heartbeat_period = 2_ms;
-  cfg.watchdog_heartbeats = 3;
-  FleetManager fleet(simulator, cfg);
+  FleetManager fleet(simulator, PolicyKind::kLatencyAware);
   EXPECT_EQ(fleet.watchdog_bound(), 8_ms);
-  EXPECT_EQ(fleet.twin_warmup(0), cfg.twin_warmup_base);
+  EXPECT_EQ(fleet.twin_warmup(0), kTwinWarmupBase);
   // Per begun KiB, rounded up: sub-KiB snapshots (incl. the 256 B
   // default) are charged one full unit, never a truncated zero.
-  EXPECT_EQ(fleet.twin_warmup(1),
-            cfg.twin_warmup_base + cfg.twin_sync_per_kib);
-  EXPECT_EQ(fleet.twin_warmup(256),
-            cfg.twin_warmup_base + cfg.twin_sync_per_kib);
-  EXPECT_EQ(fleet.twin_warmup(1025),
-            cfg.twin_warmup_base + 2 * cfg.twin_sync_per_kib);
-  EXPECT_EQ(fleet.twin_warmup(2048),
-            cfg.twin_warmup_base + 2 * cfg.twin_sync_per_kib);
+  EXPECT_EQ(fleet.twin_warmup(1), kTwinWarmupBase + kTwinSyncPerKib);
+  EXPECT_EQ(fleet.twin_warmup(256), kTwinWarmupBase + kTwinSyncPerKib);
+  EXPECT_EQ(fleet.twin_warmup(1025), kTwinWarmupBase + 2 * kTwinSyncPerKib);
+  EXPECT_EQ(fleet.twin_warmup(2048), kTwinWarmupBase + 2 * kTwinSyncPerKib);
 }
 
 TEST(Fleet, PlaceFleetPairsAreRackDisjoint) {
