@@ -92,8 +92,8 @@ sim::SimTime measure_hw_pair() {
   GapProbe probe;
   probe.attach(device, simulator);
 
-  plc::RedundancyConfig rcfg;  // 3x10ms detection + 100ms role change
-  plc::RedundantPlcPair pair(primary, secondary, rcfg, simulator);
+  // 3x10ms detection + 100ms role change.
+  plc::RedundantPlcPair pair(primary, secondary, simulator);
   pair.start();
   simulator.schedule_at(1_s, [&] { pair.fail_primary(); });
   simulator.run_until(5_s);

@@ -55,9 +55,7 @@ FederationResult run_federation(const FederationSpec& spec) {
   net.set_obs(&hub);
 
   // --- plant tier -------------------------------------------------------
-  net::SwitchConfig plant_cfg;
-  plant_cfg.num_ports = spec.cells + 1;
-  auto& plant_sw = net.add_node<net::SwitchNode>("plant-sw", plant_cfg);
+  auto& plant_sw = net.add_node<net::SwitchNode>("plant-sw");
   auto& plant_col = net.add_node<CollectorNode>(
       "plant-col", net::MacAddress{kPlantColMac});
   const net::PortId plant_col_port = static_cast<net::PortId>(spec.cells);
@@ -83,10 +81,7 @@ FederationResult run_federation(const FederationSpec& spec) {
     const std::string label = "cell" + std::to_string(c);
     const std::uint64_t base = c * kCellStride;
 
-    net::SwitchConfig sw_cfg;
-    // hosts + sink + meter mgmt + cell collector + uplink NIC + trunk.
-    sw_cfg.num_ports = spec.hosts_per_cell + 5;
-    cell.sw = &net.add_node<net::SwitchNode>(label + "-sw", sw_cfg);
+    cell.sw = &net.add_node<net::SwitchNode>(label + "-sw");
 
     net::PortId port = 0;
     for (std::size_t i = 0; i < spec.hosts_per_cell; ++i) {

@@ -29,10 +29,7 @@ MeasuredMixResult run_measured_mix(const MeasuredMixSpec& spec) {
   sim::Simulator sim;
   net::Network net{sim};
 
-  const std::size_t senders = spec.dc_hosts + spec.vplc_hosts;
-  net::SwitchConfig sw_cfg;
-  sw_cfg.num_ports = senders + 3;  // + sink, export NIC, collector
-  auto& sw = net.add_node<net::SwitchNode>("sw0", sw_cfg);
+  auto& sw = net.add_node<net::SwitchNode>("sw0");
 
   std::vector<net::HostNode*> dc_hosts;
   std::vector<net::HostNode*> vplc_hosts;

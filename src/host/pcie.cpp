@@ -1,20 +1,20 @@
 #include "host/pcie.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace steelnet::host {
 
+namespace {
+constexpr std::size_t kTlpBytes = 256;  ///< maximum TLP payload
+constexpr sim::SimTime kPerTlp = sim::nanoseconds(120);
+}  // namespace
+
 PcieModel::PcieModel(PcieConfig cfg, std::uint64_t seed)
-    : cfg_(cfg), rng_(seed) {
-  if (cfg_.tlp_bytes == 0) throw std::invalid_argument("PcieModel: tlp=0");
-}
+    : cfg_(cfg), rng_(seed) {}
 
 sim::SimTime PcieModel::nominal(std::size_t bytes) const {
-  const std::size_t tlps =
-      bytes == 0 ? 1 : (bytes + cfg_.tlp_bytes - 1) / cfg_.tlp_bytes;
-  return cfg_.base + cfg_.per_tlp * static_cast<std::int64_t>(tlps - 1) +
-         cfg_.per_byte * static_cast<std::int64_t>(bytes);
+  const std::size_t tlps = bytes == 0 ? 1 : (bytes + kTlpBytes - 1) / kTlpBytes;
+  return cfg_.base + kPerTlp * static_cast<std::int64_t>(tlps - 1);
 }
 
 double PcieModel::overhead_fraction(std::size_t bytes) const {

@@ -15,15 +15,11 @@
 
 namespace steelnet::host {
 
+/// A frame spans ceil(bytes / 256) TLPs; each TLP beyond the first costs
+/// a fixed 120 ns (DMA streaming cost included).
 struct PcieConfig {
   /// Per-transaction fixed cost: doorbell + descriptor + completion.
   sim::SimTime base = sim::nanoseconds(850);
-  /// Maximum TLP payload size (bytes).
-  std::size_t tlp_bytes = 256;
-  /// Additional cost per TLP beyond the first.
-  sim::SimTime per_tlp = sim::nanoseconds(120);
-  /// DMA streaming cost per byte (link + memory bandwidth).
-  sim::SimTime per_byte = sim::nanoseconds(0);  // folded into per_tlp default
   /// Jitter (std dev) on the total, from relaxed-ordering/credit effects.
   sim::SimTime jitter = sim::nanoseconds(40);
 };

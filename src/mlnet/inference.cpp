@@ -8,12 +8,15 @@ namespace steelnet::mlnet {
 
 using namespace steelnet::sim::literals;
 
+namespace {
+constexpr std::size_t kResponseBytes = 256;  ///< inference verdict
+}  // namespace
+
 InferenceServer::InferenceServer(net::HostNode& host,
                                  MlWorkloadParams params)
     : host_(host),
       params_(params),
-      worker_free_at_(std::max<std::size_t>(1, params.server_workers),
-                      sim::SimTime::zero()) {
+      worker_free_at_(kServerWorkers, sim::SimTime::zero()) {
   host_.set_receiver([this](net::Frame f, sim::SimTime at) {
     on_request(std::move(f), at);
   });
@@ -35,7 +38,7 @@ void InferenceServer::on_request(net::Frame frame, sim::SimTime at) {
   queue_peak_ = std::max(queue_peak_, backlog);
   ++served_;
 
-  net::Frame resp = host_.network().frame_pool().make(params_.response_bytes);
+  net::Frame resp = host_.network().frame_pool().make(kResponseBytes);
   resp.dst = requester;
   resp.src = host_.mac();
   resp.flow_id = flow_id;
@@ -96,7 +99,7 @@ InferenceReport run_inference_experiment(const InferenceConfig& config) {
   sim::Rng rng{config.seed};
 
   MlFabric mf = build_ml_topology(network, config.topology, config.app,
-                                  config.clients, config.topo);
+                                  config.clients, config.target_accuracy);
 
   const MlWorkloadParams params = workload_params(config.app);
   const std::size_t frame_bytes =

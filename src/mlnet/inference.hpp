@@ -74,7 +74,6 @@ struct InferenceConfig {
   std::size_t clients = 32;
   sim::SimTime duration = sim::seconds(2);
   double target_accuracy = 0.95;
-  MlTopologyOptions topo;
   std::uint64_t seed = 1;
 };
 

@@ -34,7 +34,8 @@ struct MlFabric {
 };
 
 /// Output of the traffic-aware planner: how many clients share one edge
-/// server/cell so that no link or server exceeds `target_utilization`.
+/// server/cell so that neither its 1 Gb/s edge link nor its server's
+/// workers run above 60% utilization.
 struct MlAwarePlan {
   std::size_t clients_per_cell = 0;
   std::size_t cells = 0;
@@ -46,26 +47,14 @@ struct MlAwarePlan {
 /// infrastructure cost and network dimensioning" -- computes the cell
 /// size from the accuracy-driven per-client load.
 [[nodiscard]] MlAwarePlan plan_ml_aware(MlApp app, std::size_t n_clients,
-                                        double target_accuracy,
-                                        std::uint64_t edge_link_bps,
-                                        double target_utilization = 0.6);
-
-struct MlTopologyOptions {
-  std::uint64_t access_bps = 1'000'000'000;   ///< client links
-  std::uint64_t trunk_bps = 1'000'000'000;    ///< switch-switch links
-  std::uint64_t server_bps = 10'000'000'000;  ///< central server NICs
-  std::uint64_t edge_bps = 1'000'000'000;     ///< ML-aware edge servers
-  std::size_t ring_switches = 16;
-  std::size_t spines = 4;
-  std::size_t leaves = 8;
-  double target_accuracy = 0.95;
-};
+                                        double target_accuracy);
 
 /// Builds the requested topology with `n_clients` clients and installs
-/// routes. Clients are net::HostNode, servers too; application wiring is
-/// the caller's business (see inference.hpp).
+/// routes; the ML-aware cells are planned for `target_accuracy`. Clients
+/// are net::HostNode, servers too; application wiring is the caller's
+/// business (see inference.hpp).
 MlFabric build_ml_topology(net::Network& network, TopologyKind kind,
                            MlApp app, std::size_t n_clients,
-                           MlTopologyOptions opt = {});
+                           double target_accuracy);
 
 }  // namespace steelnet::mlnet

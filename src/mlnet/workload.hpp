@@ -44,15 +44,16 @@ enum class Corruption : std::uint8_t {
 /// non-increasing in severity; equals clean_accuracy at severity 0.
 [[nodiscard]] double accuracy(MlApp app, Corruption c, double severity);
 
+/// Parallel inference workers per server, for every application.
+inline constexpr std::size_t kServerWorkers = 4;
+
 /// Per-application workload parameters.
 struct MlWorkloadParams {
   MlApp app = MlApp::kObjectIdentification;
-  std::size_t raw_frame_bytes = 0;   ///< uncompressed camera frame
-  std::size_t response_bytes = 256;  ///< inference verdict
-  double fps = 10.0;                 ///< requests per second per client
+  std::size_t raw_frame_bytes = 0;  ///< uncompressed camera frame
+  double fps = 10.0;                ///< requests per second per client
   /// Per-inference service time at a server worker, nanoseconds.
   std::int64_t service_ns = 0;
-  std::size_t server_workers = 4;    ///< parallel inference workers
 };
 
 [[nodiscard]] MlWorkloadParams workload_params(MlApp app);

@@ -13,7 +13,8 @@
 //   * WiredBackend      -- the ideal wire (bit-for-bit the pre-backend
 //                          behavior; the Network's default).
 //   * LossyRadioBackend -- seeded SNR/rate/roaming model (radio_backend.hpp).
-//   * FakeBackend       -- scriptable impairment for tests (fake_backend.hpp).
+//   * FakeBackend       -- scriptable impairment for tests
+//                          (tests/net/fake_backend.hpp).
 //
 // Construction and configuration errors are typed (LinkError with a
 // LinkErrorCode), mirroring the sharded kernel's ShardingError, so tests

@@ -7,6 +7,18 @@ namespace steelnet::net {
 
 namespace {
 constexpr double kMinPathDistance = 1.0;  ///< meters; the PL reference
+constexpr double kNoiseFloorDbm = -94.0;
+constexpr double kPathLossRefDb = 40.0;  ///< loss at the 1 m reference
+constexpr double kPathLossExponent = 3.0;
+constexpr double kFadingSigmaDb = 3.0;  ///< per-frame lognormal shadow fading
+/// Logistic frame-error curve: p_loss = 1 / (1 + exp((snr - mid)/slope)).
+constexpr double kFerMidSnrDb = 12.0;
+constexpr double kFerSlopeDb = 1.5;
+constexpr double kAssocMinSnrDb = 5.0;  ///< weakest mean SNR worth associating
+constexpr sim::SimTime kScanInterval = sim::milliseconds(50);
+/// Dead air after a discovery+association exchange and after a roam.
+constexpr sim::SimTime kAssocDelay = sim::milliseconds(2);
+constexpr sim::SimTime kHandoffDeadTime = sim::milliseconds(5);
 }  // namespace
 
 LossyRadioBackend::LossyRadioBackend(RadioConfig cfg) : cfg_(std::move(cfg)) {
@@ -29,19 +41,6 @@ LossyRadioBackend::LossyRadioBackend(RadioConfig cfg) : cfg_(std::move(cfg)) {
                       "LossyRadioBackend: rate ladder min_snr_db must be "
                       "strictly ascending");
     }
-  }
-  if (cfg_.fading_sigma_db < 0.0 || cfg_.fer_slope_db <= 0.0 ||
-      cfg_.path_loss_exponent <= 0.0) {
-    throw LinkError(LinkErrorCode::kBadRadioConfig,
-                    "LossyRadioBackend: negative fading sigma, non-positive "
-                    "FER slope or path-loss exponent");
-  }
-  if (cfg_.scan_interval <= sim::SimTime::zero() ||
-      cfg_.assoc_delay < sim::SimTime::zero() ||
-      cfg_.handoff_dead_time < sim::SimTime::zero()) {
-    throw LinkError(LinkErrorCode::kBadRadioConfig,
-                    "LossyRadioBackend: scan_interval must be > 0 and "
-                    "assoc/handoff delays >= 0");
   }
 }
 
@@ -145,15 +144,14 @@ double LossyRadioBackend::mean_snr_db(const Station& s, std::size_t ap,
   const double dy = y - a.y;
   const double d = std::max(kMinPathDistance, std::sqrt(dx * dx + dy * dy));
   const double path_loss =
-      cfg_.path_loss_ref_db + 10.0 * cfg_.path_loss_exponent * std::log10(d);
-  return a.tx_power_dbm - path_loss - cfg_.noise_floor_dbm +
-         cfg_.snr_offset_db;
+      kPathLossRefDb + 10.0 * kPathLossExponent * std::log10(d);
+  return a.tx_power_dbm - path_loss - kNoiseFloorDbm + cfg_.snr_offset_db;
 }
 
 void LossyRadioBackend::advance(Station& s, std::int64_t now_ns) {
   while (s.next_scan_ns <= now_ns) {
     const std::int64_t t = s.next_scan_ns;
-    s.next_scan_ns += cfg_.scan_interval.nanos();
+    s.next_scan_ns += kScanInterval.nanos();
     // Beacon scan: fade-free mean SNR to every AP (ties break toward the
     // lower AP index, so the decision is a pure function of time).
     std::size_t best = 0;
@@ -166,10 +164,10 @@ void LossyRadioBackend::advance(Station& s, std::int64_t now_ns) {
       }
     }
     if (s.assoc_ap < 0) {
-      if (best_snr >= cfg_.assoc_min_snr_db) {
+      if (best_snr >= kAssocMinSnrDb) {
         // Discovery + association exchange: dead air until it completes.
         s.assoc_ap = static_cast<int>(best);
-        s.air_ready_ns = t + cfg_.assoc_delay.nanos();
+        s.air_ready_ns = t + kAssocDelay.nanos();
         ++s.assoc_events;
         ++counters_.assoc_events;
       }
@@ -177,7 +175,7 @@ void LossyRadioBackend::advance(Station& s, std::int64_t now_ns) {
     }
     const double cur_snr =
         mean_snr_db(s, static_cast<std::size_t>(s.assoc_ap), t);
-    if (cur_snr < cfg_.assoc_min_snr_db) {
+    if (cur_snr < kAssocMinSnrDb) {
       // Fell below the association floor: drop off the AP and rediscover
       // at a later scan.
       s.assoc_ap = -1;
@@ -188,7 +186,7 @@ void LossyRadioBackend::advance(Station& s, std::int64_t now_ns) {
         best_snr >= cur_snr + cfg_.roam_hysteresis_db) {
       // Roam: handoff dead time, then traffic resumes on the new AP.
       s.assoc_ap = static_cast<int>(best);
-      s.air_ready_ns = t + cfg_.handoff_dead_time.nanos();
+      s.air_ready_ns = t + kHandoffDeadTime.nanos();
       ++s.roam_events;
       ++counters_.roam_events;
     }
@@ -245,7 +243,7 @@ LinkTxPlan LossyRadioBackend::plan_transmit(NodeId node, PortId port,
   } else {
     const double mean =
         mean_snr_db(s, static_cast<std::size_t>(s.assoc_ap), now.nanos());
-    const double snr = mean + s.fade_rng.normal(0.0, cfg_.fading_sigma_db);
+    const double snr = mean + s.fade_rng.normal(0.0, kFadingSigmaDb);
     const std::int64_t mdb = std::llround(snr * 1000.0);
     counters_.snr_millidb_total += mdb;
     counters_.snr_millidb_min = std::min(counters_.snr_millidb_min, mdb);
@@ -262,8 +260,7 @@ LinkTxPlan LossyRadioBackend::plan_transmit(NodeId node, PortId port,
       counters_.rate_bps_total += plan.bits_per_second;
       ++counters_.rate_frames;
       const double p_loss =
-          1.0 / (1.0 + std::exp((snr - cfg_.fer_mid_snr_db) /
-                                cfg_.fer_slope_db));
+          1.0 / (1.0 + std::exp((snr - kFerMidSnrDb) / kFerSlopeDb));
       if (s.loss_rng.bernoulli(p_loss)) {
         plan.survives = false;
         plan.cause = "radio_snr";

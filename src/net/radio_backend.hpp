@@ -59,21 +59,10 @@ struct RadioConfig {
   /// frame. Below rates.front().min_snr_db the frame is dropped outright
   /// (below receiver sensitivity).
   std::vector<RadioRateStep> rates;
-  double noise_floor_dbm = -94.0;
-  double path_loss_ref_db = 40.0;  ///< loss at the 1 m reference distance
-  double path_loss_exponent = 3.0;
-  double fading_sigma_db = 3.0;  ///< per-frame lognormal shadow fading
   /// Global SNR shift in dB -- the "SNR ladder" knob tab_radio sweeps
   /// (interference, absorption, antenna misalignment).
   double snr_offset_db = 0.0;
-  /// Logistic frame-error curve: p_loss = 1 / (1 + exp((snr - mid)/slope)).
-  double fer_mid_snr_db = 12.0;
-  double fer_slope_db = 1.5;
-  double assoc_min_snr_db = 5.0;   ///< weakest mean SNR worth associating
   double roam_hysteresis_db = 4.0; ///< candidate must beat current by this
-  sim::SimTime scan_interval = sim::milliseconds(50);
-  sim::SimTime assoc_delay = sim::milliseconds(2);      ///< discovery+assoc
-  sim::SimTime handoff_dead_time = sim::milliseconds(5);///< roam dead air
   std::uint64_t seed = 1;
 };
 
@@ -97,8 +86,8 @@ struct RadioCounters {
 class LossyRadioBackend final : public LinkBackend {
  public:
   /// Validates the configuration up front: throws LinkError
-  /// (kBadRadioConfig) on an empty AP set, an empty/unsorted rate ladder,
-  /// a rung below kMinLinkBitRate, or non-positive protocol timers.
+  /// (kBadRadioConfig) on an empty AP set, an empty/unsorted rate ladder
+  /// or a rung below kMinLinkBitRate.
   explicit LossyRadioBackend(RadioConfig cfg);
 
   /// Registers a mobile station and returns its id. `waypoints` must be

@@ -13,7 +13,6 @@
 namespace steelnet::net {
 
 struct SwitchConfig {
-  std::size_t num_ports = 8;
   /// Fixed per-frame processing latency (lookup + crossbar).
   sim::SimTime processing_delay = sim::nanoseconds(600);
   /// Per-priority egress queue capacity (frames); 0 = unbounded.

@@ -35,19 +35,6 @@ const char* to_string(OrchScenario s) {
   return "?";
 }
 
-OrchConfig small_orch_config(std::uint64_t seed) {
-  OrchConfig cfg;
-  cfg.seed = seed;
-  cfg.racks = 3;
-  cfg.nodes_per_rack = 2;
-  cfg.vplcs = 12;
-  cfg.node_capacity_mcpu = 4000;
-  cfg.horizon = sim::milliseconds(400);
-  cfg.fail_at = sim::milliseconds(100);
-  cfg.storm_nodes = 2;
-  return cfg;
-}
-
 std::uint64_t OrchOutcome::fingerprint() const {
   using sim::fnv1a64_mix;
   // This recipe has always started from the decimal offset basis with its
@@ -121,18 +108,13 @@ OrchOutcome OrchRunner::run(const OrchConfig& cfg) {
   //     via static FDB entries (the manager never transmits, so MAC
   //     learning alone would flood every heartbeat fleet-wide).
   const net::MacAddress mgr_mac = net::host_mac(0);
-  net::SwitchConfig spine_cfg;
-  spine_cfg.num_ports = cfg.racks + 1;
-  auto& spine = net.add_node<net::SwitchNode>("spine", spine_cfg);
+  auto& spine = net.add_node<net::SwitchNode>("spine");
   spine.add_fdb_entry(mgr_mac, static_cast<net::PortId>(cfg.racks));
 
   std::vector<net::NodeId> host_ids;  // rack-major, the storm victim order
   host_ids.reserve(static_cast<std::size_t>(cfg.racks) * cfg.nodes_per_rack);
   for (std::uint32_t r = 0; r < cfg.racks; ++r) {
-    net::SwitchConfig tor_cfg;
-    tor_cfg.num_ports = cfg.nodes_per_rack + 1;
-    auto& tor =
-        net.add_node<net::SwitchNode>("tor" + std::to_string(r), tor_cfg);
+    auto& tor = net.add_node<net::SwitchNode>("tor" + std::to_string(r));
     const auto uplink = static_cast<net::PortId>(cfg.nodes_per_rack);
     tor.add_fdb_entry(mgr_mac, uplink);
     net.connect(spine.id(), static_cast<net::PortId>(r), tor.id(), uplink);

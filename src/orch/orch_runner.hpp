@@ -73,10 +73,6 @@ struct OrchConfig {
   bool keep_exports = false;
 };
 
-/// A small, fast configuration for unit tests: 3 racks x 2 nodes,
-/// 12 vPLCs, 300 ms horizon.
-[[nodiscard]] OrchConfig small_orch_config(std::uint64_t seed);
-
 struct OrchOutcome {
   std::string scenario;
   std::string policy;

@@ -4,16 +4,25 @@
 
 namespace steelnet::plc {
 
+namespace {
+constexpr sim::SimTime kHeartbeat = sim::milliseconds(10);
+/// Heartbeats missed before the standby declares the primary dead.
+constexpr std::int64_t kMissThreshold = 3;
+/// Role-change time after detection (state transfer, bumpless output
+/// alignment); vendors quote 50-300 ms.
+constexpr sim::SimTime kSwitchoverDelay = sim::milliseconds(100);
+}  // namespace
+
 RedundantPlcPair::RedundantPlcPair(profinet::CyclicController& primary,
                                    profinet::CyclicController& secondary,
-                                   RedundancyConfig cfg, sim::Simulator& sim)
-    : primary_(primary), secondary_(secondary), cfg_(cfg), sim_(sim) {}
+                                   sim::Simulator& sim)
+    : primary_(primary), secondary_(secondary), sim_(sim) {}
 
 void RedundantPlcPair::start() {
   primary_.connect();
   last_heartbeat_ = sim_.now();
   task_ = std::make_unique<sim::PeriodicTask>(
-      sim_, sim_.now() + cfg_.heartbeat, cfg_.heartbeat, [this] { tick(); });
+      sim_, sim_.now() + kHeartbeat, kHeartbeat, [this] { tick(); });
 }
 
 void RedundantPlcPair::fail_primary() {
@@ -32,11 +41,10 @@ void RedundantPlcPair::tick() {
     return;
   }
   if (takeover_scheduled_) return;
-  if (sim_.now() - last_heartbeat_ >
-      cfg_.heartbeat * static_cast<std::int64_t>(cfg_.miss_threshold)) {
+  if (sim_.now() - last_heartbeat_ > kHeartbeat * kMissThreshold) {
     stats_.failure_detected_at = sim_.now();
     takeover_scheduled_ = true;
-    sim_.schedule_in(cfg_.switchover_delay, [this] {
+    sim_.schedule_in(kSwitchoverDelay, [this] {
       secondary_.adopt_running(
           static_cast<std::uint16_t>(synced_cycle_counter_ + 1));
       stats_.switched_over_at = sim_.now();

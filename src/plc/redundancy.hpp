@@ -20,15 +20,6 @@
 
 namespace steelnet::plc {
 
-struct RedundancyConfig {
-  sim::SimTime heartbeat = sim::milliseconds(10);
-  /// Heartbeats missed before the standby declares the primary dead.
-  std::size_t miss_threshold = 3;
-  /// Role-change time after detection (state transfer, bumpless output
-  /// alignment); vendors quote 50-300 ms.
-  sim::SimTime switchover_delay = sim::milliseconds(100);
-};
-
 struct RedundancyStats {
   std::uint64_t heartbeats = 0;
   std::optional<sim::SimTime> primary_failed_at;
@@ -37,14 +28,15 @@ struct RedundancyStats {
 };
 
 /// Supervises a primary/secondary controller pair that target the same
-/// I/O device with the same application relationship.
+/// I/O device with the same application relationship. The sync link
+/// carries a heartbeat every 10 ms; after 3 missed ones the standby takes
+/// over following a 100 ms role change.
 class RedundantPlcPair {
  public:
   /// Both controllers must be configured identically (same ar_id, device,
   /// cycle). `secondary` must be idle -- it is armed on takeover.
   RedundantPlcPair(profinet::CyclicController& primary,
-                   profinet::CyclicController& secondary,
-                   RedundancyConfig cfg, sim::Simulator& sim);
+                   profinet::CyclicController& secondary, sim::Simulator& sim);
 
   /// Connects the primary and starts heartbeat supervision.
   void start();
@@ -65,7 +57,6 @@ class RedundantPlcPair {
 
   profinet::CyclicController& primary_;
   profinet::CyclicController& secondary_;
-  RedundancyConfig cfg_;
   sim::Simulator& sim_;
   std::unique_ptr<sim::PeriodicTask> task_;
   sim::SimTime last_heartbeat_ = sim::SimTime::zero();

@@ -54,7 +54,7 @@ void CyclicController::connect() {
 
 void CyclicController::send_connect() {
   if (state_ != ControllerState::kConnecting) return;
-  if (connect_attempts_++ >= cfg_.max_connect_retries) {
+  if (connect_attempts_++ >= kMaxConnectRetries) {
     state_ = ControllerState::kIdle;
     if (connected_handler_) connected_handler_(false);
     return;
@@ -70,7 +70,7 @@ void CyclicController::send_connect() {
   send_pdu(req);
   connect_timer_.cancel();
   connect_timer_ = host_.network().sim().schedule_in(
-      cfg_.connect_timeout, [this] { send_connect(); });
+      kConnectTimeout, [this] { send_connect(); });
 }
 
 void CyclicController::adopt_running(std::uint16_t resume_cycle_counter) {

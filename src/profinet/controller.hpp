@@ -38,9 +38,6 @@ struct ControllerConfig {
   std::uint16_t output_bytes = 8;  ///< controller -> device
   /// Parameterization records written during connection establishment.
   std::vector<ParamRecord> records;
-  /// ConnectReq retry interval / budget.
-  sim::SimTime connect_timeout = sim::milliseconds(10);
-  std::size_t max_connect_retries = 10;
 };
 
 struct ControllerCounters {
@@ -53,6 +50,11 @@ struct ControllerCounters {
 
 class CyclicController {
  public:
+  /// ConnectReq retry interval / budget: after kMaxConnectRetries
+  /// unanswered requests the controller gives up and reports failure.
+  static constexpr sim::SimTime kConnectTimeout = sim::milliseconds(10);
+  static constexpr std::size_t kMaxConnectRetries = 10;
+
   CyclicController(net::HostNode& host, ControllerConfig cfg);
 
   /// Starts connection establishment.

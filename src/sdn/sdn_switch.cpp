@@ -4,13 +4,18 @@
 
 namespace steelnet::sdn {
 
-SdnSwitchNode::SdnSwitchNode(SdnSwitchConfig cfg) : cfg_(cfg) {}
+namespace {
+/// Per-frame pipeline traversal latency (SWX software switches run a few
+/// hundred ns per packet per core).
+constexpr sim::SimTime kPipelineLatency = sim::nanoseconds(800);
+constexpr std::size_t kQueueCapacity = 4096;
+}  // namespace
 
 net::EgressQueue& SdnSwitchNode::queue_for(net::PortId port) {
   if (egress_.size() <= port) egress_.resize(port + 1u);
   if (!egress_[port]) {
     egress_[port] =
-        std::make_unique<net::EgressQueue>(*this, port, cfg_.queue_capacity);
+        std::make_unique<net::EgressQueue>(*this, port, kQueueCapacity);
   }
   return *egress_[port];
 }
@@ -25,10 +30,10 @@ void SdnSwitchNode::handle_frame(net::Frame frame, net::PortId in_port) {
       obs_track_ = hub->track(name());
     }
     const sim::SimTime now = network().sim().now();
-    hub->proc(frame.trace_id, obs_track_, now, now + cfg_.pipeline_latency);
+    hub->proc(frame.trace_id, obs_track_, now, now + kPipelineLatency);
   }
   network().sim().schedule_in(
-      cfg_.pipeline_latency,
+      kPipelineLatency,
       [this, f = std::move(frame), in_port]() mutable {
         net::Frame frame = std::move(f);
         const PipelineResult r = pipeline_.process(frame, in_port);

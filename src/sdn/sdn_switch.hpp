@@ -11,13 +11,6 @@
 
 namespace steelnet::sdn {
 
-struct SdnSwitchConfig {
-  /// Per-frame pipeline traversal latency (SWX software switches run a
-  /// few hundred ns per packet per core).
-  sim::SimTime pipeline_latency = sim::nanoseconds(800);
-  std::size_t queue_capacity = 4096;
-};
-
 struct SdnSwitchCounters {
   std::uint64_t frames_in = 0;
   std::uint64_t frames_out = 0;
@@ -34,8 +27,6 @@ struct SdnSwitchCounters {
 /// behaviour, e.g. InstaPLC's digital twin answering a vPLC).
 class SdnSwitchNode final : public net::Node {
  public:
-  explicit SdnSwitchNode(SdnSwitchConfig cfg = {});
-
   void handle_frame(net::Frame frame, net::PortId in_port) override;
   void on_channel_idle(net::PortId port) override;
 
@@ -67,7 +58,6 @@ class SdnSwitchNode final : public net::Node {
  private:
   net::EgressQueue& queue_for(net::PortId port);
 
-  SdnSwitchConfig cfg_;
   Pipeline pipeline_;
   std::vector<std::unique_ptr<net::EgressQueue>> egress_;
   std::uint32_t obs_track_ = static_cast<std::uint32_t>(-1);

@@ -89,15 +89,12 @@ TEST(Pcie, SmallPacketOverheadDominates) {
 TEST(Pcie, NominalGrowsWithTlpCount) {
   PcieConfig cfg;
   cfg.base = 800_ns;
-  cfg.tlp_bytes = 256;
-  cfg.per_tlp = 100_ns;
   PcieModel pcie(cfg, 1);
+  // 256-byte TLPs, 120 ns for each one beyond the first.
   EXPECT_EQ(pcie.nominal(0), 800_ns);
   EXPECT_EQ(pcie.nominal(256), 800_ns);
-  EXPECT_EQ(pcie.nominal(257), 900_ns);
-  EXPECT_EQ(pcie.nominal(1024), 800_ns + 300_ns);
-  EXPECT_THROW(PcieModel(PcieConfig{.tlp_bytes = 0}, 1),
-               std::invalid_argument);
+  EXPECT_EQ(pcie.nominal(257), 920_ns);
+  EXPECT_EQ(pcie.nominal(1024), 800_ns + 360_ns);
 }
 
 TEST(Pcie, SampleJittersAroundNominal) {

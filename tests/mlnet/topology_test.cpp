@@ -11,32 +11,28 @@ namespace {
 using namespace steelnet::sim::literals;
 
 TEST(MlAwarePlanner, RespectsLinkBudget) {
-  const auto plan = plan_ml_aware(MlApp::kDefectDetection, 128, 0.95,
-                                  1'000'000'000, 0.6);
+  const auto plan = plan_ml_aware(MlApp::kDefectDetection, 128, 0.95);
   EXPECT_GT(plan.clients_per_cell, 0u);
+  // 60% of the 1 Gb/s edge link.
   EXPECT_LE(plan.cell_load_bps, 1e9 * 0.6 + plan.per_client_bps);
   EXPECT_GE(plan.cells * plan.clients_per_cell, 128u);
 }
 
 TEST(MlAwarePlanner, MoreClientsMoreCells) {
-  const auto small = plan_ml_aware(MlApp::kObjectIdentification, 32, 0.95,
-                                   1'000'000'000);
-  const auto large = plan_ml_aware(MlApp::kObjectIdentification, 256, 0.95,
-                                   1'000'000'000);
+  const auto small = plan_ml_aware(MlApp::kObjectIdentification, 32, 0.95);
+  const auto large = plan_ml_aware(MlApp::kObjectIdentification, 256, 0.95);
   EXPECT_EQ(small.clients_per_cell, large.clients_per_cell);
   EXPECT_GT(large.cells, small.cells);
 }
 
 TEST(MlAwarePlanner, HigherAccuracySmallerCells) {
-  const auto strict = plan_ml_aware(MlApp::kDefectDetection, 128, 0.95,
-                                    100'000'000);
-  const auto relaxed = plan_ml_aware(MlApp::kDefectDetection, 128, 0.70,
-                                     100'000'000);
+  const auto strict = plan_ml_aware(MlApp::kDefectDetection, 128, 0.95);
+  const auto relaxed = plan_ml_aware(MlApp::kDefectDetection, 128, 0.70);
   EXPECT_LE(strict.clients_per_cell, relaxed.clients_per_cell);
 }
 
 TEST(MlAwarePlanner, ZeroClientsThrows) {
-  EXPECT_THROW(plan_ml_aware(MlApp::kDefectDetection, 0, 0.9, 1e9),
+  EXPECT_THROW(plan_ml_aware(MlApp::kDefectDetection, 0, 0.9),
                std::invalid_argument);
 }
 
@@ -46,7 +42,7 @@ TEST_P(TopologyBuild, AllClientsCanReachTheirServer) {
   sim::Simulator simulator;
   net::Network network{simulator};
   const auto mf = build_ml_topology(network, GetParam(),
-                                    MlApp::kObjectIdentification, 16);
+                                    MlApp::kObjectIdentification, 16, 0.95);
   ASSERT_EQ(mf.clients.size(), 16u);
   ASSERT_FALSE(mf.servers.empty());
   ASSERT_EQ(mf.client_server.size(), 16u);
@@ -74,20 +70,36 @@ INSTANTIATE_TEST_SUITE_P(Kinds, TopologyBuild,
 TEST(TopologyBuild, MlAwareUsesPlannedCells) {
   sim::Simulator simulator;
   net::Network network{simulator};
-  const auto plan = plan_ml_aware(MlApp::kDefectDetection, 64, 0.95,
-                                  1'000'000'000);
+  const auto plan = plan_ml_aware(MlApp::kDefectDetection, 64, 0.95);
   const auto mf = build_ml_topology(network, TopologyKind::kMlAware,
-                                    MlApp::kDefectDetection, 64);
+                                    MlApp::kDefectDetection, 64, 0.95);
   EXPECT_EQ(mf.servers.size(), plan.cells);
   // agg + one switch per cell
   EXPECT_EQ(mf.switches, plan.cells + 1);
+}
+
+TEST(TopologyBuild, MlAwareCellsFollowTargetAccuracy) {
+  // At 0.90 a defect-detection cell holds 140 clients, so 256 clients
+  // need 2 cells; cells planned for 0.95 would need 3.
+  const auto plan = plan_ml_aware(MlApp::kDefectDetection, 256, 0.90);
+  ASSERT_EQ(plan.cells, 2u);
+  InferenceConfig cfg;
+  cfg.topology = TopologyKind::kMlAware;
+  cfg.app = MlApp::kDefectDetection;
+  cfg.clients = 256;
+  cfg.duration = 200_ms;
+  cfg.target_accuracy = 0.90;
+  const auto report = run_inference_experiment(cfg);
+  EXPECT_EQ(report.frame_bytes,
+            required_frame_bytes(MlApp::kDefectDetection, 0.90));
+  EXPECT_EQ(report.servers, plan.cells);
 }
 
 TEST(TopologyBuild, RingHasSingleServer) {
   sim::Simulator simulator;
   net::Network network{simulator};
   const auto mf = build_ml_topology(network, TopologyKind::kRing,
-                                    MlApp::kObjectIdentification, 32);
+                                    MlApp::kObjectIdentification, 32, 0.95);
   EXPECT_EQ(mf.servers.size(), 1u);
   EXPECT_EQ(mf.switches, 16u);
 }
@@ -96,7 +108,7 @@ TEST(TopologyBuild, ZeroClientsThrows) {
   sim::Simulator simulator;
   net::Network network{simulator};
   EXPECT_THROW(build_ml_topology(network, TopologyKind::kRing,
-                                 MlApp::kObjectIdentification, 0),
+                                 MlApp::kObjectIdentification, 0, 0.95),
                std::invalid_argument);
 }
 

@@ -85,7 +85,6 @@ TEST(Workload, ParamsSane) {
     EXPECT_GT(p.raw_frame_bytes, 0u);
     EXPECT_GT(p.fps, 0.0);
     EXPECT_GT(p.service_ns, 0);
-    EXPECT_GT(p.server_workers, 0u);
   }
   EXPECT_EQ(to_string(MlApp::kDefectDetection), "Defect Detection");
 }

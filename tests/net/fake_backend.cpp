@@ -1,4 +1,4 @@
-#include "net/fake_backend.hpp"
+#include "fake_backend.hpp"
 
 namespace steelnet::net {
 

@@ -9,7 +9,7 @@
 
 #include <vector>
 
-#include "net/fake_backend.hpp"
+#include "fake_backend.hpp"
 #include "net/host_node.hpp"
 #include "net/network.hpp"
 #include "net/radio_backend.hpp"
@@ -204,10 +204,6 @@ TEST(LossyRadio, ConstructorRejectsBadConfig) {
   auto unsorted = small_radio();
   std::swap(unsorted.rates[0], unsorted.rates[2]);
   EXPECT_EQ(code_of(std::move(unsorted)), LinkErrorCode::kBadRadioConfig);
-
-  auto bad_timer = small_radio();
-  bad_timer.scan_interval = sim::SimTime::zero();
-  EXPECT_EQ(code_of(std::move(bad_timer)), LinkErrorCode::kBadRadioConfig);
 }
 
 TEST(LossyRadio, StationValidationAndBinding) {
@@ -256,7 +252,7 @@ TEST(LossyRadio, AssociationOpensAfterTheHandshake) {
   const Frame f = make_frame(MacAddress{2});
   const LinkParams params{};
 
-  // t=0 lands inside the association handshake (assoc_delay = 2 ms):
+  // t=0 lands inside the association handshake (kAssocDelay = 2 ms):
   // the scan epoch associated the station but the air is not ready yet.
   const LinkTxPlan during = radio.plan_transmit(1, 0, f, params, 0_ns);
   EXPECT_FALSE(during.survives);
@@ -277,7 +273,7 @@ TEST(LossyRadio, AssociationOpensAfterTheHandshake) {
 }
 
 TEST(LossyRadio, BelowTheAssociationFloorNothingFlies) {
-  // -45 dB offset pushes the mean SNR below assoc_min_snr_db: the station
+  // -45 dB offset pushes the mean SNR below kAssocMinSnrDb: the station
   // never associates and every frame dies to "radio_no_assoc".
   LossyRadioBackend radio{small_radio(-45.0)};
   const std::size_t st = radio.add_station("agv", parked_at(10.0, 0.0));

@@ -12,6 +12,7 @@
 #include "net/topology.hpp"
 #include "orch/orch_runner.hpp"
 #include "sim/simulator.hpp"
+#include "small_orch_config.hpp"
 
 namespace steelnet::orch {
 namespace {
@@ -33,9 +34,7 @@ struct FleetFixture {
                         std::uint32_t capacity_mcpu = 4000)
       : fleet(simulator, PolicyKind::kLatencyAware) {
     network.set_faults(&plane);
-    net::SwitchConfig sw_cfg;
-    sw_cfg.num_ports = n_nodes + 1;
-    auto& sw = network.add_node<net::SwitchNode>("sw", sw_cfg);
+    auto& sw = network.add_node<net::SwitchNode>("sw");
     for (std::uint32_t i = 0; i < n_nodes; ++i) {
       auto& h = network.add_node<net::HostNode>("node" + std::to_string(i),
                                                 net::host_mac(1 + i));

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "orch/orch_runner.hpp"
+#include "small_orch_config.hpp"
 
 namespace steelnet::orch {
 namespace {

@@ -101,11 +101,7 @@ struct RedundantFixture : PlantFixture {
 
 TEST(PlcIntegration, RedundantPairSwitchesOverWithinVendorWindow) {
   RedundantFixture fx;
-  RedundancyConfig rcfg;
-  rcfg.heartbeat = 10_ms;
-  rcfg.miss_threshold = 3;
-  rcfg.switchover_delay = 100_ms;
-  RedundantPlcPair pair(*fx.controller, *fx.standby, rcfg, fx.simulator);
+  RedundantPlcPair pair(*fx.controller, *fx.standby, fx.simulator);
   pair.start();
   fx.simulator.run_until(500_ms);
   ASSERT_EQ(fx.controller->state(), profinet::ControllerState::kRunning);
@@ -124,16 +120,12 @@ TEST(PlcIntegration, RedundantPairSwitchesOverWithinVendorWindow) {
 
 TEST(PlcIntegration, RedundantPairKeepsDeviceControlled) {
   RedundantFixture fx;
-  RedundancyConfig rcfg;
-  rcfg.heartbeat = 5_ms;
-  rcfg.miss_threshold = 2;
-  rcfg.switchover_delay = 60_ms;
-  RedundantPlcPair pair(*fx.controller, *fx.standby, rcfg, fx.simulator);
+  RedundantPlcPair pair(*fx.controller, *fx.standby, fx.simulator);
   pair.start();
   fx.simulator.run_until(500_ms);
   pair.fail_primary();
   fx.simulator.run_until(5_s);
-  // Device tripped its watchdog during the gap (takeover ~70ms > 3x2ms
+  // Device tripped its watchdog during the gap (takeover ~130ms > 3x2ms
   // watchdog) but resumed under the standby.
   EXPECT_EQ(fx.device->state(), profinet::DeviceState::kDataExchange);
   EXPECT_GE(fx.device->counters().watchdog_trips, 1u);
@@ -143,8 +135,7 @@ TEST(PlcIntegration, RedundantPairKeepsDeviceControlled) {
 
 TEST(PlcIntegration, NoSwitchoverWithoutFailure) {
   RedundantFixture fx;
-  RedundantPlcPair pair(*fx.controller, *fx.standby, RedundancyConfig{},
-                        fx.simulator);
+  RedundantPlcPair pair(*fx.controller, *fx.standby, fx.simulator);
   pair.start();
   fx.simulator.run_until(2_s);
   EXPECT_FALSE(pair.switched_over());

@@ -150,7 +150,6 @@ TEST(Exchange, SecondArRejected) {
   ControllerConfig cfg2;
   cfg2.ar_id = 2;
   cfg2.device_mac = fx.dev_host->mac();
-  cfg2.max_connect_retries = 1;
   CyclicController second(host2, cfg2);
   bool accepted = true;
   second.set_connected_handler([&](bool ok) { accepted = ok; });
@@ -169,8 +168,6 @@ TEST(Exchange, ConnectRetriesThenGivesUp) {
   // host's NIC filter discards, and the retries run dry.
   ControllerConfig cfg;
   cfg.device_mac = net::MacAddress{0x99};
-  cfg.max_connect_retries = 3;
-  cfg.connect_timeout = 5_ms;
   auto& sw = dynamic_cast<net::SwitchNode&>(fx.network.node(0));
   auto& host = fx.network.add_node<net::HostNode>("plc-x",
                                                   net::MacAddress{0xD});
@@ -186,7 +183,8 @@ TEST(Exchange, ConnectRetriesThenGivesUp) {
   fx.simulator.run_until(200_ms);
   EXPECT_TRUE(called);
   EXPECT_FALSE(result);
-  EXPECT_EQ(lonely.counters().connects_sent, 3u);
+  EXPECT_EQ(lonely.counters().connects_sent,
+            CyclicController::kMaxConnectRetries);
   EXPECT_EQ(lonely.state(), ControllerState::kIdle);
 }
 
