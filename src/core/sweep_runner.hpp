@@ -18,6 +18,13 @@
 //
 // jobs == 1 never spawns a thread: tasks run inline on the calling
 // thread, preserving the exact historical single-threaded behaviour.
+// With more workers the calling thread is one of them, so a pool of N
+// spawns N - 1 threads; if the OS refuses a thread, the ones that did
+// start (and the caller) finish the sweep.
+//
+// Nesting: a run() called from inside a task of a multi-worker run (a
+// radio floor fanning out its collection inside a tab_radio seed sweep)
+// runs its tasks inline on that worker, so pools never multiply.
 #pragma once
 
 #include <atomic>
@@ -25,6 +32,7 @@
 #include <exception>
 #include <optional>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -45,6 +53,11 @@ namespace steelnet::core {
 [[nodiscard]] std::size_t effective_jobs(std::size_t requested,
                                          std::size_t tasks,
                                          std::size_t shards_per_task);
+
+namespace detail {
+/// True while this thread serves a multi-worker SweepRunner::run.
+inline thread_local bool serving_sweep = false;
+}  // namespace detail
 
 /// One task's outcome: a value, or the what() of the exception it threw.
 template <typename R>
@@ -72,6 +85,7 @@ class SweepRunner {
   /// Runs fn(0) .. fn(tasks-1) across the pool and returns slot-per-task
   /// results in task order. `fn` is invoked concurrently from multiple
   /// threads when jobs > 1, so it must not touch shared mutable state.
+  /// Called from a task of another multi-worker run, it runs inline.
   template <typename Fn>
   [[nodiscard]] auto run(std::size_t tasks, Fn&& fn) const
       -> std::vector<SweepSlot<std::invoke_result_t<Fn&, std::size_t>>> {
@@ -86,22 +100,32 @@ class SweepRunner {
         slots[i].error = "unknown exception";
       }
     };
-    const std::size_t workers = effective_jobs(jobs_, tasks,
-                                               shards_per_task_);
+    const std::size_t workers =
+        detail::serving_sweep
+            ? 1
+            : effective_jobs(jobs_, tasks, shards_per_task_);
     if (workers <= 1) {
       for (std::size_t i = 0; i < tasks; ++i) run_one(i);
       return slots;
     }
     std::atomic<std::size_t> next{0};
     auto worker = [&] {
+      detail::serving_sweep = true;
       for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
            i < tasks; i = next.fetch_add(1, std::memory_order_relaxed)) {
         run_one(i);
       }
+      detail::serving_sweep = false;
     };
     std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(worker);
+    pool.reserve(workers - 1);
+    try {
+      for (std::size_t w = 1; w < workers; ++w) pool.emplace_back(worker);
+    } catch (const std::system_error&) {
+      // No more threads to be had: the started ones and the caller below
+      // drain the remaining tasks.
+    }
+    worker();
     for (std::thread& t : pool) t.join();
     return slots;
   }

@@ -5,6 +5,7 @@
 #include <memory>
 #include <utility>
 
+#include "core/sweep_runner.hpp"
 #include "faults/instaplc_testbed.hpp"
 #include "faults/scenario_runner.hpp"
 #include "net/cell_artifacts.hpp"
@@ -53,7 +54,8 @@ faults::FaultScenario matrix_scenario(const char* name, std::uint64_t seed) {
   return sc;
 }
 
-/// Everything one cell owns; only its shard's worker thread touches it.
+/// Everything one cell owns; only its shard's worker thread touches it,
+/// and after the run only the pool worker that collects it.
 struct FloorCell {
   std::string scenario;
   std::int64_t snr_offset_millidb = 0;
@@ -147,11 +149,22 @@ RadioFloorResult run_radio_floor(const RadioFloorOptions& opt) {
   result.io_cycle_ns = opt.io_cycle.nanos();
   run_placed(ss, opt.horizon, opt.shards, opt.measured_weights, result);
 
+  // Collection is outside the kernel's timed run. Each collect() reads
+  // only its own testbed, so the cells fan out over the pool; the slots
+  // come back in cell order.
+  const auto outcomes = core::SweepRunner{}.run(
+      floor_cells.size(),
+      [&](std::size_t i) { return floor_cells[i]->testbed->collect(); });
+
   result.cells.reserve(floor_cells.size());
   for (std::size_t i = 0; i < floor_cells.size(); ++i) {
     sim::ShardedSimulator::Cell& cell = ss.cell(static_cast<std::uint32_t>(i));
+    if (!outcomes[i].ok()) {
+      throw sim::SimError("radio floor: collecting cell " + cell.name() +
+                          " failed: " + outcomes[i].error);
+    }
     FloorCell& fc = *floor_cells[i];
-    const faults::ScenarioOutcome out = fc.testbed->collect();
+    const faults::ScenarioOutcome& out = *outcomes[i].value;
     const RadioCounters& rc = fc.backend->counters();
 
     RadioCellReport r;

@@ -5,15 +5,38 @@
 //     count, never below 1,
 //   * a throwing task surfaces as that slot's error string (the sweep
 //     neither hangs nor loses the other slots),
-//   * parallel runs produce exactly the sequential results.
+//   * parallel runs produce exactly the sequential results,
+//   * a run nested in a pool task stays on that task's thread,
+//   * a thread the OS refuses to spawn costs parallelism, not the process.
 #include "core/sweep_runner.hpp"
 
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
+
+// Sanitizer runtimes reserve terabytes of address space, so an
+// RLIMIT_AS-based test cannot run under them.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define STEELNET_HUGE_VM 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define STEELNET_HUGE_VM 1
+#else
+#define STEELNET_HUGE_VM 0
+#endif
+#else
+#define STEELNET_HUGE_VM 0
+#endif
 
 namespace steelnet::core {
 namespace {
@@ -126,6 +149,97 @@ TEST(SweepRunner, ParallelMatchesSequentialExactly) {
     ASSERT_TRUE(par[i].ok());
     EXPECT_EQ(*seq[i].value, *par[i].value);
   }
+}
+
+TEST(SweepRunner, NestedRunStaysOnTheWorkerThread) {
+  // Inner runs called from a 4-job outer run's tasks must not spawn a
+  // pool each: every inner task runs on its outer task's thread.
+  const auto outer = SweepRunner{4}.run(8, [](std::size_t) {
+    const std::thread::id self = std::this_thread::get_id();
+    const auto inner = SweepRunner{4}.run(
+        16, [](std::size_t) { return std::this_thread::get_id(); });
+    std::size_t elsewhere = inner.size() == 16 ? 0 : 1;
+    for (const auto& slot : inner) {
+      if (!slot.ok() || *slot.value != self) ++elsewhere;
+    }
+    return elsewhere;
+  });
+  ASSERT_EQ(outer.size(), 8u);
+  for (std::size_t i = 0; i < outer.size(); ++i) {
+    ASSERT_TRUE(outer[i].ok()) << outer[i].error;
+    EXPECT_EQ(*outer[i].value, 0u) << "outer task " << i;
+  }
+}
+
+TEST(SweepRunner, InlineOuterRunLeavesItsInnerRunParallel) {
+  // Only a multi-worker run keeps nested runs inline. Under a jobs == 1
+  // run, and on the caller once a pool run has returned, an inner run
+  // still gets its pool: each task below waits until a second thread
+  // has joined in (bounded, so a regression fails instead of hanging).
+  const auto two_threads_meet = [] {
+    std::atomic<int> arrived{0};
+    const auto slots = SweepRunner{4}.run(4, [&](std::size_t) {
+      arrived.fetch_add(1);
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (arrived.load() < 2) {
+        if (std::chrono::steady_clock::now() > deadline) return false;
+        std::this_thread::yield();
+      }
+      return true;
+    });
+    for (const auto& slot : slots) {
+      if (!slot.ok() || !*slot.value) return false;
+    }
+    return true;
+  };
+  const auto outer = SweepRunner{1}.run(
+      1, [&](std::size_t) { return two_threads_meet(); });
+  ASSERT_TRUE(outer[0].ok()) << outer[0].error;
+  EXPECT_TRUE(*outer[0].value);
+  (void)SweepRunner{4}.run(4, [](std::size_t i) { return i; });
+  EXPECT_TRUE(two_threads_meet());
+}
+
+/// Bytes of address space this process has mapped right now.
+std::size_t mapped_bytes() {
+  unsigned long pages = 0;
+  if (FILE* f = std::fopen("/proc/self/statm", "r")) {
+    if (std::fscanf(f, "%lu", &pages) != 1) pages = 0;
+    std::fclose(f);
+  }
+  return pages * static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(SweepRunner, SpawnFailureFinishesOnTheCallingThread) {
+#if STEELNET_HUGE_VM
+  GTEST_SKIP() << "sanitizer runtimes reserve more address space than "
+                  "the limit leaves";
+#endif
+  // A child whose address-space limit fits one more default thread stack:
+  // the pool gets at most one of its seven threads. The caller and that
+  // thread must finish all eight tasks; a pool destroyed with a joinable
+  // thread would abort the child instead.
+  EXPECT_EXIT(
+      {
+        pthread_attr_t attr;
+        std::size_t stack = 8u << 20;
+        if (pthread_getattr_default_np(&attr) == 0) {
+          pthread_attr_getstacksize(&attr, &stack);
+          pthread_attr_destroy(&attr);
+        }
+        rlimit lim{};
+        lim.rlim_cur = lim.rlim_max = mapped_bytes() + stack + stack / 2;
+        if (setrlimit(RLIMIT_AS, &lim) != 0) std::_Exit(3);
+        const auto slots =
+            SweepRunner{8}.run(8, [](std::size_t i) { return i; });
+        bool all_ok = slots.size() == 8;
+        for (std::size_t i = 0; i < slots.size(); ++i) {
+          all_ok = all_ok && slots[i].ok() && *slots[i].value == i;
+        }
+        std::_Exit(all_ok ? 0 : 1);
+      },
+      testing::ExitedWithCode(0), "");
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "faults/instaplc_testbed.hpp"
 #include "sim/hash.hpp"
 #include "sim/simulator.hpp"
@@ -194,6 +196,33 @@ TEST(InstaPlcTestbed, CallerObserverLeavesTheOutcomeUnchanged) {
   EXPECT_EQ(switchovers, 1u);
   EXPECT_GT(out.switchover_latency, sim::SimTime::zero());
   EXPECT_EQ(out.fingerprint(), ScenarioRunner{}.run(sc).fingerprint());
+}
+
+TEST(InstaPlcTestbed, CollectOnAnotherThreadMatchesInline) {
+  // The radio floor collects its testbeds on pool threads, not on the
+  // thread that built and ran them: collect() must read only its own
+  // testbed, so where it runs cannot change a byte.
+  const FaultScenario sc = random_scenario(11);
+  InstaPlcTestbed::Config cfg;
+  cfg.opts.keep_exports = true;
+  sim::Simulator sim_a;
+  sim::Simulator sim_b;
+  InstaPlcTestbed a{sim_a, sc, cfg};
+  InstaPlcTestbed b{sim_b, sc, cfg};
+  a.start();
+  b.start();
+  sim_a.run_until(cfg.opts.horizon);
+  sim_b.run_until(cfg.opts.horizon);
+  ScenarioOutcome elsewhere;
+  std::thread collector([&] { elsewhere = a.collect(); });
+  collector.join();
+  const ScenarioOutcome inline_out = b.collect();
+  ASSERT_FALSE(inline_out.trace_json.empty());
+  EXPECT_EQ(elsewhere.metrics_prom, inline_out.metrics_prom);
+  EXPECT_EQ(elsewhere.trace_json, inline_out.trace_json);
+  EXPECT_EQ(elsewhere.metrics_fp, inline_out.metrics_fp);
+  EXPECT_EQ(elsewhere.trace_fp, inline_out.trace_fp);
+  EXPECT_EQ(elsewhere.fingerprint(), inline_out.fingerprint());
 }
 
 TEST(ScenarioRunner, SweepJobs8MatchesJobs1ByteForByte) {
