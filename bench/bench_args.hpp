@@ -56,7 +56,8 @@ inline std::string hex16(std::uint64_t v) {
   return buf;
 }
 
-/// Reads a cell-rate profile (`--profile-in`); exits 2 if unreadable.
+/// Reads a cell-rate profile (`--profile-in`); exits 2 if it is
+/// unreadable or not a profile.
 inline sim::RateProfile read_profile(const char* prog,
                                      const std::string& path) {
   std::ifstream in{path};
@@ -66,14 +67,26 @@ inline sim::RateProfile read_profile(const char* prog,
   }
   std::ostringstream text;
   text << in.rdbuf();
-  return sim::RateProfile::parse(text.str());
+  try {
+    return sim::RateProfile::parse(text.str());
+  } catch (const sim::PartitionError& e) {
+    std::cerr << prog << ": " << e.what() << "\n";
+    std::exit(2);
+  }
 }
 
 /// Writes a cell-rate profile (`--profile-out`); reports on stderr so a
-/// CSV on stdout stays byte-comparable.
+/// CSV on stdout stays byte-comparable. Exits 2 if the file can't be
+/// written.
 inline void write_profile(const char* prog, const std::string& path,
                           const sim::RateProfile& profile) {
-  std::ofstream{path} << profile.to_text();
+  std::ofstream out{path};
+  out << profile.to_text();
+  out.close();
+  if (!out) {
+    std::cerr << prog << ": cannot write profile '" << path << "'\n";
+    std::exit(2);
+  }
   std::cerr << prog << ": wrote profile " << path << " ("
             << profile.cells.size() << " cells)\n";
 }

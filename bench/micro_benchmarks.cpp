@@ -289,11 +289,10 @@ void BM_ChromeTraceJsonThenHash(benchmark::State& state) {
 }
 BENCHMARK(BM_ChromeTraceJsonThenHash)->Unit(benchmark::kMillisecond);
 
-// Sweep throughput: the tab_faults-style seed sweep (independent seeded
-// full-stack fault simulations) through the core::SweepRunner worker
-// pool. Arg = --jobs; items/s at Arg(8) over Arg(1) is the recorded
-// parallel-sweep speedup (the outputs themselves are byte-identical at
-// any job count, which the SweepRunner tests pin).
+// Sweep throughput: tab_faults' seed sweep (independent seeded full-stack
+// fault simulations) over the core::SweepRunner pool. Arg = --jobs; items/s
+// at Arg(8) over Arg(1) is the recorded parallel-sweep speedup (outputs are
+// byte-identical at any job count, which the SweepRunner tests pin).
 void BM_SweepRunnerFaultScenarios(benchmark::State& state) {
   const auto jobs = static_cast<std::size_t>(state.range(0));
   constexpr std::uint64_t kSeeds = 8;
@@ -303,7 +302,8 @@ void BM_SweepRunnerFaultScenarios(benchmark::State& state) {
     scenarios.push_back(faults::random_scenario(seed));
   }
   for (auto _ : state) {
-    const auto slots = runner.run_sweep(scenarios, jobs);
+    const auto slots = core::SweepRunner{jobs}.run(
+        kSeeds, [&](std::size_t i) { return runner.run(scenarios[i]); });
     for (const auto& slot : slots) {
       if (!slot.ok()) state.SkipWithError(slot.error.c_str());
     }

@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   obs::ObsHub& hub = testbed.hub();
   const instaplc::InstaPlcApp& app = testbed.app();
   const profinet::IoDevice& device = testbed.device();
-  obs::Snapshotter snapshotter(simulator, hub.metrics(), 250_ms);
+  obs::Snapshotter snapshotter(simulator, 250_ms);
 
   testbed.start();
   simulator.run_until(3_s);

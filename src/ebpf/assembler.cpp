@@ -21,9 +21,6 @@ Assembler& Assembler::mov_reg(std::uint8_t dst, std::uint8_t src) {
 Assembler& Assembler::add_imm(std::uint8_t dst, std::int64_t imm) {
   return emit({Op::kAddImm, dst, 0, 0, imm});
 }
-Assembler& Assembler::add_reg(std::uint8_t dst, std::uint8_t src) {
-  return emit({Op::kAddReg, dst, src, 0, 0});
-}
 Assembler& Assembler::sub_reg(std::uint8_t dst, std::uint8_t src) {
   return emit({Op::kSubReg, dst, src, 0, 0});
 }
@@ -42,39 +39,15 @@ Assembler& Assembler::and_imm(std::uint8_t dst, std::int64_t imm) {
 Assembler& Assembler::or_imm(std::uint8_t dst, std::int64_t imm) {
   return emit({Op::kOrImm, dst, 0, 0, imm});
 }
-Assembler& Assembler::xor_reg(std::uint8_t dst, std::uint8_t src) {
-  return emit({Op::kXorReg, dst, src, 0, 0});
-}
 Assembler& Assembler::lsh_imm(std::uint8_t dst, std::int64_t imm) {
   return emit({Op::kLshImm, dst, 0, 0, imm});
 }
 Assembler& Assembler::rsh_imm(std::uint8_t dst, std::int64_t imm) {
   return emit({Op::kRshImm, dst, 0, 0, imm});
 }
-Assembler& Assembler::neg(std::uint8_t dst) {
-  return emit({Op::kNeg, dst, 0, 0, 0});
-}
 
-Assembler& Assembler::ld_pkt_b(std::uint8_t dst, std::int16_t off) {
-  return emit({Op::kLdPktB, dst, 0, off, 0});
-}
-Assembler& Assembler::ld_pkt_h(std::uint8_t dst, std::int16_t off) {
-  return emit({Op::kLdPktH, dst, 0, off, 0});
-}
-Assembler& Assembler::ld_pkt_w(std::uint8_t dst, std::int16_t off) {
-  return emit({Op::kLdPktW, dst, 0, off, 0});
-}
 Assembler& Assembler::ld_pkt_dw(std::uint8_t dst, std::int16_t off) {
   return emit({Op::kLdPktDw, dst, 0, off, 0});
-}
-Assembler& Assembler::st_pkt_b(std::int16_t off, std::uint8_t src) {
-  return emit({Op::kStPktB, 0, src, off, 0});
-}
-Assembler& Assembler::st_pkt_h(std::int16_t off, std::uint8_t src) {
-  return emit({Op::kStPktH, 0, src, off, 0});
-}
-Assembler& Assembler::st_pkt_w(std::int16_t off, std::uint8_t src) {
-  return emit({Op::kStPktW, 0, src, off, 0});
 }
 Assembler& Assembler::st_pkt_dw(std::int16_t off, std::uint8_t src) {
   return emit({Op::kStPktDw, 0, src, off, 0});
@@ -111,21 +84,9 @@ Assembler& Assembler::jeq_imm(std::uint8_t dst, std::int64_t imm,
                               const std::string& label) {
   return jump(Op::kJeqImm, dst, 0, imm, label);
 }
-Assembler& Assembler::jne_imm(std::uint8_t dst, std::int64_t imm,
-                              const std::string& label) {
-  return jump(Op::kJneImm, dst, 0, imm, label);
-}
 Assembler& Assembler::jgt_imm(std::uint8_t dst, std::int64_t imm,
                               const std::string& label) {
   return jump(Op::kJgtImm, dst, 0, imm, label);
-}
-Assembler& Assembler::jge_reg(std::uint8_t dst, std::uint8_t src,
-                              const std::string& label) {
-  return jump(Op::kJgeReg, dst, src, 0, label);
-}
-Assembler& Assembler::jlt_imm(std::uint8_t dst, std::int64_t imm,
-                              const std::string& label) {
-  return jump(Op::kJltImm, dst, 0, imm, label);
 }
 
 Assembler& Assembler::exit() { return emit({Op::kExit, 0, 0, 0, 0}); }

@@ -21,26 +21,17 @@ class Assembler {
   Assembler& mov_imm(std::uint8_t dst, std::int64_t imm);
   Assembler& mov_reg(std::uint8_t dst, std::uint8_t src);
   Assembler& add_imm(std::uint8_t dst, std::int64_t imm);
-  Assembler& add_reg(std::uint8_t dst, std::uint8_t src);
   Assembler& sub_reg(std::uint8_t dst, std::uint8_t src);
   Assembler& sub_imm(std::uint8_t dst, std::int64_t imm);
   Assembler& mul_imm(std::uint8_t dst, std::int64_t imm);
   Assembler& div_imm(std::uint8_t dst, std::int64_t imm);
   Assembler& and_imm(std::uint8_t dst, std::int64_t imm);
   Assembler& or_imm(std::uint8_t dst, std::int64_t imm);
-  Assembler& xor_reg(std::uint8_t dst, std::uint8_t src);
   Assembler& lsh_imm(std::uint8_t dst, std::int64_t imm);
   Assembler& rsh_imm(std::uint8_t dst, std::int64_t imm);
-  Assembler& neg(std::uint8_t dst);
 
   // --- packet memory ---
-  Assembler& ld_pkt_b(std::uint8_t dst, std::int16_t off);
-  Assembler& ld_pkt_h(std::uint8_t dst, std::int16_t off);
-  Assembler& ld_pkt_w(std::uint8_t dst, std::int16_t off);
   Assembler& ld_pkt_dw(std::uint8_t dst, std::int16_t off);
-  Assembler& st_pkt_b(std::int16_t off, std::uint8_t src);
-  Assembler& st_pkt_h(std::int16_t off, std::uint8_t src);
-  Assembler& st_pkt_w(std::int16_t off, std::uint8_t src);
   Assembler& st_pkt_dw(std::int16_t off, std::uint8_t src);
 
   // --- stack ---
@@ -53,13 +44,7 @@ class Assembler {
   Assembler& ja(const std::string& label);
   Assembler& jeq_imm(std::uint8_t dst, std::int64_t imm,
                      const std::string& label);
-  Assembler& jne_imm(std::uint8_t dst, std::int64_t imm,
-                     const std::string& label);
   Assembler& jgt_imm(std::uint8_t dst, std::int64_t imm,
-                     const std::string& label);
-  Assembler& jge_reg(std::uint8_t dst, std::uint8_t src,
-                     const std::string& label);
-  Assembler& jlt_imm(std::uint8_t dst, std::int64_t imm,
                      const std::string& label);
   Assembler& exit();
 

@@ -54,16 +54,6 @@ std::string to_string(Op op) {
   return "?";
 }
 
-std::string to_string(XdpVerdict v) {
-  switch (v) {
-    case XdpVerdict::kAborted: return "XDP_ABORTED";
-    case XdpVerdict::kDrop: return "XDP_DROP";
-    case XdpVerdict::kPass: return "XDP_PASS";
-    case XdpVerdict::kTx: return "XDP_TX";
-  }
-  return "?";
-}
-
 std::string disassemble(const Insn& insn) {
   std::ostringstream os;
   os << to_string(insn.op) << " dst=r" << int(insn.dst) << " src=r"

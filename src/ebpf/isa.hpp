@@ -87,7 +87,6 @@ struct Program {
 };
 
 [[nodiscard]] std::string to_string(Op op);
-[[nodiscard]] std::string to_string(XdpVerdict v);
 
 /// Disassembles one instruction (for error messages and dumps).
 [[nodiscard]] std::string disassemble(const Insn& insn);

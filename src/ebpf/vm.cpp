@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "obs/hub.hpp"
-
 namespace steelnet::ebpf {
 
 Vm::Vm(Program program, CostParams cost, std::uint64_t seed)
@@ -36,16 +34,6 @@ RunResult Vm::run(net::Frame& frame, sim::SimTime now) {
   exec_ns_total_ += static_cast<std::uint64_t>(result.exec_time.nanos());
   if (result.verdict == XdpVerdict::kAborted) ++aborts_total_;
   return result;
-}
-
-void Vm::register_metrics(obs::ObsHub& hub,
-                          const std::string& node_label) const {
-  obs::MetricsRegistry& reg = hub.metrics();
-  reg.bind_counter({node_label, "ebpf", "runs"}, &runs_);
-  reg.bind_counter({node_label, "ebpf", "insns_total"}, &insns_total_);
-  reg.bind_counter({node_label, "ebpf", "helpers_total"}, &helpers_total_);
-  reg.bind_counter({node_label, "ebpf", "exec_ns_total"}, &exec_ns_total_);
-  reg.bind_counter({node_label, "ebpf", "aborts_total"}, &aborts_total_);
 }
 
 RunResult Vm::run_impl(net::Frame& frame, sim::SimTime now) {

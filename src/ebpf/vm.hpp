@@ -12,10 +12,6 @@
 #include "net/frame.hpp"
 #include "sim/time.hpp"
 
-namespace steelnet::obs {
-class ObsHub;
-}
-
 namespace steelnet::ebpf {
 
 /// Outcome of one program execution.
@@ -56,9 +52,6 @@ class Vm {
   [[nodiscard]] std::uint64_t helpers_total() const { return helpers_total_; }
   [[nodiscard]] std::uint64_t exec_ns_total() const { return exec_ns_total_; }
   [[nodiscard]] std::uint64_t aborts_total() const { return aborts_total_; }
-
-  /// Binds run totals under `<node_label>/ebpf/...`.
-  void register_metrics(obs::ObsHub& hub, const std::string& node_label) const;
 
  private:
   RunResult run_impl(net::Frame& frame, sim::SimTime now);

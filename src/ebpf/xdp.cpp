@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "obs/hub.hpp"
-
 namespace steelnet::ebpf {
 
 XdpHook::XdpHook(Program program, CostParams cost, std::uint64_t seed)
@@ -31,17 +29,6 @@ net::NicAction XdpHook::process(net::Frame& frame, sim::SimTime now,
   }
   ++stats_.aborted;
   return net::NicAction::kAborted;
-}
-
-void XdpHook::register_metrics(obs::ObsHub& hub,
-                               const std::string& node_label) const {
-  obs::MetricsRegistry& reg = hub.metrics();
-  reg.bind_counter({node_label, "xdp", "runs"}, &stats_.runs);
-  reg.bind_counter({node_label, "xdp", "pass"}, &stats_.pass);
-  reg.bind_counter({node_label, "xdp", "drop"}, &stats_.drop);
-  reg.bind_counter({node_label, "xdp", "tx"}, &stats_.tx);
-  reg.bind_counter({node_label, "xdp", "aborted"}, &stats_.aborted);
-  vm_.register_metrics(hub, node_label);
 }
 
 }  // namespace steelnet::ebpf

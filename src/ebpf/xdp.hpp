@@ -44,10 +44,6 @@ class XdpHook final : public net::NicProcessor {
   [[nodiscard]] const XdpStats& stats() const { return stats_; }
   [[nodiscard]] Vm& vm() { return vm_; }
 
-  /// Binds verdict counters under `<node_label>/xdp/...` and the VM's run
-  /// totals under `<node_label>/ebpf/...`.
-  void register_metrics(obs::ObsHub& hub, const std::string& node_label) const;
-
  private:
   Vm vm_;
   XdpStats stats_;

@@ -50,14 +50,6 @@ LinkFaultProfile& FaultPlane::profile(net::NodeId node, net::PortId port) {
   return profiles_[key(node, port)];
 }
 
-void FaultPlane::set_profile_symmetric(net::NodeId node, net::PortId port,
-                                       const LinkFaultProfile& p) {
-  profile(node, port) = p;
-  if (const auto peer = net_.peer(node, port)) {
-    profile(peer->first, peer->second) = p;
-  }
-}
-
 void FaultPlane::crash_node(net::NodeId node) {
   // Every kill starts a new incarnation, superseding any pod restart
   // still pending from an earlier crash/stop spec.

@@ -111,9 +111,6 @@ class FaultPlane final : public net::FaultInjector {
   /// Mutable probabilistic profile of the *directed* channel out of
   /// (node, port).
   [[nodiscard]] LinkFaultProfile& profile(net::NodeId node, net::PortId port);
-  /// Applies `p` to both directions of the duplex link at (node, port).
-  void set_profile_symmetric(net::NodeId node, net::PortId port,
-                             const LinkFaultProfile& p);
 
   /// NIC death: in-flight frames to the node are absorbed, its queues are
   /// purged, sends/receives are suppressed. Fires the crash handler.

@@ -2,16 +2,8 @@
 //
 // A FaultScenario is a seed plus a list of timed/probabilistic fault
 // specs -- the complete, reproducible description of everything that
-// goes wrong in one run. Scenarios are plain data: they can be built in
-// code, generated from a seed, or parsed from a small line-oriented text
-// format (one fault per line, `key=value` fields), so experiments can be
-// checked into a repo and replayed bit-identically.
-//
-//   name loss-burst
-//   seed 42
-//   loss link=v1:0 at=1s dur=10ms p=1.0
-//   flap link=v1:0 at=1s down=10ms period=20ms count=5
-//   crash node=v1 at=1s dur=500ms
+// goes wrong in one run. Scenarios are plain data, built in code or
+// generated from a seed (faults::random_scenario).
 //
 // The FaultPlane consumes a scenario via FaultPlane::schedule, resolving
 // node names against the attached Network and turning every spec into
@@ -20,7 +12,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "net/node.hpp"
@@ -40,8 +31,6 @@ enum class FaultKind : std::uint8_t {
   kNodeStop,   ///< process stops gracefully; the NIC stays up (silence)
 };
 
-[[nodiscard]] const char* to_string(FaultKind k);
-
 /// One fault, bound to a link endpoint (`node`:`port`) or a node.
 struct FaultSpec {
   FaultKind kind = FaultKind::kLinkDown;
@@ -53,29 +42,12 @@ struct FaultSpec {
   sim::SimTime delay;      ///< jitter bound / reorder extra delay
   std::uint32_t count = 0; ///< flap cycles
   sim::SimTime period;     ///< flap cycle period
-
-  [[nodiscard]] bool operator==(const FaultSpec&) const = default;
 };
 
 struct FaultScenario {
   std::string name = "scenario";
   std::uint64_t seed = 1;
   std::vector<FaultSpec> faults;
-
-  [[nodiscard]] bool operator==(const FaultScenario&) const = default;
-
-  /// Renders the scenario in the parseable text format (exact round-trip:
-  /// parse(to_text()) == *this).
-  [[nodiscard]] std::string to_text() const;
-
-  /// Parses the text format; throws sim::SimError on malformed input.
-  [[nodiscard]] static FaultScenario parse(std::string_view text);
 };
-
-/// Parses a duration like "10ms", "500us", "1s", "250ns"; throws
-/// sim::SimError on anything else.
-[[nodiscard]] sim::SimTime parse_duration(std::string_view text);
-/// Exact textual duration with the largest unit that divides it evenly.
-[[nodiscard]] std::string format_duration(sim::SimTime t);
 
 }  // namespace steelnet::faults

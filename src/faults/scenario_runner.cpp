@@ -52,12 +52,6 @@ ScenarioOutcome ScenarioRunner::run(const FaultScenario& scenario) const {
   return testbed.collect();
 }
 
-std::vector<core::SweepSlot<ScenarioOutcome>> ScenarioRunner::run_sweep(
-    const std::vector<FaultScenario>& scenarios, std::size_t jobs) const {
-  return core::SweepRunner{jobs}.run(
-      scenarios.size(), [&](std::size_t i) { return run(scenarios[i]); });
-}
-
 // --- canonical scenarios ----------------------------------------------------
 
 FaultScenario silent_primary_scenario(std::uint64_t seed) {

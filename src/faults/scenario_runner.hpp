@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "core/sweep_runner.hpp"
 #include "faults/fault_plane.hpp"
 #include "faults/scenario.hpp"
 
@@ -84,14 +83,6 @@ class ScenarioRunner {
   /// are derived from the scenario seed, so concurrent run() calls on
   /// the same runner share nothing and replay byte-identically.
   [[nodiscard]] ScenarioOutcome run(const FaultScenario& scenario) const;
-
-  /// Runs every scenario through a core::SweepRunner worker pool (`jobs`
-  /// semantics as there; 1 = inline sequential loop, 0 = hardware
-  /// concurrency). Slots come back in scenario order, so aggregates are
-  /// independent of worker count; a throwing run surfaces as that slot's
-  /// error instead of killing the sweep.
-  [[nodiscard]] std::vector<core::SweepSlot<ScenarioOutcome>> run_sweep(
-      const std::vector<FaultScenario>& scenarios, std::size_t jobs = 1) const;
 
   [[nodiscard]] const RunnerOptions& options() const { return opts_; }
 

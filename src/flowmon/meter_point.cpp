@@ -99,10 +99,6 @@ std::optional<std::int64_t> MeterPoint::silent_cycles(
   return (now - *seen) / cycle;
 }
 
-void MeterPoint::register_metrics(obs::ObsHub& hub) const {
-  register_metrics(hub, observed_.name());
-}
-
 void MeterPoint::register_metrics(obs::ObsHub& hub,
                                   const std::string& node_label) const {
   obs::MetricsRegistry& reg = hub.metrics();

@@ -84,9 +84,7 @@ class MeterPoint : public net::FrameObserver {
   [[nodiscard]] std::optional<std::int64_t> silent_cycles(
       const FlowKey& key, sim::SimTime cycle, sim::SimTime now) const;
 
-  /// Binds meter + flow-cache counters under `<node_label>/flowmon/...`
-  /// (default: named after the observed node).
-  void register_metrics(obs::ObsHub& hub) const;
+  /// Binds meter + flow-cache counters under `<node_label>/flowmon/...`.
   void register_metrics(obs::ObsHub& hub, const std::string& node_label) const;
 
  private:

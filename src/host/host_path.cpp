@@ -30,80 +30,31 @@ void HostPath::set_load(std::size_t concurrent_flows) {
 
 namespace {
 
-/// pcie + kernel in series, optionally wrapped in a contention scaler.
+/// pcie + PREEMPT_RT kernel in series inside a contention scaler (handed
+/// out through `contention_out`), then the vswitch/vhost hop.
 std::unique_ptr<LatencySampler> make_stack(
-    KernelKind kernel, PcieConfig pcie, bool contended, std::uint64_t seed,
-    ContentionScaledSampler** contention_out) {
+    std::uint64_t seed, ContentionScaledSampler** contention_out) {
   auto chain = std::make_unique<ChainSampler>();
-  chain->add(std::make_unique<PcieModel>(pcie, seed ^ 0x1));
-  chain->add(std::make_unique<KernelModel>(kernel, seed ^ 0x2));
-  if (!contended) {
-    *contention_out = nullptr;
-    return chain;
-  }
+  chain->add(std::make_unique<PcieModel>(PcieConfig{}, seed ^ 0x1));
+  chain->add(std::make_unique<KernelModel>(KernelKind::kPreemptRt, seed ^ 0x2));
   auto scaled = std::make_unique<ContentionScaledSampler>(
       std::move(chain), /*slope=*/0.06, /*jitter_sigma=*/0.03, seed ^ 0x3);
   *contention_out = scaled.get();
-  return scaled;
-}
-
-std::unique_ptr<HostPath> make_path(KernelKind kernel, PcieConfig pcie,
-                                    bool contended, std::uint64_t seed,
-                                    sim::SimTime extra_fixed =
-                                        sim::SimTime::zero()) {
-  ContentionScaledSampler* rx_c = nullptr;
-  ContentionScaledSampler* tx_c = nullptr;
-  auto wrap = [&](std::unique_ptr<LatencySampler> inner) {
-    if (extra_fixed == sim::SimTime::zero()) return inner;
-    auto chain = std::make_unique<ChainSampler>();
-    chain->add(std::move(inner));
-    chain->add(std::make_unique<FixedSampler>(extra_fixed));
-    return std::unique_ptr<LatencySampler>(std::move(chain));
-  };
-  auto rx = wrap(make_stack(kernel, pcie, contended, seed * 2 + 1, &rx_c));
-  auto tx = wrap(make_stack(kernel, pcie, contended, seed * 2 + 2, &tx_c));
-  return std::make_unique<HostPath>(std::move(rx), std::move(tx), rx_c, tx_c);
+  // The virtual switch / vhost hop adds a couple of microseconds each way.
+  auto stack = std::make_unique<ChainSampler>();
+  stack->add(std::move(scaled));
+  stack->add(std::make_unique<FixedSampler>(sim::microseconds(2)));
+  return stack;
 }
 
 }  // namespace
 
-std::unique_ptr<HostPath> HostProfile::ideal() {
-  return std::make_unique<HostPath>(
-      std::make_unique<FixedSampler>(sim::SimTime::zero()),
-      std::make_unique<FixedSampler>(sim::SimTime::zero()));
-}
-
-std::unique_ptr<HostPath> HostProfile::bare_metal_rt(std::uint64_t seed) {
-  PcieConfig pcie;
-  pcie.base = sim::nanoseconds(700);  // tuned NIC, write-combined doorbells
-  pcie.jitter = sim::nanoseconds(15);
-  return make_path(KernelKind::kDualKernel, pcie, /*contended=*/false, seed);
-}
-
-std::unique_ptr<HostPath> HostProfile::server_preempt_rt(std::uint64_t seed) {
-  return make_path(KernelKind::kPreemptRt, PcieConfig{}, /*contended=*/true,
-                   seed);
-}
-
-std::unique_ptr<HostPath> HostProfile::server_vanilla(std::uint64_t seed) {
-  return make_path(KernelKind::kVanilla, PcieConfig{}, /*contended=*/true,
-                   seed);
-}
-
 std::unique_ptr<HostPath> HostProfile::virtualized_rt(std::uint64_t seed) {
-  // The virtual switch / vhost hop adds a couple of microseconds each way.
-  return make_path(KernelKind::kPreemptRt, PcieConfig{}, /*contended=*/true,
-                   seed, sim::microseconds(2));
-}
-
-std::unique_ptr<HostPath> HostProfile::by_name(const std::string& name,
-                                               std::uint64_t seed) {
-  if (name == "ideal") return ideal();
-  if (name == "bare_metal_rt") return bare_metal_rt(seed);
-  if (name == "server_preempt_rt") return server_preempt_rt(seed);
-  if (name == "server_vanilla") return server_vanilla(seed);
-  if (name == "virtualized_rt") return virtualized_rt(seed);
-  throw std::invalid_argument("unknown host profile: " + name);
+  ContentionScaledSampler* rx_c = nullptr;
+  ContentionScaledSampler* tx_c = nullptr;
+  auto rx = make_stack(seed * 2 + 1, &rx_c);
+  auto tx = make_stack(seed * 2 + 2, &tx_c);
+  return std::make_unique<HostPath>(std::move(rx), std::move(tx), rx_c, tx_c);
 }
 
 }  // namespace steelnet::host

@@ -1,9 +1,8 @@
-// steelnet::host -- composed host rx/tx paths and canonical host profiles.
+// steelnet::host -- composed host rx/tx paths and the vPLC host profile.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "host/kernel.hpp"
 #include "host/pcie.hpp"
@@ -37,30 +36,12 @@ class HostPath final : public net::HostPathModel {
   ContentionScaledSampler* tx_contention_ = nullptr;  // borrowed from tx_
 };
 
-/// Named host configurations used across experiments.
+/// The vPLC host every experiment uses.
 class HostProfile {
  public:
-  /// Zero-latency host: frames go NIC <-> app instantly.
-  static std::unique_ptr<HostPath> ideal();
-
-  /// Bare-metal industrial PC, dual-kernel RTOS, DPDK-style polling:
-  /// the hardware-PLC stand-in.
-  static std::unique_ptr<HostPath> bare_metal_rt(std::uint64_t seed);
-
-  /// Server with PREEMPT_RT kernel (the paper's test end hosts, §3).
-  static std::unique_ptr<HostPath> server_preempt_rt(std::uint64_t seed);
-
-  /// Server with vanilla kernel -- the worst case for vPLCs.
-  static std::unique_ptr<HostPath> server_vanilla(std::uint64_t seed);
-
-  /// Virtualized (container/VM) PREEMPT_RT host: adds a vswitch/vhost
-  /// traversal stage on top of server_preempt_rt. The vPLC default.
+  /// Virtualized (container/VM) PREEMPT_RT server: PCIe + PREEMPT_RT
+  /// kernel under contention, plus a vswitch/vhost traversal stage.
   static std::unique_ptr<HostPath> virtualized_rt(std::uint64_t seed);
-
-  /// Builds the profile by name ("ideal", "bare_metal_rt", ...); throws
-  /// std::invalid_argument for unknown names. For config files.
-  static std::unique_ptr<HostPath> by_name(const std::string& name,
-                                           std::uint64_t seed);
 };
 
 }  // namespace steelnet::host

@@ -6,28 +6,6 @@
 
 namespace steelnet::host {
 
-NormalSampler::NormalSampler(sim::SimTime mean, sim::SimTime stddev,
-                             sim::SimTime floor, std::uint64_t seed)
-    : mean_(mean), stddev_(stddev), floor_(floor), rng_(seed) {}
-
-sim::SimTime NormalSampler::sample(std::size_t) {
-  const double v = rng_.normal(double(mean_.nanos()), double(stddev_.nanos()));
-  return std::max(floor_, sim::SimTime{static_cast<std::int64_t>(v)});
-}
-
-LognormalSampler::LognormalSampler(sim::SimTime median, double sigma,
-                                   std::uint64_t seed)
-    : mu_(std::log(double(median.nanos()))), sigma_(sigma), rng_(seed) {
-  if (median <= sim::SimTime::zero() || sigma < 0) {
-    throw std::invalid_argument("LognormalSampler: bad parameters");
-  }
-}
-
-sim::SimTime LognormalSampler::sample(std::size_t) {
-  return sim::SimTime{
-      static_cast<std::int64_t>(rng_.lognormal(mu_, sigma_))};
-}
-
 ParetoTailSampler::ParetoTailSampler(sim::SimTime base, double tail_prob,
                                      sim::SimTime scale, double alpha,
                                      std::uint64_t seed)

@@ -31,32 +31,6 @@ class FixedSampler final : public LatencySampler {
   sim::SimTime value_;
 };
 
-/// Normal around a mean, truncated below at `floor` (latency can't be
-/// negative, and physical stages have a hard minimum).
-class NormalSampler final : public LatencySampler {
- public:
-  NormalSampler(sim::SimTime mean, sim::SimTime stddev, sim::SimTime floor,
-                std::uint64_t seed);
-  sim::SimTime sample(std::size_t bytes) override;
-
- private:
-  sim::SimTime mean_, stddev_, floor_;
-  sim::Rng rng_;
-};
-
-/// Lognormal parameterized by its median and shape -- the classic model
-/// for software-stack latencies (right-skewed, no negative values).
-class LognormalSampler final : public LatencySampler {
- public:
-  LognormalSampler(sim::SimTime median, double sigma, std::uint64_t seed);
-  sim::SimTime sample(std::size_t bytes) override;
-
- private:
-  double mu_;  ///< ln(median in ns)
-  double sigma_;
-  sim::Rng rng_;
-};
-
 /// `base` plus, with probability `tail_prob`, a Pareto excursion --
 /// models rare scheduler preemptions / SMIs / page faults.
 class ParetoTailSampler final : public LatencySampler {

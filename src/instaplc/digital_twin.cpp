@@ -40,34 +40,4 @@ std::optional<profinet::Pdu> DigitalTwin::handle_from_secondary(
   return std::nullopt;
 }
 
-std::size_t TwinSnapshot::byte_size() const {
-  // Fixed header: device id (4) + cycle time (4) + watchdog factor (2) +
-  // record count (2); per record: index (2) + length (2) + payload.
-  std::size_t bytes = 12;
-  for (const auto& [index, data] : learned_records) {
-    (void)index;
-    bytes += 4 + data.size();
-  }
-  return bytes;
-}
-
-TwinSnapshot DigitalTwin::snapshot() const {
-  TwinSnapshot snap;
-  snap.device_id = device_id_;
-  snap.cycle_time_us = cycle_time_us_;
-  snap.watchdog_factor = watchdog_factor_;
-  snap.learned_records = learned_records_;
-  return snap;
-}
-
-void DigitalTwin::restore(const TwinSnapshot& snap) {
-  device_id_ = snap.device_id;
-  cycle_time_us_ = snap.cycle_time_us;
-  watchdog_factor_ = snap.watchdog_factor;
-  learned_records_ = snap.learned_records;
-  secondary_records_.clear();
-  secondary_ar_.reset();
-  counters_ = TwinCounters{};
-}
-
 }  // namespace steelnet::instaplc

@@ -29,23 +29,6 @@ struct TwinCounters {
   std::uint64_t absorbed_params = 0;
 };
 
-/// Everything a twin has learned, as a portable value -- the warm-standby
-/// lifecycle primitive. An orchestrator snapshots the twin that shadows a
-/// running primary, ships the snapshot to another switch/compute node, and
-/// restores it there: the restored twin is ready() immediately, so the
-/// standby vPLC connects against it without re-observing a live exchange.
-/// byte_size() is the state that must cross the network, which is what
-/// warm-sync cost models charge for.
-struct TwinSnapshot {
-  std::optional<std::uint32_t> device_id;
-  std::optional<std::uint32_t> cycle_time_us;
-  std::optional<std::uint16_t> watchdog_factor;
-  std::map<std::uint16_t, std::vector<std::uint8_t>> learned_records;
-
-  /// Serialized size of the snapshot (fixed header + record payloads).
-  [[nodiscard]] std::size_t byte_size() const;
-};
-
 class DigitalTwin {
  public:
   /// Feeds one observed PDU from the primary <-> device exchange.
@@ -84,16 +67,6 @@ class DigitalTwin {
     return secondary_ar_;
   }
   [[nodiscard]] const TwinCounters& counters() const { return counters_; }
-
-  // --- warm-standby lifecycle ----------------------------------------------
-  /// Captures the learned device state (not the secondary's session: the
-  /// restored twin expects a fresh standby to connect to it).
-  [[nodiscard]] TwinSnapshot snapshot() const;
-  /// Overwrites this twin's learned state from `snap`. Ready to answer a
-  /// standby's ConnectReq immediately if the snapshot was (i.e. the
-  /// source twin had learned the device id). Session state and counters
-  /// reset: this twin has answered nobody yet.
-  void restore(const TwinSnapshot& snap);
 
  private:
   std::optional<std::uint32_t> device_id_;

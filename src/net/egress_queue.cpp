@@ -61,12 +61,6 @@ void EgressQueue::enqueue(Frame frame) {
   drain();
 }
 
-std::size_t EgressQueue::depth() const {
-  std::size_t n = 0;
-  for (const auto& q : queues_) n += q.size();
-  return n;
-}
-
 void EgressQueue::drain() {
   Network& net = owner_.network();
   obs::ObsHub* hub = net.obs();

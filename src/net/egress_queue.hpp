@@ -45,7 +45,6 @@ class EgressQueue {
 
   void set_gate_controller(const GateController* gates) { gates_ = gates; }
 
-  [[nodiscard]] std::size_t depth() const;
   [[nodiscard]] std::size_t depth(std::uint8_t pcp) const {
     return queues_[pcp].size();
   }

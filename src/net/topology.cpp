@@ -1,6 +1,5 @@
 #include "net/topology.hpp"
 
-#include <algorithm>
 #include <deque>
 #include <map>
 #include <set>
@@ -17,142 +16,23 @@ HostNode& Fabric::host(std::size_t i) const {
   return dynamic_cast<HostNode&>(net->node(hosts.at(i)));
 }
 
-SwitchNode& Fabric::sw(std::size_t i) const {
-  return dynamic_cast<SwitchNode&>(net->node(switches.at(i)));
-}
-
-namespace {
-
-/// Shared helper: create a switch.
-NodeId make_switch(Network& net, const TopologyOptions& opt, std::size_t i) {
-  auto cfg = opt.switch_cfg;
-  cfg.mac_learning = false;  // static routing installed explicitly
-  return net.add_node<SwitchNode>(opt.name_prefix + "-sw" + std::to_string(i),
-                                  cfg)
-      .id();
-}
-
-/// Shared helper: create `count` hosts on switch `sw`, using ascending
-/// switch-side port numbers starting at `first_port`.
-void attach_hosts(Network& net, const TopologyOptions& opt, NodeId sw,
-                  PortId first_port, std::size_t count, Fabric& fabric) {
-  for (std::size_t i = 0; i < count; ++i) {
-    const auto idx = static_cast<std::uint32_t>(fabric.hosts.size());
-    NodeId h = net.add_node<HostNode>(
-                      opt.name_prefix + "-h" + std::to_string(idx),
-                      host_mac(idx))
-                   .id();
-    net.connect(h, HostNode::kNicPort, sw,
-                static_cast<PortId>(first_port + i), opt.host_link);
-    fabric.hosts.push_back(h);
-  }
-}
-
-}  // namespace
-
-Fabric build_line(Network& net, std::size_t n_switches,
-                  std::size_t hosts_per_switch, TopologyOptions opt) {
-  if (n_switches == 0) throw std::invalid_argument("build_line: 0 switches");
-  Fabric f;
-  f.net = &net;
-  for (std::size_t i = 0; i < n_switches; ++i) {
-    f.switches.push_back(make_switch(net, opt, i));
-  }
-  // Trunk ports 0 (left) and 1 (right); hosts start at port 2.
-  for (std::size_t i = 0; i + 1 < n_switches; ++i) {
-    net.connect(f.switches[i], 1, f.switches[i + 1], 0, opt.trunk_link);
-  }
-  for (std::size_t i = 0; i < n_switches; ++i) {
-    attach_hosts(net, opt, f.switches[i], 2, hosts_per_switch, f);
-  }
-  return f;
-}
-
-Fabric build_ring(Network& net, std::size_t n_switches,
-                  std::size_t hosts_per_switch, TopologyOptions opt) {
-  if (n_switches < 3) throw std::invalid_argument("build_ring: need >= 3");
-  Fabric f;
-  f.net = &net;
-  for (std::size_t i = 0; i < n_switches; ++i) {
-    f.switches.push_back(make_switch(net, opt, i));
-  }
-  for (std::size_t i = 0; i < n_switches; ++i) {
-    net.connect(f.switches[i], 1, f.switches[(i + 1) % n_switches], 0,
-                opt.trunk_link);
-  }
-  for (std::size_t i = 0; i < n_switches; ++i) {
-    attach_hosts(net, opt, f.switches[i], 2, hosts_per_switch, f);
-  }
-  return f;
-}
-
 Fabric build_star(Network& net, std::size_t n_hosts, TopologyOptions opt) {
   Fabric f;
   f.net = &net;
-  f.switches.push_back(make_switch(net, opt, 0));
-  attach_hosts(net, opt, f.switches[0], 0, n_hosts, f);
-  return f;
-}
-
-Fabric build_tree(Network& net, std::size_t depth, std::size_t fanout,
-                  std::size_t hosts_per_leaf, TopologyOptions opt) {
-  if (depth == 0 || fanout == 0) {
-    throw std::invalid_argument("build_tree: bad shape");
-  }
-  Fabric f;
-  f.net = &net;
-  // Level-order construction; port 0 of a child connects to its parent.
-  std::vector<std::vector<NodeId>> levels(depth);
-  std::size_t counter = 0;
-  levels[0].push_back(make_switch(net, opt, counter++));
-  f.switches.push_back(levels[0][0]);
-  for (std::size_t d = 1; d < depth; ++d) {
-    for (NodeId parent : levels[d - 1]) {
-      for (std::size_t c = 0; c < fanout; ++c) {
-        NodeId child = make_switch(net, opt, counter++);
-        f.switches.push_back(child);
-        levels[d].push_back(child);
-        // Parent's downlink ports start at 1 (+fanout for deeper ports).
-        net.connect(parent, static_cast<PortId>(1 + c +
-                                                (d == 1 ? 0 : 0)),
-                    child, 0, opt.trunk_link);
-      }
-    }
-  }
-  for (NodeId leaf : levels[depth - 1]) {
-    attach_hosts(net, opt, leaf, static_cast<PortId>(1 + fanout),
-                 hosts_per_leaf, f);
-  }
-  return f;
-}
-
-Fabric build_leaf_spine(Network& net, std::size_t n_spines,
-                        std::size_t n_leaves, std::size_t hosts_per_leaf,
-                        TopologyOptions opt) {
-  if (n_spines == 0 || n_leaves == 0) {
-    throw std::invalid_argument("build_leaf_spine: bad shape");
-  }
-  Fabric f;
-  f.net = &net;
-  std::vector<NodeId> spines, leaves;
-  for (std::size_t s = 0; s < n_spines; ++s) {
-    spines.push_back(make_switch(net, opt, s));
-    f.switches.push_back(spines.back());
-  }
-  for (std::size_t l = 0; l < n_leaves; ++l) {
-    leaves.push_back(make_switch(net, opt, n_spines + l));
-    f.switches.push_back(leaves.back());
-  }
-  // Leaf port s connects to spine s; spine port l connects to leaf l.
-  for (std::size_t l = 0; l < n_leaves; ++l) {
-    for (std::size_t s = 0; s < n_spines; ++s) {
-      net.connect(leaves[l], static_cast<PortId>(s), spines[s],
-                  static_cast<PortId>(l), opt.trunk_link);
-    }
-  }
-  for (std::size_t l = 0; l < n_leaves; ++l) {
-    attach_hosts(net, opt, leaves[l], static_cast<PortId>(n_spines),
-                 hosts_per_leaf, f);
+  auto cfg = opt.switch_cfg;
+  cfg.mac_learning = false;  // static routing installed explicitly
+  const NodeId sw =
+      net.add_node<SwitchNode>(opt.name_prefix + "-sw0", cfg).id();
+  f.switches.push_back(sw);
+  for (std::size_t i = 0; i < n_hosts; ++i) {
+    const auto idx = static_cast<std::uint32_t>(i);
+    const NodeId h = net.add_node<HostNode>(
+                            opt.name_prefix + "-h" + std::to_string(idx),
+                            host_mac(idx))
+                         .id();
+    net.connect(h, HostNode::kNicPort, sw, static_cast<PortId>(i),
+                opt.host_link);
+    f.hosts.push_back(h);
   }
   return f;
 }
@@ -239,34 +119,6 @@ void install_shortest_path_routes(const Fabric& fabric) {
                          candidates[mac.bits() % candidates.size()]);
       }
     }
-  }
-}
-
-int route_hops(const Fabric& fabric, std::size_t src_host,
-               std::size_t dst_host) {
-  if (src_host == dst_host) return 0;
-  const SwitchGraph g = analyze(fabric);
-  const MacAddress dst_mac = fabric.host(dst_host).mac();
-  auto [cur_sw, in_port] = g.host_at.at(fabric.hosts.at(src_host));
-  (void)in_port;
-  const auto [dst_sw, dst_port] = g.host_at.at(fabric.hosts.at(dst_host));
-  (void)dst_port;
-  int hops = 0;
-  std::set<NodeId> visited;
-  while (true) {
-    ++hops;
-    if (hops > static_cast<int>(fabric.switches.size()) + 1) return -1;
-    if (!visited.insert(cur_sw).second) return -1;  // loop
-    auto& sw = dynamic_cast<SwitchNode&>(fabric.net->node(cur_sw));
-    const auto out = sw.lookup(dst_mac);
-    if (!out) return -1;
-    if (cur_sw == dst_sw) {
-      const auto peer = fabric.net->peer(cur_sw, *out);
-      if (peer && peer->first == fabric.hosts.at(dst_host)) return hops;
-    }
-    const auto peer = fabric.net->peer(cur_sw, *out);
-    if (!peer) return -1;
-    cur_sw = peer->first;
   }
 }
 

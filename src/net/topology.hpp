@@ -1,9 +1,8 @@
-// steelnet::net -- topology builders and static shortest-path routing.
+// steelnet::net -- the star builder and static shortest-path routing.
 //
-// Industrial networks use line/ring/star/tree layouts engineered around the
-// physical plant (§2.3 of the paper); data centers use leaf-spine/Clos.
-// All of them are built here over the same Network substrate so experiments
-// can swap topologies without touching application code.
+// A campus cell is one star (build_star). mlnet builds its ring, leaf-spine
+// and ML-aware fabrics itself and routes them with
+// install_shortest_path_routes.
 #pragma once
 
 #include <cstdint>
@@ -26,46 +25,21 @@ struct Fabric {
   std::vector<NodeId> switches;
 
   [[nodiscard]] HostNode& host(std::size_t i) const;
-  [[nodiscard]] SwitchNode& sw(std::size_t i) const;
   [[nodiscard]] std::size_t host_count() const { return hosts.size(); }
 };
 
 struct TopologyOptions {
   LinkParams host_link{};   ///< host <-> switch links
-  LinkParams trunk_link{};  ///< switch <-> switch links
   SwitchConfig switch_cfg{};
   std::string name_prefix = "n";
 };
 
-/// `n_switches` in a line, `hosts_per_switch` hosts on each.
-Fabric build_line(Network& net, std::size_t n_switches,
-                  std::size_t hosts_per_switch, TopologyOptions opt = {});
-
-/// Classic industrial ring of `n_switches`.
-Fabric build_ring(Network& net, std::size_t n_switches,
-                  std::size_t hosts_per_switch, TopologyOptions opt = {});
-
 /// One switch, `n_hosts` spokes.
 Fabric build_star(Network& net, std::size_t n_hosts, TopologyOptions opt = {});
-
-/// Balanced tree of switches with `fanout` children per switch and
-/// `hosts_per_leaf` hosts on each leaf switch.
-Fabric build_tree(Network& net, std::size_t depth, std::size_t fanout,
-                  std::size_t hosts_per_leaf, TopologyOptions opt = {});
-
-/// Two-tier leaf-spine: every leaf connects to every spine.
-Fabric build_leaf_spine(Network& net, std::size_t n_spines,
-                        std::size_t n_leaves, std::size_t hosts_per_leaf,
-                        TopologyOptions opt = {});
 
 /// Computes shortest paths over the switch graph and installs static
 /// forwarding entries for every host MAC on every switch. Ties break
 /// toward the lowest port id, so routing is deterministic.
 void install_shortest_path_routes(const Fabric& fabric);
-
-/// Hop count of the installed route between two hosts (number of switches
-/// traversed), or -1 if unreachable. Useful for tests and dimensioning.
-int route_hops(const Fabric& fabric, std::size_t src_host,
-               std::size_t dst_host);
 
 }  // namespace steelnet::net

@@ -1,7 +1,6 @@
 #include "obs/exporters.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <ostream>
 #include <sstream>
 #include <string_view>
@@ -146,35 +145,7 @@ std::string spans_csv(const SpanTracer& tracer) {
   return os.str();
 }
 
-Snapshotter::Snapshotter(sim::Simulator& sim, const MetricsRegistry& registry,
-                         sim::SimTime period)
-    : sim_(sim),
-      registry_(registry),
-      task_(std::make_unique<sim::PeriodicTask>(sim, period, period,
-                                                [this] { take(); })) {}
-
-void Snapshotter::stop() {
-  if (task_) task_->stop();
-}
-
-void Snapshotter::take() {
-  ++taken_;
-  const sim::SimTime now = sim_.now();
-  for (const MetricSample& s : registry_.snapshot()) {
-    series_.push_back({now, s.path, s.value});
-  }
-}
-
-std::string Snapshotter::to_csv() const {
-  std::ostringstream os;
-  os << "time_ns,node,module,metric,value\n";
-  for (const Row& r : series_) {
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "%.6g", r.value);
-    os << r.at.nanos() << ',' << r.path.node << ',' << r.path.module << ','
-       << r.path.name << ',' << buf << '\n';
-  }
-  return os.str();
-}
+Snapshotter::Snapshotter(sim::Simulator& sim, sim::SimTime period)
+    : task_(sim, period, period, [this] { ++taken_; }) {}
 
 }  // namespace steelnet::obs

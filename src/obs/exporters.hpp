@@ -1,5 +1,5 @@
 // steelnet::obs -- exporters: Chrome-trace/Perfetto JSON, CSV span dumps,
-// and a Simulator-driven periodic metrics snapshotter.
+// and a Simulator-driven metrics snapshot clock.
 //
 // All output is rendered from deterministic sim-time state with fixed
 // formatting, so identical seeds produce byte-identical files.
@@ -7,9 +7,7 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "obs/hub.hpp"
 #include "sim/simulator.hpp"
@@ -29,34 +27,18 @@ void write_chrome_trace(std::ostream& os, const SpanTracer& tracer);
 /// `trace_id,track,name,start_ns,end_ns,duration_ns` lines.
 [[nodiscard]] std::string spans_csv(const SpanTracer& tracer);
 
-/// Samples every registry metric on a fixed sim-time period -- the
-/// time-series companion to a single end-of-run dump. Rows accumulate in
-/// memory; export with to_csv() (`time_ns,node,module,metric,value`).
+/// The clock of a periodic metrics scrape: ticks first at `period`, then
+/// every `period` of sim time until the simulation ends, and counts the
+/// ticks. The values themselves are the registry's end-of-run exports.
 class Snapshotter {
  public:
-  /// Snapshots first at `period`, then every `period`, until stopped or
-  /// the simulation ends.
-  Snapshotter(sim::Simulator& sim, const MetricsRegistry& registry,
-              sim::SimTime period);
+  Snapshotter(sim::Simulator& sim, sim::SimTime period);
 
-  void stop();
   [[nodiscard]] std::size_t snapshots_taken() const { return taken_; }
-  [[nodiscard]] std::string to_csv() const;
 
  private:
-  struct Row {
-    sim::SimTime at;
-    MetricPath path;
-    double value;
-  };
-
-  void take();
-
-  sim::Simulator& sim_;
-  const MetricsRegistry& registry_;
-  std::vector<Row> series_;
   std::size_t taken_ = 0;
-  std::unique_ptr<sim::PeriodicTask> task_;
+  sim::PeriodicTask task_;
 };
 
 }  // namespace steelnet::obs

@@ -198,17 +198,4 @@ std::uint64_t MetricsRegistry::prometheus_fingerprint() const {
   return sink.digest();
 }
 
-std::string MetricsRegistry::to_csv() const {
-  std::string text = "node,module,metric,kind,value\n";
-  detail::StringOut out{text};
-  for (const auto& [key, e] : entries_) {
-    (void)key;
-    text += e.path.node + ',' + e.path.module + ',' + e.path.name + ',' +
-            to_string(e.kind) + ',';
-    append_num(out, e.value());
-    out.put('\n');
-  }
-  return text;
-}
-
 }  // namespace steelnet::obs

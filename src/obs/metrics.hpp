@@ -119,8 +119,6 @@ class MetricsRegistry {
   [[nodiscard]] std::string to_prometheus() const;
   /// FNV-1a 64 of to_prometheus(), streamed without building the text.
   [[nodiscard]] std::uint64_t prometheus_fingerprint() const;
-  /// `node,module,metric,kind,value` lines (histograms export count/mean).
-  [[nodiscard]] std::string to_csv() const;
 
  private:
   struct Entry {

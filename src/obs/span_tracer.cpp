@@ -36,47 +36,6 @@ const std::string& SpanTracer::track_name(TrackId id) const {
   return track_names_.at(id);
 }
 
-void SpanTracer::begin(TrackId track, std::string name, sim::SimTime at,
-                       std::uint64_t trace_id) {
-  if (track >= track_names_.size()) {
-    throw std::invalid_argument("SpanTracer::begin: unknown track");
-  }
-  open_[track].push_back(
-      {Span{track, std::move(name), trace_id, at, at}, sim::SimTime::zero()});
-}
-
-void SpanTracer::end(TrackId track, sim::SimTime at) {
-  auto it = open_.find(track);
-  if (it == open_.end() || it->second.empty()) {
-    throw std::logic_error("SpanTracer::end: no open span on track \"" +
-                           track_name(track) + "\"");
-  }
-  // Validate before mutating: a rejected close leaves the span open, so
-  // the caller can retry with a later timestamp.
-  const OpenSpan& top = it->second.back();
-  if (at < top.span.start) {
-    throw std::logic_error("SpanTracer::end: span \"" + top.span.name +
-                           "\" would end before it starts");
-  }
-  if (at < top.max_child_end) {
-    throw std::logic_error("SpanTracer::end: span \"" + top.span.name +
-                           "\" would end before its children");
-  }
-  Span span = std::move(it->second.back().span);
-  it->second.pop_back();
-  span.end = at;
-  if (!it->second.empty()) {
-    auto& parent = it->second.back();
-    parent.max_child_end = std::max(parent.max_child_end, at);
-  }
-  spans_.push_back(std::move(span));
-}
-
-std::size_t SpanTracer::open_depth(TrackId track) const {
-  const auto it = open_.find(track);
-  return it == open_.end() ? 0 : it->second.size();
-}
-
 void SpanTracer::add(TrackId track, std::string name, sim::SimTime start,
                      sim::SimTime end, std::uint64_t trace_id) {
   if (end < start) {
@@ -121,13 +80,6 @@ std::vector<Span> SpanTracer::spans_for(std::uint64_t trace_id) const {
   std::stable_sort(out.begin(), out.end(),
                    [](const Span& a, const Span& b) { return a.start < b.start; });
   return out;
-}
-
-void SpanTracer::clear() {
-  spans_.clear();
-  open_.clear();
-  open_hops_.clear();
-  unmatched_closes_ = 0;
 }
 
 }  // namespace steelnet::obs

@@ -55,15 +55,6 @@ class SpanTracer {
   [[nodiscard]] const std::string& track_name(TrackId id) const;
   [[nodiscard]] std::size_t track_count() const { return track_names_.size(); }
 
-  // --- scoped spans: strictly LIFO per track ------------------------------
-  // begin/end pairs nest like a call stack; end() closes the innermost open
-  // span and enforces the span invariants: end >= start, and a parent may
-  // not close before the latest end of its children (child-within-parent).
-  void begin(TrackId track, std::string name, sim::SimTime at,
-             std::uint64_t trace_id = 0);
-  void end(TrackId track, sim::SimTime at);
-  [[nodiscard]] std::size_t open_depth(TrackId track) const;
-
   /// Records a complete span (both endpoints known up front).
   void add(TrackId track, std::string name, sim::SimTime start,
            sim::SimTime end, std::uint64_t trace_id = 0);
@@ -96,19 +87,12 @@ class SpanTracer {
     return unmatched_closes_;
   }
 
-  void clear();
-
  private:
-  struct OpenSpan {
-    Span span;
-    sim::SimTime max_child_end;
-  };
   using HopKey = std::tuple<std::uint64_t, std::uint8_t, TrackId>;
 
   std::vector<std::string> track_names_;
   std::unordered_map<std::string, TrackId> track_index_;
   std::vector<Span> spans_;
-  std::map<TrackId, std::vector<OpenSpan>> open_;  ///< per-track stacks
   std::map<HopKey, sim::SimTime> open_hops_;
   std::uint64_t last_trace_id_ = 0;
   std::uint64_t unmatched_closes_ = 0;

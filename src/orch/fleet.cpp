@@ -720,10 +720,6 @@ double FleetManager::availability() const {
   return 1.0 - down_ns / window;
 }
 
-std::uint32_t FleetManager::rack_count() const {
-  return static_cast<std::uint32_t>(rack_downtime_ns_.size());
-}
-
 // --- metrics -----------------------------------------------------------------
 
 void FleetManager::register_metrics(obs::ObsHub& hub,

@@ -56,8 +56,7 @@ namespace steelnet::orch {
 struct VplcSpec {
   sim::SimTime cycle = sim::milliseconds(2);  ///< control cycle (=> CPU)
   std::uint32_t preferred_rack = kNoRack;  ///< rack of its field devices
-  /// Digital-twin state that must ship to warm a standby (use
-  /// instaplc::TwinSnapshot::byte_size() of the twin being mirrored).
+  /// Digital-twin state that must ship to warm a standby.
   std::uint32_t twin_state_bytes = 256;
 };
 
@@ -223,8 +222,6 @@ class FleetManager {
   [[nodiscard]] const std::vector<std::uint64_t>& rack_downtime_ns() const {
     return rack_downtime_ns_;
   }
-  [[nodiscard]] std::uint32_t rack_count() const;
-
   /// The placement trace: one CSV line per decision
   /// (`t_ns,vplc,role,node,cause`), appended in event order -- the
   /// byte-identical determinism artifact.

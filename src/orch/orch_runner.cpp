@@ -245,10 +245,4 @@ OrchOutcome OrchRunner::run(const OrchConfig& cfg) {
   return out;
 }
 
-std::vector<core::SweepSlot<OrchOutcome>> OrchRunner::run_sweep(
-    const std::vector<OrchConfig>& cfgs, std::size_t jobs) {
-  return core::SweepRunner{jobs}.run(
-      cfgs.size(), [&cfgs](std::size_t i) { return run(cfgs[i]); });
-}
-
 }  // namespace steelnet::orch

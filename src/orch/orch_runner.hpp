@@ -24,16 +24,14 @@
 // Everything the invariant checks need comes back in an OrchOutcome:
 // the SLO ledger (residual must be 0), the switchover latency
 // distribution, the placement-trace and obs-export fingerprints (two
-// runs of the same config must collide exactly), and run_sweep fans
-// configurations across a core::SweepRunner pool with task-order
-// results, so aggregates are independent of --jobs.
+// runs of the same config must collide exactly). Runs share nothing, so
+// bench/tab_orch fans configurations across a core::SweepRunner pool.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "core/sweep_runner.hpp"
 #include "orch/fleet.hpp"
 
 namespace steelnet::orch {
@@ -122,11 +120,6 @@ class OrchRunner {
   /// Builds a fresh testbed on this call's stack, runs `cfg` to its
   /// horizon. Reentrant: concurrent run() calls share nothing.
   [[nodiscard]] static OrchOutcome run(const OrchConfig& cfg);
-
-  /// Runs every config through a core::SweepRunner pool (`jobs` as
-  /// there; 1 = inline). Slots come back in config order.
-  [[nodiscard]] static std::vector<core::SweepSlot<OrchOutcome>> run_sweep(
-      const std::vector<OrchConfig>& cfgs, std::size_t jobs = 1);
 };
 
 }  // namespace steelnet::orch

@@ -21,17 +21,6 @@ sim::SimTime Ton::elapsed(sim::SimTime now) const {
   return std::min(now - started_, preset_);
 }
 
-bool Tof::update(bool in, sim::SimTime now) {
-  if (in) {
-    q_ = true;
-  } else {
-    if (prev_in_) fell_at_ = now;
-    if (q_ && now - fell_at_ >= preset_) q_ = false;
-  }
-  prev_in_ = in;
-  return q_;
-}
-
 bool Ctu::update(bool count, bool reset) {
   if (reset) {
     value_ = 0;
@@ -40,35 +29,6 @@ bool Ctu::update(bool count, bool reset) {
   }
   prev_ = count;
   return q();
-}
-
-double Pid::update(double setpoint, double actual, double dt) {
-  const double error = setpoint - actual;
-  const double p = gains_.kp * error;
-  const double d =
-      (first_ || dt <= 0) ? 0.0 : gains_.kd * (error - prev_error_) / dt;
-  first_ = false;
-  prev_error_ = error;
-
-  // Tentative integral with anti-windup: only integrate when not
-  // saturated in the direction of the error.
-  double i_candidate = integral_ + gains_.ki * error * dt;
-  double out = p + i_candidate + d;
-  if (out > gains_.out_max) {
-    out = gains_.out_max;
-    if (gains_.ki * error > 0) i_candidate = integral_;  // freeze
-  } else if (out < gains_.out_min) {
-    out = gains_.out_min;
-    if (gains_.ki * error < 0) i_candidate = integral_;
-  }
-  integral_ = i_candidate;
-  return out;
-}
-
-void Pid::reset() {
-  integral_ = 0.0;
-  prev_error_ = 0.0;
-  first_ = true;
 }
 
 }  // namespace steelnet::plc

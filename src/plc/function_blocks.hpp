@@ -26,21 +26,6 @@ class Ton {
   bool q_ = false;
 };
 
-/// TOF: off-delay timer. Q falls `preset` after IN falls; rises with IN.
-class Tof {
- public:
-  explicit Tof(sim::SimTime preset) : preset_(preset) {}
-
-  bool update(bool in, sim::SimTime now);
-  [[nodiscard]] bool q() const { return q_; }
-
- private:
-  sim::SimTime preset_;
-  sim::SimTime fell_at_;
-  bool prev_in_ = false;
-  bool q_ = false;
-};
-
 /// CTU: up counter with reset. Q when count >= preset.
 class Ctu {
  public:
@@ -67,30 +52,6 @@ class RTrig {
 
  private:
   bool prev_ = false;
-};
-
-/// Discrete PID with output clamping and anti-windup.
-class Pid {
- public:
-  struct Gains {
-    double kp = 1.0;
-    double ki = 0.0;
-    double kd = 0.0;
-    double out_min = 0.0;
-    double out_max = 100.0;
-  };
-  explicit Pid(Gains gains) : gains_(gains) {}
-
-  double update(double setpoint, double actual, double dt);
-  void reset();
-
-  [[nodiscard]] double integral() const { return integral_; }
-
- private:
-  Gains gains_;
-  double integral_ = 0.0;
-  double prev_error_ = 0.0;
-  bool first_ = true;
 };
 
 }  // namespace steelnet::plc

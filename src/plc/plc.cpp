@@ -1,7 +1,6 @@
 #include "plc/plc.hpp"
 
 #include "net/network.hpp"
-#include "obs/hub.hpp"
 
 namespace steelnet::plc {
 
@@ -17,14 +16,6 @@ Plc::Plc(profinet::CyclicController& controller, IlProgram program)
     program_.scan(image_, controller_.host().network().sim().now());
     return image_.output_bytes(bytes);
   });
-}
-
-void Plc::register_metrics(obs::ObsHub& hub,
-                           const std::string& node_label) const {
-  hub.metrics().bind_gauge({node_label, "plc", "scans"}, [this] {
-    return static_cast<double>(program_.scans());
-  });
-  controller_.register_metrics(hub);
 }
 
 }  // namespace steelnet::plc

@@ -29,10 +29,6 @@ class Plc {
   }
   [[nodiscard]] std::uint64_t scans() const { return program_.scans(); }
 
-  /// Binds the scan count (gauge, read at snapshot time) under
-  /// `<node_label>/plc/...` and the controller's profinet counters.
-  void register_metrics(obs::ObsHub& hub, const std::string& node_label) const;
-
  private:
   profinet::CyclicController& controller_;
   IlProgram program_;

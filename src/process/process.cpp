@@ -53,8 +53,6 @@ void Conveyor::actuate(const std::vector<std::uint8_t>& outputs, bool run) {
   speed_setpoint_ = double(get_u16(outputs, 1)) / 1000.0;
 }
 
-TankLevel::TankLevel() : TankLevel(Params{}) {}
-
 TankLevel::TankLevel(Params params)
     : params_(params), level_(params.initial_l) {}
 

@@ -75,7 +75,6 @@ class TankLevel final : public Process {
     double demand_lps = 0.5;  ///< constant outflow while above empty
     double initial_l = 50.0;
   };
-  TankLevel();
   explicit TankLevel(Params params);
 
   void step(double dt) override;

@@ -8,16 +8,6 @@
 
 namespace steelnet::sim {
 
-const char* to_string(PartitionErrorCode code) {
-  switch (code) {
-    case PartitionErrorCode::kBadShardCount: return "bad-shard-count";
-    case PartitionErrorCode::kBadAssignment: return "bad-assignment";
-    case PartitionErrorCode::kProfileMismatch: return "profile-mismatch";
-    case PartitionErrorCode::kMalformedProfile: return "malformed-profile";
-  }
-  return "unknown";
-}
-
 namespace {
 
 std::size_t checked_shards(const std::vector<std::uint64_t>& weights,

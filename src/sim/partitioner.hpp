@@ -36,8 +36,6 @@ enum class PartitionErrorCode : std::uint8_t {
   kMalformedProfile, ///< RateProfile::parse on text that isn't a profile
 };
 
-[[nodiscard]] const char* to_string(PartitionErrorCode code);
-
 class PartitionError : public SimError {
  public:
   PartitionError(PartitionErrorCode code, const std::string& what)

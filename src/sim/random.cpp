@@ -76,29 +76,9 @@ double Rng::lognormal(double mu, double sigma) {
   return std::exp(normal(mu, sigma));
 }
 
-double Rng::exponential(double rate) {
-  if (rate <= 0) throw std::invalid_argument("exponential: rate <= 0");
-  return -std::log(1.0 - uniform()) / rate;
-}
-
 double Rng::pareto(double xm, double alpha) {
   if (xm <= 0 || alpha <= 0) throw std::invalid_argument("pareto: bad params");
   return xm / std::pow(1.0 - uniform(), 1.0 / alpha);
-}
-
-std::size_t Rng::categorical(const std::vector<double>& weights) {
-  double total = 0;
-  for (double w : weights) {
-    if (w < 0) throw std::invalid_argument("categorical: negative weight");
-    total += w;
-  }
-  if (total <= 0) throw std::invalid_argument("categorical: zero total weight");
-  double x = uniform() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    x -= weights[i];
-    if (x < 0) return i;
-  }
-  return weights.size() - 1;  // floating-point slack
 }
 
 Rng Rng::fork() { return Rng{next_u64()}; }

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
 namespace steelnet::sim {
 
@@ -51,11 +50,8 @@ class Rng {
   double normal();
   double normal(double mean, double stddev);
   double lognormal(double mu, double sigma);
-  double exponential(double rate);
   /// Pareto with scale xm > 0 and shape alpha > 0 (heavy tail).
   double pareto(double xm, double alpha);
-  /// Draws an index in [0, weights.size()) proportional to weights.
-  std::size_t categorical(const std::vector<double>& weights);
 
   /// A new independent stream seeded from this one.
   Rng fork();

@@ -6,41 +6,6 @@
 
 namespace steelnet::sim {
 
-void OnlineStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-void OnlineStats::merge(const OnlineStats& o) {
-  if (o.n_ == 0) return;
-  if (n_ == 0) {
-    *this = o;
-    return;
-  }
-  const double delta = o.mean_ - mean_;
-  const auto n = static_cast<double>(n_ + o.n_);
-  m2_ += o.m2_ + delta * delta * static_cast<double>(n_) *
-                     static_cast<double>(o.n_) / n;
-  mean_ += delta * static_cast<double>(o.n_) / n;
-  min_ = std::min(min_, o.min_);
-  max_ = std::max(max_, o.max_);
-  n_ += o.n_;
-}
-
-double OnlineStats::variance() const {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double OnlineStats::stddev() const { return std::sqrt(variance()); }
-
 void SampleSet::add(double x) {
   samples_.push_back(x);
   sorted_valid_ = false;

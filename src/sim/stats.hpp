@@ -9,27 +9,6 @@
 
 namespace steelnet::sim {
 
-/// Welford online mean/variance plus min/max. O(1) memory.
-class OnlineStats {
- public:
-  void add(double x);
-  void merge(const OnlineStats& other);
-
-  [[nodiscard]] std::uint64_t count() const { return n_; }
-  [[nodiscard]] double mean() const { return n_ ? mean_ : 0.0; }
-  [[nodiscard]] double variance() const;  ///< sample variance (n-1)
-  [[nodiscard]] double stddev() const;
-  [[nodiscard]] double min() const { return n_ ? min_ : 0.0; }
-  [[nodiscard]] double max() const { return n_ ? max_ : 0.0; }
-
- private:
-  std::uint64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
 /// One (x, P(X <= x)) point of an empirical CDF.
 struct CdfPoint {
   double value;

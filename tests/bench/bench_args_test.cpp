@@ -1,9 +1,12 @@
 // The shared bench CLI: numeric flags take whole non-negative numbers
-// only, and anything else exits 2 as the usage contract promises.
+// only, and anything else -- a malformed flag, an unreadable or malformed
+// --profile-in, an unwritable --profile-out -- exits 2 as the usage
+// contract promises.
 #include "bench_args.hpp"
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -43,6 +46,21 @@ TEST(BenchArgs, PartitionerFlagIsGone) {
   // Placement follows --profile-in alone.
   EXPECT_EXIT(parse({"--partitioner", "measured"}),
               testing::ExitedWithCode(2), "unknown argument");
+}
+
+TEST(BenchArgs, MalformedProfileInExitsTwo) {
+  const std::string path = testing::TempDir() + "bench_args_bad_profile.txt";
+  std::ofstream{path} << "garbage line\n";
+  EXPECT_EXIT(read_profile("bench", path), testing::ExitedWithCode(2),
+              "bench: profile line 1: expected header");
+}
+
+TEST(BenchArgs, UnwritableProfileOutExitsTwo) {
+  const std::string path = testing::TempDir() + "no_such_dir/p.txt";
+  const sim::RateProfile profile{{{"cell0", 1, 0}}};
+  EXPECT_EXIT(write_profile("bench", path, profile),
+              testing::ExitedWithCode(2),
+              "bench: cannot write profile '.*no_such_dir/p.txt'");
 }
 
 }  // namespace

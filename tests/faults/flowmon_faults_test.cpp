@@ -143,10 +143,14 @@ TEST(FlowmonFaults, SequenceGapsEqualInjectedExportLoss) {
   fx.send_burst(150, 1_ms);
   // Kill the management link (the export path) across the first
   // active-timeout checkpoint at ~50ms; exports resume at ~100ms.
-  fx.plane.schedule(FaultScenario::parse(
-      "name export_hole\n"
-      "seed 11\n"
-      "link_down link=mgmt:0 at=15ms dur=60ms\n"));
+  fx.plane.schedule(FaultScenario{
+      .name = "export_hole",
+      .seed = 11,
+      .faults = {{.kind = FaultKind::kLinkDown,
+                  .node = "mgmt",
+                  .port = 0,
+                  .at = 15_ms,
+                  .duration = 60_ms}}});
   fx.simulator.run_until(400_ms);
 
   ASSERT_GT(fx.plane.counters().dropped_link_down, 0u);
@@ -164,10 +168,15 @@ TEST(FlowmonFaults, RandomExportLossStillTilesExactly) {
   // idle close at ~320ms; the loss window covers the middle checkpoints
   // and the clean tail reveals every gap.
   fx.send_burst(300, 1_ms);
-  fx.plane.schedule(FaultScenario::parse(
-      "name export_loss\n"
-      "seed 23\n"
-      "loss link=mgmt:0 at=40ms dur=220ms p=0.6\n"));
+  fx.plane.schedule(FaultScenario{
+      .name = "export_loss",
+      .seed = 23,
+      .faults = {{.kind = FaultKind::kLoss,
+                  .node = "mgmt",
+                  .port = 0,
+                  .at = 40_ms,
+                  .duration = 220_ms,
+                  .probability = 0.6}}});
   fx.simulator.run_until(600_ms);
 
   ASSERT_GT(fx.plane.counters().dropped_loss, 0u);

@@ -208,47 +208,5 @@ TEST(InstaPlc, ArIdRewrittenForDevice) {
   EXPECT_EQ(fx.vplc2->config().ar_id, 2);
 }
 
-// ---------------------------------------------------------------------
-// Warm-standby lifecycle: the orchestrator snapshots a learned twin and
-// restores it elsewhere.
-
-TEST(InstaPlc, TwinSnapshotRoundTripsLearnedState) {
-  InstaFixture fx;
-  fx.vplc1->connect();
-  fx.simulator.run_until(50_ms);
-  const DigitalTwin& learned = fx.app->twin();
-  ASSERT_TRUE(learned.ready());
-
-  const TwinSnapshot snap = learned.snapshot();
-  EXPECT_GT(snap.byte_size(), 0u);
-  EXPECT_EQ(snap.device_id, learned.device_id());
-  EXPECT_EQ(snap.cycle_time_us, learned.cycle_time_us());
-  EXPECT_EQ(snap.watchdog_factor, learned.watchdog_factor());
-  EXPECT_EQ(snap.learned_records, learned.learned_records());
-
-  DigitalTwin restored;
-  EXPECT_FALSE(restored.ready());
-  restored.restore(snap);
-  EXPECT_TRUE(restored.ready());
-  EXPECT_EQ(restored.device_id(), learned.device_id());
-  EXPECT_EQ(restored.cycle_time_us(), learned.cycle_time_us());
-  EXPECT_EQ(restored.watchdog_factor(), learned.watchdog_factor());
-  EXPECT_EQ(restored.learned_records(), learned.learned_records());
-  // Session state and counters do NOT travel: the restored twin has
-  // answered nobody yet and expects a fresh standby to connect.
-  EXPECT_FALSE(restored.secondary_ar().has_value());
-  EXPECT_EQ(restored.counters().answered_connects, 0u);
-  // Snapshot of the restored twin is the same wire payload.
-  EXPECT_EQ(restored.snapshot().byte_size(), snap.byte_size());
-}
-
-TEST(InstaPlc, EmptyTwinSnapshotRestoresToNotReady) {
-  const DigitalTwin blank;
-  const TwinSnapshot snap = blank.snapshot();
-  DigitalTwin restored;
-  restored.restore(snap);
-  EXPECT_FALSE(restored.ready());
-}
-
 }  // namespace
 }  // namespace steelnet::instaplc

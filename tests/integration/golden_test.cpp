@@ -129,12 +129,9 @@ TEST(Golden, HostPathSamplesPinned) {
     }
     return out;
   };
-  EXPECT_EQ(fingerprint(samples(*host::HostProfile::bare_metal_rt(5))),
-            5756824837276549462ULL)
-      << "bare_metal_rt sample stream changed";
-  EXPECT_EQ(fingerprint(samples(*host::HostProfile::server_preempt_rt(5))),
-            14365908432677853642ULL)
-      << "server_preempt_rt sample stream changed";
+  EXPECT_EQ(fingerprint(samples(*host::HostProfile::virtualized_rt(5))),
+            9025612156989954880ULL)
+      << "virtualized_rt sample stream changed";
 }
 
 }  // namespace

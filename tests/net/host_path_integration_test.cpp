@@ -56,15 +56,16 @@ TEST(HostPathIntegration, RxLatencyDelaysDelivery) {
 
 TEST(HostPathIntegration, IdealPathAddsNothing) {
   Pair p;
-  auto ideal = host::HostProfile::ideal();
-  p.a->set_host_path(ideal.get());
-  p.b->set_host_path(ideal.get());
+  host::HostPath ideal(std::make_unique<host::FixedSampler>(0_us),
+                       std::make_unique<host::FixedSampler>(0_us));
+  p.a->set_host_path(&ideal);
+  p.b->set_host_path(&ideal);
   EXPECT_EQ(p.one_way(), 672_ns);
 }
 
 TEST(HostPathIntegration, StochasticPathVariesPerFrame) {
   Pair p;
-  auto jittery = host::HostProfile::server_vanilla(3);
+  auto jittery = host::HostProfile::virtualized_rt(3);
   p.a->set_host_path(jittery.get());
   sim::SampleSet arrivals;
   p.b->set_receiver([&](Frame f, sim::SimTime t) {

@@ -14,6 +14,75 @@ struct PingResult {
   sim::SimTime last_rx;
 };
 
+// mlnet builds its ring and leaf-spine fabrics itself and routes them with
+// install_shortest_path_routes; these builders give the routing tests the
+// same shapes: trunk ports first, hosts after them.
+NodeId add_switch(Fabric& f) {
+  SwitchConfig cfg;
+  cfg.mac_learning = false;
+  const NodeId id =
+      f.net->add_node<SwitchNode>("sw" + std::to_string(f.switches.size()),
+                                  cfg)
+          .id();
+  f.switches.push_back(id);
+  return id;
+}
+
+void add_host(Fabric& f, NodeId sw, PortId port) {
+  const auto idx = static_cast<std::uint32_t>(f.hosts.size());
+  const NodeId h =
+      f.net->add_node<HostNode>("h" + std::to_string(idx), host_mac(idx)).id();
+  f.net->connect(h, HostNode::kNicPort, sw, port);
+  f.hosts.push_back(h);
+}
+
+/// A ring of `n` switches, one host on each (port 2).
+Fabric ring(Network& net, std::size_t n) {
+  Fabric f{&net};
+  for (std::size_t i = 0; i < n; ++i) add_switch(f);
+  for (std::size_t i = 0; i < n; ++i) {
+    net.connect(f.switches[i], 1, f.switches[(i + 1) % n], 0);
+  }
+  for (std::size_t i = 0; i < n; ++i) add_host(f, f.switches[i], 2);
+  return f;
+}
+
+/// Leaf port s connects to spine s; hosts follow the spine ports.
+Fabric leaf_spine(Network& net, std::size_t spines, std::size_t leaves,
+                  std::size_t hosts_per_leaf) {
+  Fabric f{&net};
+  for (std::size_t i = 0; i < spines + leaves; ++i) add_switch(f);
+  for (std::size_t l = 0; l < leaves; ++l) {
+    for (std::size_t s = 0; s < spines; ++s) {
+      net.connect(f.switches[spines + l], static_cast<PortId>(s),
+                  f.switches[s], static_cast<PortId>(l));
+    }
+    for (std::size_t h = 0; h < hosts_per_leaf; ++h) {
+      add_host(f, f.switches[spines + l], static_cast<PortId>(spines + h));
+    }
+  }
+  return f;
+}
+
+/// Switches the installed route from host `src` to host `dst` traverses,
+/// or -1 if it never reaches `dst`.
+int route_hops(const Fabric& f, std::size_t src, std::size_t dst) {
+  if (src == dst) return 0;
+  const MacAddress mac = f.host(dst).mac();
+  NodeId cur = f.net->peer(f.hosts.at(src), HostNode::kNicPort)->first;
+  for (int hops = 1; hops <= static_cast<int>(f.switches.size()); ++hops) {
+    const auto* sw = dynamic_cast<const SwitchNode*>(&f.net->node(cur));
+    if (sw == nullptr) return -1;
+    const auto out = sw->lookup(mac);
+    if (!out) return -1;
+    const auto peer = f.net->peer(cur, *out);
+    if (!peer) return -1;
+    if (peer->first == f.hosts.at(dst)) return hops;
+    cur = peer->first;
+  }
+  return -1;  // a forwarding loop
+}
+
 PingResult ping(Fabric& f, std::size_t src, std::size_t dst) {
   PingResult r;
   f.host(dst).set_receiver([&](Frame, sim::SimTime at) {
@@ -41,22 +110,10 @@ TEST(Topology, StarAllPairsReachable) {
   }
 }
 
-TEST(Topology, LineEndToEnd) {
-  sim::Simulator sim;
-  Network net{sim};
-  auto f = build_line(net, 5, 1);
-  install_shortest_path_routes(f);
-  EXPECT_EQ(f.hosts.size(), 5u);
-  EXPECT_EQ(f.switches.size(), 5u);
-  EXPECT_EQ(ping(f, 0, 4).delivered, 1);
-  EXPECT_EQ(route_hops(f, 0, 4), 5);
-  EXPECT_EQ(route_hops(f, 0, 1), 2);
-}
-
 TEST(Topology, RingUsesShortSide) {
   sim::Simulator sim;
   Network net{sim};
-  auto f = build_ring(net, 6, 1);
+  auto f = ring(net, 6);
   install_shortest_path_routes(f);
   EXPECT_EQ(ping(f, 0, 1).delivered, 1);
   EXPECT_EQ(route_hops(f, 0, 1), 2);
@@ -66,43 +123,21 @@ TEST(Topology, RingUsesShortSide) {
   EXPECT_EQ(route_hops(f, 0, 3), 4);
 }
 
-TEST(Topology, RingRejectsTooSmall) {
-  sim::Simulator sim;
-  Network net{sim};
-  EXPECT_THROW(build_ring(net, 2, 1), std::invalid_argument);
-}
-
 TEST(Topology, LeafSpineTwoHopsAcrossLeaves) {
   sim::Simulator sim;
   Network net{sim};
-  auto f = build_leaf_spine(net, 2, 3, 2);
+  auto f = leaf_spine(net, 2, 3, 2);
   install_shortest_path_routes(f);
-  EXPECT_EQ(f.hosts.size(), 6u);
-  EXPECT_EQ(f.switches.size(), 5u);
   // Same leaf: 1 switch. Cross leaf: leaf-spine-leaf = 3 switches.
   EXPECT_EQ(route_hops(f, 0, 1), 1);
   EXPECT_EQ(route_hops(f, 0, 2), 3);
   EXPECT_EQ(ping(f, 0, 5).delivered, 1);
 }
 
-TEST(Topology, TreeReachability) {
-  sim::Simulator sim;
-  Network net{sim};
-  auto f = build_tree(net, 3, 2, 2);  // 1+2+4 switches, 8 hosts
-  install_shortest_path_routes(f);
-  EXPECT_EQ(f.switches.size(), 7u);
-  EXPECT_EQ(f.hosts.size(), 8u);
-  EXPECT_EQ(ping(f, 0, 7).delivered, 1);
-  // Hosts on the same leaf: 1 switch.
-  EXPECT_EQ(route_hops(f, 0, 1), 1);
-  // Hosts across the root: up 2, root, down 2 = 5 switches.
-  EXPECT_EQ(route_hops(f, 0, 7), 5);
-}
-
 TEST(Topology, AllPairsOnLeafSpine) {
   sim::Simulator sim;
   Network net{sim};
-  auto f = build_leaf_spine(net, 2, 2, 2);
+  auto f = leaf_spine(net, 2, 2, 2);
   install_shortest_path_routes(f);
   for (std::size_t s = 0; s < f.host_count(); ++s) {
     for (std::size_t d = 0; d < f.host_count(); ++d) {

@@ -22,47 +22,6 @@ TEST(SpanTracer, TrackInterningIsStable) {
   EXPECT_EQ(tr.track_count(), 2u);
 }
 
-TEST(SpanTracer, BeginEndNestLikeACallStack) {
-  SpanTracer tr;
-  const auto t = tr.track("t");
-  tr.begin(t, "outer", 10_ns);
-  tr.begin(t, "inner", 20_ns);
-  EXPECT_EQ(tr.open_depth(t), 2u);
-  tr.end(t, 30_ns);  // closes "inner" (LIFO)
-  tr.end(t, 50_ns);  // closes "outer"
-  EXPECT_EQ(tr.open_depth(t), 0u);
-  ASSERT_EQ(tr.spans().size(), 2u);
-  // Children are recorded before their parents (close order).
-  EXPECT_EQ(tr.spans()[0].name, "inner");
-  EXPECT_EQ(tr.spans()[1].name, "outer");
-  EXPECT_EQ(tr.spans()[1].start, 10_ns);
-  EXPECT_EQ(tr.spans()[1].end, 50_ns);
-}
-
-TEST(SpanTracer, EndBeforeStartThrows) {
-  SpanTracer tr;
-  const auto t = tr.track("t");
-  tr.begin(t, "s", 100_ns);
-  EXPECT_THROW(tr.end(t, 99_ns), std::logic_error);
-}
-
-TEST(SpanTracer, ParentMayNotCloseBeforeItsChildren) {
-  SpanTracer tr;
-  const auto t = tr.track("t");
-  tr.begin(t, "outer", 0_ns);
-  tr.begin(t, "inner", 10_ns);
-  tr.end(t, 40_ns);
-  // "outer" must extend at least to its child's end at 40 ns.
-  EXPECT_THROW(tr.end(t, 30_ns), std::logic_error);
-  tr.end(t, 40_ns);  // exactly the child's end is fine
-}
-
-TEST(SpanTracer, EndWithNothingOpenThrows) {
-  SpanTracer tr;
-  const auto t = tr.track("t");
-  EXPECT_THROW(tr.end(t, 1_ns), std::logic_error);
-}
-
 TEST(SpanTracer, AddRejectsNegativeDuration) {
   SpanTracer tr;
   const auto t = tr.track("t");

@@ -4,6 +4,7 @@
 // worker-pool size.
 #include <gtest/gtest.h>
 
+#include "core/sweep_runner.hpp"
 #include "orch/orch_runner.hpp"
 #include "small_orch_config.hpp"
 
@@ -65,8 +66,13 @@ TEST(OrchDeterminism, SweepIsInvariantToJobCount) {
                                 : OrchScenario::kRackFailure;
     cfgs.push_back(cfg);
   }
-  const auto serial = OrchRunner::run_sweep(cfgs, /*jobs=*/1);
-  const auto pooled = OrchRunner::run_sweep(cfgs, /*jobs=*/4);
+  const auto sweep = [&cfgs](std::size_t jobs) {
+    return core::SweepRunner{jobs}.run(cfgs.size(), [&cfgs](std::size_t i) {
+      return OrchRunner::run(cfgs[i]);
+    });
+  };
+  const auto serial = sweep(1);
+  const auto pooled = sweep(4);
   ASSERT_EQ(serial.size(), cfgs.size());
   ASSERT_EQ(pooled.size(), cfgs.size());
   for (std::size_t i = 0; i < cfgs.size(); ++i) {

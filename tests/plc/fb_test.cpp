@@ -35,24 +35,6 @@ TEST(Ton, ElapsedSaturatesAtPreset) {
   EXPECT_EQ(t.elapsed(102_ms), 0_ms);
 }
 
-TEST(Tof, HoldsAfterFallingEdge) {
-  Tof t(10_ms);
-  EXPECT_TRUE(t.update(true, 0_ms));
-  EXPECT_TRUE(t.update(false, 1_ms));   // holding
-  EXPECT_TRUE(t.update(false, 10_ms));  // still within delay
-  EXPECT_FALSE(t.update(false, 12_ms));
-}
-
-TEST(Tof, RetriggeredByNewPulse) {
-  Tof t(10_ms);
-  t.update(true, 0_ms);
-  t.update(false, 1_ms);
-  t.update(true, 5_ms);   // re-trigger
-  t.update(false, 6_ms);  // new falling edge
-  EXPECT_TRUE(t.update(false, 15_ms));
-  EXPECT_FALSE(t.update(false, 17_ms));
-}
-
 TEST(Ctu, CountsRisingEdgesOnly) {
   Ctu c(3);
   EXPECT_FALSE(c.update(true, false));
@@ -81,42 +63,6 @@ TEST(RTrig, FiresOncePerEdge) {
   EXPECT_FALSE(r.update(true));
   EXPECT_FALSE(r.update(false));
   EXPECT_TRUE(r.update(true));
-}
-
-TEST(Pid, ProportionalOnly) {
-  Pid pid({.kp = 2.0, .ki = 0, .kd = 0, .out_min = -100, .out_max = 100});
-  EXPECT_DOUBLE_EQ(pid.update(10, 5, 0.1), 10.0);
-  EXPECT_DOUBLE_EQ(pid.update(10, 12, 0.1), -4.0);
-}
-
-TEST(Pid, IntegralAccumulates) {
-  Pid pid({.kp = 0, .ki = 1.0, .kd = 0, .out_min = -100, .out_max = 100});
-  EXPECT_NEAR(pid.update(1, 0, 1.0), 1.0, 1e-12);
-  EXPECT_NEAR(pid.update(1, 0, 1.0), 2.0, 1e-12);
-}
-
-TEST(Pid, OutputClampedAndAntiWindup) {
-  Pid pid({.kp = 0, .ki = 10.0, .kd = 0, .out_min = 0, .out_max = 5});
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_LE(pid.update(10, 0, 1.0), 5.0);
-  }
-  // Integral froze at saturation: recovery is immediate when error flips.
-  const double recovered = pid.update(-10, 0, 1.0);
-  EXPECT_LT(recovered, 5.0);
-}
-
-TEST(Pid, DerivativeKicksOnErrorChange) {
-  Pid pid({.kp = 0, .ki = 0, .kd = 1.0, .out_min = -100, .out_max = 100});
-  EXPECT_DOUBLE_EQ(pid.update(0, 0, 0.1), 0.0);  // first call: no d
-  EXPECT_NEAR(pid.update(1, 0, 0.1), 10.0, 1e-12);  // derror/dt = 1/0.1
-}
-
-TEST(Pid, ResetClearsState) {
-  Pid pid({.kp = 0, .ki = 1.0, .kd = 0, .out_min = -100, .out_max = 100});
-  pid.update(5, 0, 1.0);
-  pid.reset();
-  EXPECT_DOUBLE_EQ(pid.integral(), 0.0);
-  EXPECT_NEAR(pid.update(1, 0, 1.0), 1.0, 1e-12);
 }
 
 }  // namespace

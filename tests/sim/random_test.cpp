@@ -71,15 +71,6 @@ TEST(Rng, NormalMomentsMatch) {
   EXPECT_NEAR(std::sqrt(var), 2.0, 0.05);
 }
 
-TEST(Rng, ExponentialMeanIsInverseRate) {
-  Rng rng{13};
-  double sum = 0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) sum += rng.exponential(4.0);
-  EXPECT_NEAR(sum / n, 0.25, 0.01);
-  EXPECT_THROW(rng.exponential(0.0), std::invalid_argument);
-}
-
 TEST(Rng, ParetoRespectsScale) {
   Rng rng{17};
   for (int i = 0; i < 10000; ++i) EXPECT_GE(rng.pareto(2.0, 1.5), 2.0);
@@ -92,17 +83,6 @@ TEST(Rng, BernoulliFrequency) {
   const int n = 100000;
   for (int i = 0; i < n; ++i) hits += rng.bernoulli(0.3) ? 1 : 0;
   EXPECT_NEAR(double(hits) / n, 0.3, 0.01);
-}
-
-TEST(Rng, CategoricalFollowsWeights) {
-  Rng rng{23};
-  std::vector<double> w{1.0, 3.0};
-  int ones = 0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) ones += rng.categorical(w) == 1 ? 1 : 0;
-  EXPECT_NEAR(double(ones) / n, 0.75, 0.01);
-  EXPECT_THROW(rng.categorical({}), std::invalid_argument);
-  EXPECT_THROW(rng.categorical({-1.0, 2.0}), std::invalid_argument);
 }
 
 TEST(Rng, ForkProducesIndependentStream) {

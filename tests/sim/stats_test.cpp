@@ -7,43 +7,6 @@ namespace {
 
 using namespace steelnet::sim::literals;
 
-TEST(OnlineStats, BasicMoments) {
-  OnlineStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_EQ(s.min(), 2.0);
-  EXPECT_EQ(s.max(), 9.0);
-}
-
-TEST(OnlineStats, EmptyIsZero) {
-  OnlineStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(OnlineStats, MergeMatchesSequential) {
-  OnlineStats a, b, all;
-  for (int i = 0; i < 50; ++i) {
-    const double x = i * 0.7 - 3;
-    a.add(x);
-    all.add(x);
-  }
-  for (int i = 0; i < 70; ++i) {
-    const double x = i * 1.3 + 11;
-    b.add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_EQ(a.min(), all.min());
-  EXPECT_EQ(a.max(), all.max());
-}
-
 TEST(SampleSet, PercentilesNearestRank) {
   SampleSet s;
   for (int i = 1; i <= 100; ++i) s.add(double(i));
