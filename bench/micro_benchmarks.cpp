@@ -244,6 +244,36 @@ void BM_ObsSwitchForwarding(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsSwitchForwarding)->Arg(0)->Arg(1);
 
+// Per-hop cost of a traced egress queue: 1M frames enter and leave
+// queues on 16 port tracks, eight frames in flight at a time, through
+// hop_open/hop_close on a fresh tracer. time_per_hop is one open plus
+// its close, including the span it records.
+void BM_ObsQueueHop(benchmark::State& state) {
+  constexpr std::uint64_t kFrames = 1'000'000;
+  constexpr std::uint64_t kInFlight = 8;
+  for (auto _ : state) {
+    obs::SpanTracer tr;
+    for (std::uint64_t f = 1; f <= kFrames + kInFlight; ++f) {
+      const sim::SimTime at = sim::nanoseconds(static_cast<std::int64_t>(f));
+      if (f <= kFrames) {
+        tr.hop_open(f, obs::Hop::kQueue, static_cast<obs::TrackId>(f % 16),
+                    at);
+      }
+      if (f > kInFlight) {
+        const std::uint64_t done = f - kInFlight;
+        tr.hop_close(done, obs::Hop::kQueue,
+                     static_cast<obs::TrackId>(done % 16), at);
+      }
+    }
+    benchmark::DoNotOptimize(tr.spans().data());
+  }
+  // Seconds per hop; the console prints it with an SI prefix ("126ns").
+  state.counters["time_per_hop"] = benchmark::Counter(
+      kFrames, benchmark::Counter::kIsIterationInvariantRate |
+                   benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ObsQueueHop)->Unit(benchmark::kMillisecond);
+
 // A fixed 100k-span trace shaped like one traced InstaPLC testbed's: 16
 // port tracks, four hop spans per trace id, times out to ~3 s of sim time.
 const obs::SpanTracer& hop_trace() {

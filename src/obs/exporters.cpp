@@ -4,6 +4,7 @@
 #include <ostream>
 #include <sstream>
 #include <string_view>
+#include <vector>
 
 #include "obs/text_out.hpp"
 #include "sim/hash.hpp"
@@ -93,12 +94,19 @@ void render_chrome_trace(Out& out, const SpanTracer& tracer) {
     append_json_string(out, tracer.track_name(t));
     out.append("\"}}");
   }
+  // Each name's event prefix is rendered once; a span then costs one
+  // append plus its integers.
+  std::vector<std::string> prefix(tracer.name_count());
+  for (NameId n = 0; n < prefix.size(); ++n) {
+    detail::StringOut p{prefix[n]};
+    p.append("{\"ph\":\"X\",\"cat\":\"frame\",\"name\":\"");
+    append_json_string(p, tracer.span_name(n));
+    p.append("\",\"pid\":1,\"tid\":");
+  }
   for (const Span& s : tracer.spans()) {
     if (!first) out.put(',');
     first = false;
-    out.append("{\"ph\":\"X\",\"cat\":\"frame\",\"name\":\"");
-    append_json_string(out, s.name);
-    out.append("\",\"pid\":1,\"tid\":");
+    out.append(prefix[s.name]);
     detail::append_u64(out, s.track);
     out.append(",\"ts\":");
     append_us(out, s.start);
@@ -112,6 +120,22 @@ void render_chrome_trace(Out& out, const SpanTracer& tracer) {
     out.put('}');
   }
   out.append("]}\n");
+}
+
+/// Writes an RFC 4180 CSV field: a name holding a comma, quote or line
+/// break is quoted, with its quotes doubled; any other name is written as
+/// is.
+void write_csv_field(std::ostream& os, std::string_view s) {
+  if (s.find_first_of(",\"\r\n") == std::string_view::npos) {
+    os << s;
+    return;
+  }
+  os << '"';
+  for (const char c : s) {
+    if (c == '"') os << '"';
+    os << c;
+  }
+  os << '"';
 }
 
 }  // namespace
@@ -138,8 +162,11 @@ std::string spans_csv(const SpanTracer& tracer) {
   std::ostringstream os;
   os << "trace_id,track,name,start_ns,end_ns,duration_ns\n";
   for (const Span& s : tracer.spans()) {
-    os << s.trace_id << ',' << tracer.track_name(s.track) << ',' << s.name
-       << ',' << s.start.nanos() << ',' << s.end.nanos() << ','
+    os << s.trace_id << ',';
+    write_csv_field(os, tracer.track_name(s.track));
+    os << ',';
+    write_csv_field(os, tracer.span_name(s.name));
+    os << ',' << s.start.nanos() << ',' << s.end.nanos() << ','
        << s.duration().nanos() << '\n';
   }
   return os.str();

@@ -24,7 +24,8 @@ namespace steelnet::obs {
 void write_chrome_trace(std::ostream& os, const SpanTracer& tracer);
 [[nodiscard]] std::uint64_t chrome_trace_fingerprint(const SpanTracer& tracer);
 
-/// `trace_id,track,name,start_ns,end_ns,duration_ns` lines.
+/// `trace_id,track,name,start_ns,end_ns,duration_ns` lines; a track or
+/// span name holding a comma, quote or line break is quoted (RFC 4180).
 [[nodiscard]] std::string spans_csv(const SpanTracer& tracer);
 
 /// The clock of a periodic metrics scrape: ticks first at `period`, then

@@ -57,7 +57,9 @@ void ObsHub::host_rx(std::uint64_t trace, TrackId t, sim::SimTime start,
 void ObsHub::fault_event(std::uint64_t trace, TrackId t, sim::SimTime at,
                          const char* cause) {
   if (!cfg_.trace_frames || trace == 0) return;
-  tracer_.add(t, std::string("fault:") + cause, at, at, trace);
+  fault_name_.assign("fault:");
+  fault_name_.append(cause);
+  tracer_.add(t, fault_name_, at, at, trace);
 }
 
 void ObsHub::delivered(std::uint64_t trace, TrackId t, sim::SimTime created_at,
@@ -76,8 +78,8 @@ std::optional<Delivery> ObsHub::delivery_of(std::uint64_t trace) const {
 std::vector<HopRow> ObsHub::breakdown(std::uint64_t trace) const {
   std::vector<HopRow> rows;
   for (const Span& s : tracer_.spans_for(trace)) {
-    rows.push_back(
-        {s.name, tracer_.track_name(s.track), s.start, s.end});
+    rows.push_back({tracer_.span_name(s.name), tracer_.track_name(s.track),
+                    s.start, s.end});
   }
   return rows;
 }

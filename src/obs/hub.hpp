@@ -110,6 +110,7 @@ class ObsHub {
   MetricsRegistry metrics_;
   SpanTracer tracer_;
   std::vector<Delivery> deliveries_;
+  std::string fault_name_;  ///< "fault:<cause>", reused across calls
 };
 
 }  // namespace steelnet::obs

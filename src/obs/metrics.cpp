@@ -134,6 +134,32 @@ void append_num(Out& out, double v) {
   out.append({buf, static_cast<std::size_t>(end - buf)});
 }
 
+/// A Prometheus label value: backslash, double quote and line feed are
+/// escaped as the exposition format requires; any other byte is written
+/// as is.
+template <typename Out>
+void append_label_value(Out& out, std::string_view v) {
+  if (v.find_first_of("\\\"\n") == std::string_view::npos) {
+    out.append(v);
+    return;
+  }
+  for (const char c : v) {
+    switch (c) {
+      case '\\':
+        out.append("\\\\");
+        break;
+      case '"':
+        out.append("\\\"");
+        break;
+      case '\n':
+        out.append("\\n");
+        break;
+      default:
+        out.put(c);
+    }
+  }
+}
+
 }  // namespace
 
 template <typename Out>
@@ -148,7 +174,7 @@ void MetricsRegistry::render_prometheus(Out& out) const {
       out.append(name);
       out.append(suffix);
       out.append("{node=\"");
-      out.append(e.path.node);
+      append_label_value(out, e.path.node);
       out.put('"');
     };
     out.append("# TYPE ");

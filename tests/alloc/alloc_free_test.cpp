@@ -5,7 +5,8 @@
 // per-frame or per-event churn fails this test, not just a benchmark.
 // The same holds one layer up: a PROFINET controller<->device pair
 // exchanging cyclic data through a star switch (encode, switch, decode,
-// watchdog) allocates nothing per cycle either.
+// watchdog) allocates nothing per cycle either. With an ObsHub attached,
+// recording every hop span allocates only when a vector doubles.
 //
 // The binary overrides global operator new/delete to count allocations.
 // Sanitizer builds replace the allocator themselves, so the override (and
@@ -19,6 +20,7 @@
 #include "net/host_node.hpp"
 #include "net/network.hpp"
 #include "net/topology.hpp"
+#include "obs/hub.hpp"
 #include "profinet/controller.hpp"
 #include "profinet/io_device.hpp"
 #include "sim/simulator.hpp"
@@ -65,56 +67,93 @@ namespace {
 
 using namespace steelnet::sim::literals;
 
-TEST(AllocFree, SteadyStateCyclicTrafficDoesNotAllocate) {
-#if !STEELNET_ALLOC_COUNTING
-  GTEST_SKIP() << "allocation counting is disabled under sanitizers";
-#else
+/// Host a sends a pooled 46-byte request every 100 us; b echoes each one
+/// back through the pool; a retires the responses.
+struct EchoLoop {
+  explicit EchoLoop(obs::ObsHub* hub = nullptr) {
+    network.set_obs(hub);
+    network.connect(a.id(), 0, b.id(), 0, LinkParams{1'000'000'000, 500_ns});
+    b.set_receiver([this](Frame f, sim::SimTime) {
+      Frame reply = network.frame_pool().make(46);
+      reply.dst = MacAddress{1};
+      reply.src = MacAddress{2};
+      network.frame_pool().recycle(std::move(f));
+      b.send(std::move(reply));
+    });
+    a.set_receiver([this](Frame f, sim::SimTime) {
+      ++responses;
+      network.frame_pool().recycle(std::move(f));
+    });
+  }
+
   sim::Simulator simulator;
   Network network{simulator};
   HostNode& a = network.add_node<HostNode>("a", MacAddress{1});
   HostNode& b = network.add_node<HostNode>("b", MacAddress{2});
-  network.connect(a.id(), 0, b.id(), 0, LinkParams{1'000'000'000, 500_ns});
-
-  // b echoes every request back through the pool; a retires responses.
   std::uint64_t requests = 0;
   std::uint64_t responses = 0;
-  b.set_receiver([&](Frame f, sim::SimTime) {
-    Frame reply = network.frame_pool().make(46);
-    reply.dst = MacAddress{1};
-    reply.src = MacAddress{2};
-    network.frame_pool().recycle(std::move(f));
-    b.send(std::move(reply));
-  });
-  a.set_receiver([&](Frame f, sim::SimTime) {
-    ++responses;
-    network.frame_pool().recycle(std::move(f));
-  });
+  sim::PeriodicTask producer{simulator, 0_ns, 100_us, [this] {
+                               Frame f = network.frame_pool().make(46);
+                               f.dst = MacAddress{2};
+                               f.src = MacAddress{1};
+                               ++requests;
+                               a.send(std::move(f));
+                             }};
+};
 
-  sim::PeriodicTask producer(simulator, 0_ns, 100_us, [&] {
-    Frame f = network.frame_pool().make(46);
-    f.dst = MacAddress{2};
-    f.src = MacAddress{1};
-    ++requests;
-    a.send(std::move(f));
-  });
+TEST(AllocFree, SteadyStateCyclicTrafficDoesNotAllocate) {
+#if !STEELNET_ALLOC_COUNTING
+  GTEST_SKIP() << "allocation counting is disabled under sanitizers";
+#else
+  EchoLoop loop;
 
   // Warm-up: grow the event-queue slab/heap, the pool free list, and any
   // lazily-built node state to their steady-state footprint.
-  simulator.run_until(sim::milliseconds(10));
-  ASSERT_GT(responses, 50u);
+  loop.simulator.run_until(sim::milliseconds(10));
+  ASSERT_GT(loop.responses, 50u);
 
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
-  const std::uint64_t responses_before = responses;
-  simulator.run_until(sim::milliseconds(110));  // 1000 more cycles
+  const std::uint64_t responses_before = loop.responses;
+  loop.simulator.run_until(sim::milliseconds(110));  // 1000 more cycles
   const std::uint64_t during =
       g_allocations.load(std::memory_order_relaxed) - before;
 
-  EXPECT_GE(responses, responses_before + 999);
-  EXPECT_EQ(requests, producer.fired());
+  EXPECT_GE(loop.responses, responses_before + 999);
+  EXPECT_EQ(loop.requests, loop.producer.fired());
   // The whole point: a thousand request/response cycles -- schedule,
   // serialize, deliver, echo, retire -- without touching the allocator.
   EXPECT_EQ(during, 0u) << "steady-state cyclic traffic allocated " << during
                         << " times over 1000 cycles";
+#endif
+}
+
+// The same loop with an ObsHub attached: every frame records host-tx,
+// queue, link and host-rx spans and a delivery. The only allocations
+// left are the doublings of the span and delivery vectors and of the
+// open-hop table -- O(log N) over N cycles, never one per frame.
+TEST(AllocFree, TracedCyclicTrafficAllocatesOnlyForVectorGrowth) {
+#if !STEELNET_ALLOC_COUNTING
+  GTEST_SKIP() << "allocation counting is disabled under sanitizers";
+#else
+  obs::ObsHub hub;
+  EchoLoop loop(&hub);
+  loop.simulator.run_until(sim::milliseconds(10));
+  ASSERT_GT(loop.responses, 50u);
+
+  constexpr std::uint64_t kCycles = 100'000;
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t responses_before = loop.responses;
+  const std::size_t spans_before = hub.tracer().spans().size();
+  loop.simulator.run_until(sim::milliseconds(10) + kCycles * 100_us);
+  const std::uint64_t during =
+      g_allocations.load(std::memory_order_relaxed) - before;
+
+  EXPECT_GE(loop.responses, responses_before + kCycles - 1);
+  // Two frames a cycle, four hop spans a frame.
+  EXPECT_GE(hub.tracer().spans().size() - spans_before, 8 * (kCycles - 1));
+  EXPECT_EQ(hub.tracer().unmatched_closes(), 0u);
+  EXPECT_LE(during, 64u) << "traced cyclic traffic allocated " << during
+                         << " times over " << kCycles << " cycles";
 #endif
 }
 

@@ -144,5 +144,33 @@ TEST(ExportForms, RegistryLongerThanTheSinkBuffer) {
   EXPECT_GT(expect_prometheus_forms_agree(reg).size(), kSinkBuffer);
 }
 
+// Names the repo never uses but a caller may: a quote and a backslash, a
+// comma, a line feed. Each exporter escapes them per its format.
+TEST(ExportEscapes, PrometheusLabelValues) {
+  MetricsRegistry reg;
+  reg.make_counter({"plc\"7\\a", "host", "sent"}) += 3;
+  reg.make_counter({"cell,3", "host", "sent"}) += 1;
+  reg.make_counter({"two\nlines", "host", "sent"}) += 2;
+  EXPECT_EQ(expect_prometheus_forms_agree(reg),
+            "# TYPE steelnet_host_sent counter\n"
+            "steelnet_host_sent{node=\"cell,3\"} 1\n"
+            "# TYPE steelnet_host_sent counter\n"
+            "steelnet_host_sent{node=\"plc\\\"7\\\\a\"} 3\n"
+            "# TYPE steelnet_host_sent counter\n"
+            "steelnet_host_sent{node=\"two\\nlines\"} 2\n");
+}
+
+TEST(ExportEscapes, SpansCsvFields) {
+  SpanTracer tr;
+  tr.add(tr.track("cell,3"), "x", 1_ns, 2_ns, 1);
+  tr.add(tr.track("plc\"7\\a"), "cell,3", 3_ns, 5_ns, 2);
+  tr.add(tr.track("two\nlines"), "x", 6_ns, 6_ns, 3);
+  EXPECT_EQ(spans_csv(tr),
+            "trace_id,track,name,start_ns,end_ns,duration_ns\n"
+            "1,\"cell,3\",x,1,2,1\n"
+            "2,\"plc\"\"7\\a\",\"cell,3\",3,5,2\n"
+            "3,\"two\nlines\",x,6,6,0\n");
+}
+
 }  // namespace
 }  // namespace steelnet::obs

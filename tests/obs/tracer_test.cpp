@@ -2,15 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <stdexcept>
+#include <string>
+#include <tuple>
+#include <type_traits>
+#include <vector>
 
 #include "obs/exporters.hpp"
 #include "obs/hub.hpp"
+#include "sim/random.hpp"
 
 namespace steelnet::obs {
 namespace {
 
 using namespace steelnet::sim::literals;
+
+static_assert(sizeof(Span) == 32);
+static_assert(std::is_trivially_copyable_v<Span>);
 
 TEST(SpanTracer, TrackInterningIsStable) {
   SpanTracer tr;
@@ -59,6 +68,132 @@ TEST(SpanTracer, SpansForSortsByStartTime) {
   ASSERT_EQ(spans.size(), 2u);
   EXPECT_EQ(spans[0].start, 10_ns);
   EXPECT_EQ(spans[1].start, 50_ns);
+}
+
+TEST(SpanTracer, HopNamesArePreInternedInHopOrder) {
+  SpanTracer tr;
+  const Hop hops[] = {Hop::kHostTx, Hop::kQueue, Hop::kLink,
+                      Hop::kProc,   Hop::kXdp,   Hop::kHostRx};
+  ASSERT_EQ(tr.name_count(), 6u);
+  for (const Hop hop : hops) {
+    EXPECT_EQ(tr.span_name(static_cast<NameId>(hop)), to_string(hop));
+  }
+  // A hop name given as text resolves to the hop's id; new names follow.
+  const TrackId t = tr.track("t");
+  tr.add(t, "queue", 0_ns, 1_ns);
+  tr.hop(1, Hop::kQueue, t, 1_ns, 2_ns);
+  tr.add(t, "fault:corrupt", 2_ns, 2_ns, 1);
+  tr.add(t, "fault:corrupt", 3_ns, 3_ns, 2);
+  ASSERT_EQ(tr.spans().size(), 4u);
+  EXPECT_EQ(tr.spans()[0].name, static_cast<NameId>(Hop::kQueue));
+  EXPECT_EQ(tr.spans()[1].name, static_cast<NameId>(Hop::kQueue));
+  EXPECT_EQ(tr.spans()[2].name, 6u);
+  EXPECT_EQ(tr.spans()[3].name, 6u);
+  EXPECT_EQ(tr.span_name(6), "fault:corrupt");
+  EXPECT_EQ(tr.name_count(), 7u);
+}
+
+/// Draws an open-hop key whose trace id, hop and track each collide with
+/// those of many other keys.
+std::tuple<std::uint64_t, Hop, TrackId> draw_key(sim::Rng& rng) {
+  return {static_cast<std::uint64_t>(rng.uniform_int(1, 1'500)),
+          static_cast<Hop>(rng.uniform_int(0, 5)),
+          static_cast<TrackId>(rng.uniform_int(0, 7))};
+}
+
+// The flat open-hop table against a std::map reference: the same seeded
+// stream of opens, re-opens, closes, unmatched closes and aborts must
+// give the same span stream and the same unmatched-close count. Phases
+// that mostly open, churn and mostly close push the live set up through
+// many doublings and back down, leaving heavy tombstone churn behind.
+TEST(SpanTracer, OpenHopTableMatchesAMapReference) {
+  using Key = std::tuple<std::uint64_t, Hop, TrackId>;
+  struct Expected {
+    TrackId track;
+    Hop hop;
+    std::uint64_t trace_id;
+    sim::SimTime start;
+    sim::SimTime end;
+  };
+
+  SpanTracer tr;
+  for (int i = 0; i < 8; ++i) tr.track("t" + std::to_string(i));
+  std::map<Key, sim::SimTime> ref_open;
+  std::vector<Expected> ref_spans;
+  std::uint64_t ref_unmatched = 0;
+
+  const auto close = [&](const Key& k, sim::SimTime at) {
+    const auto& [trace, hop, track] = k;
+    tr.hop_close(trace, hop, track, at);
+    const auto it = ref_open.find(k);
+    if (it == ref_open.end()) {
+      ++ref_unmatched;
+      return;
+    }
+    ref_spans.push_back({track, hop, trace, it->second, at});
+    ref_open.erase(it);
+  };
+
+  sim::Rng rng(0x5eed);
+  std::vector<Key> opened;  // keys likely live; may be stale
+  const auto pick = [&] {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(opened.size()) - 1));
+  };
+  std::size_t max_live = 0;
+  std::int64_t now = 0;
+  constexpr double kOpenShare[] = {0.8, 0.5, 0.2};  // grow, churn, drain
+  for (int round = 0; round < 4; ++round) {
+    for (const double open_share : kOpenShare) {
+      for (int op = 0; op < 20'000; ++op) {
+        const sim::SimTime at = sim::nanoseconds(++now);
+        if (rng.bernoulli(open_share)) {
+          // A re-open of a key already open overwrites its open time.
+          const Key k = !opened.empty() && rng.bernoulli(0.05)
+                            ? opened[pick()]
+                            : draw_key(rng);
+          tr.hop_open(std::get<0>(k), std::get<1>(k), std::get<2>(k), at);
+          ref_open[k] = at;
+          opened.push_back(k);
+          max_live = std::max(max_live, ref_open.size());
+          continue;
+        }
+        Key k = draw_key(rng);
+        if (!opened.empty() && rng.bernoulli(0.8)) {
+          const std::size_t i = pick();
+          k = opened[i];
+          opened[i] = opened.back();
+          opened.pop_back();
+        }
+        if (rng.bernoulli(0.1)) {
+          tr.hop_abort(std::get<0>(k), std::get<1>(k), std::get<2>(k));
+          ref_open.erase(k);
+        } else {
+          close(k, at);
+        }
+      }
+    }
+  }
+  // Whatever is still open closes too, so the table must hold exactly
+  // the reference's live keys.
+  const std::vector<std::pair<Key, sim::SimTime>> left(ref_open.begin(),
+                                                       ref_open.end());
+  for (const auto& [k, at] : left) close(k, sim::nanoseconds(++now));
+
+  EXPECT_GT(max_live, 4'000u);  // from 16 slots: at least 9 doublings
+  EXPECT_GT(ref_unmatched, 1'000u);
+  EXPECT_TRUE(ref_open.empty());
+  EXPECT_EQ(tr.unmatched_closes(), ref_unmatched);
+  ASSERT_EQ(tr.spans().size(), ref_spans.size());
+  for (std::size_t i = 0; i < ref_spans.size(); ++i) {
+    const Span& got = tr.spans()[i];
+    const Expected& want = ref_spans[i];
+    ASSERT_EQ(got.track, want.track) << "span " << i;
+    ASSERT_EQ(got.name, static_cast<NameId>(want.hop)) << "span " << i;
+    ASSERT_EQ(got.trace_id, want.trace_id) << "span " << i;
+    ASSERT_EQ(got.start, want.start) << "span " << i;
+    ASSERT_EQ(got.end, want.end) << "span " << i;
+  }
 }
 
 TEST(SpanTracer, TraceIdsAreSequentialFromOne) {
