@@ -6,12 +6,13 @@
 // Default mode runs the table campus at shards 1 and 8 and reports, per
 // shard count, the cyclic/report/drop totals plus the artifact
 // fingerprint -- which must be identical across the two rows (the
-// determinism headline this PR's tests and CI gate pin). Modes:
+// determinism headline the tests and the `contract` gates pin). Modes:
 //
 //   --shards <n>      run a single shard count instead of {1, 8}
 //   --csv             the per-cell CSV artifact of one run (the exact
-//                     byte stream the CI diff gate compares across shard
-//                     counts) instead of the rendered table
+//                     byte stream the `contract` ctest gates compare
+//                     across shard counts) instead of the rendered table;
+//                     the checks still set the exit code, on stderr
 //   --sweep <k>       k seeded small campuses through the seed-sweep
 //                     harness (each itself sharded via --shards); prints
 //                     one fingerprint row per seed, byte-identical at any
@@ -332,33 +333,34 @@ int main(int argc, char** argv) {
     std::ofstream{*args.trace_path} << results.front().to_chrome_trace();
   }
 
+  // CSV mode reports on stderr: stdout is the first run's per-cell CSV.
+  std::ostream& rep = args.csv ? std::cerr : std::cout;
   if (args.csv) {
-    // The CI diff-gate artifact: the raw per-cell CSV of the FIRST run.
     std::cout << results.front().to_csv();
-    return 0;
+  } else {
+    core::TextTable table({"shards", "events", "cyclic_tx", "delivered",
+                           "reports_rx", "wdt_trips", "drops",
+                           "fingerprint"});
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      const CampusResult& r = results[i];
+      const Totals t = totals_of(r);
+      table.add_row({std::to_string(shard_counts[i]),
+                     std::to_string(r.stats.events),
+                     std::to_string(t.cyclic_tx),
+                     std::to_string(t.frames_delivered),
+                     std::to_string(t.reports_rx),
+                     std::to_string(t.watchdog_trips),
+                     std::to_string(t.drops), hex16(r.fingerprint())});
+    }
+    table.print(std::cout);
   }
-
-  core::TextTable table({"shards", "events", "cyclic_tx", "delivered",
-                         "reports_rx", "wdt_trips", "drops", "fingerprint"});
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const CampusResult& r = results[i];
-    const Totals t = totals_of(r);
-    table.add_row({std::to_string(shard_counts[i]),
-                   std::to_string(r.stats.events),
-                   std::to_string(t.cyclic_tx),
-                   std::to_string(t.frames_delivered),
-                   std::to_string(t.reports_rx),
-                   std::to_string(t.watchdog_trips), std::to_string(t.drops),
-                   hex16(r.fingerprint())});
-  }
-  table.print(std::cout);
   if (results.size() > 1) {
     const bool identical =
         results.front().fingerprint() == results.back().fingerprint() &&
         results.front().cells == results.back().cells;
-    std::cout << "artifacts shards=" << shard_counts.front()
-              << " vs shards=" << shard_counts.back() << ": "
-              << (identical ? "byte-identical" : "DIVERGED") << "\n";
+    rep << "artifacts shards=" << shard_counts.front()
+        << " vs shards=" << shard_counts.back() << ": "
+        << (identical ? "byte-identical" : "DIVERGED") << "\n";
     if (!identical) return 1;
   }
   return 0;

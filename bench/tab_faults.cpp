@@ -96,6 +96,36 @@ int main(int argc, char** argv) {
 
   const sim::SimTime bound = faults::switchover_bound(opts);
 
+  bool conserved = true;
+  bool no_leaks = true;
+  bool replayed = true;
+  bool bounded = true;
+  int switchovers = 0;
+  for (const Row& r : rows) {
+    conserved &= r.out.residual == 0;
+    no_leaks &= r.out.post_kill_deliveries == 0;
+    replayed &= r.deterministic;
+    if (r.out.switched_over) {
+      ++switchovers;
+      bounded &= r.out.switchover_latency <= bound;
+    }
+  }
+  bounded &= switchovers >= 3;
+  const bool checks_ok = conserved && no_leaks && replayed && bounded;
+  const auto report_checks = [&](std::ostream& rep) {
+    rep << "\nshape checks:\n"
+        << "  [" << (conserved ? "ok" : "MISMATCH")
+        << "] per-cause drop counters tile injected faults exactly "
+           "(residual 0 everywhere)\n"
+        << "  [" << (no_leaks ? "ok" : "MISMATCH")
+        << "] no frame created after a kill was ever delivered\n"
+        << "  [" << (bounded ? "ok" : "MISMATCH")
+        << "] every switchover landed within the watchdog bound "
+        << us(bound) << " (" << switchovers << " switchovers)\n"
+        << "  [" << (replayed ? "ok" : "MISMATCH")
+        << "] every scenario replays byte-identically from its seed\n";
+  };
+
   if (args.csv) {
     std::cout << "scenario,seed,switched_over,switchover_at_ns,"
                  "switchover_latency_ns,bound_ns,max_output_gap_ns,"
@@ -121,7 +151,9 @@ int main(int argc, char** argv) {
                 << (r.deterministic ? 1 : 0) << ',' << o.fingerprint()
                 << '\n';
     }
-    return 0;
+    // The checks still gate the exit code; stderr keeps stdout the CSV.
+    report_checks(std::cerr);
+    return checks_ok ? 0 : 1;
   }
 
   std::cout << "=== fault matrix: switchover latency and drop accounting "
@@ -157,32 +189,7 @@ int main(int argc, char** argv) {
                    std::to_string(f.reordered), std::to_string(f.jittered)});
   }
   drops.print(std::cout);
-
-  bool conserved = true;
-  bool no_leaks = true;
-  bool replayed = true;
-  bool bounded = true;
-  int switchovers = 0;
-  for (const Row& r : rows) {
-    conserved &= r.out.residual == 0;
-    no_leaks &= r.out.post_kill_deliveries == 0;
-    replayed &= r.deterministic;
-    if (r.out.switched_over) {
-      ++switchovers;
-      bounded &= r.out.switchover_latency <= bound;
-    }
-  }
-  std::cout << "\nshape checks:\n"
-            << "  [" << (conserved ? "ok" : "MISMATCH")
-            << "] per-cause drop counters tile injected faults exactly "
-               "(residual 0 everywhere)\n"
-            << "  [" << (no_leaks ? "ok" : "MISMATCH")
-            << "] no frame created after a kill was ever delivered\n"
-            << "  [" << (bounded && switchovers >= 3 ? "ok" : "MISMATCH")
-            << "] every switchover landed within the watchdog bound "
-            << us(bound) << " (" << switchovers << " switchovers)\n"
-            << "  [" << (replayed ? "ok" : "MISMATCH")
-            << "] every scenario replays byte-identically from its seed\n";
+  report_checks(std::cout);
 
   if (args.trace_path) {
     std::ofstream os(*args.trace_path, std::ios::binary);
@@ -202,5 +209,5 @@ int main(int argc, char** argv) {
     os << metrics_prom;
     std::cout << "wrote Prometheus metrics to " << *args.metrics_path << "\n";
   }
-  return conserved && no_leaks && replayed && bounded ? 0 : 1;
+  return checks_ok ? 0 : 1;
 }

@@ -36,7 +36,6 @@ int main(int argc, char** argv) {
   obs::ObsHub& hub = testbed.hub();
   const instaplc::InstaPlcApp& app = testbed.app();
   const profinet::IoDevice& device = testbed.device();
-  obs::Snapshotter snapshotter(simulator, 250_ms);
 
   testbed.start();
   simulator.run_until(3_s);
@@ -50,8 +49,7 @@ int main(int argc, char** argv) {
                "switchover run ===\n\n";
   std::cout << "traced " << hub.tracer().spans().size() << " spans over "
             << hub.tracer().track_count() << " tracks; "
-            << hub.deliveries().size() << " end-to-end deliveries; "
-            << snapshotter.snapshots_taken() << " metric snapshots\n";
+            << hub.deliveries().size() << " end-to-end deliveries\n";
   if (!app.stats().switchover_at) {
     std::cout << "MISMATCH: no switchover happened; nothing to break down\n";
     return 1;

@@ -10,8 +10,9 @@
 // Modes:
 //   --shards <n>      run a single shard count instead of {1, 8}
 //   --csv             the per-cell CSV artifact of one run (the exact
-//                     byte stream the CI diff gate compares across shard
-//                     counts) instead of the rendered table
+//                     byte stream the `contract` ctest gates compare
+//                     across shard counts) instead of the rendered table;
+//                     the checks still set the exit code, on stderr
 //   --sweep <k>       k seeded floors through the sweep pool; one
 //                     fingerprint row per seed, byte-identical at any
 //                     --jobs/--shards combination
@@ -177,49 +178,49 @@ int main(int argc, char** argv) {
   }
   for (std::size_t i = 0; i < results.size(); ++i) {
     // Placement diagnostics go to stderr so the CSV byte stream on
-    // stdout stays the CI-compared artifact.
+    // stdout stays the compared artifact.
     std::cerr << "tab_radio: shards=" << shard_counts[i]
               << " partitioner=" << placement()
               << " imbalance_permille=" << results[i].imbalance_permille
               << "\n";
   }
 
-  if (args.csv) {
-    // The CI diff-gate artifact: the raw per-cell CSV of the FIRST run.
-    std::cout << results.front().to_csv();
-    return 0;
-  }
-
+  // CSV mode reports on stderr: stdout is the first run's per-cell CSV.
+  std::ostream& rep = args.csv ? std::cerr : std::cout;
   const RadioFloorResult& r = results.front();
-  core::TextTable table({"cell", "scenario", "snr_off_db", "gap_ns",
-                         "gap/bound", "drop_pm", "roams", "wdt"});
-  for (const RadioCellReport& c : r.cells) {
-    char ratio[32];
-    std::snprintf(ratio, sizeof(ratio), "%.1fx",
-                  static_cast<double>(c.max_output_gap_ns) /
-                      static_cast<double>(r.watchdog_bound_ns));
-    table.add_row({c.name, c.scenario,
-                   std::to_string(c.snr_offset_millidb / 1000),
-                   std::to_string(c.max_output_gap_ns), ratio,
-                   std::to_string(c.drop_permille()),
-                   std::to_string(c.roam_events),
-                   std::to_string(c.watchdog_trips)});
+  if (args.csv) {
+    std::cout << r.to_csv();
+  } else {
+    core::TextTable table({"cell", "scenario", "snr_off_db", "gap_ns",
+                           "gap/bound", "drop_pm", "roams", "wdt"});
+    for (const RadioCellReport& c : r.cells) {
+      char ratio[32];
+      std::snprintf(ratio, sizeof(ratio), "%.1fx",
+                    static_cast<double>(c.max_output_gap_ns) /
+                        static_cast<double>(r.watchdog_bound_ns));
+      table.add_row({c.name, c.scenario,
+                     std::to_string(c.snr_offset_millidb / 1000),
+                     std::to_string(c.max_output_gap_ns), ratio,
+                     std::to_string(c.drop_permille()),
+                     std::to_string(c.roam_events),
+                     std::to_string(c.watchdog_trips)});
+    }
+    table.print(std::cout);
   }
-  table.print(std::cout);
 
   const bool monotone = net::degradation_monotone(r);
-  std::cout << "watchdog bound: " << r.watchdog_bound_ns
-            << " ns; degradation down the SNR ladder: "
-            << (monotone ? "monotone" : "NOT MONOTONE") << "\n";
+  rep << "watchdog bound: " << r.watchdog_bound_ns
+      << " ns; degradation down the SNR ladder: "
+      << (monotone ? "monotone" : "NOT MONOTONE") << "\n";
   if (!monotone) return 1;
 
   if (results.size() > 1) {
     const bool identical =
         results.front().fingerprint() == results.back().fingerprint() &&
         results.front().cells == results.back().cells;
-    std::cout << "artifacts shards=" << shard_counts.front()
-              << " vs shards=" << shard_counts.back() << ": "
-              << (identical ? "byte-identical" : "DIVERGED") << "\n";
+    rep << "artifacts shards=" << shard_counts.front()
+        << " vs shards=" << shard_counts.back() << ": "
+        << (identical ? "byte-identical" : "DIVERGED") << "\n";
     if (!identical) return 1;
   }
   return 0;

@@ -13,10 +13,9 @@
 // golden fingerprints byte-identical.
 //
 // Lifecycle: construct against a simulator, attach whatever the caller
-// measures (an app observer, a host path, a snapshotter), call start()
-// once (connects the primary, schedules the secondary and the fault
-// scenario), drive the simulator (run_until or a sharded cell's
-// execution), then collect().
+// measures (an app observer, a host path), call start() once (connects
+// the primary, schedules the secondary and the fault scenario), drive the
+// simulator (run_until or a sharded cell's execution), then collect().
 #pragma once
 
 #include <cstdint>

@@ -172,7 +172,4 @@ std::string spans_csv(const SpanTracer& tracer) {
   return os.str();
 }
 
-Snapshotter::Snapshotter(sim::Simulator& sim, sim::SimTime period)
-    : task_(sim, period, period, [this] { ++taken_; }) {}
-
 }  // namespace steelnet::obs

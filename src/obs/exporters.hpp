@@ -1,5 +1,5 @@
-// steelnet::obs -- exporters: Chrome-trace/Perfetto JSON, CSV span dumps,
-// and a Simulator-driven metrics snapshot clock.
+// steelnet::obs -- exporters: Chrome-trace/Perfetto JSON and CSV span
+// dumps.
 //
 // All output is rendered from deterministic sim-time state with fixed
 // formatting, so identical seeds produce byte-identical files.
@@ -10,7 +10,6 @@
 #include <string>
 
 #include "obs/hub.hpp"
-#include "sim/simulator.hpp"
 
 namespace steelnet::obs {
 
@@ -27,19 +26,5 @@ void write_chrome_trace(std::ostream& os, const SpanTracer& tracer);
 /// `trace_id,track,name,start_ns,end_ns,duration_ns` lines; a track or
 /// span name holding a comma, quote or line break is quoted (RFC 4180).
 [[nodiscard]] std::string spans_csv(const SpanTracer& tracer);
-
-/// The clock of a periodic metrics scrape: ticks first at `period`, then
-/// every `period` of sim time until the simulation ends, and counts the
-/// ticks. The values themselves are the registry's end-of-run exports.
-class Snapshotter {
- public:
-  Snapshotter(sim::Simulator& sim, sim::SimTime period);
-
-  [[nodiscard]] std::size_t snapshots_taken() const { return taken_; }
-
- private:
-  std::size_t taken_ = 0;
-  sim::PeriodicTask task_;
-};
 
 }  // namespace steelnet::obs

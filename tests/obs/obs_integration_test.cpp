@@ -139,13 +139,6 @@ TEST(ObsIntegration, ExportsAreRunToRunDeterministic) {
             std::string::npos);
 }
 
-TEST(ObsIntegration, SnapshotterSamplesOnSimTime) {
-  sim::Simulator simulator;
-  obs::Snapshotter snap(simulator, 10_us);
-  simulator.run_until(50_us);
-  EXPECT_EQ(snap.snapshots_taken(), 5u);
-}
-
 // Frames that never reach an application (dropped at a full egress queue)
 // must not leave dangling open hops behind.
 TEST(ObsIntegration, QueueDropsCloseTheirHops) {
