@@ -43,8 +43,9 @@ int main(int argc, char** argv) {
                  core::TextTable::num(rd.jitter_ns.percentile(99), 1)});
   table.print(std::cout);
 
-  std::cout << "\nshape check: ["
-            << (spread_d < spread_s / 20.0 ? "ok" : "MISMATCH")
-            << "] deterministic costs collapse the CDF spread (>20x)\n";
-  return 0;
+  bench::Checks checks{args};
+  checks.out() << "\nshape check:\n";
+  checks.check(spread_d < spread_s / 20.0,
+               "deterministic costs collapse the CDF spread (>20x)");
+  return checks.exit_code();
 }

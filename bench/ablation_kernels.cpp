@@ -88,20 +88,15 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  std::cout << "\nshape checks (§2.1 [84]):\n"
-            << "  [" << (runs[1].samples.percentile(99.99) <
-                                 runs[0].samples.percentile(99.99)
-                             ? "ok"
-                             : "MISMATCH")
-            << "] PREEMPT_RT beats vanilla at the 99.99th percentile\n"
-            << "  [" << (runs[2].samples.percentile(99.99) <
-                                 runs[1].samples.percentile(99.99)
-                             ? "ok"
-                             : "MISMATCH")
-            << "] the dual-kernel RTOS beats PREEMPT_RT\n"
-            << "  [" << (runs[1].samples.max() > runs[2].samples.max()
-                             ? "ok"
-                             : "MISMATCH")
-            << "] PREEMPT_RT is still not hard real-time (worst case)\n";
-  return 0;
+  bench::Checks checks{args};
+  checks.out() << "\nshape checks (§2.1 [84]):\n";
+  checks.check(runs[1].samples.percentile(99.99) <
+                   runs[0].samples.percentile(99.99),
+               "PREEMPT_RT beats vanilla at the 99.99th percentile");
+  checks.check(runs[2].samples.percentile(99.99) <
+                   runs[1].samples.percentile(99.99),
+               "the dual-kernel RTOS beats PREEMPT_RT");
+  checks.check(runs[1].samples.max() > runs[2].samples.max(),
+               "PREEMPT_RT is still not hard real-time (worst case)");
+  return checks.exit_code();
 }

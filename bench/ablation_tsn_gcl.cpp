@@ -93,10 +93,10 @@ int main(int argc, char** argv) {
   table.add_row({"with GCL", core::TextTable::num(spread_with, 3)});
   table.print(std::cout);
 
-  std::cout << "\nshape check: [" << (spread_with < spread_without / 4
-                                          ? "ok"
-                                          : "MISMATCH")
-            << "] the gate removes best-effort head-of-line variance from "
-               "the RT flow\n";
-  return 0;
+  steelnet::bench::Checks checks{args};
+  checks.out() << "\nshape check:\n";
+  checks.check(spread_with < spread_without / 4,
+               "the gate removes best-effort head-of-line variance from the "
+               "RT flow");
+  return checks.exit_code();
 }

@@ -120,12 +120,12 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  std::cout << "\nshape check: [" << (p99s.back() > 2 * p99s.front()
-                                          ? "ok"
-                                          : "MISMATCH")
-            << "] consolidation degrades tail cycle accuracy (>2x p99 "
-               "from 1 to 64 vPLCs)\n"
-            << "the paper's point: this scaling dimension is exactly what "
+  steelnet::bench::Checks checks{args};
+  checks.out() << "\nshape check:\n";
+  checks.check(p99s.back() > 2 * p99s.front(),
+               "consolidation degrades tail cycle accuracy (>2x p99 from 1 "
+               "to 64 vPLCs)");
+  std::cout << "the paper's point: this scaling dimension is exactly what "
                "published vPLC evaluations leave out.\n";
-  return 0;
+  return checks.exit_code();
 }

@@ -29,6 +29,14 @@
 // (decimal, 0x hex or 0 octal). Binaries without an obs wiring still
 // accept --trace and --metrics but warn on stderr that nothing will be
 // produced.
+//
+// Every bench reports through the two helpers below. Output files
+// (--trace, --metrics, --bench-json, --profile-out) go through
+// write_file(): they are written in every mode, --csv included, the
+// "wrote ..." note goes to stderr, and a path that can't be written exits
+// 2. Shape checks go through Checks: each prints one "[ok]"/"[MISMATCH]"
+// line (on stderr under --csv, so stdout stays the artifact) and sets the
+// exit code -- 1 if any check failed.
 #pragma once
 
 #include <cctype>
@@ -75,20 +83,25 @@ inline sim::RateProfile read_profile(const char* prog,
   }
 }
 
-/// Writes a cell-rate profile (`--profile-out`); reports on stderr so a
-/// CSV on stdout stays byte-comparable. Exits 2 if the file can't be
+/// Writes one output file exactly as rendered; the note goes to stderr so
+/// a CSV on stdout stays byte-comparable. Exits 2 if the file can't be
 /// written.
-inline void write_profile(const char* prog, const std::string& path,
-                          const sim::RateProfile& profile) {
-  std::ofstream out{path};
-  out << profile.to_text();
+inline void write_file(const char* prog, const std::string& path,
+                       std::string_view what, std::string_view body) {
+  std::ofstream out{path, std::ios::binary};
+  out << body;
   out.close();
   if (!out) {
-    std::cerr << prog << ": cannot write profile '" << path << "'\n";
+    std::cerr << prog << ": cannot write " << what << " '" << path << "'\n";
     std::exit(2);
   }
-  std::cerr << prog << ": wrote profile " << path << " ("
-            << profile.cells.size() << " cells)\n";
+  std::cerr << prog << ": wrote " << what << " to " << path << "\n";
+}
+
+/// Writes a cell-rate profile (`--profile-out`).
+inline void write_profile(const char* prog, const std::string& path,
+                          const sim::RateProfile& profile) {
+  write_file(prog, path, "profile", profile.to_text());
 }
 
 struct BenchArgs {
@@ -209,6 +222,32 @@ struct BenchArgs {
                    "ignored\n";
     }
   }
+};
+
+/// A bench's shape checks. Each is declared once, as its text and whether
+/// it held; the same object prints it and turns the lot into the exit
+/// code.
+class Checks {
+ public:
+  /// Reports on stderr under --csv (stdout is the artifact), else stdout.
+  explicit Checks(const BenchArgs& args)
+      : out_{args.csv ? std::cerr : std::cout} {}
+
+  /// The report stream, for the headings and context lines around checks.
+  std::ostream& out() { return out_; }
+
+  /// Prints "  [ok] <text>" or "  [MISMATCH] <text>".
+  void check(bool held, std::string_view text) {
+    out_ << "  [" << (held ? "ok" : "MISMATCH") << "] " << text << "\n";
+    failed_ |= !held;
+  }
+
+  /// 0 if every check held, 1 otherwise.
+  int exit_code() const { return failed_ ? 1 : 0; }
+
+ private:
+  std::ostream& out_;
+  bool failed_ = false;
 };
 
 }  // namespace steelnet::bench

@@ -64,14 +64,12 @@ int main(int argc, char** argv) {
   std::cout << "jitter CDF, 25 flows:\n"
             << core::ascii_cdf(r25.jitter_ns, "jitter (ns)") << '\n';
 
-  const bool clustered =
-      reports[3]->delay_us.median() > reports[2]->delay_us.median() + 2.0;
-  const bool jitter_grows =
-      r25.jitter_ns.percentile(99) > 2 * r1.jitter_ns.percentile(99);
-  std::cout << "paper's shape checks:\n"
-            << "  [" << (clustered ? "ok" : "MISMATCH")
-            << "] ring-buffer variants form a separate, slower cluster\n"
-            << "  [" << (jitter_grows ? "ok" : "MISMATCH")
-            << "] 25 flows raise tail jitter by >2x (toward ~1 us)\n";
-  return clustered && jitter_grows ? 0 : 1;
+  bench::Checks checks{args};
+  checks.out() << "paper's shape checks:\n";
+  checks.check(
+      reports[3]->delay_us.median() > reports[2]->delay_us.median() + 2.0,
+      "ring-buffer variants form a separate, slower cluster");
+  checks.check(r25.jitter_ns.percentile(99) > 2 * r1.jitter_ns.percentile(99),
+               "25 flows raise tail jitter by >2x (toward ~1 us)");
+  return checks.exit_code();
 }

@@ -89,16 +89,14 @@ int main(int argc, char** argv) {
                  core::TextTable::num(min_bin, 0)});
   table.print(std::cout);
 
-  const bool switched = app.switched_over();
-  const bool controlled = min_bin >= 15;
-  const bool no_trips = device.counters().watchdog_trips == 0;
-  std::cout << "\npaper's shape checks:\n"
-            << "  [" << (switched ? "ok" : "MISMATCH")
-            << "] data-plane switchover triggered after primary silence\n"
-            << "  [" << (controlled ? "ok" : "MISMATCH")
-            << "] I/O device remained controlled through the switchover "
-               "(~25 pkts/50ms at 2 ms cycle)\n"
-            << "  [" << (no_trips ? "ok" : "MISMATCH")
-            << "] device watchdog never expired\n";
-  return switched && controlled && no_trips ? 0 : 1;
+  bench::Checks checks{args};
+  checks.out() << "\npaper's shape checks:\n";
+  checks.check(app.switched_over(),
+               "data-plane switchover triggered after primary silence");
+  checks.check(min_bin >= 15,
+               "I/O device remained controlled through the switchover "
+               "(~25 pkts/50ms at 2 ms cycle)");
+  checks.check(device.counters().watchdog_trips == 0,
+               "device watchdog never expired");
+  return checks.exit_code();
 }

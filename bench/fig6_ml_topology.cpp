@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
 
   const std::vector<std::size_t> client_counts{32, 64, 128, 256};
 
-  bool all_ok = true;
+  bench::Checks checks{args};
   for (mlnet::MlApp app : mlnet::all_ml_apps()) {
     std::cout << "=== Fig. 6: " << mlnet::to_string(app)
               << " -- median latency (ms) vs clients ===\n\n";
@@ -55,10 +55,10 @@ int main(int argc, char** argv) {
       const double ml = medians[{int(mlnet::TopologyKind::kMlAware), n}];
       if (!(ml < ls && ls < ring)) ordering_ok = false;
     }
-    all_ok = all_ok && ordering_ok;
-    std::cout << "\npaper's shape check: ["
-              << (ordering_ok ? "ok" : "MISMATCH")
-              << "] ML-aware < Leaf Spine < Ring at every client count\n\n";
+    checks.out() << "\npaper's shape check:\n";
+    checks.check(ordering_ok,
+                 "ML-aware < Leaf Spine < Ring at every client count");
+    std::cout << '\n';
   }
 
   // Infrastructure-cost context (the §5 "aligns inference accuracy with
@@ -78,5 +78,5 @@ int main(int argc, char** argv) {
                    std::to_string(r.frame_bytes)});
   }
   infra.print(std::cout);
-  return all_ok ? 0 : 1;
+  return checks.exit_code();
 }

@@ -153,8 +153,6 @@ int main(int argc, char** argv) {
     gaps.push_back(*slots[i].value);
   }
 
-  const bool ordered = gaps[3] < gaps[2] && gaps[2] < gaps[1];
-
   if (args.csv) {
     std::cout << "mechanism,control_gap_ns,yearly_downtime_s,"
                  "availability_at_12_per_year,nines,meets_six_nines\n";
@@ -169,31 +167,35 @@ int main(int argc, char** argv) {
                                         3)
                 << ',' << (row.meets_six_nines ? 1 : 0) << '\n';
     }
-    return ordered ? 0 : 1;
+  } else {
+    std::cout << "=== §2.2/§4: availability per HA mechanism (measured "
+                 "control gap at the I/O device) ===\n\n";
+
+    core::TextTable table({"mechanism", "control gap",
+                           "downtime/yr @12 fail", "availability", "nines",
+                           ">= 99.9999%?", "notes"});
+    for (std::size_t i = 0; i < mechanisms.size(); ++i) {
+      const auto row = core::make_row(mechanisms[i].name, gaps[i]);
+      table.add_row(
+          {mechanisms[i].name, gaps[i].to_string(),
+           core::TextTable::num(row.yearly_downtime_seconds, 2) + " s",
+           core::TextTable::num(row.availability_at_12_per_year * 100.0, 6) +
+               "%",
+           core::TextTable::num(core::availability_to_nines(
+                                    row.availability_at_12_per_year),
+                                2),
+           row.meets_six_nines ? "yes" : "NO", mechanisms[i].notes});
+    }
+    table.print(std::cout);
+
+    std::cout << "\nbudget: 99.9999% availability = "
+              << core::downtime_per_year(0.999999).to_string()
+              << " downtime per year (§2.2)\n";
   }
 
-  std::cout << "=== §2.2/§4: availability per HA mechanism (measured "
-               "control gap at the I/O device) ===\n\n";
-
-  core::TextTable table({"mechanism", "control gap", "downtime/yr @12 fail",
-                         "availability", "nines", ">= 99.9999%?", "notes"});
-  for (std::size_t i = 0; i < mechanisms.size(); ++i) {
-    const auto row = core::make_row(mechanisms[i].name, gaps[i]);
-    table.add_row({mechanisms[i].name, gaps[i].to_string(),
-                   core::TextTable::num(row.yearly_downtime_seconds, 2) + " s",
-                   core::TextTable::num(
-                       row.availability_at_12_per_year * 100.0, 6) + "%",
-                   core::TextTable::num(core::availability_to_nines(
-                                            row.availability_at_12_per_year),
-                                        2),
-                   row.meets_six_nines ? "yes" : "NO", mechanisms[i].notes});
-  }
-  table.print(std::cout);
-
-  std::cout << "\nbudget: 99.9999% availability = "
-            << core::downtime_per_year(0.999999).to_string()
-            << " downtime per year (§2.2)\n";
-  std::cout << "shape check: InstaPLC gap < hw pair gap < k8s restart gap "
-            << "[" << (ordered ? "ok" : "MISMATCH") << "]\n";
-  return ordered ? 0 : 1;
+  bench::Checks checks{args};
+  checks.out() << "shape check:\n";
+  checks.check(gaps[3] < gaps[2] && gaps[2] < gaps[1],
+               "InstaPLC gap < hw pair gap < k8s restart gap");
+  return checks.exit_code();
 }

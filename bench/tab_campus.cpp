@@ -36,8 +36,8 @@
 //                     by measured rate (LPT) instead of prefix-quota
 #include <cinttypes>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
   // every threaded rung appears twice (prefix vs measured placement).
   // All fingerprints must be identical -- placement must never leak into
   // artifacts -- and under --skew the measured pass must beat prefix on
-  // the max/mean load ratio (asserted; wall clock is recorded but only
+  // the max/mean load ratio (checked; wall clock is recorded but only
   // meaningful on multi-core hosts).
   if (args.bench_json_path.has_value()) {
     struct Rung {
@@ -167,22 +167,13 @@ int main(int argc, char** argv) {
                    sh, rungs.back().strategy, r.stats.wall_seconds,
                    r.imbalance_permille, hex16(r.fingerprint()).c_str());
       if (sh == 1 && !measured) calibration = r.profile;
-      return rungs.front().fp == rungs.back().fp;
     };
     for (const std::size_t sh : {1, 2, 4, 8}) {
-      if (!run_rung(sh, /*measured=*/false)) {
-        std::cerr << "tab_campus: artifact fingerprint diverged at shards="
-                  << sh << " -- determinism bug\n";
-        return 1;
-      }
+      run_rung(sh, /*measured=*/false);
     }
-    for (const std::size_t sh : {2, 4, 8}) {
-      if (!run_rung(sh, /*measured=*/true)) {
-        std::cerr << "tab_campus: measured partition changed artifacts at "
-                  << "shards=" << sh << " -- determinism bug\n";
-        return 1;
-      }
-    }
+    for (const std::size_t sh : {2, 4, 8}) run_rung(sh, /*measured=*/true);
+    bool identical = true;
+    for (const Rung& r : rungs) identical &= r.fp == rungs.front().fp;
     if (args.profile_out_path.has_value()) {
       bench::write_profile(kProg, *args.profile_out_path, calibration);
     }
@@ -192,23 +183,9 @@ int main(int argc, char** argv) {
       }
       return static_cast<const Rung*>(nullptr);
     };
-    if (args.skew) {
-      // The headline claim of the skewed ladder: measured placement must
-      // balance what prefix-quota cannot. (Deterministic, so assertable
-      // even on one core, unlike wall clock.)
-      const Rung* p8 = rung_at(8, "prefix");
-      const Rung* m8 = rung_at(8, "measured");
-      if (p8 != nullptr && m8 != nullptr &&
-          m8->imbalance_permille >= p8->imbalance_permille) {
-        std::cerr << "tab_campus: measured partitioner did not improve the "
-                  << "load ratio at shards=8 (prefix=" << p8->imbalance_permille
-                  << " measured=" << m8->imbalance_permille << ")\n";
-        return 1;
-      }
-    }
 
     const CampusOptions copt = big_options(args.seed, args.scale);
-    std::ofstream out{*args.bench_json_path};
+    std::ostringstream out;
     out << "{\n  \"bench\": \"campus_shard_scaling\",\n"
         << "  \"context\": {\"cells\": " << copt.cells
         << ", \"devices\": " << copt.cells * copt.devices_per_cell
@@ -260,9 +237,28 @@ int main(int argc, char** argv) {
       out << cell;
       first = false;
     }
-    out << "},\n  \"artifacts_identical\": true\n}\n";
-    std::cout << "wrote " << *args.bench_json_path << "\n";
-    return 0;
+    out << "},\n  \"artifacts_identical\": " << (identical ? "true" : "false")
+        << "\n}\n";
+    bench::write_file(kProg, *args.bench_json_path, "bench JSON", out.str());
+
+    bench::Checks checks{args};
+    checks.out() << "shape checks:\n";
+    checks.check(identical,
+                 "every rung's artifacts are byte-identical (placement "
+                 "never leaks into them)");
+    if (args.skew) {
+      // The headline claim of the skewed ladder: measured placement must
+      // balance what prefix-quota cannot. (Deterministic, so checkable
+      // even on one core, unlike wall clock.)
+      const Rung* p8 = rung_at(8, "prefix");
+      const Rung* m8 = rung_at(8, "measured");
+      checks.check(m8->imbalance_permille < p8->imbalance_permille,
+                   "measured placement improves the load ratio at shards=8 "
+                   "(prefix=" + std::to_string(p8->imbalance_permille) +
+                       " measured=" + std::to_string(m8->imbalance_permille) +
+                       ")");
+    }
+    return checks.exit_code();
   }
 
   // --- seed sweep (each task itself sharded) --------------------------------
@@ -327,14 +323,14 @@ int main(int argc, char** argv) {
   }
 
   if (args.metrics_path.has_value()) {
-    std::ofstream{*args.metrics_path} << results.front().to_prometheus();
+    bench::write_file(kProg, *args.metrics_path, "Prometheus metrics",
+                      results.front().to_prometheus());
   }
   if (args.trace_path.has_value()) {
-    std::ofstream{*args.trace_path} << results.front().to_chrome_trace();
+    bench::write_file(kProg, *args.trace_path, "Chrome-trace JSON",
+                      results.front().to_chrome_trace());
   }
 
-  // CSV mode reports on stderr: stdout is the first run's per-cell CSV.
-  std::ostream& rep = args.csv ? std::cerr : std::cout;
   if (args.csv) {
     std::cout << results.front().to_csv();
   } else {
@@ -354,14 +350,14 @@ int main(int argc, char** argv) {
     }
     table.print(std::cout);
   }
+  bench::Checks checks{args};
   if (results.size() > 1) {
-    const bool identical =
+    checks.check(
         results.front().fingerprint() == results.back().fingerprint() &&
-        results.front().cells == results.back().cells;
-    rep << "artifacts shards=" << shard_counts.front()
-        << " vs shards=" << shard_counts.back() << ": "
-        << (identical ? "byte-identical" : "DIVERGED") << "\n";
-    if (!identical) return 1;
+            results.front().cells == results.back().cells,
+        "artifacts shards=" + std::to_string(shard_counts.front()) +
+            " vs shards=" + std::to_string(shard_counts.back()) +
+            " are byte-identical");
   }
-  return 0;
+  return checks.exit_code();
 }

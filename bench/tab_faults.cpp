@@ -17,7 +17,6 @@
 //   --csv             machine-readable rows instead of the rendered table
 //   --trace <file>    Chrome-trace JSON of the silent-primary run
 //   --metrics <file>  Prometheus dump of the silent-primary run
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -111,20 +110,15 @@ int main(int argc, char** argv) {
     }
   }
   bounded &= switchovers >= 3;
-  const bool checks_ok = conserved && no_leaks && replayed && bounded;
-  const auto report_checks = [&](std::ostream& rep) {
-    rep << "\nshape checks:\n"
-        << "  [" << (conserved ? "ok" : "MISMATCH")
-        << "] per-cause drop counters tile injected faults exactly "
-           "(residual 0 everywhere)\n"
-        << "  [" << (no_leaks ? "ok" : "MISMATCH")
-        << "] no frame created after a kill was ever delivered\n"
-        << "  [" << (bounded ? "ok" : "MISMATCH")
-        << "] every switchover landed within the watchdog bound "
-        << us(bound) << " (" << switchovers << " switchovers)\n"
-        << "  [" << (replayed ? "ok" : "MISMATCH")
-        << "] every scenario replays byte-identically from its seed\n";
-  };
+
+  if (args.trace_path) {
+    bench::write_file("tab_faults", *args.trace_path, "Chrome-trace JSON",
+                      trace_json);
+  }
+  if (args.metrics_path) {
+    bench::write_file("tab_faults", *args.metrics_path, "Prometheus metrics",
+                      metrics_prom);
+  }
 
   if (args.csv) {
     std::cout << "scenario,seed,switched_over,switchover_at_ns,"
@@ -151,63 +145,52 @@ int main(int argc, char** argv) {
                 << (r.deterministic ? 1 : 0) << ',' << o.fingerprint()
                 << '\n';
     }
-    // The checks still gate the exit code; stderr keeps stdout the CSV.
-    report_checks(std::cerr);
-    return checks_ok ? 0 : 1;
-  }
-
-  std::cout << "=== fault matrix: switchover latency and drop accounting "
-               "(seed " << args.seed << ") ===\n\n";
-  core::TextTable table({"scenario", "switchover", "latency", "bound",
-                         "max gap", "trips", "wire drops", "residual",
-                         "post-kill", "replay"});
-  for (const Row& r : rows) {
-    const ScenarioOutcome& o = r.out;
-    table.add_row(
-        {o.scenario,
-         o.switched_over ? "at " + us(o.switchover_at) : "none",
-         o.switched_over ? us(o.switchover_latency) : "-", us(bound),
-         us(o.max_output_gap), std::to_string(o.device_watchdog_trips),
-         std::to_string(o.faults.wire_drops()), std::to_string(o.residual),
-         std::to_string(o.post_kill_deliveries),
-         r.deterministic ? "identical" : "DIVERGED"});
-  }
-  table.print(std::cout);
-
-  std::cout << "\ndrop causes per scenario:\n";
-  core::TextTable drops({"scenario", "link_down", "loss", "sender_down",
-                         "receiver_down", "suppressed", "corrupt", "dup",
-                         "reorder", "jitter"});
-  for (const Row& r : rows) {
-    const auto& f = r.out.faults;
-    drops.add_row({r.out.scenario, std::to_string(f.dropped_link_down),
-                   std::to_string(f.dropped_loss),
-                   std::to_string(f.dropped_sender_down),
-                   std::to_string(f.dropped_receiver_down),
-                   std::to_string(f.suppressed_tx + f.suppressed_rx),
-                   std::to_string(f.corrupted), std::to_string(f.duplicated),
-                   std::to_string(f.reordered), std::to_string(f.jittered)});
-  }
-  drops.print(std::cout);
-  report_checks(std::cout);
-
-  if (args.trace_path) {
-    std::ofstream os(*args.trace_path, std::ios::binary);
-    if (!os) {
-      std::cerr << "tab_faults: cannot open " << *args.trace_path << "\n";
-      return 1;
+  } else {
+    std::cout << "=== fault matrix: switchover latency and drop accounting "
+                 "(seed " << args.seed << ") ===\n\n";
+    core::TextTable table({"scenario", "switchover", "latency", "bound",
+                           "max gap", "trips", "wire drops", "residual",
+                           "post-kill", "replay"});
+    for (const Row& r : rows) {
+      const ScenarioOutcome& o = r.out;
+      table.add_row(
+          {o.scenario,
+           o.switched_over ? "at " + us(o.switchover_at) : "none",
+           o.switched_over ? us(o.switchover_latency) : "-", us(bound),
+           us(o.max_output_gap), std::to_string(o.device_watchdog_trips),
+           std::to_string(o.faults.wire_drops()), std::to_string(o.residual),
+           std::to_string(o.post_kill_deliveries),
+           r.deterministic ? "identical" : "DIVERGED"});
     }
-    os << trace_json;
-    std::cout << "\nwrote Chrome-trace JSON to " << *args.trace_path << "\n";
-  }
-  if (args.metrics_path) {
-    std::ofstream os(*args.metrics_path, std::ios::binary);
-    if (!os) {
-      std::cerr << "tab_faults: cannot open " << *args.metrics_path << "\n";
-      return 1;
+    table.print(std::cout);
+
+    std::cout << "\ndrop causes per scenario:\n";
+    core::TextTable drops({"scenario", "link_down", "loss", "sender_down",
+                           "receiver_down", "suppressed", "corrupt", "dup",
+                           "reorder", "jitter"});
+    for (const Row& r : rows) {
+      const auto& f = r.out.faults;
+      drops.add_row({r.out.scenario, std::to_string(f.dropped_link_down),
+                     std::to_string(f.dropped_loss),
+                     std::to_string(f.dropped_sender_down),
+                     std::to_string(f.dropped_receiver_down),
+                     std::to_string(f.suppressed_tx + f.suppressed_rx),
+                     std::to_string(f.corrupted), std::to_string(f.duplicated),
+                     std::to_string(f.reordered), std::to_string(f.jittered)});
     }
-    os << metrics_prom;
-    std::cout << "wrote Prometheus metrics to " << *args.metrics_path << "\n";
+    drops.print(std::cout);
   }
-  return checks_ok ? 0 : 1;
+
+  bench::Checks checks{args};
+  checks.out() << "\nshape checks:\n";
+  checks.check(conserved,
+               "per-cause drop counters tile injected faults exactly "
+               "(residual 0 everywhere)");
+  checks.check(no_leaks, "no frame created after a kill was ever delivered");
+  checks.check(bounded, "every switchover landed within the watchdog bound " +
+                            us(bound) + " (" + std::to_string(switchovers) +
+                            " switchovers)");
+  checks.check(replayed,
+               "every scenario replays byte-identically from its seed");
+  return checks.exit_code();
 }

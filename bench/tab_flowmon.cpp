@@ -12,8 +12,8 @@
 // with the expiry order fingerprint-pinned byte-identical across engines.
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -143,13 +143,9 @@ int run_cache_scaling(const bench::BenchArgs& args) {
     pairs.push_back(p);
   }
   std::cout << table.to_string();
-  std::cout << "\nexpiry order: "
-            << (fp_ok ? "byte-identical across engines (fingerprints match)"
-                      : "MISMATCH between engines")
-            << "\n";
 
   if (args.bench_json_path.has_value()) {
-    std::ofstream out{*args.bench_json_path};
+    std::ostringstream out;
     out << "{\n  \"bench\": \"flowmon_cache_scaling\",\n"
         << "  \"context\": {\"arrival_spread_s\": "
         << kSpreadNs / 1'000'000'000 << ", \"idle_timeout_ms\": "
@@ -193,9 +189,16 @@ int run_cache_scaling(const bench::BenchArgs& args) {
     }
     out << "},\n  \"expiry_order_identical\": "
         << (fp_ok ? "true" : "false") << "\n}\n";
-    std::cout << "wrote " << *args.bench_json_path << "\n";
+    bench::write_file("tab_flowmon", *args.bench_json_path, "bench JSON",
+                      out.str());
   }
-  return fp_ok ? 0 : 1;
+
+  bench::Checks checks{args};
+  checks.out() << '\n';
+  checks.check(fp_ok,
+               "expiry order is byte-identical across engines (fingerprints "
+               "match)");
+  return checks.exit_code();
 }
 
 }  // namespace
@@ -220,14 +223,37 @@ int main(int argc, char** argv) {
   const auto fed = flowmon::run_federation(fed_spec);
 
   if (args.metrics_path.has_value()) {
-    std::ofstream out{*args.metrics_path};
-    out << fed.metrics_prom;
+    bench::write_file("tab_flowmon", *args.metrics_path, "Prometheus metrics",
+                      fed.metrics_prom);
   }
+
+  std::uint64_t meter_records = 0, cell_received = 0, cell_lost = 0,
+                reexported = 0;
+  for (const flowmon::TierRow& row : fed.cells) {
+    meter_records += row.offered;
+    cell_received += row.received;
+    cell_lost += row.lost;
+    reexported += row.reexported;
+  }
+  bench::Checks checks{args};
+  const auto check_conservation = [&] {
+    checks.out() << "\nconservation:\n";
+    checks.check(fed.cell_conservation_ok,
+                 "meter exports (" + std::to_string(meter_records) +
+                     ") == cell received (" + std::to_string(cell_received) +
+                     ") + cell lost (" + std::to_string(cell_lost) + ")");
+    checks.check(fed.plant_conservation_ok,
+                 "cell re-exports (" + std::to_string(reexported) +
+                     ") == plant received (" +
+                     std::to_string(fed.plant.received) + ") + plant lost (" +
+                     std::to_string(fed.plant.lost) + ")");
+  };
 
   if (args.csv) {
     std::cout << flowmon::flows_csv(result.flows) << "\n"
               << flowmon::federation_csv(fed);
-    return fed.cell_conservation_ok && fed.plant_conservation_ok ? 0 : 1;
+    check_conservation();
+    return checks.exit_code();
   }
 
   std::cout << "=== flowmon: in-network flow telemetry over the measured "
@@ -255,30 +281,15 @@ int main(int argc, char** argv) {
   std::cout << "top flows by bytes:\n"
             << flowmon::flows_table(result.flows, 15);
 
-  std::uint64_t meter_records = 0, cell_received = 0, cell_lost = 0,
-                reexported = 0;
-  for (const flowmon::TierRow& row : fed.cells) {
-    meter_records += row.offered;
-    cell_received += row.received;
-    cell_lost += row.lost;
-    reexported += row.reexported;
-  }
   std::cout << "\n=== collector federation: cell meters -> cell collectors "
                "-> plant (RFC 7011 on the wire) ===\n\n"
             << flowmon::federation_table(fed);
-  std::cout << "\nconservation: meter exports (" << meter_records
-            << ") == cell received (" << cell_received << ") + cell lost ("
-            << cell_lost << ")  ["
-            << (fed.cell_conservation_ok ? "OK" : "VIOLATED") << "]\n"
-            << "              cell re-exports (" << reexported
-            << ") == plant received (" << fed.plant.received
-            << ") + plant lost (" << fed.plant.lost << ")  ["
-            << (fed.plant_conservation_ok ? "OK" : "VIOLATED") << "]\n";
+  check_conservation();
   std::cout << "plant fingerprint: " << hex16(fed.plant_fingerprint)
             << "  (" << fed.frames_sent << " workload frames offered, "
             << fed.cell_flows_total << " flows tracked across cells)\n";
 
   std::cout << "\n(run with --csv for the full flow + federation CSVs; "
                "--bench-json <file> for the cache-scaling curve)\n";
-  return fed.cell_conservation_ok && fed.plant_conservation_ok ? 0 : 1;
+  return checks.exit_code();
 }

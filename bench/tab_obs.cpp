@@ -11,8 +11,8 @@
 //   --metrics <file>  dump the metrics registry as Prometheus text
 //   --csv             print every recorded span as CSV instead of tables
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
+#include <sstream>
 
 #include "bench_args.hpp"
 #include "core/report.hpp"
@@ -40,22 +40,22 @@ int main(int argc, char** argv) {
   testbed.start();
   simulator.run_until(3_s);
 
-  if (args.csv) {
-    std::cout << obs::spans_csv(hub.tracer());
-    return 0;
+  if (args.trace_path) {
+    std::ostringstream trace;
+    obs::write_chrome_trace(trace, hub.tracer());
+    bench::write_file("tab_obs", *args.trace_path, "Chrome-trace JSON",
+                      trace.str());
+  }
+  if (args.metrics_path) {
+    bench::write_file("tab_obs", *args.metrics_path, "Prometheus metrics",
+                      hub.metrics().to_prometheus());
   }
 
-  std::cout << "=== per-frame hop latency breakdown on the Fig. 5 "
-               "switchover run ===\n\n";
-  std::cout << "traced " << hub.tracer().spans().size() << " spans over "
-            << hub.tracer().track_count() << " tracks; "
-            << hub.deliveries().size() << " end-to-end deliveries\n";
   if (!app.stats().switchover_at) {
-    std::cout << "MISMATCH: no switchover happened; nothing to break down\n";
+    std::cerr << "tab_obs: no switchover happened; nothing to break down\n";
     return 1;
   }
   const auto switchover = *app.stats().switchover_at;
-  std::cout << "switchover at " << switchover.to_string() << "\n\n";
 
   // The frame under the microscope: the first cyclic frame delivered to
   // the I/O device after vPLC2 took over.
@@ -68,78 +68,68 @@ int main(int argc, char** argv) {
     }
   }
   if (!pick) {
-    std::cout << "MISMATCH: no post-switchover delivery to dev\n";
+    std::cerr << "tab_obs: no post-switchover delivery to dev\n";
     return 1;
   }
-
-  std::cout << "frame trace #" << pick->trace_id
-            << ": v2 -> dev, created " << pick->created_at.to_string()
-            << ", delivered " << pick->delivered_at.to_string() << "\n\n";
-
-  core::TextTable table({"hop", "where", "start (ns)", "end (ns)",
-                         "duration (ns)", "share"});
   const auto rows = hub.breakdown(pick->trace_id);
-  const double e2e_ns = static_cast<double>(pick->latency().nanos());
   std::int64_t sum_ns = 0;
-  for (const auto& r : rows) {
-    sum_ns += r.duration().nanos();
-    table.add_row({r.hop, r.track, std::to_string(r.start.nanos()),
-                   std::to_string(r.end.nanos()),
-                   std::to_string(r.duration().nanos()),
-                   core::TextTable::pct(
-                       static_cast<double>(r.duration().nanos()) / e2e_ns)});
-  }
-  table.add_row({"total", "(sum of hops)", "", "", std::to_string(sum_ns),
-                 core::TextTable::pct(static_cast<double>(sum_ns) / e2e_ns)});
-  table.print(std::cout);
-
+  for (const auto& r : rows) sum_ns += r.duration().nanos();
   const std::int64_t e2e = pick->latency().nanos();
   const std::int64_t residual = e2e - sum_ns;
-  std::cout << "\nend-to-end latency: " << e2e << " ns; sum of hops: "
-            << sum_ns << " ns; residual: " << residual << " ns\n";
 
-  // A taste of the metrics plane next to the trace plane.
-  std::cout << "\nregistry excerpt (full dump via --metrics <file>):\n";
-  core::TextTable mt({"metric", "value"});
-  for (const auto& s : hub.metrics().snapshot()) {
-    if (s.path.module == "instaplc" || s.path.name == "frames_delivered" ||
-        (s.path.node == "dev" && s.path.name == "received")) {
-      mt.add_row({s.path.node + "/" + s.path.module + "/" + s.path.name,
-                  core::TextTable::num(s.value, 0)});
-    }
-  }
-  mt.print(std::cout);
+  if (args.csv) {
+    std::cout << obs::spans_csv(hub.tracer());
+  } else {
+    std::cout << "=== per-frame hop latency breakdown on the Fig. 5 "
+                 "switchover run ===\n\n";
+    std::cout << "traced " << hub.tracer().spans().size() << " spans over "
+              << hub.tracer().track_count() << " tracks; "
+              << hub.deliveries().size() << " end-to-end deliveries\n";
+    std::cout << "switchover at " << switchover.to_string() << "\n\n";
+    std::cout << "frame trace #" << pick->trace_id
+              << ": v2 -> dev, created " << pick->created_at.to_string()
+              << ", delivered " << pick->delivered_at.to_string() << "\n\n";
 
-  std::cout << "\nshape checks:\n"
-            << "  [" << (std::abs(residual) <= 1 ? "ok" : "MISMATCH")
-            << "] hop durations tile the end-to-end latency (<= 1 ns "
-               "residual)\n"
-            << "  [" << (rows.size() >= 5 ? "ok" : "MISMATCH")
-            << "] breakdown covers host tx, queueing, link, switch "
-               "pipeline, and host rx\n"
-            << "  [" << (device.counters().watchdog_trips == 0 ? "ok"
-                                                               : "MISMATCH")
-            << "] tracing perturbed nothing: device watchdog never "
-               "expired\n";
+    core::TextTable table({"hop", "where", "start (ns)", "end (ns)",
+                           "duration (ns)", "share"});
+    const double e2e_ns = static_cast<double>(e2e);
+    for (const auto& r : rows) {
+      table.add_row(
+          {r.hop, r.track, std::to_string(r.start.nanos()),
+           std::to_string(r.end.nanos()),
+           std::to_string(r.duration().nanos()),
+           core::TextTable::pct(static_cast<double>(r.duration().nanos()) /
+                                e2e_ns)});
+    }
+    table.add_row({"total", "(sum of hops)", "", "", std::to_string(sum_ns),
+                   core::TextTable::pct(static_cast<double>(sum_ns) / e2e_ns)});
+    table.print(std::cout);
 
-  if (args.trace_path) {
-    std::ofstream os(*args.trace_path, std::ios::binary);
-    if (!os) {
-      std::cerr << "tab_obs: cannot open " << *args.trace_path << "\n";
-      return 1;
+    std::cout << "\nend-to-end latency: " << e2e << " ns; sum of hops: "
+              << sum_ns << " ns; residual: " << residual << " ns\n";
+
+    // A taste of the metrics plane next to the trace plane.
+    std::cout << "\nregistry excerpt (full dump via --metrics <file>):\n";
+    core::TextTable mt({"metric", "value"});
+    for (const auto& s : hub.metrics().snapshot()) {
+      if (s.path.module == "instaplc" || s.path.name == "frames_delivered" ||
+          (s.path.node == "dev" && s.path.name == "received")) {
+        mt.add_row({s.path.node + "/" + s.path.module + "/" + s.path.name,
+                    core::TextTable::num(s.value, 0)});
+      }
     }
-    obs::write_chrome_trace(os, hub.tracer());
-    std::cout << "\nwrote Chrome-trace JSON to " << *args.trace_path
-              << " (open at https://ui.perfetto.dev)\n";
+    mt.print(std::cout);
   }
-  if (args.metrics_path) {
-    std::ofstream os(*args.metrics_path, std::ios::binary);
-    if (!os) {
-      std::cerr << "tab_obs: cannot open " << *args.metrics_path << "\n";
-      return 1;
-    }
-    os << hub.metrics().to_prometheus();
-    std::cout << "wrote Prometheus metrics to " << *args.metrics_path << "\n";
-  }
-  return 0;
+
+  bench::Checks checks{args};
+  checks.out() << "\nshape checks:\n";
+  checks.check(std::abs(residual) <= 1,
+               "hop durations tile the end-to-end latency (<= 1 ns "
+               "residual)");
+  checks.check(rows.size() >= 5,
+               "breakdown covers host tx, queueing, link, switch pipeline, "
+               "and host rx");
+  checks.check(device.counters().watchdog_trips == 0,
+               "tracing perturbed nothing: device watchdog never expired");
+  return checks.exit_code();
 }

@@ -27,7 +27,6 @@
 //                     byte-identical to --jobs 1
 //   --csv             machine-readable rows instead of rendered tables
 //   --metrics <file>  Prometheus dump of the full-rack storm run
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -142,6 +141,11 @@ int main(int argc, char** argv) {
       return 1;
     }
     rows.push_back(*slots[i].value);
+  }
+
+  if (args.metrics_path) {
+    bench::write_file("tab_orch", *args.metrics_path, "Prometheus metrics",
+                      rows[metrics_plan].out.metrics_prom);
   }
 
   if (args.csv) {
@@ -265,42 +269,24 @@ int main(int argc, char** argv) {
       steady_bp.rack_local_fraction <= 0.5 &&
       steady_bp.utilization_spread > steady_lat.utilization_spread;
 
-  // In CSV mode the checks still gate the exit code but report on stderr,
-  // keeping the stdout artifact machine-parseable.
-  std::ostream& rep = args.csv ? std::cerr : std::cout;
-  rep << "\nshape checks:\n"
-            << "  [" << (scale_ok ? "ok" : "MISMATCH")
-            << "] every run placed >= 1000 vPLCs on >= 50 compute nodes\n"
-            << "  [" << (accounted ? "ok" : "MISMATCH")
-            << "] SLO ledger closed: failovers == switchovers + down, "
-               "in-bound + violations == switchovers, frame residual 0\n"
-            << "  [" << (steady_quiet ? "ok" : "MISMATCH")
-            << "] steady fleet: zero failovers, availability 1.0\n"
-            << "  [" << (upgraded ? "ok" : "MISMATCH")
-            << "] rolling upgrades: gentle hands over gracefully, "
-               "aggressive produces real accounted failovers, all nodes "
-               "rejoin\n"
-            << "  [" << (settled && ladder ? "ok" : "MISMATCH")
-            << "] storm ladder: wider storms switch more vPLCs over and "
-               "every storm settles (none left down)\n"
-            << "  [" << (ablation ? "ok" : "MISMATCH")
-            << "] ablation: latency-aware keeps rack locality, bin-packing "
-               "consolidates (higher util spread)\n"
-            << "  [" << (replayed ? "ok" : "MISMATCH")
-            << "] every run replays byte-identically from its seed\n";
-
-  if (args.metrics_path) {
-    std::ofstream os(*args.metrics_path, std::ios::binary);
-    if (!os) {
-      std::cerr << "tab_orch: cannot open " << *args.metrics_path << "\n";
-      return 1;
-    }
-    os << rows[metrics_plan].out.metrics_prom;
-    std::cout << "wrote Prometheus metrics to " << *args.metrics_path << "\n";
-  }
-
-  return scale_ok && accounted && replayed && settled && steady_quiet &&
-                 upgraded && ladder && ablation
-             ? 0
-             : 1;
+  bench::Checks checks{args};
+  checks.out() << "\nshape checks:\n";
+  checks.check(scale_ok,
+               "every run placed >= 1000 vPLCs on >= 50 compute nodes");
+  checks.check(accounted,
+               "SLO ledger closed: failovers == switchovers + down, "
+               "in-bound + violations == switchovers, frame residual 0");
+  checks.check(steady_quiet,
+               "steady fleet: zero failovers, availability 1.0");
+  checks.check(upgraded,
+               "rolling upgrades: gentle hands over gracefully, aggressive "
+               "produces real accounted failovers, all nodes rejoin");
+  checks.check(settled && ladder,
+               "storm ladder: wider storms switch more vPLCs over and every "
+               "storm settles (none left down)");
+  checks.check(ablation,
+               "ablation: latency-aware keeps rack locality, bin-packing "
+               "consolidates (higher util spread)");
+  checks.check(replayed, "every run replays byte-identically from its seed");
+  return checks.exit_code();
 }

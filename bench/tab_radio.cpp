@@ -18,17 +18,12 @@
 //                     --jobs/--shards combination
 //   --metrics <file>  Prometheus dump of the (first) run
 //   --trace <file>    Chrome-trace JSON of the (first) run
-//   --bench-json <f>  the SNR-ladder degradation curve (worst output gap
-//                     vs watchdog bound per rung, per scenario family) as
-//                     a JSON benchmark artifact
 //   --profile-out <f> write the (first) run's measured cell-rate profile
 //   --profile-in <f>  feed a calibration profile back: cells are placed
 //                     by measured rate (the SNR ladder is naturally
 //                     skewed: dead rungs run far fewer events than
 //                     healthy ones)
-#include <cinttypes>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -70,52 +65,9 @@ int main(int argc, char** argv) {
     g_weights = bench::read_profile(kProg, *args.profile_in_path).weights();
   }
 
-  // --- SNR-ladder degradation curve -> BENCH_radio.json ---------------------
   if (args.bench_json_path.has_value()) {
-    const RadioFloorResult r =
-        net::run_radio_floor(floor_options(args.seed, args.shards == 0
-                                                          ? 8
-                                                          : args.shards));
-    const bool monotone = net::degradation_monotone(r);
-    if (args.profile_out_path.has_value()) {
-      bench::write_profile(kProg, *args.profile_out_path, r.profile);
-    }
-    std::ofstream out{*args.bench_json_path};
-    out << "{\n  \"bench\": \"radio_snr_degradation\",\n"
-        << "  \"context\": {\"seed\": " << args.seed
-        << ", \"horizon_ns\": " << r.horizon_ns
-        << ", \"watchdog_bound_ns\": " << r.watchdog_bound_ns
-        << ", \"cells\": " << r.cells.size() << ", \"partitioner\": \""
-        << placement()
-        << "\", \"imbalance_permille\": " << r.imbalance_permille
-        << "},\n  \"points\": [\n";
-    bool first = true;
-    for (const RadioCellReport& c : r.cells) {
-      char line[320];
-      std::snprintf(line, sizeof(line),
-                    "%s    {\"cell\": \"%s\", \"scenario\": \"%s\", "
-                    "\"snr_offset_millidb\": %" PRId64
-                    ", \"max_output_gap_ns\": %" PRId64
-                    ", \"gap_vs_bound_permille\": %" PRId64
-                    ", \"drop_permille\": %" PRIu64 ", \"roams\": %" PRIu64
-                    "}",
-                    first ? "" : ",\n", c.name.c_str(), c.scenario.c_str(),
-                    c.snr_offset_millidb, c.max_output_gap_ns,
-                    c.max_output_gap_ns * 1000 / r.watchdog_bound_ns,
-                    c.drop_permille(), c.roam_events);
-      out << line;
-      first = false;
-    }
-    out << "\n  ],\n  \"monotone_degradation\": "
-        << (monotone ? "true" : "false")
-        << ",\n  \"artifact_fp\": \"" << hex16(r.fingerprint()) << "\"\n}\n";
-    std::cout << "wrote " << *args.bench_json_path << "\n";
-    if (!monotone) {
-      std::cerr << "tab_radio: degradation curve is NOT monotone down the "
-                   "SNR ladder\n";
-      return 1;
-    }
-    return 0;
+    std::cerr << "tab_radio: the degradation curve is the --csv output; "
+                 "--bench-json ignored\n";
   }
 
   // --- seed sweep (each task itself sharded) --------------------------------
@@ -167,10 +119,12 @@ int main(int argc, char** argv) {
   }
 
   if (args.metrics_path.has_value()) {
-    std::ofstream{*args.metrics_path} << results.front().to_prometheus();
+    bench::write_file(kProg, *args.metrics_path, "Prometheus metrics",
+                      results.front().to_prometheus());
   }
   if (args.trace_path.has_value()) {
-    std::ofstream{*args.trace_path} << results.front().to_chrome_trace();
+    bench::write_file(kProg, *args.trace_path, "Chrome-trace JSON",
+                      results.front().to_chrome_trace());
   }
   if (args.profile_out_path.has_value()) {
     bench::write_profile(kProg, *args.profile_out_path,
@@ -185,8 +139,6 @@ int main(int argc, char** argv) {
               << "\n";
   }
 
-  // CSV mode reports on stderr: stdout is the first run's per-cell CSV.
-  std::ostream& rep = args.csv ? std::cerr : std::cout;
   const RadioFloorResult& r = results.front();
   if (args.csv) {
     std::cout << r.to_csv();
@@ -208,20 +160,18 @@ int main(int argc, char** argv) {
     table.print(std::cout);
   }
 
-  const bool monotone = net::degradation_monotone(r);
-  rep << "watchdog bound: " << r.watchdog_bound_ns
-      << " ns; degradation down the SNR ladder: "
-      << (monotone ? "monotone" : "NOT MONOTONE") << "\n";
-  if (!monotone) return 1;
-
+  // CSV mode reports on stderr: stdout is the first run's per-cell CSV.
+  bench::Checks checks{args};
+  checks.out() << "watchdog bound: " << r.watchdog_bound_ns << " ns\n";
+  checks.check(net::degradation_monotone(r),
+               "degradation is monotone down the SNR ladder");
   if (results.size() > 1) {
-    const bool identical =
+    checks.check(
         results.front().fingerprint() == results.back().fingerprint() &&
-        results.front().cells == results.back().cells;
-    rep << "artifacts shards=" << shard_counts.front()
-        << " vs shards=" << shard_counts.back() << ": "
-        << (identical ? "byte-identical" : "DIVERGED") << "\n";
-    if (!identical) return 1;
+            results.front().cells == results.back().cells,
+        "artifacts shards=" + std::to_string(shard_counts.front()) +
+            " vs shards=" + std::to_string(shard_counts.back()) +
+            " are byte-identical");
   }
-  return 0;
+  return checks.exit_code();
 }

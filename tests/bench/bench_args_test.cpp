@@ -1,12 +1,14 @@
 // The shared bench CLI: numeric flags take whole non-negative numbers
 // only, and anything else -- a malformed flag, an unreadable or malformed
-// --profile-in, an unwritable --profile-out -- exits 2 as the usage
-// contract promises.
+// --profile-in, an unwritable output path -- exits 2 as the usage
+// contract promises. A failed shape check prints its MISMATCH line and
+// makes the exit code 1.
 #include "bench_args.hpp"
 
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -61,6 +63,49 @@ TEST(BenchArgs, UnwritableProfileOutExitsTwo) {
   EXPECT_EXIT(write_profile("bench", path, profile),
               testing::ExitedWithCode(2),
               "bench: cannot write profile '.*no_such_dir/p.txt'");
+}
+
+TEST(BenchArgs, UnwritableOutputExitsTwo) {
+  const std::string path = testing::TempDir() + "no_such_dir/x";
+  EXPECT_EXIT(write_file("bench", path, "trace", "{}"),
+              testing::ExitedWithCode(2),
+              "bench: cannot write trace '.*no_such_dir/x'");
+}
+
+TEST(BenchArgs, WriteFileWritesBodyAndNotesOnStderr) {
+  const std::string path = testing::TempDir() + "bench_args_out.txt";
+  testing::internal::CaptureStdout();
+  testing::internal::CaptureStderr();
+  write_file("bench", path, "metrics", "a 1\nb 2\n");
+  EXPECT_EQ(testing::internal::GetCapturedStdout(), "");
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "bench: wrote metrics to " + path + "\n");
+  std::ifstream in{path, std::ios::binary};
+  std::ostringstream text;
+  text << in.rdbuf();
+  EXPECT_EQ(text.str(), "a 1\nb 2\n");
+}
+
+TEST(BenchArgs, FailedCheckPrintsMismatchAndExitsOne) {
+  testing::internal::CaptureStdout();
+  Checks checks{parse({})};
+  checks.check(true, "holds");
+  EXPECT_EQ(checks.exit_code(), 0);
+  checks.check(false, "breaks");
+  checks.check(true, "holds again");
+  EXPECT_EQ(checks.exit_code(), 1);
+  EXPECT_EQ(testing::internal::GetCapturedStdout(),
+            "  [ok] holds\n  [MISMATCH] breaks\n  [ok] holds again\n");
+}
+
+TEST(BenchArgs, CsvChecksReportOnStderr) {
+  testing::internal::CaptureStdout();
+  testing::internal::CaptureStderr();
+  Checks checks{parse({"--csv"})};
+  checks.check(false, "breaks");
+  EXPECT_EQ(checks.exit_code(), 1);
+  EXPECT_EQ(testing::internal::GetCapturedStdout(), "");
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "  [MISMATCH] breaks\n");
 }
 
 }  // namespace
