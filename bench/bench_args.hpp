@@ -216,10 +216,14 @@ struct BenchArgs {
   /// For binaries without an obs wiring: warn when a trace/metrics file
   /// was requested that this binary cannot produce.
   void warn_obs_unsupported(const char* prog) const {
+    warn_obs_ignored(prog, "this bench has no obs wiring");
+  }
+
+  /// Warns on stderr when a trace/metrics file was requested that this
+  /// run will not write, saying why; the run goes on.
+  void warn_obs_ignored(const char* prog, std::string_view why) const {
     if (trace_path.has_value() || metrics_path.has_value()) {
-      std::cerr << prog
-                << ": this bench has no obs wiring; --trace/--metrics "
-                   "ignored\n";
+      std::cerr << prog << ": " << why << "; --trace/--metrics ignored\n";
     }
   }
 };

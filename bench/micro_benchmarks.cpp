@@ -40,8 +40,7 @@ void BM_EventQueueScheduleAndPop(benchmark::State& state) {
       q.schedule(sim::SimTime{rng.uniform_int(0, 1'000'000)}, [] {});
     }
     sim::SimTime t;
-    sim::EventQueue::Callback cb;
-    while (q.pop_next(t, cb)) benchmark::DoNotOptimize(t);
+    while (q.fire_next(sim::SimTime::max(), t)) benchmark::DoNotOptimize(t);
   }
   state.SetItemsProcessed(int64_t(state.iterations()) * int64_t(n));
 }
@@ -383,8 +382,8 @@ void BM_EventKernelScheduleFire(benchmark::State& state) {
                  [proto, &sink] { sink += proto.node + proto.wire[0]; });
     }
     sim::SimTime t;
-    sim::EventQueue::Callback cb;
-    while (q.pop_next(t, cb)) cb();
+    while (q.fire_next(sim::SimTime::max(), t)) {
+    }
     benchmark::DoNotOptimize(sink);
   }
   state.SetItemsProcessed(int64_t(state.iterations()) * int64_t(n));
@@ -415,8 +414,8 @@ void BM_EventKernelCancelHeavy(benchmark::State& state) {
                               [proto, &sink] { sink += proto.port; });
     }
     sim::SimTime t;
-    sim::EventQueue::Callback cb;
-    while (q.pop_next(t, cb)) cb();
+    while (q.fire_next(sim::SimTime::max(), t)) {
+    }
     benchmark::DoNotOptimize(sink);
   }
   // Items = schedules + cancels.

@@ -129,6 +129,8 @@ int main(int argc, char** argv) {
   // the max/mean load ratio (checked; wall clock is recorded but only
   // meaningful on multi-core hosts).
   if (args.bench_json_path.has_value()) {
+    args.warn_obs_ignored(kProg, "--bench-json runs a ladder, not one run "
+                                 "to export");
     struct Rung {
       std::size_t shards;
       const char* strategy;
@@ -263,6 +265,8 @@ int main(int argc, char** argv) {
 
   // --- seed sweep (each task itself sharded) --------------------------------
   if (args.sweep > 0) {
+    args.warn_obs_ignored(kProg, "--sweep runs many seeds, not one run to "
+                                 "export");
     const std::size_t shards = args.shards == 0 ? 2 : args.shards;
     const auto slots =
         core::SweepRunner{args.jobs, shards}.run(

@@ -72,6 +72,8 @@ int main(int argc, char** argv) {
 
   // --- seed sweep (each task itself sharded) --------------------------------
   if (args.sweep > 0) {
+    args.warn_obs_ignored(kProg, "--sweep runs many seeds, not one run to "
+                                 "export");
     const std::size_t shards = args.shards == 0 ? 2 : args.shards;
     const auto slots = core::SweepRunner{args.jobs, shards}.run(
         args.sweep, [&](std::size_t i) {

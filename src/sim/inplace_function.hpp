@@ -1,11 +1,13 @@
-// steelnet::sim -- a move-only callable with fixed inline storage.
+// steelnet::sim -- a `void()` callable built and fired in fixed inline
+// storage.
 //
 // The event kernel's replacement for std::function<void()>: every capture
-// set is stored inside the object itself, so scheduling an event never
-// touches the heap. Oversized captures are a compile error (static_assert),
-// not a silent heap fallback -- the kernel's allocation-free guarantee is
-// enforced at build time. See DESIGN.md "Event kernel" for the capture
-// budget and how it was sized.
+// set is constructed inside the object itself (emplace), called where it
+// lies and destroyed there, so scheduling an event never touches the heap
+// and a closure is never moved after it is built. Oversized captures are
+// a compile error (static_assert), not a silent heap fallback -- the
+// kernel's allocation-free guarantee is enforced at build time. See
+// DESIGN.md "Event kernel" for the capture budget and how it was sized.
 #pragma once
 
 #include <cstddef>
@@ -18,26 +20,31 @@ namespace steelnet::sim {
 /// Inline capture budget of the event kernel, in bytes. Sized to fit the
 /// largest closure the kernel itself schedules: a frame-delivery
 /// continuation capturing a net::Frame (~80 bytes) plus routing metadata.
-/// Two cache lines; every schedule() moves at most this much.
+/// Two cache lines.
 inline constexpr std::size_t kEventCallbackCapacity = 128;
 
-/// A move-only `void()` callable with `Capacity` bytes of inline storage.
+/// A `void()` callable with `Capacity` bytes of inline storage.
 ///
 /// Unlike std::function there is no small-buffer *optimization* -- inline
-/// storage is the only storage. Assigning a callable whose size or
-/// alignment exceeds the budget fails to compile, and the callable's move
-/// constructor must be noexcept (moves happen during slab growth).
+/// storage is the only storage. Emplacing a callable whose size or
+/// alignment exceeds the budget fails to compile. The object is neither
+/// copyable nor movable: a callable lives where it was emplaced until
+/// reset() destroys it, which is what lets the event queue fire it in its
+/// slab slot.
 template <std::size_t Capacity,
           std::size_t Align = alignof(std::max_align_t)>
 class InplaceFunction {
  public:
   InplaceFunction() = default;
-  InplaceFunction(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
+  InplaceFunction(const InplaceFunction&) = delete;
+  InplaceFunction& operator=(const InplaceFunction&) = delete;
+  ~InplaceFunction() { reset(); }
 
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, InplaceFunction>>>
-  InplaceFunction(F&& f) {  // NOLINT(google-explicit-constructor)
+  /// Destroys the current target, if any, and constructs `f`'s decayed
+  /// type in the inline storage. If that constructor throws, the object
+  /// is left empty.
+  template <typename F>
+  void emplace(F&& f) {
     using D = std::decay_t<F>;
     static_assert(std::is_invocable_r_v<void, D&>,
                   "InplaceFunction target must be callable as void()");
@@ -47,40 +54,12 @@ class InplaceFunction {
                   "or raise the budget in inplace_function.hpp");
     static_assert(alignof(D) <= Align,
                   "callback captures over-aligned for the event kernel");
-    static_assert(std::is_nothrow_move_constructible_v<D>,
-                  "callback captures must be nothrow-move-constructible");
+    reset();
     ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
     ops_ = &kOpsFor<D>;
   }
 
-  InplaceFunction(InplaceFunction&& other) noexcept {
-    if (other.ops_ != nullptr) {
-      ops_ = other.ops_;
-      ops_->relocate(storage_, other.storage_);
-      other.ops_ = nullptr;
-    }
-  }
-
-  InplaceFunction& operator=(InplaceFunction&& other) noexcept {
-    if (this != &other) {
-      reset();
-      if (other.ops_ != nullptr) {
-        ops_ = other.ops_;
-        ops_->relocate(storage_, other.storage_);
-        other.ops_ = nullptr;
-      }
-    }
-    return *this;
-  }
-
-  InplaceFunction(const InplaceFunction&) = delete;
-  InplaceFunction& operator=(const InplaceFunction&) = delete;
-
-  ~InplaceFunction() { reset(); }
-
   void operator()() { ops_->invoke(storage_); }
-
-  [[nodiscard]] explicit operator bool() const { return ops_ != nullptr; }
 
   void reset() {
     if (ops_ != nullptr) {
@@ -92,19 +71,12 @@ class InplaceFunction {
  private:
   struct Ops {
     void (*invoke)(void* self);
-    /// Move-constructs the target into `dst` from `src`, then destroys
-    /// the moved-from source (a destructive move, i.e. relocation).
-    void (*relocate)(void* dst, void* src);
     void (*destroy)(void* self);
   };
 
   template <typename D>
   static constexpr Ops kOpsFor{
       [](void* self) { (*static_cast<D*>(self))(); },
-      [](void* dst, void* src) {
-        ::new (dst) D(std::move(*static_cast<D*>(src)));
-        static_cast<D*>(src)->~D();
-      },
       [](void* self) { static_cast<D*>(self)->~D(); },
   };
 

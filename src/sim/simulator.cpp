@@ -4,32 +4,19 @@
 
 namespace steelnet::sim {
 
-EventHandle Simulator::schedule_in(SimTime delay, EventQueue::Callback cb) {
-  if (delay < SimTime::zero()) {
-    throw SimError("schedule_in: negative delay " + delay.to_string());
-  }
-  return queue_.schedule(now_ + delay, std::move(cb));
+void Simulator::throw_negative_delay(SimTime delay) {
+  throw SimError("schedule_in: negative delay " + delay.to_string());
 }
 
-EventHandle Simulator::schedule_at(SimTime at, EventQueue::Callback cb) {
-  if (at < now_) {
-    throw SimError("schedule_at: time " + at.to_string() +
-                   " is in the past (now " + now_.to_string() + ")");
-  }
-  return queue_.schedule(at, std::move(cb));
+void Simulator::throw_in_past(SimTime at) const {
+  throw SimError("schedule_at: time " + at.to_string() +
+                 " is in the past (now " + now_.to_string() + ")");
 }
 
 std::uint64_t Simulator::run_until(SimTime deadline) {
   stop_requested_ = false;
   std::uint64_t n = 0;
-  while (!stop_requested_) {
-    const SimTime next = queue_.next_time();
-    if (next > deadline) break;
-    SimTime t;
-    EventQueue::Callback cb;
-    if (!queue_.pop_next(t, cb)) break;
-    now_ = t;
-    cb();
+  while (!stop_requested_ && queue_.fire_next(deadline, now_)) {
     ++executed_;
     ++n;
   }
@@ -44,11 +31,7 @@ std::uint64_t Simulator::run_until(SimTime deadline) {
 std::uint64_t Simulator::run() { return run_until(SimTime::max()); }
 
 bool Simulator::step() {
-  SimTime t;
-  EventQueue::Callback cb;
-  if (!queue_.pop_next(t, cb)) return false;
-  now_ = t;
-  cb();
+  if (!queue_.fire_next(SimTime::max(), now_)) return false;
   ++executed_;
   return true;
 }

@@ -9,6 +9,7 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "sim/event_queue.hpp"
 #include "sim/time.hpp"
@@ -30,11 +31,20 @@ class Simulator {
 
   [[nodiscard]] SimTime now() const { return now_; }
 
-  /// Schedules `cb` after `delay` (>= 0) from now.
-  EventHandle schedule_in(SimTime delay, EventQueue::Callback cb);
+  /// Schedules `f` after `delay` (>= 0) from now. The closure is built
+  /// directly in the event queue's slab and fired there.
+  template <typename F>
+  EventHandle schedule_in(SimTime delay, F&& f) {
+    if (delay < SimTime::zero()) throw_negative_delay(delay);
+    return queue_.schedule(now_ + delay, std::forward<F>(f));
+  }
 
-  /// Schedules `cb` at absolute time `at` (>= now).
-  EventHandle schedule_at(SimTime at, EventQueue::Callback cb);
+  /// Schedules `f` at absolute time `at` (>= now).
+  template <typename F>
+  EventHandle schedule_at(SimTime at, F&& f) {
+    if (at < now_) throw_in_past(at);
+    return queue_.schedule(at, std::forward<F>(f));
+  }
 
   /// Runs until the queue drains or `deadline` passes. Events exactly at
   /// the deadline still fire. Returns the number of events executed.
@@ -81,6 +91,9 @@ class Simulator {
   void reset();
 
  private:
+  [[noreturn]] static void throw_negative_delay(SimTime delay);
+  [[noreturn]] void throw_in_past(SimTime at) const;
+
   EventQueue queue_;
   SimTime now_ = SimTime::zero();
   std::uint64_t executed_ = 0;

@@ -5,7 +5,8 @@
 // per-frame or per-event churn fails this test, not just a benchmark.
 // The same holds one layer up: a PROFINET controller<->device pair
 // exchanging cyclic data through a star switch (encode, switch, decode,
-// watchdog) allocates nothing per cycle either. With an ObsHub attached,
+// watchdog) allocates nothing per cycle either, and neither does a whole
+// 48-device campus cell on the sharded kernel. With an ObsHub attached,
 // recording every hop span allocates only when a vector doubles.
 //
 // The binary overrides global operator new/delete to count allocations.
@@ -17,6 +18,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "net/campus.hpp"
 #include "net/host_node.hpp"
 #include "net/network.hpp"
 #include "net/topology.hpp"
@@ -195,6 +197,46 @@ TEST(AllocFree, SteadyStateProfinetCyclicExchangeDoesNotAllocate) {
   EXPECT_EQ(device.counters().watchdog_trips, 0u);
   EXPECT_EQ(during, 0u) << "steady-state PROFINET cyclic exchange allocated "
                         << during << " times over 1000 cycles";
+#endif
+}
+
+#if STEELNET_ALLOC_COUNTING
+/// Allocations made by one whole run_campus call: build, run, collect.
+std::uint64_t campus_cell_run_allocations(sim::SimTime horizon) {
+  CampusOptions opt;
+  opt.cells = 1;
+  opt.devices_per_cell = 48;
+  opt.horizon = horizon;
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const CampusResult r = run_campus(opt);
+  const std::uint64_t n = g_allocations.load(std::memory_order_relaxed) -
+                          before;
+  const CellReport& cell = r.cells.at(0);
+  // 48 controller<->device pairs exchange cyclic data every 4 ms.
+  EXPECT_GE(cell.cyclic_rx, 48 * (horizon / opt.cycle - 2));
+  EXPECT_EQ(cell.watchdog_trips, 0u);
+  return n;
+}
+#endif  // STEELNET_ALLOC_COUNTING
+
+// A whole campus cell -- star fabric, 48 PROFINET controller/device
+// pairs, sink, frame pool and the sharded kernel around it -- run for
+// 100 ms and for 500 ms. Everything past warm-up (100 more cycles of 48
+// exchanges) must add no allocation, so both runs allocate exactly as
+// often: setup and collection are the same size, the steady state is
+// free.
+TEST(AllocFree, SteadyStateCampusCellDoesNotAllocate) {
+#if !STEELNET_ALLOC_COUNTING
+  GTEST_SKIP() << "allocation counting is disabled under sanitizers";
+#else
+  const std::uint64_t short_run =
+      campus_cell_run_allocations(sim::milliseconds(100));
+  const std::uint64_t long_run =
+      campus_cell_run_allocations(sim::milliseconds(500));
+  EXPECT_GT(short_run, 0u);  // setup allocates; the counter is live
+  EXPECT_EQ(long_run, short_run)
+      << "400 ms more of a 48-device campus cell allocated "
+      << long_run - short_run << " more times";
 #endif
 }
 

@@ -1,7 +1,8 @@
 // Cancellation-heavy stress for the slab event kernel: one million
 // schedule/cancel/reschedule operations with interleaved fires must be
-// bit-for-bit deterministic, and the recycled free list must never hand
-// a stale generation back to an old handle.
+// bit-for-bit deterministic, the recycled free list must never hand a
+// stale generation back to an old handle, and the exact fire order must
+// match a (time, seq) binary-heap oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -50,16 +51,23 @@ StressResult run_stress(std::uint64_t seed) {
 
   std::uint64_t next_id = 0;
   SimTime now{0};
+  // Written by fire_next before each callback runs.
+  SimTime fire_time{0};
 
   auto mix = [&r](std::uint64_t v) {
     r.fire_digest = (r.fire_digest ^ v) * 1099511628211ULL;  // FNV-1a prime
+  };
+  // Each fired event folds its time and its id into the digest.
+  auto fire = [&mix, &fire_time](std::uint64_t id) {
+    mix(static_cast<std::uint64_t>(fire_time.nanos()));
+    mix(id);
   };
 
   auto schedule_one = [&] {
     const std::uint64_t id = next_id++;
     const SimTime at = now + SimTime{static_cast<std::int64_t>(
                                  1 + rng.next() % 10'000)};
-    EventHandle h = q.schedule(at, [id, &mix] { mix(id); });
+    EventHandle h = q.schedule(at, [id, &fire] { fire(id); });
     EXPECT_TRUE(h.pending());
     live.push_back({std::move(h), id});
   };
@@ -88,18 +96,12 @@ StressResult run_stress(std::uint64_t seed) {
       ++r.cancelled;
       const SimTime at = now + SimTime{static_cast<std::int64_t>(
                                    1 + rng.next() % 10'000)};
-      live[i].handle = q.schedule(at, [id, &mix] { mix(id); });
+      live[i].handle = q.schedule(at, [id, &fire] { fire(id); });
       EXPECT_TRUE(live[i].handle.pending());
     } else {
       // Fire a burst: advance time and pop everything now due.
       now = now + SimTime{static_cast<std::int64_t>(rng.next() % 2'000)};
-      SimTime t;
-      EventQueue::Callback cb;
-      while (q.next_time() <= now && q.pop_next(t, cb)) {
-        mix(static_cast<std::uint64_t>(t.nanos()));
-        cb();
-        ++r.fired;
-      }
+      while (q.fire_next(now, fire_time)) ++r.fired;
       // Drop handles of events that just fired so `live` stays bounded.
       std::size_t w = 0;
       for (std::size_t i = 0; i < live.size(); ++i) {
@@ -114,13 +116,7 @@ StressResult run_stress(std::uint64_t seed) {
   }
 
   // Drain the remainder.
-  SimTime t;
-  EventQueue::Callback cb;
-  while (q.pop_next(t, cb)) {
-    mix(static_cast<std::uint64_t>(t.nanos()));
-    cb();
-    ++r.fired;
-  }
+  while (q.fire_next(SimTime::max(), fire_time)) ++r.fired;
 
   // No cancelled handle may ever come back to life: generations are
   // monotonic per slot, so recycling cannot reissue one.
@@ -155,6 +151,90 @@ TEST(EventStress, MillionOpsDeterministicAndNoStaleGenerations) {
   // A different seed exercises a different interleaving.
   const StressResult c = run_stress(0x1234'5678ULL);
   EXPECT_NE(c.fire_digest, a.fire_digest);
+}
+
+/// The exact fire order against a (time, seq) oracle: a binary heap kept
+/// here through std::push_heap/std::pop_heap, with its own cancelled set.
+/// Times fall in a narrow window, so most bursts hold equal-time ties,
+/// which must fire in scheduling order.
+TEST(EventStress, FireOrderMatchesTimeSeqOracle) {
+  struct Pending {
+    std::int64_t time;
+    std::uint64_t id;  ///< scheduling order, the oracle's seq
+  };
+  const auto later = [](const Pending& a, const Pending& b) {
+    return a.time != b.time ? a.time > b.time : a.id > b.id;
+  };
+  struct Fired {
+    std::int64_t time;
+    std::uint64_t id;
+    bool operator==(const Fired&) const = default;
+  };
+
+  EventQueue q;
+  Lcg rng{0x0dd5'eed5ULL};
+  std::vector<Pending> oracle;  // min-heap under `later`
+  std::vector<bool> cancelled;  // by id
+  struct Live {
+    std::uint64_t id;
+    EventHandle handle;
+  };
+  std::vector<Live> live;
+  std::vector<Fired> got;
+  std::vector<Fired> want;
+  SimTime now{0};
+  SimTime fire_time{0};
+  std::uint64_t ops = 0;
+  std::uint64_t fired = 0;
+  std::uint64_t ties = 0;
+
+  while (ops < kOps) {
+    const std::uint64_t pick = rng.next() % 100;
+    if (pick < 55 || live.empty()) {
+      const std::uint64_t id = cancelled.size();
+      const std::int64_t at =
+          now.nanos() + static_cast<std::int64_t>(rng.next() % 16);
+      cancelled.push_back(false);
+      oracle.push_back({at, id});
+      std::push_heap(oracle.begin(), oracle.end(), later);
+      live.push_back({id, q.schedule(SimTime{at}, [&got, &fire_time, id] {
+                        got.push_back({fire_time.nanos(), id});
+                      })});
+      ++ops;
+    } else if (pick < 75) {
+      const std::size_t i = rng.next() % live.size();
+      if (live[i].handle.pending()) {
+        live[i].handle.cancel();
+        cancelled[live[i].id] = true;
+      }
+      live[i] = std::move(live.back());
+      live.pop_back();
+      ++ops;
+    } else {
+      now = now + SimTime{static_cast<std::int64_t>(rng.next() % 24)};
+      got.clear();
+      while (q.fire_next(now, fire_time)) ++ops;
+      want.clear();
+      while (!oracle.empty() && oracle.front().time <= now.nanos()) {
+        std::pop_heap(oracle.begin(), oracle.end(), later);
+        const Pending p = oracle.back();
+        oracle.pop_back();
+        if (!cancelled[p.id]) want.push_back({p.time, p.id});
+      }
+      ASSERT_EQ(got, want) << "after " << ops << " operations";
+      for (std::size_t k = 1; k < got.size(); ++k) {
+        ties += got[k].time == got[k - 1].time ? 1 : 0;
+      }
+      fired += got.size();
+      std::erase_if(live, [](const Live& l) { return !l.handle.pending(); });
+    }
+  }
+  std::size_t oracle_live = 0;
+  for (const Pending& p : oracle) oracle_live += cancelled[p.id] ? 0 : 1;
+  EXPECT_EQ(q.live_size(), oracle_live);
+
+  EXPECT_GT(fired, 200'000u);
+  EXPECT_GT(ties, 20'000u);  // equal-time order is really exercised
 }
 
 }  // namespace
