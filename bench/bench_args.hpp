@@ -12,7 +12,7 @@
 //                    hardware concurrency; --jobs 1 is the sequential
 //                    loop). Output is byte-identical at any job count.
 //   --scale <n>      where supported: size ceiling of a scaling curve
-//                    (e.g. tab_flowmon's max live-flow count)
+//                    (e.g. tab_campus's big-campus cell count)
 //   --bench-json <f> where supported: write the scaling curve as a JSON
 //                    benchmark artifact
 //   --shards <n>     where supported: worker shards of one sharded
@@ -115,7 +115,7 @@ struct BenchArgs {
   /// semantics: 0 means hardware concurrency, 1 the sequential loop).
   std::size_t jobs = 0;
   /// --scale <n>: where supported, the size ceiling of a scaling curve
-  /// (e.g. tab_flowmon's max live-flow count); 0 = binary default.
+  /// (e.g. tab_campus's big-campus cell count); 0 = binary default.
   std::uint64_t scale = 0;
   /// --bench-json <file>: where supported, write a google-benchmark-style
   /// JSON artifact of the scaling curve.

@@ -603,33 +603,4 @@ void BM_PartitionCompute(benchmark::State& state) {
 BENCHMARK(BM_PartitionCompute)
     ->Args({240, 0})->Args({240, 1})->Args({4096, 0})->Args({4096, 1});
 
-void BM_SwitchForwarding(benchmark::State& state) {
-  for (auto _ : state) {
-    state.PauseTiming();
-    sim::Simulator simulator;
-    net::Network network{simulator};
-    net::SwitchConfig cfg;
-    cfg.mac_learning = false;
-    auto& sw = network.add_node<net::SwitchNode>("sw", cfg);
-    auto& a = network.add_node<net::HostNode>("a", net::MacAddress{1});
-    auto& b = network.add_node<net::HostNode>("b", net::MacAddress{2});
-    network.connect(a.id(), 0, sw.id(), 0);
-    network.connect(b.id(), 0, sw.id(), 1);
-    sw.add_fdb_entry(net::MacAddress{2}, 1);
-    int got = 0;
-    b.set_receiver([&](net::Frame, sim::SimTime) { ++got; });
-    state.ResumeTiming();
-    for (int i = 0; i < 1000; ++i) {
-      net::Frame f;
-      f.dst = net::MacAddress{2};
-      f.payload.resize(46);
-      a.send(std::move(f));
-    }
-    simulator.run();
-    benchmark::DoNotOptimize(got);
-  }
-  state.SetItemsProcessed(int64_t(state.iterations()) * 1000);
-}
-BENCHMARK(BM_SwitchForwarding);
-
 }  // namespace

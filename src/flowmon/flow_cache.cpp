@@ -65,10 +65,8 @@ FlowRecord* FlowCache::record(const net::Frame& frame, sim::SimTime now) {
     slot.record.first_seen = now;
     slot.record.last_export = now;
     slot.record.last_seen = now;
-    if (cfg_.engine == ExpiryEngine::kWheel) {
-      // One deadline per flow; activity is picked up lazily at fire time.
-      slot.timer = wheel_.arm(deadline_of(slot.record), i);
-    }
+    // One deadline per flow; activity is picked up lazily at fire time.
+    slot.timer = wheel_.arm(deadline_of(slot.record), i);
   } else {
     ++stats_.hits;
     FlowRecord& r = slot.record;
@@ -128,8 +126,7 @@ bool FlowCache::erase(const FlowKey& key) {
 
 void FlowCache::sort_candidates() {
   // Canonical export order: (first_seen, FlowKey) -- independent of slot
-  // layout and of which engine nominated the candidates, so wheel and
-  // scan produce byte-identical export streams.
+  // layout and of the order in which the wheel fired the timers.
   std::sort(candidates_.begin(), candidates_.end(),
             [this](const auto& a, const auto& b) {
               const FlowRecord& ra = slots_[a.first].record;
@@ -151,10 +148,8 @@ void FlowCache::emit_candidates(sim::SimTime now, const ExportFn& fn) {
       evict_.push_back(slot.record.key);
     } else {
       slot.record.last_export = now;
-      if (cfg_.engine == ExpiryEngine::kWheel &&
-          slot.timer == sim::TimerWheel::kInvalidTimer) {
-        slot.timer = wheel_.arm(deadline_of(slot.record), idx);
-      }
+      // Every candidate's timer fired this sweep; arm the next deadline.
+      slot.timer = wheel_.arm(deadline_of(slot.record), idx);
     }
   }
   for (const FlowKey& key : evict_) erase(key);
@@ -162,39 +157,24 @@ void FlowCache::emit_candidates(sim::SimTime now, const ExportFn& fn) {
 
 std::size_t FlowCache::sweep(sim::SimTime now, const ExportFn& fn) {
   candidates_.clear();
-  if (cfg_.engine == ExpiryEngine::kScan) {
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      const Slot& slot = slots_[i];
-      if (!slot.used) continue;
-      const FlowRecord& r = slot.record;
-      if (now - r.last_seen >= cfg_.idle_timeout) {
-        candidates_.emplace_back(static_cast<std::uint32_t>(i),
-                                 EndReason::kIdleTimeout);
-      } else if (now - r.last_export >= cfg_.active_timeout) {
-        candidates_.emplace_back(static_cast<std::uint32_t>(i),
-                                 EndReason::kActiveTimeout);
-      }
-    }
-  } else {
-    due_.clear();
-    wheel_.advance(now, due_);
-    for (const std::uint64_t cookie : due_) {
-      const auto i = static_cast<std::uint32_t>(cookie);
-      Slot& slot = slots_[i];
-      if (!slot.used) continue;  // defensive: cancelled on erase
-      slot.timer = sim::TimerWheel::kInvalidTimer;
-      ++stats_.wheel_fires;
-      const FlowRecord& r = slot.record;
-      if (now - r.last_seen >= cfg_.idle_timeout) {
-        candidates_.emplace_back(i, EndReason::kIdleTimeout);
-      } else if (now - r.last_export >= cfg_.active_timeout) {
-        candidates_.emplace_back(i, EndReason::kActiveTimeout);
-      } else {
-        // Fired early (tick rounding) or the flow saw traffic since the
-        // deadline was computed: re-arm at the true deadline.
-        slot.timer = wheel_.arm(deadline_of(r), i);
-        ++stats_.wheel_rearms;
-      }
+  due_.clear();
+  wheel_.advance(now, due_);
+  for (const std::uint64_t cookie : due_) {
+    const auto i = static_cast<std::uint32_t>(cookie);
+    Slot& slot = slots_[i];
+    if (!slot.used) continue;  // defensive: cancelled on erase
+    slot.timer = sim::TimerWheel::kInvalidTimer;
+    ++stats_.wheel_fires;
+    const FlowRecord& r = slot.record;
+    if (now - r.last_seen >= cfg_.idle_timeout) {
+      candidates_.emplace_back(i, EndReason::kIdleTimeout);
+    } else if (now - r.last_export >= cfg_.active_timeout) {
+      candidates_.emplace_back(i, EndReason::kActiveTimeout);
+    } else {
+      // Fired early (tick rounding) or the flow saw traffic since the
+      // deadline was computed: re-arm at the true deadline.
+      slot.timer = wheel_.arm(deadline_of(r), i);
+      ++stats_.wheel_rearms;
     }
   }
   const std::size_t n = candidates_.size();

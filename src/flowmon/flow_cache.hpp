@@ -7,17 +7,14 @@
 // idle timeout) runs through sweep(), driven by a hierarchical timing
 // wheel (sim::TimerWheel) holding one deadline per flow, O(1) amortized
 // per expiry, so a plant tier can hold millions of live flows without
-// scans. MeterPoint always runs the wheel; FlowCacheConfig::engine can
-// still select kScan, the full-table walk (O(capacity) per sweep) the
-// wheel replaced, kept as the reference for tab_flowmon's scan-vs-wheel
-// curve and the engine-equivalence tests.
+// scans.
 //
-// Both engines yield *identical* export streams at the same sweep times:
-// expired candidates are emitted in the canonical (first_seen, FlowKey)
-// order, and wheel timers fire on the rounded-down tick -- never late --
-// with the true deadline lazily re-checked and re-armed. The wheel's
-// equivalence guarantee needs consecutive sweeps at least one wheel tick
-// apart (MeterPoint sets the tick to its export interval).
+// A sweep emits exactly the flows a full-table walk would find due at
+// `now`, in the canonical (first_seen, FlowKey) order: wheel timers fire
+// on the rounded-down tick -- never late -- and the true deadline is
+// lazily re-checked and re-armed. That guarantee needs consecutive sweeps
+// at least one wheel tick apart (MeterPoint sets the tick to its export
+// interval). The flowmon tests keep the walk as the wheel's oracle.
 #pragma once
 
 #include <cstdint>
@@ -92,13 +89,15 @@ struct FlowCacheStats {
   std::uint64_t wheel_rearms = 0;   ///< early fires re-armed (lazy deadline)
 };
 
-/// Which expiry engine drives FlowCache::sweep.
-enum class ExpiryEngine : std::uint8_t { kScan, kWheel };
+/// The expiry engine: the timer wheel is the only one.
+enum class ExpiryEngine : std::uint8_t { kWheel };
 
 struct FlowCacheConfig {
   std::size_t capacity = 4096;
   sim::SimTime idle_timeout = sim::milliseconds(500);
   sim::SimTime active_timeout = sim::seconds(1);
+  /// Unread. It exists only because perfbench's plant_bench assigns it;
+  /// the benchmark change of ROADMAP item 3 removes it.
   ExpiryEngine engine = ExpiryEngine::kWheel;
   /// Wheel granularity; sweeps closer together than this fall back to the
   /// next tick, so keep it <= the sweep cadence.
@@ -129,8 +128,8 @@ class FlowCache {
 
   /// Expires flows due at `now`: emits kIdleTimeout records (then evicts
   /// them) and kActiveTimeout checkpoints (flow stays live, last_export
-  /// advances) in canonical (first_seen, FlowKey) order -- identical for
-  /// both engines at the same sweep times. Returns records emitted.
+  /// advances) in canonical (first_seen, FlowKey) order. Returns records
+  /// emitted.
   std::size_t sweep(sim::SimTime now, const ExportFn& fn);
 
   /// Emits every live flow as kForcedEnd in canonical order and empties
@@ -145,12 +144,6 @@ class FlowCache {
       if (s.used) fn(s.record);
     }
   }
-  template <typename Fn>
-  void for_each(Fn&& fn) {
-    for (Slot& s : slots_) {
-      if (s.used) fn(s.record);
-    }
-  }
 
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
@@ -158,7 +151,6 @@ class FlowCache {
   [[nodiscard]] std::size_t load_cap() const { return load_cap_; }
   [[nodiscard]] const FlowCacheStats& stats() const { return stats_; }
   [[nodiscard]] const FlowCacheConfig& config() const { return cfg_; }
-  [[nodiscard]] ExpiryEngine engine() const { return cfg_.engine; }
 
  private:
   struct Slot {

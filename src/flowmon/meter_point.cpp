@@ -75,30 +75,6 @@ void MeterPoint::export_records(const std::vector<ExportRecord>& records) {
   stats_.records_exported += records.size();
 }
 
-std::optional<sim::SimTime> MeterPoint::last_seen(const FlowKey& key) const {
-  const FlowRecord* r = cache_.find(key);
-  if (r == nullptr) return std::nullopt;
-  return r->last_seen;
-}
-
-std::optional<sim::SimTime> MeterPoint::last_seen_from(
-    net::MacAddress src) const {
-  std::optional<sim::SimTime> best;
-  cache_.for_each([&](const FlowRecord& r) {
-    if (r.key.src == src && (!best || r.last_seen > *best)) {
-      best = r.last_seen;
-    }
-  });
-  return best;
-}
-
-std::optional<std::int64_t> MeterPoint::silent_cycles(
-    const FlowKey& key, sim::SimTime cycle, sim::SimTime now) const {
-  const auto seen = last_seen(key);
-  if (!seen || cycle <= sim::SimTime::zero()) return std::nullopt;
-  return (now - *seen) / cycle;
-}
-
 void MeterPoint::register_metrics(obs::ObsHub& hub,
                                   const std::string& node_label) const {
   obs::MetricsRegistry& reg = hub.metrics();
@@ -129,11 +105,6 @@ void MeterPoint::register_metrics(obs::ObsHub& hub,
                    &cs.wheel_rearms);
   reg.bind_gauge({node_label, "flowcache", "occupancy"},
                  [this] { return static_cast<double>(cache_.size()); });
-}
-
-std::function<std::optional<sim::SimTime>()> make_liveness_probe(
-    const MeterPoint& meter, net::MacAddress src) {
-  return [&meter, src] { return meter.last_seen_from(src); };
 }
 
 }  // namespace steelnet::flowmon

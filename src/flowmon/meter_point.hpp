@@ -17,9 +17,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <optional>
 
 #include "flowmon/flow_cache.hpp"
 #include "flowmon/transform.hpp"
@@ -73,17 +71,6 @@ class MeterPoint : public net::FrameObserver {
   [[nodiscard]] const MeterStats& stats() const { return stats_; }
   [[nodiscard]] const MeterConfig& config() const { return cfg_; }
 
-  /// Liveness view: when was `key` last seen, if it is in the cache.
-  [[nodiscard]] std::optional<sim::SimTime> last_seen(
-      const FlowKey& key) const;
-  /// Last frame seen from `src` across all of its flows (scan).
-  [[nodiscard]] std::optional<sim::SimTime> last_seen_from(
-      net::MacAddress src) const;
-  /// Whole `cycle` periods `key` has been silent for at `now`; nullopt if
-  /// the flow is not (or no longer) in the cache.
-  [[nodiscard]] std::optional<std::int64_t> silent_cycles(
-      const FlowKey& key, sim::SimTime cycle, sim::SimTime now) const;
-
   /// Binds meter + flow-cache counters under `<node_label>/flowmon/...`.
   void register_metrics(obs::ObsHub& hub, const std::string& node_label) const;
 
@@ -98,12 +85,5 @@ class MeterPoint : public net::FrameObserver {
   std::unique_ptr<sim::PeriodicTask> sweeper_;
   MeterStats stats_;
 };
-
-/// An InstaPLC-compatible liveness probe: reports the last time any flow
-/// sourced by `src` was observed at the meter. Plugs into
-/// instaplc::InstaPlcApp::set_liveness_probe so the switchover monitor
-/// runs off in-network flow telemetry instead of the bespoke counter.
-[[nodiscard]] std::function<std::optional<sim::SimTime>()>
-make_liveness_probe(const MeterPoint& meter, net::MacAddress src);
 
 }  // namespace steelnet::flowmon

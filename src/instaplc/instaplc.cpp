@@ -177,11 +177,8 @@ void InstaPlcApp::handle_secondary_pdu(const net::Frame& frame,
 
 void InstaPlcApp::monitor_tick() {
   if (switched_over() || !secondary_ || !stats_.primary_last_seen) return;
-  sim::SimTime last_seen = *stats_.primary_last_seen;
-  if (liveness_probe_) {
-    if (const auto probed = liveness_probe_()) last_seen = *probed;
-  }
-  const sim::SimTime silent = sw_.network().sim().now() - last_seen;
+  const sim::SimTime silent =
+      sw_.network().sim().now() - *stats_.primary_last_seen;
   if (silent >
       io_cycle_ * static_cast<std::int64_t>(cfg_.switchover_cycles)) {
     do_switchover();

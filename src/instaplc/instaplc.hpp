@@ -70,17 +70,6 @@ class InstaPlcApp {
     observer_ = std::move(fn);
   }
 
-  /// When the monitored liveness signal should come from somewhere other
-  /// than the app's own frame inspector -- e.g. steelnet::flowmon's
-  /// MeterPoint (make_liveness_probe) -- install a probe returning the
-  /// primary's last-seen time. The monitor prefers the probe's answer and
-  /// falls back to the built-in counter when the probe has none (the
-  /// telemetry flow may itself have idle-expired).
-  using LivenessProbe = std::function<std::optional<sim::SimTime>()>;
-  void set_liveness_probe(LivenessProbe probe) {
-    liveness_probe_ = std::move(probe);
-  }
-
   [[nodiscard]] const DigitalTwin& twin() const { return twin_; }
   [[nodiscard]] const InstaPlcStats& stats() const { return stats_; }
   [[nodiscard]] std::optional<VplcInfo> primary() const { return primary_; }
@@ -122,7 +111,6 @@ class InstaPlcApp {
   sim::SimTime io_cycle_ = sim::milliseconds(2);
 
   std::unique_ptr<sim::PeriodicTask> monitor_;
-  LivenessProbe liveness_probe_;
   InstaPlcStats stats_;
   std::function<void(InstaPlcEvent, sim::SimTime)> observer_;
 };

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
+
+#include "sim/random.hpp"
 
 namespace steelnet::flowmon {
 namespace {
@@ -154,34 +157,77 @@ TEST(FlowCache, ForEachVisitsEveryLiveRecord) {
 }
 
 // ---------------------------------------------------------------------
-// Expiry engines: canonical eviction order, wheel/scan equivalence.
+// Expiry: the timer wheel against the full-table scan it replaced.
 
-FlowCacheConfig engine_config(ExpiryEngine engine) {
+struct Due {
+  FlowKey key;
+  EndReason reason;
+  bool operator==(const Due&) const = default;
+};
+
+/// The scan walk, kept as the wheel's reference oracle: every flow a
+/// full-table walk finds due at `now` -- idle first, else an active
+/// checkpoint -- in the canonical (first_seen, FlowKey) order. Uses only
+/// the public API; call it just before the sweep it predicts.
+std::vector<Due> scan_oracle(const FlowCache& cache, sim::SimTime now) {
+  const FlowCacheConfig& cfg = cache.config();
+  std::vector<std::pair<const FlowRecord*, EndReason>> due;
+  cache.for_each([&](const FlowRecord& r) {
+    if (now - r.last_seen >= cfg.idle_timeout) {
+      due.emplace_back(&r, EndReason::kIdleTimeout);
+    } else if (now - r.last_export >= cfg.active_timeout) {
+      due.emplace_back(&r, EndReason::kActiveTimeout);
+    }
+  });
+  std::sort(due.begin(), due.end(), [](const auto& a, const auto& b) {
+    if (!(a.first->first_seen == b.first->first_seen)) {
+      return a.first->first_seen < b.first->first_seen;
+    }
+    return a.first->key < b.first->key;
+  });
+  std::vector<Due> out;
+  out.reserve(due.size());
+  for (const auto& [r, reason] : due) out.push_back({r->key, reason});
+  return out;
+}
+
+/// Sweeps `cache` at `now`, passing every emitted record on to `fn`, and
+/// checks the emitted (key, reason) sequence against the oracle's.
+testing::AssertionResult sweep_matches_oracle(
+    FlowCache& cache, sim::SimTime now, const FlowCache::ExportFn& fn) {
+  const std::vector<Due> expected = scan_oracle(cache, now);
+  std::vector<Due> got;
+  cache.sweep(now, [&](const FlowRecord& r, EndReason reason) {
+    got.push_back({r.key, reason});
+    fn(r, reason);
+  });
+  if (got == expected) return testing::AssertionSuccess();
+  std::size_t i = 0;
+  while (i < got.size() && i < expected.size() && got[i] == expected[i]) ++i;
+  return testing::AssertionFailure()
+         << "sweep at " << now.nanos() << " ns emitted " << got.size()
+         << " records, the scan oracle " << expected.size()
+         << "; first difference at record " << i;
+}
+
+FlowCacheConfig expiry_config() {
   FlowCacheConfig cfg;
   cfg.capacity = 256;
   cfg.idle_timeout = 10_ms;
   cfg.active_timeout = 40_ms;
-  cfg.engine = engine;
   cfg.wheel_tick = 2_ms;
   return cfg;
 }
 
-struct Emitted {
-  FlowKey key;
-  std::uint64_t packets;
-  EndReason reason;
-  sim::SimTime at;
-  bool operator==(const Emitted&) const = default;
-};
-
 /// Drives one cache through a deterministic arrival pattern with sweeps
-/// every 2 ms; returns every emitted record in emission order.
-std::vector<Emitted> drive(ExpiryEngine engine) {
-  FlowCache cache{engine_config(engine)};
-  std::vector<Emitted> out;
+/// every 2 ms, each checked against the oracle; returns the reason of
+/// every emitted record in emission order.
+std::vector<EndReason> drive() {
+  FlowCache cache{expiry_config()};
+  std::vector<EndReason> out;
   sim::SimTime now;
-  const auto emit = [&](const FlowRecord& r, EndReason reason) {
-    out.push_back({r.key, r.packets, reason, now});
+  const auto emit = [&](const FlowRecord&, EndReason reason) {
+    out.push_back(reason);
   };
   // 40 flows with staggered starts and varying cadences; a few share a
   // deadline tick so the canonical (first_seen, key) ordering matters.
@@ -195,56 +241,112 @@ std::vector<Emitted> drive(ExpiryEngine engine) {
         cache.record(make_frame(f + 1, 99), now);
       }
     }
-    if (t % 2 == 0) cache.sweep(now, emit);
+    if (t % 2 == 0) {
+      EXPECT_TRUE(sweep_matches_oracle(cache, now, emit));
+    }
   }
   now = sim::milliseconds(200);
-  cache.sweep(now, emit);  // everything idle by now
-  cache.flush(emit);       // and the cache must already be empty
+  // Everything is idle by now, so the cache is already empty after this.
+  EXPECT_TRUE(sweep_matches_oracle(cache, now, emit));
+  EXPECT_EQ(cache.flush(emit), 0u);
   return out;
 }
 
 TEST(FlowCache, WheelAndScanEmitByteIdenticalStreams) {
-  const auto scan = drive(ExpiryEngine::kScan);
-  const auto wheel = drive(ExpiryEngine::kWheel);
-  ASSERT_FALSE(scan.empty());
-  ASSERT_EQ(scan.size(), wheel.size());
-  for (std::size_t i = 0; i < scan.size(); ++i) {
-    EXPECT_EQ(scan[i], wheel[i]) << "record " << i;
-  }
+  const auto reasons = drive();
   // The pattern exercised both expiry paths.
-  bool saw_idle = false, saw_active = false;
-  for (const Emitted& e : scan) {
-    saw_idle |= e.reason == EndReason::kIdleTimeout;
-    saw_active |= e.reason == EndReason::kActiveTimeout;
-  }
-  EXPECT_TRUE(saw_idle);
-  EXPECT_TRUE(saw_active);
+  EXPECT_NE(std::count(reasons.begin(), reasons.end(),
+                       EndReason::kIdleTimeout), 0);
+  EXPECT_NE(std::count(reasons.begin(), reasons.end(),
+                       EndReason::kActiveTimeout), 0);
 }
 
 TEST(FlowCache, EvictionOrderIsCanonicalNotSlotOrder) {
   // Several flows expire in the same sweep; they must come out sorted by
   // (first_seen, key), independent of hash/slot placement.
-  for (const ExpiryEngine engine :
-       {ExpiryEngine::kScan, ExpiryEngine::kWheel}) {
-    FlowCache cache{engine_config(engine)};
-    // Insert in deliberately scrambled key order at two distinct times.
-    for (const std::uint64_t src : {9ULL, 3ULL, 7ULL, 1ULL}) {
-      cache.record(make_frame(src, 99), 1_ms);
-    }
-    for (const std::uint64_t src : {8ULL, 2ULL}) {
-      cache.record(make_frame(src, 99), 2_ms);
-    }
-    std::vector<std::uint64_t> order;
-    cache.sweep(100_ms, [&](const FlowRecord& r, EndReason) {
-      order.push_back(r.key.src.bits());
-    });
-    EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 3, 7, 9, 2, 8}))
-        << (engine == ExpiryEngine::kScan ? "scan" : "wheel");
+  FlowCache cache{expiry_config()};
+  // Insert in deliberately scrambled key order at two distinct times.
+  for (const std::uint64_t src : {9ULL, 3ULL, 7ULL, 1ULL}) {
+    cache.record(make_frame(src, 99), 1_ms);
   }
+  for (const std::uint64_t src : {8ULL, 2ULL}) {
+    cache.record(make_frame(src, 99), 2_ms);
+  }
+  std::vector<std::uint64_t> order;
+  EXPECT_TRUE(
+      sweep_matches_oracle(cache, 100_ms, [&](const FlowRecord& r, EndReason) {
+        order.push_back(r.key.src.bits());
+      }));
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 3, 7, 9, 2, 8}));
+}
+
+TEST(FlowCache, WheelMatchesScanOracleOver100kLiveFlows) {
+  // The shape of the retired tab_flowmon cache-scaling curve: 100k
+  // single-packet flows whose arrivals spread over 60 s, a 500 ms idle
+  // timeout, a 100 ms wheel tick and a sweep every 100 ms until the cache
+  // drains. A second segment of 4096 flows starts in same-instant batches
+  // of 8 with scrambled keys and is touched again at random while the
+  // sweeps run -- a hot half often, a cold half rarely -- so it mixes
+  // idle evictions, re-inserts and active-timeout checkpoints.
+  constexpr std::int64_t kFlows = 100'000;
+  constexpr std::int64_t kSpreadNs = 60'000'000'000;
+  constexpr std::uint64_t kMixed = 4096;
+  FlowCacheConfig cfg;
+  cfg.capacity = kFlows + kFlows / 2;
+  cfg.idle_timeout = 500_ms;
+  cfg.active_timeout = 2_s;
+  cfg.wheel_tick = 100_ms;
+  FlowCache cache{cfg};
+
+  net::Frame frame = make_frame(0, 0x5d'0000'000001ULL, 64);
+  for (std::int64_t i = 0; i < kFlows; ++i) {
+    frame.src = net::MacAddress{0x5a'0000'000000ULL + std::uint64_t(i)};
+    ASSERT_NE(cache.record(frame, sim::SimTime{i * kSpreadNs / kFlows}),
+              nullptr);
+  }
+  // An odd multiplier permutes [0, kMixed): unique keys, not in j order.
+  const auto mixed_src = [](std::uint64_t j) {
+    return net::MacAddress{0x6a'0000'000000ULL + j * 2654435761ULL % kMixed};
+  };
+  for (std::uint64_t j = 0; j < kMixed; ++j) {
+    frame.src = mixed_src(j);
+    ASSERT_NE(cache.record(frame, sim::microseconds(std::int64_t(j / 8) * 100)),
+              nullptr);
+  }
+  ASSERT_EQ(cache.size(), std::size_t(kFlows) + kMixed);
+
+  sim::Rng rng{26};
+  std::vector<std::pair<std::int64_t, std::uint64_t>> touches(1024);
+  std::uint64_t idle = 0, active = 0;
+  const auto count = [&](const FlowRecord&, EndReason reason) {
+    (reason == EndReason::kIdleTimeout ? idle : active) += 1;
+  };
+  for (sim::SimTime t = 500_ms; cache.size() != 0; t += 100_ms) {
+    ASSERT_LT(t, 70_s) << "the cache never drained";
+    if (t <= 30_s) {
+      // Touches in the 100 ms before this sweep, in time order.
+      for (auto& [at, j] : touches) {
+        at = rng.uniform_int(t.nanos() - 99'999'999, t.nanos());
+        const auto half = static_cast<std::int64_t>(kMixed / 2);
+        j = static_cast<std::uint64_t>(rng.bernoulli(0.75)
+                                           ? rng.uniform_int(0, half - 1)
+                                           : rng.uniform_int(half, 2 * half - 1));
+      }
+      std::sort(touches.begin(), touches.end());
+      for (const auto& [at, j] : touches) {
+        frame.src = mixed_src(j);
+        ASSERT_NE(cache.record(frame, sim::SimTime{at}), nullptr);
+      }
+    }
+    ASSERT_TRUE(sweep_matches_oracle(cache, t, count));
+  }
+  EXPECT_GT(idle, std::uint64_t(kFlows) + kMixed);  // re-inserts expire too
+  EXPECT_GT(active, 1000u);
+  EXPECT_GT(cache.stats().wheel_rearms, 1000u);
 }
 
 TEST(FlowCache, FlushEmitsCanonicallyAndEmpties) {
-  FlowCache cache{engine_config(ExpiryEngine::kWheel)};
+  FlowCache cache{expiry_config()};
   for (const std::uint64_t src : {5ULL, 2ULL, 9ULL}) {
     cache.record(make_frame(src, 99), 1_ms);
   }
@@ -267,7 +369,7 @@ TEST(FlowCache, WheelSurvivesEraseCompactionMoves) {
   // timers must follow (cookie rebinding) or expiry would fire on stale
   // slots. Erase half the flows, then expire the rest and check exactly
   // the survivors come out.
-  FlowCache cache{engine_config(ExpiryEngine::kWheel)};
+  FlowCache cache{expiry_config()};
   std::vector<FlowKey> keys;
   for (std::uint64_t i = 0; i < 24; ++i) {
     const auto f = make_frame(i * 7 + 1, 42);
@@ -292,18 +394,21 @@ TEST(FlowCache, WheelSurvivesEraseCompactionMoves) {
 }
 
 TEST(FlowCache, WheelStatsCountFiresAndRearms) {
-  FlowCache cache{engine_config(ExpiryEngine::kWheel)};
+  FlowCache cache{expiry_config()};
   cache.record(make_frame(1, 2), 1_ms);
+  cache.record(make_frame(1, 2), 5_ms);
   std::size_t emitted = 0;
-  cache.sweep(100_ms, [&](const FlowRecord&, EndReason) { ++emitted; });
+  const auto count = [&](const FlowRecord&, EndReason) { ++emitted; };
+  // The timer armed for the 11 ms idle deadline fires by the 12 ms sweep,
+  // finds the flow seen again at 5 ms, and re-arms for 15 ms.
+  cache.sweep(12_ms, count);
+  EXPECT_EQ(emitted, 0u);
+  EXPECT_EQ(cache.stats().wheel_fires, 1u);
+  EXPECT_EQ(cache.stats().wheel_rearms, 1u);
+  cache.sweep(100_ms, count);
   EXPECT_EQ(emitted, 1u);
-  EXPECT_GE(cache.stats().wheel_fires, 1u);
-  // The scan engine never touches the wheel.
-  FlowCache scan{engine_config(ExpiryEngine::kScan)};
-  scan.record(make_frame(1, 2), 1_ms);
-  scan.sweep(100_ms, [&](const FlowRecord&, EndReason) {});
-  EXPECT_EQ(scan.stats().wheel_fires, 0u);
-  EXPECT_EQ(scan.stats().wheel_rearms, 0u);
+  EXPECT_EQ(cache.stats().wheel_fires, 2u);
+  EXPECT_EQ(cache.stats().wheel_rearms, 1u);
 }
 
 }  // namespace

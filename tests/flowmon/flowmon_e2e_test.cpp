@@ -1,6 +1,6 @@
 // The flowmon pipeline end to end: meter -> IPFIX export over the
 // simulated network -> collector -> measured taxonomy, the golden
-// determinism pin, and the InstaPLC flowmon-backed liveness monitor.
+// determinism pin.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -10,11 +10,8 @@
 #include "flowmon/meter_point.hpp"
 #include "flowmon/mix_scenario.hpp"
 #include "flowmon/report.hpp"
-#include "instaplc/instaplc.hpp"
 #include "net/network.hpp"
 #include "net/switch_node.hpp"
-#include "profinet/controller.hpp"
-#include "profinet/io_device.hpp"
 #include "sim/simulator.hpp"
 
 namespace steelnet::flowmon {
@@ -242,29 +239,6 @@ TEST(FlowmonE2e, MeasuredStatsClassifyLikeTheFlowWasConfigured) {
   EXPECT_EQ(stats[0].total_bytes, 10'000u);
 }
 
-TEST(FlowmonE2e, LivenessViewTracksSilence) {
-  TapFixture fx;
-  fx.send_burst(50, 1_ms);
-  fx.sim.run_until(55_ms);
-  const auto seen = fx.meter->last_seen_from(net::MacAddress{0x1});
-  ASSERT_TRUE(seen.has_value());
-  // The last frame left the sender at 49 ms and arrived shortly after.
-  EXPECT_GE(*seen, 49_ms);
-  EXPECT_LE(*seen, 50_ms);
-
-  net::Frame probe_frame;
-  probe_frame.dst = net::MacAddress{0x2};
-  probe_frame.src = net::MacAddress{0x1};
-  probe_frame.payload.assign(100, 0);
-  const FlowKey key = FlowKey::of(probe_frame);
-  const auto silent = fx.meter->silent_cycles(key, 1_ms, fx.sim.now());
-  ASSERT_TRUE(silent.has_value());
-  EXPECT_GE(*silent, 5);  // ~55 - ~49 ms at 1 ms cycles
-  EXPECT_LE(*silent, 6);
-  // Unknown flows have no liveness.
-  EXPECT_FALSE(fx.meter->last_seen_from(net::MacAddress{0x77}).has_value());
-}
-
 TEST(FlowmonE2e, ReportRendersMeasuredFlows) {
   TapFixture fx;
   fx.send_burst(20, 1_ms);
@@ -397,88 +371,6 @@ TEST(FlowmonE2e, MeasuredTaxonomyMatchesOfferedWorkload) {
     }
   }
   EXPECT_GT(misfiled, 0u);
-}
-
-// ---------------------------------------------------------------------
-// InstaPLC consuming flowmon as its liveness monitor backend.
-
-struct InstaFixture {
-  sim::Simulator simulator;
-  net::Network network{simulator};
-  sdn::SdnSwitchNode* sw;
-  net::HostNode* dev_host;
-  net::HostNode* vplc1_host;
-  net::HostNode* vplc2_host;
-  net::HostNode* mgmt;
-  std::unique_ptr<profinet::IoDevice> device;
-  std::unique_ptr<profinet::CyclicController> vplc1;
-  std::unique_ptr<profinet::CyclicController> vplc2;
-  std::unique_ptr<instaplc::InstaPlcApp> app;
-  std::unique_ptr<MeterPoint> meter;
-
-  InstaFixture() {
-    sw = &network.add_node<sdn::SdnSwitchNode>("sdn");
-    dev_host = &network.add_node<net::HostNode>("dev", net::MacAddress{0xD});
-    vplc1_host = &network.add_node<net::HostNode>("v1", net::MacAddress{0x1});
-    vplc2_host = &network.add_node<net::HostNode>("v2", net::MacAddress{0x2});
-    mgmt = &network.add_node<net::HostNode>("mgmt", net::MacAddress{0xE});
-    network.connect(dev_host->id(), 0, sw->id(), 0);
-    network.connect(vplc1_host->id(), 0, sw->id(), 1);
-    network.connect(vplc2_host->id(), 0, sw->id(), 2);
-    network.connect(mgmt->id(), 0, sw->id(), 3);
-    device = std::make_unique<profinet::IoDevice>(*dev_host);
-    app = std::make_unique<instaplc::InstaPlcApp>(
-        *sw, instaplc::InstaPlcConfig{.device_port = 0,
-                                      .switchover_cycles = 3});
-
-    profinet::ControllerConfig c1;
-    c1.ar_id = 1;
-    c1.device_mac = dev_host->mac();
-    vplc1 = std::make_unique<profinet::CyclicController>(*vplc1_host, c1);
-    profinet::ControllerConfig c2 = c1;
-    c2.ar_id = 2;
-    vplc2 = std::make_unique<profinet::CyclicController>(*vplc2_host, c2);
-
-    // The meter taps the same sdn switch; exports go unanswered (no
-    // collector here) and are invisible to the app's pipeline anyway.
-    meter = std::make_unique<MeterPoint>(*sw, *mgmt, MeterConfig{});
-  }
-};
-
-TEST(FlowmonInstaPlc, ProbeAnswerPreferredOverInternalCounter) {
-  InstaFixture fx;
-  // A probe frozen at t=0 makes the primary look dead from the start --
-  // if the monitor consults it, switchover fires despite a live primary.
-  fx.app->set_liveness_probe([] {
-    return std::optional<sim::SimTime>{sim::SimTime::zero()};
-  });
-  fx.vplc1->connect();
-  fx.simulator.run_until(50_ms);
-  fx.vplc2->connect();
-  fx.simulator.run_until(300_ms);
-  EXPECT_TRUE(fx.app->switched_over());
-}
-
-TEST(FlowmonInstaPlc, FlowmonBackedMonitorSwitchesOverOnSilence) {
-  InstaFixture fx;
-  fx.app->set_liveness_probe(
-      make_liveness_probe(*fx.meter, fx.vplc1_host->mac()));
-  fx.vplc1->connect();
-  fx.simulator.run_until(50_ms);
-  fx.vplc2->connect();
-  fx.simulator.run_until(500_ms);
-  // The measured liveness view tracks the healthy primary: no switchover.
-  ASSERT_FALSE(fx.app->switched_over());
-  ASSERT_TRUE(fx.meter->last_seen_from(fx.vplc1_host->mac()).has_value());
-
-  fx.vplc1->stop();
-  fx.simulator.run_until(1_s);
-  ASSERT_TRUE(fx.app->switched_over());
-  // Detection latency from in-network telemetry stays within the same
-  // few-cycle bound as the bespoke counter (2 ms I/O cycle, 3 cycles).
-  const auto detect = *fx.app->stats().switchover_at - 500_ms;
-  EXPECT_LE(detect, 10_ms);
-  EXPECT_EQ(fx.device->state(), profinet::DeviceState::kDataExchange);
 }
 
 }  // namespace
