@@ -1,14 +1,25 @@
 #include "flowmon/flow_cache.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 namespace steelnet::flowmon {
 
 namespace {
 
-std::size_t round_up_pow2(std::size_t n) {
+/// Index slots for `requested` flows: the next power of two >= 8. At most
+/// 2^32 slots, so the 3/4 load cap fits a 32-bit slab index below the
+/// empty marker (0xffffffff) and the home slot fits the 32-bit hash.
+std::size_t table_size(std::size_t requested) {
+  constexpr std::size_t kMaxSlots = std::size_t{1} << 32;
   std::size_t p = 8;
-  while (p < n) p <<= 1;
+  while (p < requested && p < kMaxSlots) p <<= 1;
+  if (p < requested) {
+    throw std::invalid_argument(
+        "FlowCache: capacity " + std::to_string(requested) +
+        " exceeds 2^32 slots; its load cap would not fit a 32-bit index");
+  }
   return p;
 }
 
@@ -16,25 +27,32 @@ std::size_t round_up_pow2(std::size_t n) {
 
 FlowCache::FlowCache(const FlowCacheConfig& cfg)
     : cfg_(cfg),
-      slots_(round_up_pow2(cfg.capacity)),
-      load_cap_(slots_.size() / 4 * 3),
-      wheel_(cfg.wheel_tick) {}
+      index_(table_size(cfg.capacity)),
+      load_cap_(index_.size() / 4 * 3),
+      wheel_(cfg.wheel_tick) {
+  slab_.reserve(load_cap_);
+}
 
-std::size_t FlowCache::probe(const FlowKey& key) const {
-  std::size_t i = home(key);
-  while (slots_[i].used && !(slots_[i].record.key == key)) {
+std::size_t FlowCache::probe(const FlowKey& key, std::uint64_t h) const {
+  const auto h32 = static_cast<std::uint32_t>(h);
+  std::size_t i = h32 & mask();
+  for (;;) {
+    const Entry& e = index_[i];
+    if (e.rec == kEmpty ||
+        (e.hash32 == h32 && slab_[e.rec].record.key == key)) {
+      return i;
+    }
     ++stats_.probes;
     i = (i + 1) & mask();
   }
-  return i;
 }
 
 FlowRecord* FlowCache::find(const FlowKey& key) {
   ++stats_.lookups;
-  const std::size_t i = probe(key);
-  if (!slots_[i].used) return nullptr;
+  const Entry& e = index_[probe(key, key.hash())];
+  if (e.rec == kEmpty) return nullptr;
   ++stats_.hits;
-  return &slots_[i].record;
+  return &slab_[e.rec].record;
 }
 
 const FlowRecord* FlowCache::find(const FlowKey& key) const {
@@ -49,39 +67,46 @@ sim::SimTime FlowCache::deadline_of(const FlowRecord& r) const {
 
 FlowRecord* FlowCache::record(const net::Frame& frame, sim::SimTime now) {
   const FlowKey key = FlowKey::of(frame);
+  const std::uint64_t h = key.hash();
   ++stats_.lookups;
-  const std::size_t i = probe(key);
-  Slot& slot = slots_[i];
-  if (!slot.used) {
+  Entry& e = index_[probe(key, h)];
+  if (e.rec == kEmpty) {
     if (size_ >= load_cap_) {
       ++stats_.dropped_full;
       return nullptr;
     }
     ++stats_.inserts;
     ++size_;
-    slot.used = true;
-    slot.record = FlowRecord{};
-    slot.record.key = key;
-    slot.record.first_seen = now;
-    slot.record.last_export = now;
-    slot.record.last_seen = now;
+    std::uint32_t idx = free_head_;
+    if (idx != kEmpty) {
+      free_head_ = slab_[idx].timer;
+      slab_[idx].record = FlowRecord{};
+    } else {
+      idx = static_cast<std::uint32_t>(slab_.size());
+      slab_.emplace_back();
+    }
+    e = Entry{idx, static_cast<std::uint32_t>(h)};
+    FlowRecord& r = slab_[idx].record;
+    r.key = key;
+    r.first_seen = now;
+    r.last_export = now;
+    r.last_seen = now;
     // One deadline per flow; activity is picked up lazily at fire time.
-    slot.timer = wheel_.arm(deadline_of(slot.record), i);
+    slab_[idx].timer = wheel_.arm(deadline_of(r), idx);
   } else {
     ++stats_.hits;
-    FlowRecord& r = slot.record;
+    FlowRecord& r = slab_[e.rec].record;
     const sim::SimTime iat = now - r.last_seen;
     if (iat < r.min_iat) r.min_iat = iat;
     if (iat > r.max_iat) r.max_iat = iat;
     r.iat_sum_ns += iat.nanos();
-    if (r.has_prev_iat) {
+    if (r.packets >= 2) {  // a previous gap exists
       const std::int64_t d = iat.nanos() - r.prev_iat.nanos();
       r.iat_jitter_sum_ns += d < 0 ? -d : d;
     }
     r.prev_iat = iat;
-    r.has_prev_iat = true;
   }
-  FlowRecord& r = slot.record;
+  FlowRecord& r = slab_[e.rec].record;
   ++r.packets;
   r.bytes += frame.payload.size();
   r.wire_bytes += frame.wire_bytes();
@@ -90,37 +115,32 @@ FlowRecord* FlowCache::record(const net::Frame& frame, sim::SimTime now) {
 }
 
 bool FlowCache::erase(const FlowKey& key) {
-  std::size_t i = probe(key);
-  if (!slots_[i].used) return false;
+  const std::size_t pos = probe(key, key.hash());
+  const std::uint32_t idx = index_[pos].rec;
+  if (idx == kEmpty) return false;
   ++stats_.erased;
   --size_;
-  if (slots_[i].timer != sim::TimerWheel::kInvalidTimer) {
-    wheel_.cancel(slots_[i].timer);
-    slots_[i].timer = sim::TimerWheel::kInvalidTimer;
-  }
+  Rec& rec = slab_[idx];
+  if (rec.timer != sim::TimerWheel::kInvalidTimer) wheel_.cancel(rec.timer);
+  rec.timer = free_head_;
+  free_head_ = idx;
   // Backward-shift compaction: close the hole by moving every following
-  // cluster member whose home slot lies at or before the hole. Moved
-  // records drag their wheel timer along via cookie rebinding.
-  std::size_t hole = i;
-  std::size_t j = (i + 1) & mask();
-  while (slots_[j].used) {
-    const std::size_t h = home(slots_[j].record.key);
+  // cluster entry whose home slot lies at or before the hole. Only index
+  // entries move; records stay put.
+  std::size_t hole = pos;
+  std::size_t j = (pos + 1) & mask();
+  while (index_[j].rec != kEmpty) {
+    const std::size_t h = index_[j].hash32 & mask();
     // Does j's home precede the hole in circular probe order?
     const bool wraps = j < hole;
     const bool movable = wraps ? (h <= hole && h > j) : (h <= hole || h > j);
     if (movable) {
-      slots_[hole].record = slots_[j].record;
-      slots_[hole].timer = slots_[j].timer;
-      if (slots_[hole].timer != sim::TimerWheel::kInvalidTimer) {
-        wheel_.set_cookie(slots_[hole].timer, hole);
-      }
-      slots_[j].timer = sim::TimerWheel::kInvalidTimer;
+      index_[hole] = index_[j];
       hole = j;
     }
     j = (j + 1) & mask();
   }
-  slots_[hole].used = false;
-  slots_[hole].timer = sim::TimerWheel::kInvalidTimer;
+  index_[hole].rec = kEmpty;
   return true;
 }
 
@@ -129,8 +149,8 @@ void FlowCache::sort_candidates() {
   // layout and of the order in which the wheel fired the timers.
   std::sort(candidates_.begin(), candidates_.end(),
             [this](const auto& a, const auto& b) {
-              const FlowRecord& ra = slots_[a.first].record;
-              const FlowRecord& rb = slots_[b.first].record;
+              const FlowRecord& ra = slab_[a.first].record;
+              const FlowRecord& rb = slab_[b.first].record;
               if (!(ra.first_seen == rb.first_seen)) {
                 return ra.first_seen < rb.first_seen;
               }
@@ -140,19 +160,20 @@ void FlowCache::sort_candidates() {
 
 void FlowCache::emit_candidates(sim::SimTime now, const ExportFn& fn) {
   sort_candidates();
-  evict_.clear();
+  // Records never move, so evicting one leaves the later candidates'
+  // slab indices valid.
   for (const auto& [idx, reason] : candidates_) {
-    Slot& slot = slots_[idx];
-    fn(slot.record, reason);
+    Rec& rec = slab_[idx];
+    fn(rec.record, reason);
     if (reason == EndReason::kIdleTimeout) {
-      evict_.push_back(slot.record.key);
+      const FlowKey key = rec.record.key;
+      erase(key);
     } else {
-      slot.record.last_export = now;
+      rec.record.last_export = now;
       // Every candidate's timer fired this sweep; arm the next deadline.
-      slot.timer = wheel_.arm(deadline_of(slot.record), idx);
+      rec.timer = wheel_.arm(deadline_of(rec.record), idx);
     }
   }
-  for (const FlowKey& key : evict_) erase(key);
 }
 
 std::size_t FlowCache::sweep(sim::SimTime now, const ExportFn& fn) {
@@ -160,12 +181,12 @@ std::size_t FlowCache::sweep(sim::SimTime now, const ExportFn& fn) {
   due_.clear();
   wheel_.advance(now, due_);
   for (const std::uint64_t cookie : due_) {
+    // Erase cancels a record's timer, so every cookie names a live record.
     const auto i = static_cast<std::uint32_t>(cookie);
-    Slot& slot = slots_[i];
-    if (!slot.used) continue;  // defensive: cancelled on erase
-    slot.timer = sim::TimerWheel::kInvalidTimer;
+    Rec& rec = slab_[i];
+    rec.timer = sim::TimerWheel::kInvalidTimer;
     ++stats_.wheel_fires;
-    const FlowRecord& r = slot.record;
+    const FlowRecord& r = rec.record;
     if (now - r.last_seen >= cfg_.idle_timeout) {
       candidates_.emplace_back(i, EndReason::kIdleTimeout);
     } else if (now - r.last_export >= cfg_.active_timeout) {
@@ -173,7 +194,7 @@ std::size_t FlowCache::sweep(sim::SimTime now, const ExportFn& fn) {
     } else {
       // Fired early (tick rounding) or the flow saw traffic since the
       // deadline was computed: re-arm at the true deadline.
-      slot.timer = wheel_.arm(deadline_of(r), i);
+      rec.timer = wheel_.arm(deadline_of(r), i);
       ++stats_.wheel_rearms;
     }
   }
@@ -184,23 +205,20 @@ std::size_t FlowCache::sweep(sim::SimTime now, const ExportFn& fn) {
 
 std::size_t FlowCache::flush(const ExportFn& fn) {
   candidates_.clear();
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (slots_[i].used) {
-      candidates_.emplace_back(static_cast<std::uint32_t>(i),
-                               EndReason::kForcedEnd);
-    }
+  for (Entry& e : index_) {
+    if (e.rec == kEmpty) continue;
+    candidates_.emplace_back(e.rec, EndReason::kForcedEnd);
+    e.rec = kEmpty;
   }
   // Emit in canonical order, then drop everything wholesale (no
   // per-record compaction needed when the table empties).
   sort_candidates();
-  for (const auto& [idx, reason] : candidates_) {
-    fn(slots_[idx].record, reason);
-    slots_[idx].used = false;
-    slots_[idx].timer = sim::TimerWheel::kInvalidTimer;
-  }
+  for (const auto& [idx, reason] : candidates_) fn(slab_[idx].record, reason);
   const std::size_t n = candidates_.size();
   stats_.erased += size_;
   size_ = 0;
+  slab_.clear();
+  free_head_ = kEmpty;
   wheel_.clear();
   return n;
 }

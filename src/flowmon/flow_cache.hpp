@@ -3,11 +3,14 @@
 // An open-addressing (linear probing) hash table of per-flow counters,
 // after the find-or-create flow caches of software IPFIX meters
 // (ipfix-wrt/Vermont lineage): the per-packet hot path is one hash, a
-// short probe run, and a handful of counter updates. Expiry (active /
-// idle timeout) runs through sweep(), driven by a hierarchical timing
-// wheel (sim::TimerWheel) holding one deadline per flow, O(1) amortized
-// per expiry, so a plant tier can hold millions of live flows without
-// scans.
+// short probe run, and a handful of counter updates. The table is split
+// in two: a probe index of 8-byte {record, hash} entries, which is all a
+// probe step or a compaction move touches, and a slab of records that
+// never move -- a record keeps its slab index for the flow's whole life.
+// Expiry (active / idle timeout) runs through sweep(), driven by a
+// hierarchical timing wheel (sim::TimerWheel) holding one deadline per
+// flow, with the slab index as its cookie: O(1) amortized per expiry, so
+// a plant tier can hold millions of live flows without scans.
 //
 // A sweep emits exactly the flows a full-table walk would find due at
 // `now`, in the canonical (first_seen, FlowKey) order: wheel timers fire
@@ -55,8 +58,7 @@ struct FlowRecord {
   sim::SimTime max_iat = sim::SimTime::zero();
   std::int64_t iat_sum_ns = 0;
   std::int64_t iat_jitter_sum_ns = 0;
-  sim::SimTime prev_iat;
-  bool has_prev_iat = false;
+  sim::SimTime prev_iat;  ///< last gap; meaningful once packets >= 2
 
   /// min_iat with the unsampled SimTime::max() sentinel mapped to zero:
   /// a flow with fewer than two packets has no inter-arrival gap, and the
@@ -106,11 +108,15 @@ struct FlowCacheConfig {
 
 /// Fixed-capacity open-addressing flow table. Capacity rounds up to a
 /// power of two; the load factor is capped at 3/4 so probe runs stay
-/// short. Deletion uses backward-shift compaction (no tombstones), which
-/// keeps lookup cost stable under the meter's continuous expire/insert
-/// churn; wheel timers ride along via cookie rebinding.
+/// short. Deletion uses backward-shift compaction (no tombstones) of the
+/// index entries only, which keeps lookup cost stable under the meter's
+/// continuous expire/insert churn; records and their wheel timers stay
+/// where they are. Index and slab are sized in the constructor, so churn
+/// at a steady live count allocates nothing.
 class FlowCache {
  public:
+  /// Throws std::invalid_argument, before allocating anything, if the
+  /// load cap of the rounded-up capacity does not fit a 32-bit index.
   explicit FlowCache(const FlowCacheConfig& cfg);
 
   /// Hot path: account one frame to its flow, creating the record if the
@@ -140,47 +146,59 @@ class FlowCache {
   /// the insert/erase history). `fn` must not mutate the table.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (const Slot& s : slots_) {
-      if (s.used) fn(s.record);
+    for (const Entry& e : index_) {
+      if (e.rec != kEmpty) fn(slab_[e.rec].record);
     }
   }
 
   [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return index_.size(); }
   /// Max live flows before new ones are refused (3/4 of capacity).
   [[nodiscard]] std::size_t load_cap() const { return load_cap_; }
   [[nodiscard]] const FlowCacheStats& stats() const { return stats_; }
   [[nodiscard]] const FlowCacheConfig& config() const { return cfg_; }
 
  private:
-  struct Slot {
+  static constexpr std::uint32_t kEmpty = 0xffff'ffffu;
+
+  /// One probe-index slot: the slab index of its record (kEmpty if the
+  /// slot is free) and the low 32 bits of the key's hash, which give the
+  /// home slot and screen out most key compares.
+  struct Entry {
+    std::uint32_t rec = kEmpty;
+    std::uint32_t hash32 = 0;
+  };
+  /// One slab entry. While the record is free, `timer` links the free
+  /// list instead.
+  struct Rec {
     FlowRecord record;
-    bool used = false;
     sim::TimerWheel::TimerId timer = sim::TimerWheel::kInvalidTimer;
   };
+  static_assert(sizeof(Entry) == 8);
+  static_assert(sizeof(Rec) <= 128);
 
-  [[nodiscard]] std::size_t mask() const { return slots_.size() - 1; }
-  [[nodiscard]] std::size_t home(const FlowKey& key) const {
-    return static_cast<std::size_t>(key.hash()) & mask();
-  }
-  /// Index of the slot holding `key`, or of the first free slot in its
-  /// probe run.
-  [[nodiscard]] std::size_t probe(const FlowKey& key) const;
+  [[nodiscard]] std::size_t mask() const { return index_.size() - 1; }
+  /// Position in index_ of the entry holding `key` (hash `h`), or of the
+  /// first free slot in its probe run.
+  [[nodiscard]] std::size_t probe(const FlowKey& key, std::uint64_t h) const;
   /// Earliest of the record's idle and active deadlines.
   [[nodiscard]] sim::SimTime deadline_of(const FlowRecord& r) const;
   void sort_candidates();
   void emit_candidates(sim::SimTime now, const ExportFn& fn);
 
   FlowCacheConfig cfg_;
-  std::vector<Slot> slots_;
-  std::size_t size_ = 0;
+  std::vector<Entry> index_;
   std::size_t load_cap_;
+  /// Records by slab index; reserved to load_cap_, so it never
+  /// reallocates and a page is first touched when a record lands on it.
+  std::vector<Rec> slab_;
+  std::uint32_t free_head_ = kEmpty;  ///< LIFO list of freed slab indices
+  std::size_t size_ = 0;
   mutable FlowCacheStats stats_;
   sim::TimerWheel wheel_;
   // Sweep scratch, reused across calls to keep steady state allocation-free.
   std::vector<std::uint64_t> due_;
   std::vector<std::pair<std::uint32_t, EndReason>> candidates_;
-  std::vector<FlowKey> evict_;
 };
 
 }  // namespace steelnet::flowmon

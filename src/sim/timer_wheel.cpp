@@ -89,11 +89,6 @@ void TimerWheel::cancel(TimerId id) {
   --armed_;
 }
 
-void TimerWheel::set_cookie(TimerId id, std::uint64_t cookie) {
-  assert(id < nodes_.size() && nodes_[id].live && "set_cookie of dead timer");
-  nodes_[id].cookie = cookie;
-}
-
 void TimerWheel::advance(SimTime now, std::vector<std::uint64_t>& due) {
   const std::uint64_t target = now <= origin_ ? 0 : tick_of(now);
   if (armed_ == 0) {

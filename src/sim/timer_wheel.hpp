@@ -2,12 +2,14 @@
 //
 // The classic kernel-style timer structure: four levels of 64 slots, each
 // level covering 64x the span of the one below, with timers cascading down
-// as time approaches their deadline. arm / cancel / re-cookie are O(1);
-// advance() is amortized O(1) per fired timer plus O(ticks crossed), so a
-// cache holding millions of deadlines pays per *expiry*, never per live
-// entry -- the property flowmon's plant-scale FlowCache needs (ROADMAP
-// item 2, after the expire_*_entries idiom of ipfix-wrt's LInEx flow sets,
-// indexed instead of scanned).
+// as time approaches their deadline. arm and cancel are O(1); advance() is
+// amortized O(1) per fired timer plus O(ticks crossed), so a cache holding
+// millions of deadlines pays per *expiry*, never per live entry -- the
+// property flowmon's plant-scale FlowCache needs (after the
+// expire_*_entries idiom of ipfix-wrt's LInEx flow sets, indexed instead
+// of scanned). A timer's cookie is fixed when it is armed, so it must name
+// something that does not move while the timer is live (FlowCache uses
+// the record's slab index).
 //
 // Determinism: the wheel is a plain data structure (no clock, no RNG).
 // Timers fire in tick order; within one tick, in arm order (FIFO). A
@@ -42,10 +44,6 @@ class TimerWheel {
   /// Disarms a live timer. The id is invalid afterwards (and may be
   /// recycled by a later arm). O(1).
   void cancel(TimerId id);
-
-  /// Rebinds a live timer's cookie (e.g. a flow record moved to another
-  /// cache slot under compaction). O(1).
-  void set_cookie(TimerId id, std::uint64_t cookie);
 
   /// Advances the wheel to `now`, appending the cookie of every timer
   /// whose tick has been reached to `due` (tick order, FIFO within a

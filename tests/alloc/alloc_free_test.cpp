@@ -6,18 +6,23 @@
 // The same holds one layer up: a PROFINET controller<->device pair
 // exchanging cyclic data through a star switch (encode, switch, decode,
 // watchdog) allocates nothing per cycle either, and neither does a whole
-// 48-device campus cell on the sharded kernel. With an ObsHub attached,
-// recording every hop span allocates only when a vector doubles.
+// 48-device campus cell on the sharded kernel, nor a flow cache under
+// insert/expire churn. With an ObsHub attached, recording every hop span
+// allocates only when a vector doubles.
 //
 // The binary overrides global operator new/delete to count allocations.
 // Sanitizer builds replace the allocator themselves, so the override (and
-// the test) compiles out there and the test reports SKIPPED.
+// the test) compiles out there and the test reports SKIPPED. It also
+// refuses (bad_alloc) any single request above 1 GiB, so a test that
+// expects no large allocation cannot take the machine's memory instead.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <stdexcept>
 
+#include "flowmon/flow_cache.hpp"
 #include "net/campus.hpp"
 #include "net/host_node.hpp"
 #include "net/network.hpp"
@@ -43,19 +48,24 @@
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_bytes{0};
+std::atomic<std::uint64_t> g_refused{0};
+constexpr std::size_t kRefuseAbove = std::size_t{1} << 30;
+
+void* counted_alloc(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(n, std::memory_order_relaxed);
+  if (n > kRefuseAbove) {
+    g_refused.fetch_add(1, std::memory_order_relaxed);
+    throw std::bad_alloc();
+  }
+  if (void* p = std::malloc(n)) return p;
+  throw std::bad_alloc();
+}
 }  // namespace
 
-void* operator new(std::size_t n) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t n) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
+void* operator new(std::size_t n) { return counted_alloc(n); }
+void* operator new[](std::size_t n) { return counted_alloc(n); }
 
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
@@ -237,6 +247,90 @@ TEST(AllocFree, SteadyStateCampusCellDoesNotAllocate) {
   EXPECT_EQ(long_run, short_run)
       << "400 ms more of a 48-device campus cell allocated "
       << long_run - short_run << " more times";
+#endif
+}
+
+#if STEELNET_ALLOC_COUNTING
+/// Allocations made by building a flow cache and running `ticks` 1 ms
+/// ticks of churn at a constant live count: each tick 64 new flows
+/// arrive, the previous tick's 64 are hit again, 16 long-lived flows are
+/// hit (and checkpointed on active timeout), and a sweep expires the
+/// flows idle for 3 ms.
+std::uint64_t flow_cache_churn_allocations(int ticks) {
+  flowmon::FlowCacheConfig cfg;
+  cfg.capacity = 1024;
+  cfg.idle_timeout = 3_ms;
+  cfg.active_timeout = 10_ms;
+  cfg.wheel_tick = 1_ms;
+  Frame frame;
+  frame.dst = MacAddress{0xfe};
+  frame.payload.assign(64, 0);
+  std::uint64_t idle = 0, active = 0;
+  const flowmon::FlowCache::ExportFn count =
+      [&](const flowmon::FlowRecord&, flowmon::EndReason reason) {
+        (reason == flowmon::EndReason::kIdleTimeout ? idle : active) += 1;
+      };
+  const auto send = [&](flowmon::FlowCache& cache, std::uint64_t src,
+                        sim::SimTime at) {
+    frame.src = MacAddress{src};
+    EXPECT_NE(cache.record(frame, at), nullptr);
+  };
+
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  std::size_t live_max = 0;
+  {
+    flowmon::FlowCache cache{cfg};
+    for (int t = 0; t < ticks; ++t) {
+      const auto tick = static_cast<std::uint64_t>(t);
+      const sim::SimTime now = sim::milliseconds(t);
+      for (std::uint64_t i = 0; i < 64; ++i) {
+        send(cache, 0x1000 + tick * 64 + i, now + sim::microseconds(i));
+        if (t > 0) send(cache, 0x1000 + (tick - 1) * 64 + i, now + 100_us);
+      }
+      for (std::uint64_t i = 0; i < 16; ++i) send(cache, 0x10 + i, now);
+      live_max = std::max(live_max, cache.size());
+      cache.sweep(now + 1_ms, count);
+    }
+  }
+  const std::uint64_t n = g_allocations.load(std::memory_order_relaxed) -
+                          before;
+  EXPECT_LE(live_max, 16u + 64 * 5);  // the live count stays bounded
+  EXPECT_GE(idle, 64u * static_cast<std::uint64_t>(ticks - 5));
+  EXPECT_GT(active, 0u);
+  return n;
+}
+#endif  // STEELNET_ALLOC_COUNTING
+
+// Insert, hit and idle-expiry churn through a FlowCache at a constant live
+// count, for 50 and for 250 ticks: the index and the record slab are sized
+// at construction and freed records are reused, so the longer run adds no
+// allocation.
+TEST(AllocFree, SteadyStateFlowCacheChurnDoesNotAllocate) {
+#if !STEELNET_ALLOC_COUNTING
+  GTEST_SKIP() << "allocation counting is disabled under sanitizers";
+#else
+  const std::uint64_t short_run = flow_cache_churn_allocations(50);
+  const std::uint64_t long_run = flow_cache_churn_allocations(250);
+  EXPECT_GT(short_run, 0u);  // construction allocates; the counter is live
+  EXPECT_EQ(long_run, short_run)
+      << "200 more ticks of flow-cache churn allocated "
+      << long_run - short_run << " more times";
+#endif
+}
+
+// A capacity above 2^32 slots would put slab indices beyond 32 bits; the
+// constructor refuses it before it allocates the 64 GiB index.
+TEST(AllocFree, OversizedFlowCacheCapacityThrowsBeforeAllocating) {
+#if !STEELNET_ALLOC_COUNTING
+  GTEST_SKIP() << "allocation counting is disabled under sanitizers";
+#else
+  flowmon::FlowCacheConfig cfg;
+  cfg.capacity = std::size_t{1} << 33;
+  const std::uint64_t bytes = g_bytes.load(std::memory_order_relaxed);
+  EXPECT_THROW({ flowmon::FlowCache cache{cfg}; }, std::invalid_argument);
+  EXPECT_EQ(g_refused.load(std::memory_order_relaxed), 0u);
+  // Only the exception's message may allocate.
+  EXPECT_LT(g_bytes.load(std::memory_order_relaxed) - bytes, 1024u);
 #endif
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -154,6 +156,284 @@ TEST(FlowCache, ForEachVisitsEveryLiveRecord) {
   });
   EXPECT_EQ(seen, 10u);
   EXPECT_EQ(src_sum, 55u);
+}
+
+// ---------------------------------------------------------------------
+// The index/slab layout against a std::map model and the old slot order.
+
+bool same_record(const FlowRecord& a, const FlowRecord& b) {
+  return a.key == b.key && a.packets == b.packets && a.bytes == b.bytes &&
+         a.wire_bytes == b.wire_bytes && a.first_seen == b.first_seen &&
+         a.last_seen == b.last_seen && a.last_export == b.last_export &&
+         a.min_iat == b.min_iat && a.max_iat == b.max_iat &&
+         a.iat_sum_ns == b.iat_sum_ns &&
+         a.iat_jitter_sum_ns == b.iat_jitter_sum_ns &&
+         a.prev_iat == b.prev_iat;
+}
+
+/// What a flow cache holds and counts, with no layout at all: the
+/// record semantics of FlowCache over a std::map.
+struct MapModel {
+  FlowCacheConfig cfg;
+  std::size_t load_cap;
+  std::map<FlowKey, FlowRecord> flows;
+  FlowCacheStats stats;
+
+  bool record(const net::Frame& f, sim::SimTime now) {
+    const FlowKey key = FlowKey::of(f);
+    ++stats.lookups;
+    auto it = flows.find(key);
+    if (it == flows.end()) {
+      if (flows.size() >= load_cap) {
+        ++stats.dropped_full;
+        return false;
+      }
+      ++stats.inserts;
+      FlowRecord r;
+      r.key = key;
+      r.first_seen = r.last_seen = r.last_export = now;
+      it = flows.emplace(key, r).first;
+    } else {
+      ++stats.hits;
+      FlowRecord& r = it->second;
+      const sim::SimTime iat = now - r.last_seen;
+      r.min_iat = std::min(r.min_iat, iat);
+      r.max_iat = std::max(r.max_iat, iat);
+      r.iat_sum_ns += iat.nanos();
+      if (r.packets >= 2) {
+        r.iat_jitter_sum_ns += std::abs(iat.nanos() - r.prev_iat.nanos());
+      }
+      r.prev_iat = iat;
+    }
+    FlowRecord& r = it->second;
+    ++r.packets;
+    r.bytes += f.payload.size();
+    r.wire_bytes += f.wire_bytes();
+    r.last_seen = now;
+    return true;
+  }
+
+  const FlowRecord* find(const FlowKey& key) {
+    ++stats.lookups;
+    const auto it = flows.find(key);
+    if (it == flows.end()) return nullptr;
+    ++stats.hits;
+    return &it->second;
+  }
+
+  bool erase(const FlowKey& key) {
+    if (flows.erase(key) == 0) return false;
+    ++stats.erased;
+    return true;
+  }
+
+  /// The records a sweep at `now` emits, in canonical order, applying
+  /// the sweep to the model.
+  std::vector<std::pair<FlowRecord, EndReason>> sweep(sim::SimTime now) {
+    std::vector<std::pair<FlowRecord, EndReason>> due;
+    for (const auto& [key, r] : flows) {
+      if (now - r.last_seen >= cfg.idle_timeout) {
+        due.emplace_back(r, EndReason::kIdleTimeout);
+      } else if (now - r.last_export >= cfg.active_timeout) {
+        due.emplace_back(r, EndReason::kActiveTimeout);
+      }
+    }
+    std::stable_sort(due.begin(), due.end(), [](const auto& a, const auto& b) {
+      return a.first.first_seen < b.first.first_seen;
+    });
+    for (const auto& [r, reason] : due) {
+      if (reason == EndReason::kIdleTimeout) {
+        erase(r.key);
+      } else {
+        flows.at(r.key).last_export = now;
+      }
+    }
+    return due;
+  }
+};
+
+testing::AssertionResult same_stats(const FlowCacheStats& got,
+                                    const FlowCacheStats& want) {
+  if (got.lookups == want.lookups && got.hits == want.hits &&
+      got.inserts == want.inserts && got.erased == want.erased &&
+      got.dropped_full == want.dropped_full) {
+    return testing::AssertionSuccess();
+  }
+  return testing::AssertionFailure()
+         << "lookups " << got.lookups << "/" << want.lookups << ", hits "
+         << got.hits << "/" << want.hits << ", inserts " << got.inserts << "/"
+         << want.inserts << ", erased " << got.erased << "/" << want.erased
+         << ", dropped_full " << got.dropped_full << "/" << want.dropped_full;
+}
+
+testing::AssertionResult same_contents(const FlowCache& cache,
+                                       const MapModel& model) {
+  std::size_t seen = 0;
+  std::size_t bad = 0;
+  cache.for_each([&](const FlowRecord& r) {
+    ++seen;
+    const auto it = model.flows.find(r.key);
+    if (it == model.flows.end() || !same_record(r, it->second)) ++bad;
+  });
+  if (cache.size() == model.flows.size() && seen == model.flows.size() &&
+      bad == 0) {
+    return testing::AssertionSuccess();
+  }
+  return testing::AssertionFailure()
+         << "size " << cache.size() << ", for_each visited " << seen
+         << " (" << bad << " missing from or unequal to the model), model "
+         << model.flows.size();
+}
+
+TEST(FlowCache, IndexAndSlabMatchAMapModelNearTheLoadCap) {
+  // 240k seeded record / find / erase operations, with a sweep every
+  // wheel tick and one flush half-way, on a 256-slot table held near its
+  // 192-flow load cap. A third of the keys hash into the last 16 slots,
+  // so probe clusters keep wrapping from the table end to slot 0 and
+  // backward-shift erase has to move entries across the wrap.
+  FlowCacheConfig cfg;
+  cfg.capacity = 256;
+  cfg.idle_timeout = 3_ms;
+  cfg.active_timeout = 8_ms;
+  cfg.wheel_tick = 1_ms;
+  FlowCache cache{cfg};
+  MapModel model{cfg, cache.load_cap(), {}, {}};
+  const std::size_t mask = cache.capacity() - 1;
+
+  // Every third key is one homed in the last 16 slots.
+  std::vector<net::Frame> frames;
+  for (std::uint64_t src = 1; frames.size() < 480; ++src) {
+    net::Frame f = make_frame(src, 0x77, 40 + src % 200, src % 8);
+    const bool tail = (FlowKey::of(f).hash() & mask) + 16 > mask;
+    if (!tail && frames.size() % 3 == 0) continue;
+    frames.push_back(std::move(f));
+  }
+
+  sim::Rng rng{2027};
+  sim::SimTime now;
+  sim::SimTime next_sweep = 1_ms;
+  std::size_t sweeps = 0, emitted = 0, wrapped_first = 0, at_cap = 0;
+  constexpr int kOps = 240'000;
+  for (int op = 0; op < kOps; ++op) {
+    now += sim::nanoseconds(rng.uniform_int(0, 10'000));
+    // Hot keys a fifth of the time, else any key.
+    const auto k = static_cast<std::size_t>(
+        rng.bernoulli(0.2) ? rng.uniform_int(0, 47)
+                           : rng.uniform_int(0, std::int64_t(frames.size()) - 1));
+    const FlowKey key = FlowKey::of(frames[k]);
+    const std::int64_t what = rng.uniform_int(0, 99);
+    if (what < 60) {
+      const FlowRecord* got = cache.record(frames[k], now);
+      ASSERT_EQ(got != nullptr, model.record(frames[k], now)) << "op " << op;
+      if (got != nullptr) {
+        ASSERT_TRUE(same_record(*got, model.flows.at(key))) << "op " << op;
+      }
+    } else if (what < 85) {
+      const FlowRecord* got = cache.find(key);
+      const FlowRecord* want = model.find(key);
+      ASSERT_EQ(got != nullptr, want != nullptr) << "op " << op;
+      if (got != nullptr) {
+        ASSERT_TRUE(same_record(*got, *want)) << "op " << op;
+      }
+    } else {
+      ASSERT_EQ(cache.erase(key), model.erase(key)) << "op " << op;
+    }
+    ASSERT_EQ(cache.size(), model.flows.size()) << "op " << op;
+
+    if (op == kOps / 2) {
+      std::vector<FlowKey> got;
+      cache.flush([&](const FlowRecord& r, EndReason reason) {
+        EXPECT_EQ(reason, EndReason::kForcedEnd);
+        EXPECT_TRUE(same_record(r, model.flows.at(r.key)));
+        got.push_back(r.key);
+      });
+      std::vector<std::pair<sim::SimTime, FlowKey>> want;
+      for (const auto& [key, r] : model.flows) want.emplace_back(r.first_seen, key);
+      std::sort(want.begin(), want.end());
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i], want[i].second) << "flush record " << i;
+      }
+      model.stats.erased += model.flows.size();
+      model.flows.clear();
+    }
+    bool check = op % 512 == 0;
+    if (now >= next_sweep) {
+      const auto want = model.sweep(now);
+      std::size_t i = 0;
+      cache.sweep(now, [&](const FlowRecord& r, EndReason reason) {
+        ASSERT_LT(i, want.size());
+        EXPECT_TRUE(same_record(r, want[i].first) && reason == want[i].second)
+            << "sweep at " << now.nanos() << " ns, record " << i;
+        ++i;
+      });
+      ASSERT_EQ(i, want.size()) << "sweep at " << now.nanos() << " ns";
+      emitted += i;
+      ++sweeps;
+      next_sweep = now + cfg.wheel_tick;
+      check = true;
+    }
+    if (check) {
+      ASSERT_TRUE(same_contents(cache, model)) << "op " << op;
+      ASSERT_TRUE(same_stats(cache.stats(), model.stats)) << "op " << op;
+      // The lowest occupied slot holds a key homed in the table's tail:
+      // its cluster wrapped past the end.
+      bool first = true;
+      cache.for_each([&](const FlowRecord& r) {
+        if (first && (r.key.hash() & mask) + 16 > mask) ++wrapped_first;
+        first = false;
+      });
+      if (cache.size() == cache.load_cap()) ++at_cap;
+    }
+  }
+  ASSERT_TRUE(same_contents(cache, model));
+  EXPECT_TRUE(same_stats(cache.stats(), model.stats));
+  // The history really ran near the cap, wrapped and expired flows.
+  EXPECT_GT(model.stats.dropped_full, 1000u);
+  EXPECT_GT(at_cap, 10u);
+  EXPECT_GT(wrapped_first, 100u);
+  EXPECT_GT(model.stats.erased, 20'000u);
+  EXPECT_GT(sweeps, 1000u);
+  EXPECT_GT(emitted, 10'000u);
+}
+
+TEST(FlowCache, ForEachSlotOrderIsPinned) {
+  // for_each visits records in hash-table slot order, a function of the
+  // insert/erase history alone. The digest of that order (and the probe
+  // count) after a seeded history is pinned: the index/slab split keeps
+  // exactly the slot order of the single-table layout it replaced.
+  FlowCache cache{with_capacity(1024)};
+  sim::Rng rng{7};
+  std::vector<FlowKey> live;
+  for (int op = 0; op < 20'000; ++op) {
+    if (live.empty() || rng.bernoulli(0.55)) {
+      const auto src = static_cast<std::uint64_t>(rng.uniform_int(1, 4000));
+      const auto f = make_frame(src, 0x99, 64, src % 8);
+      if (cache.find(FlowKey::of(f)) == nullptr &&
+          cache.record(f, sim::microseconds(op)) != nullptr) {
+        live.push_back(FlowKey::of(f));
+      }
+    } else {
+      const auto i = static_cast<std::size_t>(
+          rng.uniform_int(0, std::int64_t(live.size()) - 1));
+      ASSERT_TRUE(cache.erase(live[i]));
+      live[i] = live.back();
+      live.pop_back();
+    }
+  }
+  std::uint64_t fnv = 1469598103934665603ULL;
+  std::size_t visited = 0;
+  cache.for_each([&](const FlowRecord& r) {
+    for (const std::uint64_t v : {r.key.src.bits(), r.key.dst.bits(),
+                                  std::uint64_t{r.key.pcp}}) {
+      fnv = (fnv ^ v) * 1099511628211ULL;
+    }
+    ++visited;
+  });
+  EXPECT_EQ(visited, live.size());
+  EXPECT_EQ(cache.size(), live.size());
+  EXPECT_EQ(fnv, 0x93ae782bcb872d5aULL) << std::hex << fnv;
+  EXPECT_EQ(cache.stats().probes, 70'542u);
 }
 
 // ---------------------------------------------------------------------
@@ -365,10 +645,10 @@ TEST(FlowCache, FlushEmitsCanonicallyAndEmpties) {
 }
 
 TEST(FlowCache, WheelSurvivesEraseCompactionMoves) {
-  // Backward-shift compaction moves records between slots; the wheel
-  // timers must follow (cookie rebinding) or expiry would fire on stale
-  // slots. Erase half the flows, then expire the rest and check exactly
-  // the survivors come out.
+  // Backward-shift compaction moves index entries between slots; the
+  // wheel timers name slab records, which must not move with them, or
+  // expiry would fire on stale records. Erase half the flows, then expire
+  // the rest and check exactly the survivors come out.
   FlowCache cache{expiry_config()};
   std::vector<FlowKey> keys;
   for (std::uint64_t i = 0; i < 24; ++i) {
