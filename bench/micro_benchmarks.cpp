@@ -1,6 +1,8 @@
 // Google-benchmark microbenchmarks for the hot paths of every substrate.
 #include <benchmark/benchmark.h>
 
+#include <sys/resource.h>
+
 #include <array>
 #include <memory>
 #include <string>
@@ -146,23 +148,42 @@ void BM_AhoCorasickScan(benchmark::State& state) {
 }
 BENCHMARK(BM_AhoCorasickScan);
 
+/// Peak resident set of this process so far, in MB.
+double peak_rss_mb() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;
+}
+
 // The flowmon metering hot path: 1M synthetic frames spread over a
 // configurable number of concurrent flows, with periodic expiry of the
 // coldest half -- the insert / lookup / expire churn a MeterPoint puts a
-// FlowCache through. Baseline for later perf PRs.
+// FlowCache through. Baseline for later perf PRs. The process's peak RSS
+// before and after the run is reported as rss_before_mb/rss_after_mb.
 void BM_FlowCacheHotPath(benchmark::State& state) {
   constexpr std::size_t kFrames = 1'000'000;
+  constexpr std::size_t kMinPayload = 64;
+  constexpr std::size_t kMaxPayload = 64 + 1400;
+  const double rss_before = peak_rss_mb();
   const auto num_flows = static_cast<std::uint64_t>(state.range(0));
   sim::Rng rng{42};
-  // Pre-draw the frame sequence so the benchmark loop times the cache,
-  // not the RNG: frames round-robin over flows with randomized sizes.
-  std::vector<net::Frame> frames(num_flows);
+  // Pre-draw each flow's source MAC and payload size so the benchmark loop
+  // times the cache, not the RNG; frames round-robin over flows. The cache
+  // reads only a frame's addresses and sizes, so one reusable frame per
+  // payload size stands in for every flow's frames.
+  std::vector<std::uint64_t> src(num_flows);
+  std::vector<std::uint16_t> size(num_flows);
   for (std::uint64_t i = 0; i < num_flows; ++i) {
-    frames[i].src = net::MacAddress{0x0a'0000'000000ULL + i};
-    frames[i].dst = net::MacAddress{0x0c'0000'000001ULL};
-    frames[i].pcp = static_cast<std::uint8_t>(i & 0x7);
-    frames[i].payload.resize(64 + std::size_t(rng.uniform_int(0, 1400)));
+    src[i] = 0x0a'0000'000000ULL + i;
+    size[i] = static_cast<std::uint16_t>(
+        kMinPayload + std::size_t(rng.uniform_int(0, 1400)));
   }
+  std::vector<net::Frame> by_size(kMaxPayload + 1);
+  for (std::size_t b = kMinPayload; b <= kMaxPayload; ++b) {
+    by_size[b].dst = net::MacAddress{0x0c'0000'000001ULL};
+    by_size[b].payload.resize(b);
+  }
+  std::vector<flowmon::FlowKey> victims;
   for (auto _ : state) {
     flowmon::FlowCacheConfig cfg;
     cfg.capacity = 2 * num_flows;
@@ -171,13 +192,15 @@ void BM_FlowCacheHotPath(benchmark::State& state) {
     std::size_t fi = 0;
     for (std::size_t i = 0; i < kFrames; ++i) {
       now = now + sim::nanoseconds(800);
-      benchmark::DoNotOptimize(cache.record(frames[fi], now));
-      if (++fi == frames.size()) fi = 0;
+      net::Frame& frame = by_size[size[fi]];
+      frame.src = net::MacAddress{src[fi]};
+      frame.pcp = static_cast<std::uint8_t>(fi & 0x7);
+      benchmark::DoNotOptimize(cache.record(frame, now));
+      if (++fi == num_flows) fi = 0;
       // Periodic expiry sweep: evict every other flow, as an idle-timeout
       // pass would, so deletion (backward-shift) stays in the measurement.
       if ((i & 0xffff) == 0xffff) {
-        std::vector<flowmon::FlowKey> victims;
-        victims.reserve(cache.size() / 2);
+        victims.clear();
         bool take = false;
         cache.for_each([&](const flowmon::FlowRecord& r) {
           if ((take = !take)) victims.push_back(r.key);
@@ -188,6 +211,8 @@ void BM_FlowCacheHotPath(benchmark::State& state) {
     benchmark::DoNotOptimize(cache.stats());
   }
   state.SetItemsProcessed(int64_t(state.iterations()) * int64_t(kFrames));
+  state.counters["rss_before_mb"] = rss_before;
+  state.counters["rss_after_mb"] = peak_rss_mb();
 }
 // The 1M-flow rung's cache and records outgrow the CPU caches.
 BENCHMARK(BM_FlowCacheHotPath)->Arg(64)->Arg(1024)->Arg(8192)->Arg(1 << 20)

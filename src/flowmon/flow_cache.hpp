@@ -7,17 +7,19 @@
 // in two: a probe index of 8-byte {record, hash} entries, which is all a
 // probe step or a compaction move touches, and a slab of records that
 // never move -- a record keeps its slab index for the flow's whole life.
+// Both sit on transparent huge pages where the OS offers them (advice
+// only; nothing depends on it).
+//
 // Expiry (active / idle timeout) runs through sweep(), driven by a
 // hierarchical timing wheel (sim::TimerWheel) holding one deadline per
-// flow, with the slab index as its cookie: O(1) amortized per expiry, so
-// a plant tier can hold millions of live flows without scans.
-//
-// A sweep emits exactly the flows a full-table walk would find due at
-// `now`, in the canonical (first_seen, FlowKey) order: wheel timers fire
-// on the rounded-down tick -- never late -- and the true deadline is
-// lazily re-checked and re-armed. That guarantee needs consecutive sweeps
-// at least one wheel tick apart (MeterPoint sets the tick to its export
-// interval). The flowmon tests keep the walk as the wheel's oracle.
+// flow, keyed by the record's slab index: O(1) amortized per expiry, so a
+// plant tier can hold millions of live flows without scans. The wheel
+// fires a timer exactly when its deadline is <= now, so a sweep reads
+// only records that are due -- or that saw traffic since their deadline
+// was computed, which are lazily re-armed. A sweep therefore emits
+// exactly the flows a full-table walk would find due at `now`, in the
+// canonical (first_seen, FlowKey) order, at any sweep spacing. The
+// flowmon tests keep the walk as the wheel's oracle.
 #pragma once
 
 #include <cstdint>
@@ -87,8 +89,10 @@ struct FlowCacheStats {
   std::uint64_t erased = 0;
   std::uint64_t probes = 0;         ///< total probe steps beyond the home slot
   std::uint64_t dropped_full = 0;   ///< new flows refused: table at load cap
-  std::uint64_t wheel_fires = 0;    ///< wheel timers that fired
-  std::uint64_t wheel_rearms = 0;   ///< early fires re-armed (lazy deadline)
+  std::uint64_t wheel_fires = 0;    ///< wheel timers that fired (all due)
+  /// Fires that found the flow seen since its deadline was computed, so
+  /// not yet expired; each re-arms at the moved deadline (lazy re-arm).
+  std::uint64_t wheel_rearms = 0;
 };
 
 /// The expiry engine: the timer wheel is the only one.
@@ -101,8 +105,8 @@ struct FlowCacheConfig {
   /// Unread. It exists only because perfbench's plant_bench assigns it;
   /// the benchmark change of ROADMAP item 3 removes it.
   ExpiryEngine engine = ExpiryEngine::kWheel;
-  /// Wheel granularity; sweeps closer together than this fall back to the
-  /// next tick, so keep it <= the sweep cadence.
+  /// Wheel granularity. Expiry is exact at any sweep spacing; the tick
+  /// sets only how many wheel slots a sweep walks (one per tick crossed).
   sim::SimTime wheel_tick = sim::milliseconds(100);
 };
 
@@ -111,8 +115,8 @@ struct FlowCacheConfig {
 /// short. Deletion uses backward-shift compaction (no tombstones) of the
 /// index entries only, which keeps lookup cost stable under the meter's
 /// continuous expire/insert churn; records and their wheel timers stay
-/// where they are. Index and slab are sized in the constructor, so churn
-/// at a steady live count allocates nothing.
+/// where they are. Index, slab, free stack and wheel nodes are sized in
+/// the constructor, so churn at a steady live count allocates nothing.
 class FlowCache {
  public:
   /// Throws std::invalid_argument, before allocating anything, if the
@@ -147,7 +151,7 @@ class FlowCache {
   template <typename Fn>
   void for_each(Fn&& fn) const {
     for (const Entry& e : index_) {
-      if (e.rec != kEmpty) fn(slab_[e.rec].record);
+      if (e.rec != kEmpty) fn(slab_[e.rec]);
     }
   }
 
@@ -168,14 +172,15 @@ class FlowCache {
     std::uint32_t rec = kEmpty;
     std::uint32_t hash32 = 0;
   };
-  /// One slab entry. While the record is free, `timer` links the free
-  /// list instead.
-  struct Rec {
-    FlowRecord record;
-    sim::TimerWheel::TimerId timer = sim::TimerWheel::kInvalidTimer;
+  /// A record due at a sweep: its first_seen (the sort key) is copied in,
+  /// so the canonical sort reads records only to break ties.
+  struct Candidate {
+    std::int64_t first_seen_ns = 0;
+    std::uint32_t rec = kEmpty;
+    EndReason reason = EndReason::kIdleTimeout;
   };
   static_assert(sizeof(Entry) == 8);
-  static_assert(sizeof(Rec) <= 128);
+  static_assert(sizeof(FlowRecord) <= 112);
 
   [[nodiscard]] std::size_t mask() const { return index_.size() - 1; }
   /// Position in index_ of the entry holding `key` (hash `h`), or of the
@@ -183,22 +188,25 @@ class FlowCache {
   [[nodiscard]] std::size_t probe(const FlowKey& key, std::uint64_t h) const;
   /// Earliest of the record's idle and active deadlines.
   [[nodiscard]] sim::SimTime deadline_of(const FlowRecord& r) const;
+  /// Removes index entry `pos` (its timer already disarmed) and frees
+  /// its record's slab index.
+  void remove_at(std::size_t pos);
   void sort_candidates();
   void emit_candidates(sim::SimTime now, const ExportFn& fn);
 
   FlowCacheConfig cfg_;
   std::vector<Entry> index_;
-  std::size_t load_cap_;
+  std::size_t load_cap_ = 0;
   /// Records by slab index; reserved to load_cap_, so it never
   /// reallocates and a page is first touched when a record lands on it.
-  std::vector<Rec> slab_;
-  std::uint32_t free_head_ = kEmpty;  ///< LIFO list of freed slab indices
+  std::vector<FlowRecord> slab_;
+  std::vector<std::uint32_t> free_;  ///< LIFO stack of freed slab indices
   std::size_t size_ = 0;
   mutable FlowCacheStats stats_;
-  sim::TimerWheel wheel_;
+  sim::TimerWheel wheel_;  ///< one timer per live record, id = slab index
   // Sweep scratch, reused across calls to keep steady state allocation-free.
-  std::vector<std::uint64_t> due_;
-  std::vector<std::pair<std::uint32_t, EndReason>> candidates_;
+  std::vector<std::uint32_t> due_;
+  std::vector<Candidate> candidates_;
 };
 
 }  // namespace steelnet::flowmon

@@ -11,7 +11,8 @@ FlowCacheConfig cache_config(const MeterConfig& cfg) {
   FlowCacheConfig c;
   c.idle_timeout = cfg.idle_timeout;
   c.active_timeout = cfg.active_timeout;
-  // Sweeps run exactly one tick apart: the wheel's equivalence condition.
+  // One wheel tick per export interval, so each sweep walks one slot.
+  // Expiry is exact at any tick; the tick sets only that cost.
   c.wheel_tick = cfg.export_interval;
   return c;
 }

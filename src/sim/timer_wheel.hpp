@@ -7,17 +7,22 @@
 // millions of deadlines pays per *expiry*, never per live entry -- the
 // property flowmon's plant-scale FlowCache needs (after the
 // expire_*_entries idiom of ipfix-wrt's LInEx flow sets, indexed instead
-// of scanned). A timer's cookie is fixed when it is armed, so it must name
-// something that does not move while the timer is live (FlowCache uses
-// the record's slab index).
+// of scanned).
+//
+// Timers are caller-indexed: a timer's id is a dense index the caller
+// owns (FlowCache uses the record's slab index), and the wheel keeps one
+// 24-byte node per id, so an id names at most one armed timer.
+//
+// Exactness: advance(now) fires exactly the timers whose deadline is <=
+// now, never early, never late. Each node keeps its exact deadline. The
+// wheel walks whole ticks; when it drains the slot of the tick `now`
+// falls in, the timers not yet due move to a carry list, which the next
+// advance() checks first. A timer armed for a deadline at or before the
+// current tick goes straight to the carry list.
 //
 // Determinism: the wheel is a plain data structure (no clock, no RNG).
-// Timers fire in tick order; within one tick, in arm order (FIFO). A
-// deadline is mapped to the tick floor(deadline / tick_width), so a timer
-// can fire up to one tick *early* but never late -- callers re-check the
-// real deadline and re-arm (lazy evaluation), which is what keeps
-// wheel-driven expiry byte-identical to a full scan at the same sweep
-// times (see FlowCache).
+// An advance() appends the due carried timers first, then the timers of
+// each newly reached tick, tick by tick, in arm order within a tick.
 #pragma once
 
 #include <cstdint>
@@ -29,26 +34,26 @@ namespace steelnet::sim {
 
 class TimerWheel {
  public:
-  using TimerId = std::uint32_t;
-  static constexpr TimerId kInvalidTimer = 0xffff'ffffu;
-
   /// `tick` is the wheel granularity (> 0). Deadlines are bucketed into
   /// ticks of this width starting at `origin`.
   explicit TimerWheel(SimTime tick, SimTime origin = SimTime::zero());
 
-  /// Arms a timer for `deadline` carrying `cookie`. Deadlines at or
-  /// before the current tick are clamped to the next tick (a timer never
-  /// fires inside advance() of the tick it was armed in). O(1).
-  TimerId arm(SimTime deadline, std::uint64_t cookie);
+  /// Reserves node storage for ids below `n`, so arming them never
+  /// reallocates.
+  void reserve(std::size_t n) { nodes_.reserve(n); }
 
-  /// Disarms a live timer. The id is invalid afterwards (and may be
-  /// recycled by a later arm). O(1).
-  void cancel(TimerId id);
+  /// Arms timer `id` for `deadline`; an armed `id` is moved to the new
+  /// deadline. A deadline at or before the current tick fires at the
+  /// next advance() whose `now` reaches it. O(1).
+  void arm(std::uint32_t id, SimTime deadline);
 
-  /// Advances the wheel to `now`, appending the cookie of every timer
-  /// whose tick has been reached to `due` (tick order, FIFO within a
-  /// tick). Fired timers are freed; their ids become invalid.
-  void advance(SimTime now, std::vector<std::uint64_t>& due);
+  /// Disarms timer `id`; a no-op if it is not armed. O(1).
+  void cancel(std::uint32_t id);
+
+  /// Advances the wheel to `now` (non-decreasing across calls) and
+  /// appends the id of every armed timer with deadline <= now to `due`.
+  /// Fired timers are disarmed.
+  void advance(SimTime now, std::vector<std::uint32_t>& due);
 
   [[nodiscard]] std::size_t armed() const { return armed_; }
   [[nodiscard]] SimTime tick() const { return tick_; }
@@ -66,37 +71,45 @@ class TimerWheel {
   /// the top level as time catches up.
   static constexpr std::uint64_t kHorizon = std::uint64_t{1}
                                             << (kSlotBits * kLevels);
+  /// The list of armed timers whose tick the wheel has already reached.
+  static constexpr std::uint16_t kCarry = kLevels * kSlots;
+  static constexpr std::uint16_t kUnarmed = 0xffff;
+  static constexpr std::uint32_t kNil = 0xffff'ffffu;
 
   struct Node {
-    std::uint64_t tick = 0;  ///< absolute due tick
-    std::uint64_t cookie = 0;
-    std::uint32_t next = kInvalidTimer;
-    std::uint32_t prev = kInvalidTimer;
-    std::uint16_t slot = 0;  ///< level * kSlots + slot while armed
-    bool live = false;
+    std::int64_t deadline = 0;  ///< exact, in ns
+    std::uint32_t next = kNil;
+    std::uint32_t prev = kNil;
+    std::uint16_t slot = kUnarmed;  ///< level * kSlots + slot, or kCarry
   };
+  static_assert(sizeof(Node) == 24);
 
   struct SlotList {
-    std::uint32_t head = kInvalidTimer;
-    std::uint32_t tail = kInvalidTimer;
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
   };
 
-  [[nodiscard]] std::uint64_t tick_of(SimTime t) const {
-    return static_cast<std::uint64_t>((t - origin_).nanos() / tick_.nanos());
+  [[nodiscard]] std::uint64_t tick_of(std::int64_t t) const {
+    return t <= origin_.nanos()
+               ? 0
+               : static_cast<std::uint64_t>((t - origin_.nanos()) /
+                                            tick_.nanos());
   }
-  std::uint32_t alloc_node();
-  void place(std::uint32_t id);
+  /// Files a timer whose tick is >= cur_ into the wheel level covering it.
+  void place(std::uint32_t id, std::uint64_t tick);
   void unlink(std::uint32_t id);
   void append(std::uint16_t slot, std::uint32_t id);
+  /// Detaches slot list `slot` and returns its head.
+  std::uint32_t take(std::uint16_t slot);
+  void fire(std::uint32_t id, std::vector<std::uint32_t>& due);
 
   SimTime tick_;
   SimTime origin_;
   std::uint64_t cur_ = 0;  ///< last processed tick
   std::size_t armed_ = 0;
   std::uint64_t cascades_ = 0;
-  SlotList slots_[kLevels * kSlots];
+  SlotList slots_[kLevels * kSlots + 1];  ///< the wheel, then the carry
   std::vector<Node> nodes_;
-  std::uint32_t free_head_ = kInvalidTimer;
 };
 
 }  // namespace steelnet::sim

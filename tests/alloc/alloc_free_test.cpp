@@ -318,6 +318,53 @@ TEST(AllocFree, SteadyStateFlowCacheChurnDoesNotAllocate) {
 #endif
 }
 
+// A cache filled to its load cap and then churned -- every flow erased
+// and replaced, records hit -- allocates nothing after its constructor:
+// the free-index stack and the wheel's node table are reserved to the
+// load cap up front, so arming and cancelling timers and recycling slab
+// indices never grow a vector.
+TEST(AllocFree, FlowCacheAtItsLoadCapAllocatesNothingAfterConstruction) {
+#if !STEELNET_ALLOC_COUNTING
+  GTEST_SKIP() << "allocation counting is disabled under sanitizers";
+#else
+  flowmon::FlowCacheConfig cfg;
+  cfg.capacity = 4096;
+  cfg.wheel_tick = 1_ms;
+  flowmon::FlowCache cache{cfg};
+  const std::size_t cap = cache.load_cap();
+  Frame frame;
+  frame.dst = MacAddress{0xfe};
+  frame.payload.assign(64, 0);
+
+  std::vector<flowmon::FlowKey> live;
+  live.reserve(cap);
+  std::uint64_t next_src = 0x1000;
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < cap; ++i) {
+    frame.src = MacAddress{next_src++};
+    ASSERT_NE(cache.record(frame, sim::microseconds(std::int64_t(i))), nullptr);
+    live.push_back(flowmon::FlowKey::of(frame));
+  }
+  frame.src = MacAddress{next_src};
+  ASSERT_EQ(cache.record(frame, 1_ms), nullptr);  // at the cap: refused
+  const std::uint64_t filled = g_allocations.load(std::memory_order_relaxed);
+  for (int round = 0; round < 8; ++round) {
+    const sim::SimTime now = 2_ms + sim::milliseconds(round);
+    for (flowmon::FlowKey& key : live) {
+      ASSERT_TRUE(cache.erase(key));
+      frame.src = MacAddress{next_src++};
+      ASSERT_NE(cache.record(frame, now), nullptr);
+      ASSERT_NE(cache.record(frame, now + 1_us), nullptr);  // a hit
+      key = flowmon::FlowKey::of(frame);
+    }
+  }
+  const std::uint64_t churned = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(cache.size(), cap);
+  EXPECT_EQ(filled - before, 0u) << "filling to the load cap allocated";
+  EXPECT_EQ(churned - filled, 0u) << "churn at the load cap allocated";
+#endif
+}
+
 // A capacity above 2^32 slots would put slab indices beyond 32 bits; the
 // constructor refuses it before it allocates the 64 GiB index.
 TEST(AllocFree, OversizedFlowCacheCapacityThrowsBeforeAllocating) {

@@ -560,14 +560,22 @@ TEST(FlowCache, EvictionOrderIsCanonicalNotSlotOrder) {
   EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 3, 7, 9, 2, 8}));
 }
 
-TEST(FlowCache, WheelMatchesScanOracleOver100kLiveFlows) {
-  // The shape of the retired tab_flowmon cache-scaling curve: 100k
-  // single-packet flows whose arrivals spread over 60 s, a 500 ms idle
-  // timeout, a 100 ms wheel tick and a sweep every 100 ms until the cache
-  // drains. A second segment of 4096 flows starts in same-instant batches
-  // of 8 with scrambled keys and is touched again at random while the
-  // sweeps run -- a hot half often, a cold half rarely -- so it mixes
-  // idle evictions, re-inserts and active-timeout checkpoints.
+struct OracleRun {
+  std::uint64_t idle = 0, active = 0, touches = 0, sweeps = 0;
+  FlowCacheStats stats;
+};
+
+/// The shape of the retired tab_flowmon cache-scaling curve: 100k
+/// single-packet flows whose arrivals spread over 60 s, a 500 ms idle
+/// timeout and a 100 ms wheel tick, swept from 500 ms until the cache
+/// drains, every sweep checked against the scan oracle. Consecutive
+/// sweeps are `min_gap`..`max_gap` apart (seeded). A second segment of
+/// 4096 flows starts in same-instant batches of 8 with scrambled keys and
+/// is touched again at random between sweeps -- a hot half often, a cold
+/// half rarely -- so it mixes idle evictions, re-inserts and
+/// active-timeout checkpoints.
+void run_100k_against_oracle(sim::SimTime min_gap, sim::SimTime max_gap,
+                             OracleRun* run) {
   constexpr std::int64_t kFlows = 100'000;
   constexpr std::int64_t kSpreadNs = 60'000'000'000;
   constexpr std::uint64_t kMixed = 4096;
@@ -597,16 +605,16 @@ TEST(FlowCache, WheelMatchesScanOracleOver100kLiveFlows) {
 
   sim::Rng rng{26};
   std::vector<std::pair<std::int64_t, std::uint64_t>> touches(1024);
-  std::uint64_t idle = 0, active = 0;
   const auto count = [&](const FlowRecord&, EndReason reason) {
-    (reason == EndReason::kIdleTimeout ? idle : active) += 1;
+    (reason == EndReason::kIdleTimeout ? run->idle : run->active) += 1;
   };
-  for (sim::SimTime t = 500_ms; cache.size() != 0; t += 100_ms) {
+  sim::SimTime prev = 500_ms - max_gap;
+  for (sim::SimTime t = 500_ms; cache.size() != 0;) {
     ASSERT_LT(t, 70_s) << "the cache never drained";
     if (t <= 30_s) {
-      // Touches in the 100 ms before this sweep, in time order.
+      // Touches since the previous sweep, in time order.
       for (auto& [at, j] : touches) {
-        at = rng.uniform_int(t.nanos() - 99'999'999, t.nanos());
+        at = rng.uniform_int(prev.nanos() + 1, t.nanos());
         const auto half = static_cast<std::int64_t>(kMixed / 2);
         j = static_cast<std::uint64_t>(rng.bernoulli(0.75)
                                            ? rng.uniform_int(0, half - 1)
@@ -617,12 +625,67 @@ TEST(FlowCache, WheelMatchesScanOracleOver100kLiveFlows) {
         frame.src = mixed_src(j);
         ASSERT_NE(cache.record(frame, sim::SimTime{at}), nullptr);
       }
+      run->touches += touches.size();
     }
     ASSERT_TRUE(sweep_matches_oracle(cache, t, count));
+    ++run->sweeps;
+    prev = t;
+    t += min_gap == max_gap
+             ? min_gap
+             : sim::SimTime{rng.uniform_int(min_gap.nanos(), max_gap.nanos())};
   }
-  EXPECT_GT(idle, std::uint64_t(kFlows) + kMixed);  // re-inserts expire too
-  EXPECT_GT(active, 1000u);
-  EXPECT_GT(cache.stats().wheel_rearms, 1000u);
+  run->stats = cache.stats();
+}
+
+TEST(FlowCache, WheelMatchesScanOracleOver100kLiveFlows) {
+  // Sweeps exactly one wheel tick apart, as MeterPoint runs them.
+  OracleRun run;
+  run_100k_against_oracle(100_ms, 100_ms, &run);
+  if (HasFatalFailure()) return;
+  EXPECT_GT(run.idle, 100'000u + 4096);  // re-inserts expire too
+  EXPECT_GT(run.active, 1000u);
+  EXPECT_GT(run.stats.wheel_rearms, 1000u);
+}
+
+TEST(FlowCache, WheelMatchesScanOracleAtIrregularSubTickSweeps) {
+  // The same flows swept at irregular times 0.3..1.7 wheel ticks apart:
+  // sweeps inside one tick and sweeps that skip a tick boundary both emit
+  // exactly what the scan finds due.
+  OracleRun run;
+  run_100k_against_oracle(30_ms, 170_ms, &run);
+  if (HasFatalFailure()) return;
+  EXPECT_GT(run.sweeps, 500u);
+  EXPECT_GT(run.idle, 100'000u + 4096);
+  EXPECT_GT(run.active, 1000u);
+  // A timer fires only when its deadline has passed, so every re-arm is
+  // a flow touched since its deadline was computed: at most one per touch.
+  EXPECT_GT(run.stats.wheel_rearms, 1000u);
+  EXPECT_LE(run.stats.wheel_rearms, run.touches);
+  EXPECT_EQ(run.stats.wheel_fires,
+            run.idle + run.active + run.stats.wheel_rearms);
+}
+
+TEST(FlowCache, SilentFlowFiresOnceWithoutRearm) {
+  // A flow seen once is due exactly at last_seen + idle_timeout. Its timer
+  // fires at the first sweep at or after that instant -- not at the
+  // rounded-down wheel tick -- so it is never re-armed, whatever the
+  // sweep spacing (here 0.35 ticks).
+  FlowCache cache{expiry_config()};  // 2 ms tick, 10 ms idle timeout
+  cache.record(make_frame(1, 2), sim::SimTime{1'300'000});
+  std::vector<std::int64_t> emitted_at;
+  sim::SimTime t;
+  for (int k = 1; k <= 60; ++k) {
+    t = sim::SimTime{k * 700'000};
+    cache.sweep(t, [&](const FlowRecord& r, EndReason reason) {
+      EXPECT_EQ(reason, EndReason::kIdleTimeout);
+      EXPECT_EQ(r.key.src.bits(), 1u);
+      emitted_at.push_back(t.nanos());
+    });
+  }
+  // 11.3 ms is due; the first sweep at or after it is 17 x 0.7 = 11.9 ms.
+  EXPECT_EQ(emitted_at, (std::vector<std::int64_t>{11'900'000}));
+  EXPECT_EQ(cache.stats().wheel_fires, 1u);
+  EXPECT_EQ(cache.stats().wheel_rearms, 0u);
 }
 
 TEST(FlowCache, FlushEmitsCanonicallyAndEmpties) {
@@ -679,7 +742,7 @@ TEST(FlowCache, WheelStatsCountFiresAndRearms) {
   cache.record(make_frame(1, 2), 5_ms);
   std::size_t emitted = 0;
   const auto count = [&](const FlowRecord&, EndReason) { ++emitted; };
-  // The timer armed for the 11 ms idle deadline fires by the 12 ms sweep,
+  // The timer armed for the 11 ms idle deadline fires at the 12 ms sweep,
   // finds the flow seen again at 5 ms, and re-arms for 15 ms.
   cache.sweep(12_ms, count);
   EXPECT_EQ(emitted, 0u);
