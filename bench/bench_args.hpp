@@ -41,19 +41,23 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cinttypes>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "sim/partitioner.hpp"
+#include "sim/time.hpp"
 
 namespace steelnet::bench {
 
@@ -63,6 +67,36 @@ inline std::string hex16(std::uint64_t v) {
   std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
   return buf;
 }
+
+/// Passed to a run outcome's fields(): writes each field as one CSV cell
+/// after a comma -- its name if `header`, else its value: bools as 0/1,
+/// SimTime in ns, doubles in the shortest text that reads back exactly
+/// (so two rows differ wherever their doubles do), text RFC 4180-quoted
+/// if needed.
+struct CsvFields {
+  std::ostream& out;
+  bool header = false;
+  template <typename T>
+  void operator()(std::string_view name, const T& v) {
+    out << ',';
+    if (header) {
+      out << name;
+    } else if constexpr (std::is_same_v<T, double>) {
+      char buf[32];
+      out.write(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr - buf);
+    } else if constexpr (std::is_same_v<T, sim::SimTime>) {
+      out << v.nanos();
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      if (v.find_first_of(",\"\n") == std::string::npos) {
+        out << v;
+      } else {
+        out << std::quoted(v, '"', '"');
+      }
+    } else {
+      out << +v;  // integers; + prints a bool as 0/1
+    }
+  }
+};
 
 /// Reads a cell-rate profile (`--profile-in`); exits 2 if it is
 /// unreadable or not a profile.

@@ -156,10 +156,11 @@ double peak_rss_mb() {
 }
 
 // The flowmon metering hot path: 1M synthetic frames spread over a
-// configurable number of concurrent flows, with periodic expiry of the
-// coldest half -- the insert / lookup / expire churn a MeterPoint puts a
-// FlowCache through. Baseline for later perf PRs. The process's peak RSS
-// before and after the run is reported as rss_before_mb/rss_after_mb.
+// configurable number of concurrent flows; every 64k frames, every other
+// live flow is erase()d by key -- the insert / lookup / delete churn a
+// MeterPoint puts a FlowCache through. Timeout expiry (sweep()) is not
+// in it; BM_FlowCacheSweep times that. The process's peak RSS before and
+// after the run is reported as rss_before_mb/rss_after_mb.
 void BM_FlowCacheHotPath(benchmark::State& state) {
   constexpr std::size_t kFrames = 1'000'000;
   constexpr std::size_t kMinPayload = 64;
@@ -197,8 +198,8 @@ void BM_FlowCacheHotPath(benchmark::State& state) {
       frame.pcp = static_cast<std::uint8_t>(fi & 0x7);
       benchmark::DoNotOptimize(cache.record(frame, now));
       if (++fi == num_flows) fi = 0;
-      // Periodic expiry sweep: evict every other flow, as an idle-timeout
-      // pass would, so deletion (backward-shift) stays in the measurement.
+      // Evict every other flow so deletion (backward-shift) stays in the
+      // measurement.
       if ((i & 0xffff) == 0xffff) {
         victims.clear();
         bool take = false;
@@ -217,6 +218,57 @@ void BM_FlowCacheHotPath(benchmark::State& state) {
 // The 1M-flow rung's cache and records outgrow the CPU caches.
 BENCHMARK(BM_FlowCacheHotPath)->Arg(64)->Arg(1024)->Arg(8192)->Arg(1 << 20)
     ->Unit(benchmark::kMillisecond);
+
+// Flow expiry as a meter drives it: one FlowCache::sweep() -- the timer
+// wheel's advance, the canonical candidate sort and the export loop -- per
+// wheel tick, over a cache held at range(0) live flows of which each
+// sweep finds range(1) per mille idle-due. Before each sweep (untimed) as
+// many new flows as it will expire arrive, one frame each, at seeded
+// random times within the tick, so the live count and due fraction stay
+// fixed. Items are exported records.
+void BM_FlowCacheSweep(benchmark::State& state) {
+  const auto live = static_cast<std::uint64_t>(state.range(0));
+  const std::int64_t periods = 1000 / state.range(1);  // a flow's lifetime
+  const std::uint64_t batch = live / static_cast<std::uint64_t>(periods);
+  flowmon::FlowCacheConfig cfg;
+  cfg.capacity = 2 * live;
+  const sim::SimTime tick = cfg.wheel_tick;
+  cfg.idle_timeout = tick * periods;
+  cfg.active_timeout = 2 * cfg.idle_timeout;  // idle expiry only
+  flowmon::FlowCache cache{cfg};
+  sim::Rng rng{42};
+  net::Frame frame;
+  frame.dst = net::MacAddress{0x0c'0000'000001ULL};
+  frame.payload.resize(64);
+  std::uint64_t next_src = 0x0a'0000'000000ULL;
+  sim::SimTime now = sim::SimTime::zero();
+  // One tick's new flows, at random times in (now, now + tick].
+  const auto admit = [&] {
+    for (std::uint64_t j = 0; j < batch; ++j) {
+      frame.src = net::MacAddress{next_src++};
+      cache.record(frame, now + sim::nanoseconds(
+                                    rng.uniform_int(1, tick.nanos())));
+    }
+    now = now + tick;
+  };
+  for (std::int64_t p = 0; p < periods; ++p) admit();  // fill to `live`
+  std::uint64_t exported = 0;
+  const flowmon::FlowCache::ExportFn count =
+      [&](const flowmon::FlowRecord& r, flowmon::EndReason) {
+        benchmark::DoNotOptimize(r.packets);
+        ++exported;
+      };
+  for (auto _ : state) {
+    state.PauseTiming();
+    admit();
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(cache.sweep(now, count));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(exported));
+  state.counters["live_flows"] = static_cast<double>(cache.size());
+}
+BENCHMARK(BM_FlowCacheSweep)->Args({1 << 14, 100})->Args({1 << 20, 100})
+    ->Unit(benchmark::kMicrosecond);
 
 // The entire hot-path cost of an obs hook site when no hub is attached:
 // one pointer-null test plus one trace-id test. This is the branch every

@@ -14,7 +14,7 @@
 //   --jobs <n>        fan the independent runs out over n worker threads
 //                     (default: hardware concurrency); every artifact is
 //                     byte-identical to the --jobs 1 sequential loop
-//   --csv             machine-readable rows instead of the rendered table
+//   --csv             one CSV row per run: every hashed outcome field
 //   --trace <file>    Chrome-trace JSON of the silent-primary run
 //   --metrics <file>  Prometheus dump of the silent-primary run
 #include <iostream>
@@ -121,29 +121,14 @@ int main(int argc, char** argv) {
   }
 
   if (args.csv) {
-    std::cout << "scenario,seed,switched_over,switchover_at_ns,"
-                 "switchover_latency_ns,bound_ns,max_output_gap_ns,"
-                 "watchdog_trips,dropped_link_down,dropped_loss,"
-                 "dropped_sender_down,dropped_receiver_down,suppressed_tx,"
-                 "suppressed_rx,corrupted,duplicated,reordered,jittered,"
-                 "residual,post_kill_deliveries,deterministic,fingerprint\n";
+    std::cout << "scenario";
+    ScenarioOutcome{}.fields(bench::CsvFields{std::cout, /*header=*/true});
+    std::cout << ",bound_ns,deterministic,fingerprint\n";
     for (const Row& r : rows) {
-      const ScenarioOutcome& o = r.out;
-      std::cout << o.scenario << ',' << o.seed << ','
-                << (o.switched_over ? 1 : 0) << ','
-                << o.switchover_at.nanos() << ','
-                << o.switchover_latency.nanos() << ',' << bound.nanos() << ','
-                << o.max_output_gap.nanos() << ',' << o.device_watchdog_trips
-                << ',' << o.faults.dropped_link_down << ','
-                << o.faults.dropped_loss << ','
-                << o.faults.dropped_sender_down << ','
-                << o.faults.dropped_receiver_down << ','
-                << o.faults.suppressed_tx << ',' << o.faults.suppressed_rx
-                << ',' << o.faults.corrupted << ',' << o.faults.duplicated
-                << ',' << o.faults.reordered << ',' << o.faults.jittered
-                << ',' << o.residual << ',' << o.post_kill_deliveries << ','
-                << (r.deterministic ? 1 : 0) << ',' << o.fingerprint()
-                << '\n';
+      std::cout << r.out.scenario;
+      r.out.fields(bench::CsvFields{std::cout});
+      std::cout << ',' << bound.nanos() << ',' << (r.deterministic ? 1 : 0)
+                << ',' << r.out.fingerprint() << '\n';
     }
   } else {
     std::cout << "=== fault matrix: switchover latency and drop accounting "

@@ -25,7 +25,7 @@
 //   --jobs <n>        fan independent runs over n workers (default:
 //                     hardware concurrency); every artifact is
 //                     byte-identical to --jobs 1
-//   --csv             machine-readable rows instead of rendered tables
+//   --csv             one CSV row per run: every hashed outcome field
 //   --metrics <file>  Prometheus dump of the full-rack storm run
 #include <iostream>
 #include <string>
@@ -149,34 +149,14 @@ int main(int argc, char** argv) {
   }
 
   if (args.csv) {
-    std::cout << "run,scenario,policy,seed,nodes,vplcs,placements,migrations,"
-                 "failovers,switchovers,within_bound,slo_violations,"
-                 "violations_queue,violations_cold,graceful_handovers,"
-                 "cold_restarts,queue_peak,bound_ns,lat_count,lat_mean_us,"
-                 "lat_p50_us,lat_p99_us,lat_max_us,availability,"
-                 "rack_local,util_spread,down_now,residual,net_residual,"
-                 "deterministic,fingerprint\n";
+    std::cout << "run";
+    OrchOutcome{}.fields(bench::CsvFields{std::cout, /*header=*/true});
+    std::cout << ",deterministic,fingerprint\n";
     for (const Row& r : rows) {
-      const OrchOutcome& o = r.out;
-      std::cout << r.label << ',' << o.scenario << ',' << o.policy << ','
-                << o.seed << ',' << o.compute_nodes << ',' << o.vplcs_placed
-                << ',' << o.fleet.placements << ',' << o.fleet.migrations
-                << ',' << o.fleet.failovers_started << ','
-                << o.fleet.switchovers << ','
-                << o.fleet.switchovers_within_bound << ','
-                << o.fleet.slo_violations << ','
-                << o.fleet.violations_activation_queue << ','
-                << o.fleet.violations_cold << ','
-                << o.fleet.graceful_handovers << ',' << o.fleet.cold_restarts
-                << ',' << o.fleet.activation_queue_peak << ','
-                << o.watchdog_bound_ns << ',' << o.latency_count << ','
-                << o.latency_mean_us << ',' << o.latency_p50_us << ','
-                << o.latency_p99_us << ',' << o.latency_max_us << ','
-                << o.availability << ',' << o.rack_local_fraction << ','
-                << o.utilization_spread << ',' << o.currently_down << ','
-                << o.ledger_residual << ',' << o.conservation_residual << ','
-                << (r.deterministic ? 1 : 0) << ',' << o.fingerprint()
-                << '\n';
+      std::cout << r.label;
+      r.out.fields(bench::CsvFields{std::cout});
+      std::cout << ',' << (r.deterministic ? 1 : 0) << ','
+                << r.out.fingerprint() << '\n';
     }
   } else {
     std::cout << "=== fleet orchestration: " << rows[0].out.vplcs_placed

@@ -255,25 +255,15 @@ std::int64_t FaultPlane::conservation_residual() const {
 
 void FaultPlane::register_metrics(obs::ObsHub& hub,
                                   const std::string& label) const {
-  obs::MetricsRegistry& reg = hub.metrics();
-  const auto bind = [&](const char* metric, const std::uint64_t* v) {
-    reg.bind_counter({label, "faults", metric}, v);
+  const auto bind = [&](const char* metric, const std::uint64_t& v) {
+    hub.metrics().bind_counter({label, "faults", metric}, &v);
   };
-  bind("dropped_link_down", &counters_.dropped_link_down);
-  bind("dropped_loss", &counters_.dropped_loss);
-  bind("dropped_sender_down", &counters_.dropped_sender_down);
-  bind("dropped_receiver_down", &counters_.dropped_receiver_down);
-  bind("suppressed_tx", &counters_.suppressed_tx);
-  bind("suppressed_rx", &counters_.suppressed_rx);
-  bind("corrupted", &counters_.corrupted);
-  bind("duplicated", &counters_.duplicated);
-  bind("reordered", &counters_.reordered);
-  bind("jittered", &counters_.jittered);
-  bind("link_down_events", &counters_.link_down_events);
-  bind("link_up_events", &counters_.link_up_events);
-  bind("node_crashes", &counters_.node_crashes);
-  bind("node_restarts", &counters_.node_restarts);
-  bind("node_stops", &counters_.node_stops);
+  counters_.fields(bind);
+  bind("link_down_events", counters_.link_down_events);
+  bind("link_up_events", counters_.link_up_events);
+  bind("node_crashes", counters_.node_crashes);
+  bind("node_restarts", counters_.node_restarts);
+  bind("node_stops", counters_.node_stops);
 }
 
 // --- net::FaultInjector -----------------------------------------------------

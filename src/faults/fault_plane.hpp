@@ -62,6 +62,22 @@ struct FaultCounters {
     return dropped_link_down + dropped_loss + dropped_sender_down +
            dropped_receiver_down;
   }
+
+  /// The ten ledger causes, as f(name, value) in bind and fingerprint
+  /// order: the one place their names are written.
+  template <class F>
+  void fields(F&& f) const {
+    f("dropped_link_down", dropped_link_down);
+    f("dropped_loss", dropped_loss);
+    f("dropped_sender_down", dropped_sender_down);
+    f("dropped_receiver_down", dropped_receiver_down);
+    f("suppressed_tx", suppressed_tx);
+    f("suppressed_rx", suppressed_rx);
+    f("corrupted", corrupted);
+    f("duplicated", duplicated);
+    f("reordered", reordered);
+    f("jittered", jittered);
+  }
 };
 
 /// Probabilistic behaviour of one *directed* channel (node, port). Link

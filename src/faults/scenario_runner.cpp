@@ -12,36 +12,9 @@ sim::SimTime switchover_bound(const RunnerOptions& opts) {
 }
 
 std::uint64_t ScenarioOutcome::fingerprint() const {
-  using sim::fnv1a64_mix;
-  std::uint64_t h = sim::fnv1a64(scenario);
-  fnv1a64_mix(h, seed);
-  fnv1a64_mix(h, switched_over ? 1 : 0);
-  fnv1a64_mix(h, static_cast<std::uint64_t>(switchover_at.nanos()));
-  fnv1a64_mix(h, static_cast<std::uint64_t>(switchover_latency.nanos()));
-  fnv1a64_mix(h, static_cast<std::uint64_t>(max_output_gap.nanos()));
-  fnv1a64_mix(h, device_watchdog_trips);
-  fnv1a64_mix(h, post_kill_deliveries);
-  fnv1a64_mix(h, secondary_running ? 1 : 0);
-  fnv1a64_mix(h, twin_synced ? 1 : 0);
-  fnv1a64_mix(h, net.frames_offered);
-  fnv1a64_mix(h, net.frames_delivered);
-  fnv1a64_mix(h, net.frames_dropped_no_link);
-  fnv1a64_mix(h, net.frames_in_flight);
-  fnv1a64_mix(h, net.bytes_delivered);
-  fnv1a64_mix(h, faults.dropped_link_down);
-  fnv1a64_mix(h, faults.dropped_loss);
-  fnv1a64_mix(h, faults.dropped_sender_down);
-  fnv1a64_mix(h, faults.dropped_receiver_down);
-  fnv1a64_mix(h, faults.suppressed_tx);
-  fnv1a64_mix(h, faults.suppressed_rx);
-  fnv1a64_mix(h, faults.corrupted);
-  fnv1a64_mix(h, faults.duplicated);
-  fnv1a64_mix(h, faults.reordered);
-  fnv1a64_mix(h, faults.jittered);
-  fnv1a64_mix(h, static_cast<std::uint64_t>(residual));
-  fnv1a64_mix(h, metrics_fp);
-  fnv1a64_mix(h, trace_fp);
-  return h;
+  sim::Fnv1aFields fold{sim::fnv1a64(scenario)};
+  fields(fold);
+  return fold.h;
 }
 
 ScenarioOutcome ScenarioRunner::run(const FaultScenario& scenario) const {

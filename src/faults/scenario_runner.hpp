@@ -67,8 +67,27 @@ struct ScenarioOutcome {
   std::string metrics_prom;  ///< only with RunnerOptions::keep_exports
   std::string trace_json;    ///< only with RunnerOptions::keep_exports
 
-  /// One hash over every determinism-relevant field above -- two runs of
-  /// the same (seed, scenario) must collide exactly.
+  /// Every field fingerprint() hashes but `scenario`, as f(name, value)
+  /// in hash order: the one place their names are written.
+  template <class F>
+  void fields(F&& f) const {
+    f("seed", seed);
+    f("switched_over", switched_over);
+    f("switchover_at_ns", switchover_at);
+    f("switchover_latency_ns", switchover_latency);
+    f("max_output_gap_ns", max_output_gap);
+    f("device_watchdog_trips", device_watchdog_trips);
+    f("post_kill_deliveries", post_kill_deliveries);
+    f("secondary_running", secondary_running);
+    f("twin_synced", twin_synced);
+    net.fields(f);
+    faults.fields(f);
+    f("residual", residual);
+    f("metrics_fp", metrics_fp);
+    f("trace_fp", trace_fp);
+  }
+
+  /// fields() folded from fnv1a64(scenario); replays must collide exactly.
   [[nodiscard]] std::uint64_t fingerprint() const;
 };
 

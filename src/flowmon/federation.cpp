@@ -50,8 +50,7 @@ TierRow row_of(std::string tier, const CollectorNode& col) {
 FederationResult run_federation(const FederationSpec& spec) {
   sim::Simulator sim;
   net::Network net{sim};
-  obs::ObsHub hub{obs::TraceConfig{.trace_frames = false,
-                                   .track_deliveries = false}};
+  obs::ObsHub hub{obs::TraceConfig{.trace_frames = false}};
   net.set_obs(&hub);
 
   // --- plant tier -------------------------------------------------------

@@ -252,17 +252,9 @@ void Network::deliver_frame(NodeId peer_node, PortId peer_port,
 
 void Network::register_metrics(obs::ObsHub& hub,
                                const std::string& node_label) const {
-  obs::MetricsRegistry& reg = hub.metrics();
-  reg.bind_counter({node_label, "net", "frames_offered"},
-                   &counters_.frames_offered);
-  reg.bind_counter({node_label, "net", "frames_delivered"},
-                   &counters_.frames_delivered);
-  reg.bind_counter({node_label, "net", "frames_dropped_no_link"},
-                   &counters_.frames_dropped_no_link);
-  reg.bind_counter({node_label, "net", "frames_in_flight"},
-                   &counters_.frames_in_flight);
-  reg.bind_counter({node_label, "net", "bytes_delivered"},
-                   &counters_.bytes_delivered);
+  counters_.fields([&](const char* name, const std::uint64_t& v) {
+    hub.metrics().bind_counter({node_label, "net", name}, &v);
+  });
 }
 
 std::optional<std::pair<NodeId, PortId>> Network::peer(NodeId node,

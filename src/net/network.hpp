@@ -39,6 +39,17 @@ struct NetworkCounters {
   /// Frames the link backend refused to carry (radio fades, scripted test
   /// impairment). Always 0 on wired links.
   std::uint64_t frames_dropped_backend = 0;
+
+  /// The counters register_metrics binds, as f(name, value) in bind and
+  /// fingerprint order: the one place their names are written.
+  template <class F>
+  void fields(F&& f) const {
+    f("frames_offered", frames_offered);
+    f("frames_delivered", frames_delivered);
+    f("frames_dropped_no_link", frames_dropped_no_link);
+    f("frames_in_flight", frames_in_flight);
+    f("bytes_delivered", bytes_delivered);
+  }
 };
 
 /// Owns all nodes and the channel (directed-link) table.

@@ -64,7 +64,7 @@ void ObsHub::fault_event(std::uint64_t trace, TrackId t, sim::SimTime at,
 
 void ObsHub::delivered(std::uint64_t trace, TrackId t, sim::SimTime created_at,
                        sim::SimTime at) {
-  if (!cfg_.track_deliveries || trace == 0) return;
+  if (trace == 0) return;  // untraced frame, or trace_frames off
   deliveries_.push_back(Delivery{trace, t, created_at, at});
 }
 

@@ -25,10 +25,9 @@
 namespace steelnet::obs {
 
 struct TraceConfig {
-  /// Record per-frame hop spans (and stamp trace ids into frames).
+  /// Stamp trace ids into frames and record their hop spans and
+  /// end-to-end deliveries.
   bool trace_frames = true;
-  /// Record end-to-end delivery records (needed for breakdown()).
-  bool track_deliveries = true;
 };
 
 /// One frame's application-to-application journey.
@@ -61,7 +60,6 @@ class ObsHub {
   [[nodiscard]] const MetricsRegistry& metrics() const { return metrics_; }
   [[nodiscard]] SpanTracer& tracer() { return tracer_; }
   [[nodiscard]] const SpanTracer& tracer() const { return tracer_; }
-  [[nodiscard]] const TraceConfig& config() const { return cfg_; }
 
   [[nodiscard]] bool frames_enabled() const { return cfg_.trace_frames; }
 

@@ -725,32 +725,9 @@ double FleetManager::availability() const {
 void FleetManager::register_metrics(obs::ObsHub& hub,
                                     const std::string& label) {
   obs::MetricsRegistry& m = hub.metrics();
-  const auto bind = [&](const char* name, const std::uint64_t* value) {
-    m.bind_counter({label, "orch", name}, value);
-  };
-  bind("placements", &counters_.placements);
-  bind("placement_failures", &counters_.placement_failures);
-  bind("migrations", &counters_.migrations);
-  bind("failovers_started", &counters_.failovers_started);
-  bind("switchovers", &counters_.switchovers);
-  bind("switchovers_within_bound", &counters_.switchovers_within_bound);
-  bind("slo_violations", &counters_.slo_violations);
-  bind("violations_activation_queue",
-       &counters_.violations_activation_queue);
-  bind("violations_cold", &counters_.violations_cold);
-  bind("cold_restarts", &counters_.cold_restarts);
-  bind("graceful_handovers", &counters_.graceful_handovers);
-  bind("oversubscribed_promotions", &counters_.oversubscribed_promotions);
-  bind("nodes_declared_dead", &counters_.nodes_declared_dead);
-  bind("nodes_fenced", &counters_.nodes_fenced);
-  bind("nodes_rejoined", &counters_.nodes_rejoined);
-  bind("upgrades_started", &counters_.upgrades_started);
-  bind("heartbeats_tx", &counters_.heartbeats_tx);
-  bind("heartbeats_rx", &counters_.heartbeats_rx);
-  bind("twins_warmed", &counters_.twins_warmed);
-  bind("activations_run", &counters_.activations_run);
-  bind("activation_queue_peak", &counters_.activation_queue_peak);
-  bind("downtime_ns_total", &counters_.downtime_ns_total);
+  counters_.fields([&](const char* name, const std::uint64_t& v) {
+    m.bind_counter({label, "orch", name}, &v);
+  });
   m.bind_gauge({label, "orch", "currently_down"},
                [this] { return static_cast<double>(down_now_); });
   m.bind_gauge({label, "orch", "unprotected"},

@@ -104,6 +104,34 @@ struct FleetCounters {
   std::uint64_t activations_run = 0;
   std::uint64_t activation_queue_peak = 0;
   std::uint64_t downtime_ns_total = 0;  ///< summed vPLC control-loss time
+
+  /// Every counter, as f(name, value) in bind and fingerprint order: the
+  /// one place their names are written.
+  template <class F>
+  void fields(F&& f) const {
+    f("placements", placements);
+    f("placement_failures", placement_failures);
+    f("migrations", migrations);
+    f("failovers_started", failovers_started);
+    f("switchovers", switchovers);
+    f("switchovers_within_bound", switchovers_within_bound);
+    f("slo_violations", slo_violations);
+    f("violations_activation_queue", violations_activation_queue);
+    f("violations_cold", violations_cold);
+    f("cold_restarts", cold_restarts);
+    f("graceful_handovers", graceful_handovers);
+    f("oversubscribed_promotions", oversubscribed_promotions);
+    f("nodes_declared_dead", nodes_declared_dead);
+    f("nodes_fenced", nodes_fenced);
+    f("nodes_rejoined", nodes_rejoined);
+    f("upgrades_started", upgrades_started);
+    f("heartbeats_tx", heartbeats_tx);
+    f("heartbeats_rx", heartbeats_rx);
+    f("twins_warmed", twins_warmed);
+    f("activations_run", activations_run);
+    f("activation_queue_peak", activation_queue_peak);
+    f("downtime_ns_total", downtime_ns_total);
+  }
 };
 
 /// 16-byte node heartbeat payload: node index, agent incarnation, seq.

@@ -1,7 +1,6 @@
 #include "orch/orch_runner.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "net/switch_node.hpp"
 #include "net/topology.hpp"
@@ -10,16 +9,6 @@
 #include "sim/random.hpp"
 
 namespace steelnet::orch {
-
-namespace {
-
-void hash_double(std::uint64_t& h, double d) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &d, sizeof(bits));
-  sim::fnv1a64_mix(h, bits);
-}
-
-}  // namespace
 
 const char* to_string(OrchScenario s) {
   switch (s) {
@@ -36,57 +25,11 @@ const char* to_string(OrchScenario s) {
 }
 
 std::uint64_t OrchOutcome::fingerprint() const {
-  using sim::fnv1a64_mix;
-  // This recipe has always started from the decimal offset basis with its
-  // last digit dropped, i.e. kFnv1aOffset / 10. Kept: the orch goldens
-  // and every recorded tab_orch fingerprint depend on it.
-  std::uint64_t h = sim::kFnv1aOffset / 10;
-  fnv1a64_mix(h, sim::fnv1a64(scenario));
-  fnv1a64_mix(h, sim::fnv1a64(policy));
-  fnv1a64_mix(h, seed);
-  fnv1a64_mix(h, compute_nodes);
-  fnv1a64_mix(h, racks);
-  fnv1a64_mix(h, vplcs_placed);
-  fnv1a64_mix(h, sim::fnv1a64(place_error));
-  fnv1a64_mix(h, fleet.placements);
-  fnv1a64_mix(h, fleet.placement_failures);
-  fnv1a64_mix(h, fleet.migrations);
-  fnv1a64_mix(h, fleet.failovers_started);
-  fnv1a64_mix(h, fleet.switchovers);
-  fnv1a64_mix(h, fleet.switchovers_within_bound);
-  fnv1a64_mix(h, fleet.slo_violations);
-  fnv1a64_mix(h, fleet.violations_activation_queue);
-  fnv1a64_mix(h, fleet.violations_cold);
-  fnv1a64_mix(h, fleet.cold_restarts);
-  fnv1a64_mix(h, fleet.graceful_handovers);
-  fnv1a64_mix(h, fleet.oversubscribed_promotions);
-  fnv1a64_mix(h, fleet.nodes_declared_dead);
-  fnv1a64_mix(h, fleet.nodes_fenced);
-  fnv1a64_mix(h, fleet.nodes_rejoined);
-  fnv1a64_mix(h, fleet.upgrades_started);
-  fnv1a64_mix(h, fleet.heartbeats_tx);
-  fnv1a64_mix(h, fleet.heartbeats_rx);
-  fnv1a64_mix(h, fleet.twins_warmed);
-  fnv1a64_mix(h, fleet.activations_run);
-  fnv1a64_mix(h, fleet.activation_queue_peak);
-  fnv1a64_mix(h, fleet.downtime_ns_total);
-  fnv1a64_mix(h, static_cast<std::uint64_t>(ledger_residual));
-  fnv1a64_mix(h, currently_down);
-  fnv1a64_mix(h, unprotected);
-  hash_double(h, availability);
-  hash_double(h, rack_local_fraction);
-  hash_double(h, utilization_spread);
-  fnv1a64_mix(h, watchdog_bound_ns);
-  fnv1a64_mix(h, latency_count);
-  hash_double(h, latency_mean_us);
-  hash_double(h, latency_p50_us);
-  hash_double(h, latency_p99_us);
-  hash_double(h, latency_max_us);
-  fnv1a64_mix(h, frames_delivered);
-  fnv1a64_mix(h, static_cast<std::uint64_t>(conservation_residual));
-  fnv1a64_mix(h, trace_fp);
-  fnv1a64_mix(h, metrics_fp);
-  return h;
+  // The decimal offset basis with its last digit dropped, as this recipe
+  // always had: the orch goldens and recorded fingerprints depend on it.
+  sim::Fnv1aFields fold{sim::kFnv1aOffset / 10};
+  fields(fold);
+  return fold.h;
 }
 
 OrchOutcome OrchRunner::run(const OrchConfig& cfg) {
@@ -156,10 +99,8 @@ OrchOutcome OrchRunner::run(const OrchConfig& cfg) {
   }
   out.vplcs_placed = static_cast<std::uint32_t>(fleet.vplcs().size());
 
-  obs::TraceConfig tc;
-  tc.trace_frames = false;  // heartbeats are bulk traffic; metrics only
-  tc.track_deliveries = false;
-  obs::ObsHub hub{tc};
+  // Heartbeats are bulk traffic: metrics only.
+  obs::ObsHub hub{obs::TraceConfig{.trace_frames = false}};
   net.register_metrics(hub);
   plane.register_metrics(hub);
   fleet.register_metrics(hub);

@@ -110,8 +110,37 @@ struct OrchOutcome {
   std::string trace_text;        ///< only with keep_exports
   std::string metrics_prom;      ///< only with keep_exports
 
-  /// One hash over every determinism-relevant field above -- two runs of
-  /// the same OrchConfig must collide exactly, at any --jobs.
+  /// Every field fingerprint() hashes, as f(name, value) in hash order:
+  /// the one place their names are written.
+  template <class F>
+  void fields(F&& f) const {
+    f("scenario", scenario);
+    f("policy", policy);
+    f("seed", seed);
+    f("compute_nodes", compute_nodes);
+    f("racks", racks);
+    f("vplcs_placed", vplcs_placed);
+    f("place_error", place_error);
+    fleet.fields(f);
+    f("ledger_residual", ledger_residual);
+    f("currently_down", currently_down);
+    f("unprotected", unprotected);
+    f("availability", availability);
+    f("rack_local_fraction", rack_local_fraction);
+    f("utilization_spread", utilization_spread);
+    f("watchdog_bound_ns", watchdog_bound_ns);
+    f("latency_count", latency_count);
+    f("latency_mean_us", latency_mean_us);
+    f("latency_p50_us", latency_p50_us);
+    f("latency_p99_us", latency_p99_us);
+    f("latency_max_us", latency_max_us);
+    f("net_frames_delivered", frames_delivered);
+    f("conservation_residual", conservation_residual);
+    f("trace_fp", trace_fp);
+    f("metrics_fp", metrics_fp);
+  }
+
+  /// fields() folded; replays collide exactly, at any --jobs.
   [[nodiscard]] std::uint64_t fingerprint() const;
 };
 

@@ -9,9 +9,14 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <string_view>
+#include <type_traits>
+
+#include "sim/time.hpp"
 
 namespace steelnet::sim {
 
@@ -35,6 +40,25 @@ constexpr void fnv1a64_mix(std::uint64_t& h, std::uint64_t v) {
     h *= kFnv1aPrime;
   }
 }
+
+/// Passed to an outcome's fields(), folds each value into `h` as one
+/// fnv1a64_mix: integers and bools as u64, SimTime as its nanos, a double
+/// as its bits, a string as its fnv1a64. Names are not hashed.
+struct Fnv1aFields {
+  std::uint64_t h = kFnv1aOffset;
+  template <typename T>
+  constexpr void operator()(std::string_view /*name*/, const T& v) {
+    if constexpr (std::is_same_v<T, double>) {
+      fnv1a64_mix(h, std::bit_cast<std::uint64_t>(v));
+    } else if constexpr (std::is_same_v<T, SimTime>) {
+      fnv1a64_mix(h, static_cast<std::uint64_t>(v.nanos()));
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      fnv1a64_mix(h, fnv1a64(v));
+    } else {
+      fnv1a64_mix(h, static_cast<std::uint64_t>(v));  // integers, bools
+    }
+  }
+};
 
 /// A text sink whose bytes go into a running FNV-1a 64 instead of memory:
 /// appended bytes collect in a fixed 64 KiB buffer that is folded into the

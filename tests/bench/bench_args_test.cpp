@@ -2,15 +2,22 @@
 // only, and anything else -- a malformed flag, an unreadable or malformed
 // --profile-in, an unwritable output path -- exits 2 as the usage
 // contract promises. A failed shape check prints its MISMATCH line and
-// makes the exit code 1.
+// makes the exit code 1. An outcome's CSV header and row come from its
+// one field list and agree with each other.
 #include "bench_args.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "faults/scenario_runner.hpp"
+#include "orch/orch_runner.hpp"
+#include "small_orch_config.hpp"
 
 namespace steelnet::bench {
 namespace {
@@ -106,6 +113,76 @@ TEST(BenchArgs, CsvChecksReportOnStderr) {
   EXPECT_EQ(checks.exit_code(), 1);
   EXPECT_EQ(testing::internal::GetCapturedStdout(), "");
   EXPECT_EQ(testing::internal::GetCapturedStderr(), "  [MISMATCH] breaks\n");
+}
+
+/// The CSV cell CsvFields writes for `v`, without its leading comma.
+template <typename T>
+std::string csv_cell(const T& v) {
+  std::ostringstream out;
+  CsvFields{out}("x", v);
+  return out.str().substr(1);
+}
+
+TEST(BenchArgs, CsvDoublesRoundTrip) {
+  // They first differ in the 8th significant digit; a stream's default
+  // 6 digits print both as "1".
+  const double a = 0.99999991;
+  const double b = 0.99999992;
+  EXPECT_NE(csv_cell(a), csv_cell(b));
+  for (const double v : {a, b, 1.0 / 3.0, 1e-300, 12345.0, 0.0}) {
+    EXPECT_EQ(std::stod(csv_cell(v)), v) << csv_cell(v);
+  }
+  EXPECT_EQ(csv_cell(1.0), "1");
+  EXPECT_EQ(csv_cell(true), "1");
+  EXPECT_EQ(csv_cell(sim::SimTime{-42}), "-42");
+}
+
+TEST(BenchArgs, CsvQuotesStringsThatHoldASeparator) {
+  EXPECT_EQ(csv_cell(std::string{"plain"}), "plain");
+  EXPECT_EQ(csv_cell(std::string{"no alive, non-draining \"node\""}),
+            "\"no alive, non-draining \"\"node\"\"\"");
+}
+
+std::vector<std::string> split(const std::string& line) {
+  std::vector<std::string> cells;
+  std::istringstream in{line};
+  for (std::string cell; std::getline(in, cell, ',');) cells.push_back(cell);
+  return cells;
+}
+
+/// The CSV header and row an outcome prints, and its listed names.
+template <typename Outcome>
+void expect_csv_shape(const Outcome& o) {
+  std::ostringstream header;
+  std::ostringstream row;
+  o.fields(CsvFields{header, /*header=*/true});
+  o.fields(CsvFields{row});
+  std::vector<std::string> names;
+  o.fields([&](std::string_view name, const auto&) {
+    names.emplace_back(name);
+  });
+  const std::vector<std::string> columns = split(header.str());
+  EXPECT_EQ(columns.size(), split(row.str()).size());
+  EXPECT_EQ(std::set<std::string>(columns.begin(), columns.end()).size(),
+            columns.size())
+      << "duplicate column in " << header.str();
+  for (const std::string& name : names) {
+    EXPECT_NE(std::find(columns.begin(), columns.end(), name), columns.end())
+        << name;
+  }
+  EXPECT_EQ(columns.size(), names.size() + 1);  // + the empty lead cell
+}
+
+TEST(BenchArgs, ScenarioOutcomeCsvShape) {
+  faults::ScenarioOutcome o;
+  o.scenario = "silent_primary";
+  expect_csv_shape(o);
+}
+
+TEST(BenchArgs, OrchOutcomeCsvShape) {
+  const orch::OrchOutcome o = orch::OrchRunner::run(orch::small_orch_config(1));
+  ASSERT_TRUE(o.place_error.empty());
+  expect_csv_shape(o);
 }
 
 }  // namespace
