@@ -13,15 +13,6 @@ sim::SimTime downtime_per_year(double availability) {
       (1.0 - availability) * kSecondsPerYear * 1e9)};
 }
 
-double availability_from_downtime(sim::SimTime downtime,
-                                  sim::SimTime window) {
-  if (window <= sim::SimTime::zero()) {
-    throw std::invalid_argument("availability_from_downtime: empty window");
-  }
-  const double frac = downtime.seconds() / window.seconds();
-  return frac >= 1.0 ? 0.0 : 1.0 - frac;
-}
-
 double nines_to_availability(double nines) {
   return 1.0 - std::pow(10.0, -nines);
 }

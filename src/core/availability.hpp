@@ -19,10 +19,6 @@ constexpr double kSecondsPerYear = 365.0 * 24 * 3600;
 /// ~31.5 s).
 [[nodiscard]] sim::SimTime downtime_per_year(double availability);
 
-/// Availability implied by total downtime over an observation window.
-[[nodiscard]] double availability_from_downtime(sim::SimTime downtime,
-                                                sim::SimTime window);
-
 /// "Six nines" etc. -> fraction; nines may be fractional (3.5 nines).
 [[nodiscard]] double nines_to_availability(double nines);
 [[nodiscard]] double availability_to_nines(double availability);

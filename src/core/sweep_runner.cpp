@@ -4,10 +4,6 @@
 
 namespace steelnet::core {
 
-std::size_t effective_jobs(std::size_t requested, std::size_t tasks) {
-  return effective_jobs(requested, tasks, 1);
-}
-
 std::size_t effective_jobs(std::size_t requested, std::size_t tasks,
                            std::size_t shards_per_task) {
   const std::size_t hw =

@@ -39,17 +39,14 @@
 
 namespace steelnet::core {
 
-/// Worker count for `requested` jobs over `tasks` tasks: 0 means one
-/// worker per hardware thread, and never more workers than tasks.
-[[nodiscard]] std::size_t effective_jobs(std::size_t requested,
-                                         std::size_t tasks);
-
-/// Worker count when every task itself runs `shards_per_task` worker
-/// threads (a sharded simulation per seed): the hardware budget is
-/// divided by the per-task thread count before the usual clamping, so
-/// `jobs x shards` never oversubscribes the machine by design. An
-/// explicit `requested` value is still honored as given -- the caller
-/// asked for it -- only the `requested == 0` default is divided.
+/// Worker count for `requested` jobs over `tasks` tasks, when every task
+/// itself runs `shards_per_task` worker threads (a sharded simulation per
+/// seed): 0 means one worker per hardware thread, and never more workers
+/// than tasks. The hardware budget is divided by the per-task thread
+/// count before the clamping, so `jobs x shards` never oversubscribes
+/// the machine by design. An explicit `requested` value is still honored
+/// as given -- the caller asked for it -- only the `requested == 0`
+/// default is divided.
 [[nodiscard]] std::size_t effective_jobs(std::size_t requested,
                                          std::size_t tasks,
                                          std::size_t shards_per_task);

@@ -39,13 +39,4 @@ enum class ReflectorVariant {
 /// Payload byte offset where TS-OW overwrites the timestamp.
 constexpr std::int16_t kTsOwPayloadOffset = 8;
 
-/// A deliberately broken program for failure-injection tests: reads a
-/// payload offset beyond any small industrial frame, so the VM aborts at
-/// runtime (the verifier accepts it -- the static bound is 2 KiB).
-[[nodiscard]] Program make_out_of_bounds_reader();
-
-/// A flow-counting PASS program: counts frames per flow id read from the
-/// payload's first word into the hash map. Exercises map helpers.
-[[nodiscard]] Program make_flow_counter();
-
 }  // namespace steelnet::ebpf

@@ -45,7 +45,7 @@ class InstaPlcTestbed {
     /// (node, port) endpoints.
     std::function<void(net::NodeId dev_host, net::PortId dev_port,
                        net::NodeId sw, net::PortId sw_port)>
-        before_device_connect;
+        before_device_connect{};
   };
 
   InstaPlcTestbed(sim::Simulator& sim, FaultScenario scenario, Config cfg);

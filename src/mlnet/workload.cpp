@@ -18,15 +18,6 @@ std::vector<MlApp> all_ml_apps() {
   return {MlApp::kObjectIdentification, MlApp::kDefectDetection};
 }
 
-std::string to_string(Corruption c) {
-  switch (c) {
-    case Corruption::kCompression: return "compression";
-    case Corruption::kFrameLoss: return "frame-loss";
-    case Corruption::kJitter: return "jitter";
-  }
-  return "?";
-}
-
 double clean_accuracy(MlApp app) {
   switch (app) {
     case MlApp::kObjectIdentification:

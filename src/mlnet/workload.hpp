@@ -35,8 +35,6 @@ enum class Corruption : std::uint8_t {
   kJitter,       ///< severity = stddev / frame interval
 };
 
-[[nodiscard]] std::string to_string(Corruption c);
-
 /// Clean-input accuracy of the (pretrained, per [29]) model.
 [[nodiscard]] double clean_accuracy(MlApp app);
 

@@ -55,7 +55,7 @@ constexpr std::size_t kSinkHost = 1;
 constexpr std::size_t kFirstDeviceHost = 2;
 
 std::string cell_name(std::size_t i) {
-  char buf[16];
+  char buf[32];  // room for any size_t, so the name is never cut
   std::snprintf(buf, sizeof(buf), "cell_%03zu", i);
   return buf;
 }

@@ -18,7 +18,12 @@ std::uint32_t EgressQueue::obs_track(obs::ObsHub& hub) {
 
 void EgressQueue::register_metrics(obs::ObsHub& hub) const {
   obs::MetricsRegistry& reg = hub.metrics();
-  const std::string module = "p" + std::to_string(port_) + "/egress";
+  // Appended rather than `"p" + std::to_string(...)`: GCC 12 at -O3 warns
+  // -Wrestrict inside libstdc++ on that form, which -Werror would turn
+  // into a failed Release build.
+  std::string module = "p";
+  module += std::to_string(port_);
+  module += "/egress";
   reg.bind_counter({owner_.name(), module, "enqueued"}, &counters_.enqueued);
   reg.bind_counter({owner_.name(), module, "transmitted"},
                    &counters_.transmitted);

@@ -58,22 +58,6 @@ void Frame::write_u32(std::size_t offset, std::uint32_t value) {
   }
 }
 
-std::uint16_t Frame::read_u16(std::size_t offset) const {
-  if (!payload_range_ok(offset, 2)) {
-    throw std::out_of_range("Frame::read_u16 past payload end");
-  }
-  return static_cast<std::uint16_t>(payload[offset] |
-                                    (payload[offset + 1] << 8));
-}
-
-void Frame::write_u16(std::size_t offset, std::uint16_t value) {
-  if (!payload_range_ok(offset, 2)) {
-    throw std::out_of_range("Frame::write_u16 past payload end");
-  }
-  payload[offset] = static_cast<std::uint8_t>(value);
-  payload[offset + 1] = static_cast<std::uint8_t>(value >> 8);
-}
-
 sim::SimTime serialization_time(std::size_t bytes,
                                 std::uint64_t bits_per_second) {
   if (bits_per_second == 0) {

@@ -43,7 +43,7 @@ struct Frame {
 
   /// Little-endian u64 accessors into the payload, used by programs that
   /// stamp timestamps into packets (e.g. the TS-OW eBPF variant).
-  /// All six accessors throw std::out_of_range when [offset, offset+n)
+  /// All four accessors throw std::out_of_range when [offset, offset+n)
   /// does not fit the payload -- including offsets large enough that
   /// `offset + n` would wrap (a fault-corrupted offset must fail loudly,
   /// never read through an overflowed bounds check as UB).
@@ -51,8 +51,6 @@ struct Frame {
   void write_u64(std::size_t offset, std::uint64_t value);
   [[nodiscard]] std::uint32_t read_u32(std::size_t offset) const;
   void write_u32(std::size_t offset, std::uint32_t value);
-  [[nodiscard]] std::uint16_t read_u16(std::size_t offset) const;
-  void write_u16(std::size_t offset, std::uint16_t value);
 
  private:
   /// Overflow-safe range check: true iff [offset, offset + n) is inside

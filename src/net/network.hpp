@@ -205,7 +205,7 @@ class Network {
     /// Deliveries scheduled by the most recent transmit (primary and an
     /// optional fault duplicate) -- the frames a mid-serialization
     /// hard-down can still cancel. Overwritten by the next transmit.
-    PendingDelivery pending[2];
+    PendingDelivery pending[2]{};
   };
 
   /// Interns (lazily) and returns the obs track of the directed channel.

@@ -41,17 +41,4 @@ class Ctu {
   bool prev_ = false;
 };
 
-/// R_TRIG: rising-edge detector.
-class RTrig {
- public:
-  bool update(bool in) {
-    const bool q = in && !prev_;
-    prev_ = in;
-    return q;
-  }
-
- private:
-  bool prev_ = false;
-};
-
 }  // namespace steelnet::plc

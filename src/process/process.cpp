@@ -20,8 +20,6 @@ std::uint16_t get_u16(const std::vector<std::uint8_t>& v, std::size_t at) {
 
 }  // namespace
 
-Conveyor::Conveyor() : Conveyor(Params{}) {}
-
 Conveyor::Conveyor(Params params) : params_(params) {}
 
 void Conveyor::step(double dt) {

@@ -43,7 +43,6 @@ class Conveyor final : public Process {
     double length_m = 2.0;
     double max_speed_mps = 1.0;
   };
-  Conveyor();
   explicit Conveyor(Params params);
 
   void step(double dt) override;

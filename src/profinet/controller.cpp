@@ -56,7 +56,6 @@ void CyclicController::send_connect() {
   if (state_ != ControllerState::kConnecting) return;
   if (connect_attempts_++ >= kMaxConnectRetries) {
     state_ = ControllerState::kIdle;
-    if (connected_handler_) connected_handler_(false);
     return;
   }
   ++counters_.connects_sent;
@@ -100,7 +99,6 @@ void CyclicController::controller_cycle() {
           cfg_.cycle * static_cast<std::int64_t>(cfg_.watchdog_factor)) {
     state_ = ControllerState::kDeviceLost;
     ++counters_.device_watchdog_trips;
-    if (device_lost_handler_) device_lost_handler_();
   }
   CyclicData& out = std::get<CyclicData>(tx_pdu_);
   out.ar_id = cfg_.ar_id;
@@ -129,7 +127,6 @@ void CyclicController::on_frame(const net::Frame& frame, sim::SimTime) {
     connect_timer_.cancel();
     if (resp->status != 0) {
       state_ = ControllerState::kIdle;
-      if (connected_handler_) connected_handler_(false);
       return;
     }
     state_ = ControllerState::kParameterizing;
@@ -147,7 +144,6 @@ void CyclicController::on_frame(const net::Frame& frame, sim::SimTime) {
     cycle_task_ = std::make_unique<sim::PeriodicTask>(
         host_.network().sim(), host_.network().sim().now() + cfg_.cycle,
         cfg_.cycle, [this] { controller_cycle(); });
-    if (connected_handler_) connected_handler_(true);
     return;
   }
   if (const auto* data = std::get_if<CyclicData>(pdu)) {

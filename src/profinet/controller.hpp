@@ -77,14 +77,6 @@ class CyclicController {
       std::function<void(const std::vector<std::uint8_t>&)> fn) {
     input_handler_ = std::move(fn);
   }
-  /// Invoked when the controller-side watchdog declares the device lost.
-  void set_device_lost_handler(std::function<void()> fn) {
-    device_lost_handler_ = std::move(fn);
-  }
-  /// Invoked on ConnectResp: argument is true when the device accepted.
-  void set_connected_handler(std::function<void(bool accepted)> fn) {
-    connected_handler_ = std::move(fn);
-  }
 
   [[nodiscard]] ControllerState state() const { return state_; }
   [[nodiscard]] const ControllerCounters& counters() const {
@@ -122,8 +114,6 @@ class CyclicController {
 
   std::function<std::vector<std::uint8_t>(std::size_t)> output_provider_;
   std::function<void(const std::vector<std::uint8_t>&)> input_handler_;
-  std::function<void()> device_lost_handler_;
-  std::function<void(bool)> connected_handler_;
   ControllerCounters counters_;
 };
 

@@ -189,18 +189,4 @@ std::optional<Pdu> decode(const std::vector<std::uint8_t>& payload) {
   return pdu;
 }
 
-std::optional<PduType> peek_type(const std::vector<std::uint8_t>& payload) {
-  if (payload.empty()) return std::nullopt;
-  const auto t = payload[offsets::kPduType];
-  if (t < 1 || t > 7) return std::nullopt;
-  return static_cast<PduType>(t);
-}
-
-std::optional<std::uint16_t> peek_ar(
-    const std::vector<std::uint8_t>& payload) {
-  if (payload.size() < offsets::kArId + 2) return std::nullopt;
-  return static_cast<std::uint16_t>(payload[offsets::kArId] |
-                                    (payload[offsets::kArId + 1] << 8));
-}
-
 }  // namespace steelnet::profinet

@@ -115,11 +115,4 @@ void encode_into(const Pdu& pdu, std::vector<std::uint8_t>& out);
 [[nodiscard]] bool decode_into(const std::vector<std::uint8_t>& payload,
                                Pdu& out);
 
-/// Reads just the PDU type / AR id without a full parse (fast path used
-/// by the data plane).
-[[nodiscard]] std::optional<PduType> peek_type(
-    const std::vector<std::uint8_t>& payload);
-[[nodiscard]] std::optional<std::uint16_t> peek_ar(
-    const std::vector<std::uint8_t>& payload);
-
 }  // namespace steelnet::profinet

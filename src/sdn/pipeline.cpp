@@ -1,6 +1,5 @@
 #include "sdn/pipeline.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace steelnet::sdn {
@@ -58,15 +57,6 @@ EntryId Table::add_entry(TableEntry entry) {
   const EntryId id = next_id_++;
   entries_.emplace_back(id, std::move(entry));
   return id;
-}
-
-bool Table::remove_entry(EntryId id) {
-  const auto it = std::find_if(
-      entries_.begin(), entries_.end(),
-      [id](const auto& e) { return e.first == id; });
-  if (it == entries_.end()) return false;
-  entries_.erase(it);
-  return true;
 }
 
 bool Table::set_actions(EntryId id, ActionList actions) {

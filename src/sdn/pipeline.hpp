@@ -119,7 +119,6 @@ class Table {
         ActionList default_actions = {ActionPrimitive::drop()});
 
   EntryId add_entry(TableEntry entry);
-  bool remove_entry(EntryId id);
   /// Replaces the actions of an existing entry (hitless rule update).
   bool set_actions(EntryId id, ActionList actions);
 

@@ -127,19 +127,4 @@ bool EventQueue::empty() {
   return heap_.empty();
 }
 
-void EventQueue::clear() {
-  // Bump the generation of every live entry so outstanding handles do not
-  // keep reporting pending() against an empty queue; already-cancelled
-  // entries just get reclaimed.
-  for (const Entry& e : heap_) {
-    if (entry_dead(e)) {
-      ++reclaimed_cancelled_;
-    } else {
-      ++gens_->gen[e.slot];
-    }
-    release_slot(e.slot);
-  }
-  heap_.clear();
-}
-
 }  // namespace steelnet::sim

@@ -77,8 +77,8 @@ class EventHandle {
   }
   ~EventHandle() { detail::release(gens_); }
 
-  /// True if the handle refers to an event that has not fired, been
-  /// cancelled, or been discarded by EventQueue::clear() yet.
+  /// True if the handle refers to an event that has not fired or been
+  /// cancelled yet.
   [[nodiscard]] bool pending() const {
     return gens_ != nullptr && gens_->gen[slot_] == gen_;
   }
@@ -170,8 +170,6 @@ class EventQueue {
   /// Callback slots ever handed out. Stays flat once the working set is
   /// warm -- the recycling assertion the kernel benches pin.
   [[nodiscard]] std::size_t slot_capacity() const { return slots_used_; }
-
-  void clear();
 
  private:
   using Callback = InplaceFunction<kEventCallbackCapacity>;

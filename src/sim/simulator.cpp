@@ -14,17 +14,14 @@ void Simulator::throw_in_past(SimTime at) const {
 }
 
 std::uint64_t Simulator::run_until(SimTime deadline) {
-  stop_requested_ = false;
   std::uint64_t n = 0;
-  while (!stop_requested_ && queue_.fire_next(deadline, now_)) {
+  while (queue_.fire_next(deadline, now_)) {
     ++executed_;
     ++n;
   }
   // Advance the clock to the deadline when idle -- but a drained queue
   // under run() (deadline = max) leaves the clock at the last event.
-  if (deadline != SimTime::max() && now_ < deadline && !stop_requested_) {
-    now_ = deadline;
-  }
+  if (deadline != SimTime::max() && now_ < deadline) now_ = deadline;
   return n;
 }
 
@@ -47,13 +44,6 @@ void Simulator::advance_clock_to(SimTime at) {
                    " would jump over a pending event at " + next.to_string());
   }
   now_ = at;
-}
-
-void Simulator::reset() {
-  queue_.clear();
-  now_ = SimTime::zero();
-  executed_ = 0;
-  stop_requested_ = false;
 }
 
 PeriodicTask::PeriodicTask(Simulator& sim, SimTime start, SimTime period,

@@ -70,9 +70,6 @@ class Simulator {
   /// instead of silently reordering the run.
   void advance_clock_to(SimTime at);
 
-  /// Stops the current run_until/run loop after the in-flight event.
-  void request_stop() { stop_requested_ = true; }
-
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
   [[nodiscard]] std::size_t events_pending() { return queue_.size(); }
   /// Events cancelled through handles over the simulator's lifetime --
@@ -87,9 +84,6 @@ class Simulator {
     return queue_.slot_capacity();
   }
 
-  /// Resets time to zero and discards all pending events.
-  void reset();
-
  private:
   [[noreturn]] static void throw_negative_delay(SimTime delay);
   [[noreturn]] void throw_in_past(SimTime at) const;
@@ -97,7 +91,6 @@ class Simulator {
   EventQueue queue_;
   SimTime now_ = SimTime::zero();
   std::uint64_t executed_ = 0;
-  bool stop_requested_ = false;
 };
 
 /// Repeatedly invokes a callback with a fixed period. The callback may stop
@@ -115,9 +108,6 @@ class PeriodicTask {
   [[nodiscard]] bool running() const { return running_; }
   [[nodiscard]] std::uint64_t fired() const { return fired_; }
   [[nodiscard]] SimTime period() const { return period_; }
-
-  /// Changes the period, effective from the next firing.
-  void set_period(SimTime period) { period_ = period; }
 
  private:
   void arm(SimTime at);

@@ -100,22 +100,6 @@ double Histogram::bin_lo(std::size_t i) const {
 }
 double Histogram::bin_hi(std::size_t i) const { return bin_lo(i) + width_; }
 
-double Histogram::percentile(double p) const {
-  if (total_ == 0) throw std::logic_error("percentile of empty Histogram");
-  if (p < 0.0 || p > 100.0) throw std::invalid_argument("percentile range");
-  // Nearest-rank over bins; the max(1, ...) keeps p=0 pointing at the
-  // first *occupied* bin (a target of 0 would match an empty leading bin).
-  const auto target = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(
-             std::ceil(p / 100.0 * static_cast<double>(total_))));
-  std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    cum += counts_[i];
-    if (cum >= target) return bin_lo(i) + width_ / 2;
-  }
-  return bin_hi(counts_.size() - 1);
-}
-
 TimeSeriesBinner::TimeSeriesBinner(SimTime bin_width) : width_(bin_width) {
   if (bin_width <= SimTime::zero()) {
     throw std::invalid_argument("TimeSeriesBinner: bin width must be positive");

@@ -62,10 +62,6 @@ class Histogram {
   [[nodiscard]] double bin_lo(std::size_t i) const;
   [[nodiscard]] double bin_hi(std::size_t i) const;
   [[nodiscard]] std::size_t bins() const { return counts_.size(); }
-  /// Approximate percentile from bin midpoints (nearest-rank; p in
-  /// [0, 100], else std::invalid_argument). p=0 is the first occupied
-  /// bin, p=100 the last. Throws std::logic_error when empty.
-  [[nodiscard]] double percentile(double p) const;
 
  private:
   double lo_, hi_, width_;

@@ -41,7 +41,6 @@ class TapNode final : public net::Node {
   [[nodiscard]] const std::vector<TapObservation>& observations() const {
     return log_;
   }
-  void clear() { log_.clear(); }
 
   /// First observation matching (flow, seq, direction), if captured.
   [[nodiscard]] std::optional<sim::SimTime> find_stamp(

@@ -24,13 +24,6 @@ TEST(Availability, NinesConversionsRoundTrip) {
   EXPECT_NEAR(nines_to_availability(6.0), 0.999999, 1e-12);
 }
 
-TEST(Availability, FromDowntime) {
-  EXPECT_DOUBLE_EQ(availability_from_downtime(0_s, 100_s), 1.0);
-  EXPECT_DOUBLE_EQ(availability_from_downtime(1_s, 100_s), 0.99);
-  EXPECT_DOUBLE_EQ(availability_from_downtime(200_s, 100_s), 0.0);
-  EXPECT_THROW(availability_from_downtime(1_s, 0_s), std::invalid_argument);
-}
-
 TEST(Availability, FailoverMath) {
   // 12 failures/year at 100 ms outage = 1.2 s downtime -> ~7.4 nines.
   const double a = failover_availability(12.0, 100_ms);

@@ -42,12 +42,12 @@ namespace steelnet::core {
 namespace {
 
 TEST(SweepRunner, EffectiveJobsClampsToTasksAndNeverBelowOne) {
-  EXPECT_EQ(effective_jobs(1, 100), 1u);
-  EXPECT_EQ(effective_jobs(8, 3), 3u);   // never more workers than tasks
-  EXPECT_EQ(effective_jobs(4, 4), 4u);
-  EXPECT_GE(effective_jobs(0, 100), 1u);  // 0 = hardware concurrency
-  EXPECT_GE(effective_jobs(0, 1), 1u);
-  EXPECT_EQ(effective_jobs(8, 0), 1u);    // empty sweep still well-defined
+  EXPECT_EQ(effective_jobs(1, 100, 1), 1u);
+  EXPECT_EQ(effective_jobs(8, 3, 1), 3u);   // never more workers than tasks
+  EXPECT_EQ(effective_jobs(4, 4, 1), 4u);
+  EXPECT_GE(effective_jobs(0, 100, 1), 1u);  // 0 = hardware concurrency
+  EXPECT_GE(effective_jobs(0, 1, 1), 1u);
+  EXPECT_EQ(effective_jobs(8, 0, 1), 1u);    // empty sweep still well-defined
 }
 
 TEST(SweepRunner, ShardsPerTaskDividesTheAutoJobBudget) {

@@ -4,6 +4,7 @@
 
 #include "ebpf/assembler.hpp"
 #include "ebpf/programs.hpp"
+#include "sample_programs.hpp"
 
 namespace steelnet::ebpf {
 namespace {

@@ -5,6 +5,7 @@
 #include "ebpf/assembler.hpp"
 #include "ebpf/programs.hpp"
 #include "ebpf/verifier.hpp"
+#include "sample_programs.hpp"
 
 namespace steelnet::ebpf {
 namespace {

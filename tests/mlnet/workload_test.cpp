@@ -10,7 +10,7 @@ TEST(Degradation, CleanAccuracyAtZeroSeverity) {
     for (Corruption c : {Corruption::kCompression, Corruption::kFrameLoss,
                          Corruption::kJitter}) {
       EXPECT_NEAR(accuracy(app, c, 0.0), clean_accuracy(app), 1e-9)
-          << to_string(app) << "/" << to_string(c);
+          << to_string(app) << "/corruption " << static_cast<int>(c);
     }
   }
 }

@@ -93,7 +93,7 @@ TEST(FramePool, SteadyStateCycleIsAllocationStable) {
   FramePool pool;
   for (int cycle = 0; cycle < 100; ++cycle) {
     Frame f = pool.make(46);
-    f.write_u16(0, static_cast<std::uint16_t>(cycle));
+    f.write_u32(0, static_cast<std::uint32_t>(cycle));
     pool.recycle(std::move(f));
   }
   EXPECT_EQ(pool.stats().fresh, 1u);

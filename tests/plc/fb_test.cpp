@@ -57,13 +57,5 @@ TEST(Ctu, ResetClearsValue) {
   EXPECT_FALSE(c.q());
 }
 
-TEST(RTrig, FiresOncePerEdge) {
-  RTrig r;
-  EXPECT_TRUE(r.update(true));
-  EXPECT_FALSE(r.update(true));
-  EXPECT_FALSE(r.update(false));
-  EXPECT_TRUE(r.update(true));
-}
-
 }  // namespace
 }  // namespace steelnet::plc

@@ -6,7 +6,7 @@ namespace steelnet::process {
 namespace {
 
 TEST(Conveyor, MovesOnlyWhenMotorOn) {
-  Conveyor c;
+  Conveyor c{Conveyor::Params{}};
   c.step(1.0);
   EXPECT_DOUBLE_EQ(c.position_m(), 0.0);
   // motor on, 500 mm/s
@@ -30,7 +30,7 @@ TEST(Conveyor, CompletesItemsAndWraps) {
 }
 
 TEST(Conveyor, SafeStateStopsBelt) {
-  Conveyor c;
+  Conveyor c{Conveyor::Params{}};
   c.actuate({1, 0xe8, 0x03}, true);
   c.step(0.5);
   const double pos = c.position_m();

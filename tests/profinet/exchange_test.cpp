@@ -34,12 +34,11 @@ struct CellFixture {
 
 TEST(Exchange, ConnectEstablishesDataExchange) {
   CellFixture fx;
-  bool accepted = false;
-  fx.controller->set_connected_handler([&](bool ok) { accepted = ok; });
+  EXPECT_EQ(fx.controller->state(), ControllerState::kIdle);
   fx.controller->connect();
   fx.simulator.run_until(50_ms);
-  EXPECT_TRUE(accepted);
   EXPECT_EQ(fx.controller->state(), ControllerState::kRunning);
+  EXPECT_EQ(fx.controller->counters().connects_sent, 1u);
   EXPECT_EQ(fx.device->state(), DeviceState::kDataExchange);
   EXPECT_EQ(fx.device->active_ar(), 1);
 }
@@ -151,11 +150,13 @@ TEST(Exchange, SecondArRejected) {
   cfg2.ar_id = 2;
   cfg2.device_mac = fx.dev_host->mac();
   CyclicController second(host2, cfg2);
-  bool accepted = true;
-  second.set_connected_handler([&](bool ok) { accepted = ok; });
   second.connect();
   fx.simulator.run_until(60_ms);
-  EXPECT_FALSE(accepted);
+  // The rejecting ConnectResp returns the controller to idle at once: it
+  // neither waits for a retry nor starts a cyclic exchange.
+  EXPECT_EQ(second.state(), ControllerState::kIdle);
+  EXPECT_EQ(second.counters().connects_sent, 1u);
+  EXPECT_EQ(second.counters().cyclic_tx, 0u);
   EXPECT_GE(fx.device->counters().rejected_connects, 1u);
   // Original exchange unharmed.
   EXPECT_EQ(fx.device->state(), DeviceState::kDataExchange);
@@ -173,16 +174,8 @@ TEST(Exchange, ConnectRetriesThenGivesUp) {
                                                   net::MacAddress{0xD});
   fx.network.connect(host.id(), 0, sw.id(), 3);
   CyclicController lonely(host, cfg);
-  bool result = true;
-  bool called = false;
-  lonely.set_connected_handler([&](bool ok) {
-    called = true;
-    result = ok;
-  });
   lonely.connect();
   fx.simulator.run_until(200_ms);
-  EXPECT_TRUE(called);
-  EXPECT_FALSE(result);
   EXPECT_EQ(lonely.counters().connects_sent,
             CyclicController::kMaxConnectRetries);
   EXPECT_EQ(lonely.state(), ControllerState::kIdle);
@@ -190,15 +183,13 @@ TEST(Exchange, ConnectRetriesThenGivesUp) {
 
 TEST(Exchange, ControllerDetectsDeviceLoss) {
   CellFixture fx;
-  bool lost = false;
-  fx.controller->set_device_lost_handler([&] { lost = true; });
   fx.controller->connect();
   fx.simulator.run_until(20_ms);
+  ASSERT_EQ(fx.controller->state(), ControllerState::kRunning);
   // Kill the device side by detaching its receiver.
   fx.device.reset();
   fx.dev_host->set_receiver(nullptr);
   fx.simulator.run_until(60_ms);
-  EXPECT_TRUE(lost);
   EXPECT_EQ(fx.controller->state(), ControllerState::kDeviceLost);
   EXPECT_EQ(fx.controller->counters().device_watchdog_trips, 1u);
 }

@@ -125,17 +125,6 @@ TEST(Wire, DecodeIntoReusesStorageAndMatchesDecode) {
   EXPECT_FALSE(decode_into({1, 0x34}, into));  // truncated ConnectReq
 }
 
-TEST(Wire, PeekTypeAndAr) {
-  CyclicData p;
-  p.ar_id = 0xabcd;
-  const auto bytes = encode(Pdu{p});
-  EXPECT_EQ(peek_type(bytes), PduType::kCyclicData);
-  EXPECT_EQ(peek_ar(bytes), 0xabcd);
-  EXPECT_FALSE(peek_type({}).has_value());
-  EXPECT_FALSE(peek_ar({5}).has_value());
-  EXPECT_FALSE(peek_type({42}).has_value());
-}
-
 TEST(Wire, OffsetsMatchEncoding) {
   CyclicData p;
   p.ar_id = 0x1122;

@@ -83,14 +83,6 @@ TEST(EventQueue, DefaultHandleNotPending) {
   h.cancel();  // no-op, must not crash
 }
 
-TEST(EventQueue, ClearDiscardsAll) {
-  EventQueue q;
-  q.schedule(1_ns, [] {});
-  q.schedule(2_ns, [] {});
-  q.clear();
-  EXPECT_TRUE(q.empty());
-}
-
 TEST(EventQueue, FiredEventIsNoLongerPending) {
   EventQueue q;
   bool fired = false;
@@ -127,22 +119,6 @@ TEST(EventQueue, FireNextStopsAtTheDeadline) {
   EXPECT_FALSE(q.fire_next(5_ns, t));
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(q.next_time(), 6_ns);
-}
-
-TEST(EventQueue, ClearKillsOutstandingHandles) {
-  EventQueue q;
-  auto a = q.schedule(1_ns, [] {});
-  auto b = q.schedule(2_ns, [] {});
-  q.clear();
-  EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(a.pending());
-  EXPECT_FALSE(b.pending());
-  // Cancel-after-clear: a stale handle must stay a safe no-op.
-  a.cancel();
-  b.cancel();
-  EXPECT_FALSE(a.pending());
-  SimTime t;
-  EXPECT_FALSE(q.fire_next(SimTime::max(), t));
 }
 
 // --- firing in place: callbacks run from their slab slot ---------------

@@ -89,46 +89,9 @@ TEST(Histogram, BinsAndClamping) {
   EXPECT_DOUBLE_EQ(h.bin_hi(5), 6.0);
 }
 
-TEST(Histogram, PercentileApproximation) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.add(double(i) + 0.5);
-  EXPECT_NEAR(h.percentile(50), 50.0, 1.0);
-  EXPECT_NEAR(h.percentile(99), 99.0, 1.0);
-}
-
 TEST(Histogram, InvalidConstruction) {
   EXPECT_THROW(Histogram(0, 0, 10), std::invalid_argument);
   EXPECT_THROW(Histogram(0, 10, 0), std::invalid_argument);
-}
-
-TEST(Histogram, EmptyPercentileThrows) {
-  Histogram h(0.0, 10.0, 10);
-  EXPECT_THROW(static_cast<void>(h.percentile(50)), std::logic_error);
-  EXPECT_THROW(static_cast<void>(h.percentile(0)), std::logic_error);
-}
-
-TEST(Histogram, PercentileRangeChecked) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(5.0);
-  EXPECT_THROW(static_cast<void>(h.percentile(-1)), std::invalid_argument);
-  EXPECT_THROW(static_cast<void>(h.percentile(100.5)), std::invalid_argument);
-}
-
-TEST(Histogram, PercentileBoundariesNearestRank) {
-  // All mass in bin 7 ([7,8), midpoint 7.5), with empty bins around it:
-  // p=0 must not report the empty leading bin, p=100 the occupied one.
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 5; ++i) h.add(7.2);
-  EXPECT_DOUBLE_EQ(h.percentile(0), 7.5);
-  EXPECT_DOUBLE_EQ(h.percentile(50), 7.5);
-  EXPECT_DOUBLE_EQ(h.percentile(100), 7.5);
-}
-
-TEST(Histogram, SingleSampleEveryPercentile) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.25);  // bin 0, midpoint 0.5
-  EXPECT_DOUBLE_EQ(h.percentile(0), 0.5);
-  EXPECT_DOUBLE_EQ(h.percentile(100), 0.5);
 }
 
 TEST(TimeSeriesBinner, BinsPer50ms) {

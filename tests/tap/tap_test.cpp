@@ -83,14 +83,5 @@ TEST(TapNode, FindStamp) {
   EXPECT_FALSE(fx.tap->find_stamp(1, 0, TapDirection::kBtoA).has_value());
 }
 
-TEST(TapNode, ClearResetsLogButNotCounter) {
-  TapFixture fx;
-  fx.a->send(make(1, 0));
-  fx.simulator.run();
-  fx.tap->clear();
-  EXPECT_TRUE(fx.tap->observations().empty());
-  EXPECT_EQ(fx.tap->frames_seen(), 1u);
-}
-
 }  // namespace
 }  // namespace steelnet::tap
