@@ -12,8 +12,9 @@
 int main(int argc, char** argv) {
   using namespace steelnet;
 
-  const auto args = bench::BenchArgs::parse(argc, argv, /*default_seed=*/11);
-  args.warn_obs_unsupported("ablation_cost_model");
+  using enum bench::Flag;
+  const auto args = bench::BenchArgs::parse(
+      argc, argv, {kSeed}, /*default_seed=*/11);
 
   std::cout << "=== Ablation: stochastic vs deterministic eBPF cost model "
                "(TS-RB, 1 flow, 5000 packets) ===\n\n";

@@ -29,8 +29,9 @@ int main(int argc, char** argv) {
   using namespace steelnet;
   using namespace steelnet::sim::literals;
 
-  const auto args = bench::BenchArgs::parse(argc, argv, /*default_seed=*/17);
-  args.warn_obs_unsupported("ablation_kernels");
+  using enum bench::Flag;
+  const auto args = bench::BenchArgs::parse(
+      argc, argv, {kSeed, kJobs}, /*default_seed=*/17);
 
   constexpr int kSamples = 200'000;
   // A sample "misses" when the kernel stage alone eats more than half of

@@ -15,8 +15,9 @@ int main(int argc, char** argv) {
   using namespace steelnet;
   using namespace steelnet::sim::literals;
 
-  const auto args = bench::BenchArgs::parse(argc, argv, /*default_seed=*/7);
-  args.warn_obs_unsupported("ablation_single_clock");
+  using enum bench::Flag;
+  const auto args = bench::BenchArgs::parse(
+      argc, argv, {kSeed}, /*default_seed=*/7);
 
   std::cout << "=== Ablation: single-clock TAP vs two PTP clocks ===\n\n";
 

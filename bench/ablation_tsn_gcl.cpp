@@ -67,8 +67,7 @@ sim::SampleSet run_one(bool with_gcl, int n_cycles) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = steelnet::bench::BenchArgs::parse(argc, argv);
-  args.warn_obs_unsupported("ablation_tsn_gcl");
+  const auto args = steelnet::bench::BenchArgs::parse(argc, argv, {});
 
   std::cout << "=== Ablation: time-aware shaping (802.1Qbv) on a shared "
                "egress port ===\n"

@@ -89,8 +89,8 @@ ScalingResult run_one(std::size_t n_vplcs, sim::SimTime duration) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = steelnet::bench::BenchArgs::parse(argc, argv);
-  args.warn_obs_unsupported("ablation_vplc_scaling");
+  using enum steelnet::bench::Flag;
+  const auto args = steelnet::bench::BenchArgs::parse(argc, argv, {kJobs});
 
   std::cout << "=== §2.1: consolidating vPLCs on one server (2 ms cycles, "
                "5 s runs) ===\n\n";

@@ -72,9 +72,9 @@ SweepResult run_one(std::uint16_t threshold, bool inject_failure,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = steelnet::bench::BenchArgs::parse(argc, argv,
-                                                      /*default_seed=*/101);
-  args.warn_obs_unsupported("ablation_watchdog_sweep");
+  using enum steelnet::bench::Flag;
+  const auto args = steelnet::bench::BenchArgs::parse(
+      argc, argv, {kSeed, kJobs}, /*default_seed=*/101);
 
   std::cout << "=== Ablation: InstaPLC switchover threshold (I/O cycles of "
                "primary silence) ===\n"

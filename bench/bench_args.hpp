@@ -1,34 +1,14 @@
 // Shared CLI surface of every steelnet bench binary.
 //
-// All table/figure executables accept the same four flags:
-//   --seed <n>       RNG seed (each binary keeps its historical default, so
-//                    no-arg output is unchanged)
-//   --csv            machine-readable output instead of the rendered table
-//   --trace <file>   write a Chrome-trace/Perfetto JSON of the run
-//   --metrics <file> write a Prometheus-style metrics dump of the run
-//   --sweep <n>      where supported: sweep n seeds instead of the single
-//                    default run (ignored by binaries without a sweep mode)
-//   --jobs <n>       worker threads for independent sweep runs (default:
-//                    hardware concurrency; --jobs 1 is the sequential
-//                    loop). Output is byte-identical at any job count.
-//   --scale <n>      where supported: size ceiling of a scaling curve
-//                    (e.g. tab_campus's big-campus cell count)
-//   --bench-json <f> where supported: write the scaling curve as a JSON
-//                    benchmark artifact
-//   --shards <n>     where supported: worker shards of one sharded
-//                    simulation (tab_campus, tab_radio); orthogonal to
-//                    --jobs
-//   --skew           where supported: skewed-load workload variant (e.g.
-//                    tab_campus hot-zone storms)
-//   --profile-out <file>
-//                    write the run's measured cell-rate profile
-//   --profile-in <file>
-//                    read a cell-rate profile and place cells by it
-//                    (measured-rate LPT); without it, prefix-quota
-// plus --help. Numeric values must be whole non-negative numbers
-// (decimal, 0x hex or 0 octal). Binaries without an obs wiring still
-// accept --trace and --metrics but warn on stderr that nothing will be
-// produced.
+// kFlagTable lists every flag a bench can take: its name and the
+// BenchArgs member it fills, whose comment says what the flag means and
+// whose type says how its value is read -- a bool is a switch, a number
+// takes a whole non-negative <n> (decimal, 0x hex or 0 octal), an
+// optional string takes a <file>. Each main passes BenchArgs::parse the
+// flags it reads, and only those: --help lists them, and any other flag
+// exits 2 as an unknown argument, so no flag is silently ignored. A flag
+// a binary honours in one mode but not in another is named on stderr by
+// warn_obs_ignored().
 //
 // Every bench reports through the two helpers below. Output files
 // (--trace, --metrics, --bench-json, --profile-out) go through
@@ -39,23 +19,26 @@
 // exit code -- 1 if any check failed.
 #pragma once
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <charconv>
 #include <cinttypes>
-#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <iomanip>
+#include <initializer_list>
 #include <iostream>
+#include <iterator>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <variant>
 
+#include "core/report.hpp"
 #include "sim/partitioner.hpp"
 #include "sim/time.hpp"
 
@@ -71,8 +54,8 @@ inline std::string hex16(std::uint64_t v) {
 /// Passed to a run outcome's fields(): writes each field as one CSV cell
 /// after a comma -- its name if `header`, else its value: bools as 0/1,
 /// SimTime in ns, doubles in the shortest text that reads back exactly
-/// (so two rows differ wherever their doubles do), text RFC 4180-quoted
-/// if needed.
+/// (so two rows differ wherever their doubles do), text quoted by
+/// core::CsvWriter::escape.
 struct CsvFields {
   std::ostream& out;
   bool header = false;
@@ -87,11 +70,7 @@ struct CsvFields {
     } else if constexpr (std::is_same_v<T, sim::SimTime>) {
       out << v.nanos();
     } else if constexpr (std::is_same_v<T, std::string>) {
-      if (v.find_first_of(",\"\n") == std::string::npos) {
-        out << v;
-      } else {
-        out << std::quoted(v, '"', '"');
-      }
+      out << core::CsvWriter::escape(v);
     } else {
       out << +v;  // integers; + prints a bool as 0/1
     }
@@ -138,120 +117,48 @@ inline void write_profile(const char* prog, const std::string& path,
   write_file(prog, path, "profile", profile.to_text());
 }
 
+/// The flags of kFlagTable; each main passes the ones it reads to
+/// BenchArgs::parse.
+enum class Flag : std::uint8_t {
+  kSeed, kCsv, kTrace, kMetrics, kSweep, kJobs, kScale, kBenchJson,
+  kShards, kSkew, kProfileOut, kProfileIn
+};
+
 struct BenchArgs {
+  /// --seed <n>: RNG seed; each binary keeps its historical default.
   std::uint64_t seed = 0;
+  /// --csv: machine-readable output instead of the rendered table.
   bool csv = false;
+  /// --trace <file>: write a Chrome-trace/Perfetto JSON of the run.
   std::optional<std::string> trace_path;
+  /// --metrics <file>: write a Prometheus-style metrics dump of the run.
   std::optional<std::string> metrics_path;
-  /// --sweep <n>: number of seeds to sweep; 0 means "no sweep requested".
+  /// --sweep <n>: sweep n seeds instead of the one default run; 0 = none.
   std::uint64_t sweep = 0;
-  /// --jobs <n>: worker threads for independent runs (core::SweepRunner
-  /// semantics: 0 means hardware concurrency, 1 the sequential loop).
-  std::size_t jobs = 0;
-  /// --scale <n>: where supported, the size ceiling of a scaling curve
-  /// (e.g. tab_campus's big-campus cell count); 0 = binary default.
+  /// --jobs <n>: worker threads for independent runs (core::SweepRunner:
+  /// 0 = hardware concurrency, 1 = the sequential loop); output is
+  /// byte-identical at any count.
+  std::uint64_t jobs = 0;
+  /// --scale <n>: size ceiling of a scaling curve; 0 = binary default.
   std::uint64_t scale = 0;
-  /// --bench-json <file>: where supported, write a google-benchmark-style
-  /// JSON artifact of the scaling curve.
+  /// --bench-json <file>: write the scaling curve as a JSON artifact.
   std::optional<std::string> bench_json_path;
-  /// --shards <n>: where supported, worker shards of ONE sharded
-  /// simulation (sim::ShardedSimulator semantics; orthogonal to --jobs,
-  /// which parallelizes across independent runs). 0 = binary default.
-  std::size_t shards = 0;
-  /// --skew: where supported, the skewed-load workload variant.
+  /// --shards <n>: worker shards of ONE sharded simulation (orthogonal to
+  /// --jobs, which spreads independent runs); 0 = binary default.
+  std::uint64_t shards = 0;
+  /// --skew: the skewed-load workload variant.
   bool skew = false;
-  /// --profile-out <file>: write the measured cell-rate profile.
+  /// --profile-out <file>: write the run's measured cell-rate profile.
   std::optional<std::string> profile_out_path;
-  /// --profile-in <file>: read a calibration cell-rate profile; cells are
-  /// placed by measured rate exactly when one is given.
+  /// --profile-in <file>: place cells by this calibration cell-rate
+  /// profile (measured-rate LPT) instead of prefix-quota.
   std::optional<std::string> profile_in_path;
 
-  /// Parses argv; exits on --help (0) and on malformed/unknown flags (2).
+  /// Parses argv, taking only the `accepted` flags; exits on --help (0)
+  /// and on malformed, unknown or unaccepted flags (2).
   static BenchArgs parse(int argc, char** argv,
-                         std::uint64_t default_seed = 0) {
-    BenchArgs args;
-    args.seed = default_seed;
-    const char* prog = argc > 0 ? argv[0] : "bench";
-    auto need_value = [&](int i, std::string_view flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << prog << ": " << flag << " needs a value\n";
-        std::exit(2);
-      }
-      return argv[i + 1];
-    };
-    // Whole non-negative number or exit 2: strtoull alone would read
-    // "abc" as 0, "2x" as 2 and "-1" as 2^64-1.
-    auto need_number = [&](int i, std::string_view flag) -> std::uint64_t {
-      const char* text = need_value(i, flag);
-      char* end = nullptr;
-      errno = 0;
-      const unsigned long long v = std::strtoull(text, &end, 0);
-      if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
-          *end != '\0' || errno == ERANGE) {
-        std::cerr << prog << ": " << flag << " needs a non-negative integer, "
-                  << "got '" << text << "'\n";
-        std::exit(2);
-      }
-      return v;
-    };
-    for (int i = 1; i < argc; ++i) {
-      const std::string_view a = argv[i];
-      if (a == "--seed") {
-        args.seed = need_number(i, a);
-        ++i;
-      } else if (a == "--csv") {
-        args.csv = true;
-      } else if (a == "--trace") {
-        args.trace_path = need_value(i, a);
-        ++i;
-      } else if (a == "--metrics") {
-        args.metrics_path = need_value(i, a);
-        ++i;
-      } else if (a == "--sweep") {
-        args.sweep = need_number(i, a);
-        ++i;
-      } else if (a == "--jobs") {
-        args.jobs = static_cast<std::size_t>(need_number(i, a));
-        ++i;
-      } else if (a == "--scale") {
-        args.scale = need_number(i, a);
-        ++i;
-      } else if (a == "--bench-json") {
-        args.bench_json_path = need_value(i, a);
-        ++i;
-      } else if (a == "--shards") {
-        args.shards = static_cast<std::size_t>(need_number(i, a));
-        ++i;
-      } else if (a == "--skew") {
-        args.skew = true;
-      } else if (a == "--profile-out") {
-        args.profile_out_path = need_value(i, a);
-        ++i;
-      } else if (a == "--profile-in") {
-        args.profile_in_path = need_value(i, a);
-        ++i;
-      } else if (a == "--help" || a == "-h") {
-        std::cout << "usage: " << prog
-                  << " [--seed <n>] [--csv] [--trace <file>]"
-                     " [--metrics <file>] [--sweep <n>] [--jobs <n>]"
-                     " [--scale <n>] [--bench-json <file>]"
-                     " [--shards <n>] [--skew]"
-                     " [--profile-out <file>] [--profile-in <file>]\n";
-        std::exit(0);
-      } else {
-        std::cerr << prog << ": unknown argument '" << a
-                  << "' (try --help)\n";
-        std::exit(2);
-      }
-    }
-    return args;
-  }
-
-  /// For binaries without an obs wiring: warn when a trace/metrics file
-  /// was requested that this binary cannot produce.
-  void warn_obs_unsupported(const char* prog) const {
-    warn_obs_ignored(prog, "this bench has no obs wiring");
-  }
+                         std::initializer_list<Flag> accepted,
+                         std::uint64_t default_seed = 0);
 
   /// Warns on stderr when a trace/metrics file was requested that this
   /// run will not write, saying why; the run goes on.
@@ -261,6 +168,94 @@ struct BenchArgs {
     }
   }
 };
+
+/// One flag: its name and the member it fills, whose type says how its
+/// value is read (switch, whole number, or path).
+struct FlagSpec {
+  Flag flag;
+  std::string_view name;
+  std::variant<bool BenchArgs::*, std::uint64_t BenchArgs::*,
+               std::optional<std::string> BenchArgs::*>
+      member;
+};
+
+/// Every bench flag, in --help order.
+inline constexpr FlagSpec kFlagTable[] = {
+    {Flag::kSeed, "--seed", &BenchArgs::seed},
+    {Flag::kCsv, "--csv", &BenchArgs::csv},
+    {Flag::kTrace, "--trace", &BenchArgs::trace_path},
+    {Flag::kMetrics, "--metrics", &BenchArgs::metrics_path},
+    {Flag::kSweep, "--sweep", &BenchArgs::sweep},
+    {Flag::kJobs, "--jobs", &BenchArgs::jobs},
+    {Flag::kScale, "--scale", &BenchArgs::scale},
+    {Flag::kBenchJson, "--bench-json", &BenchArgs::bench_json_path},
+    {Flag::kShards, "--shards", &BenchArgs::shards},
+    {Flag::kSkew, "--skew", &BenchArgs::skew},
+    {Flag::kProfileOut, "--profile-out", &BenchArgs::profile_out_path},
+    {Flag::kProfileIn, "--profile-in", &BenchArgs::profile_in_path},
+};
+
+inline BenchArgs BenchArgs::parse(int argc, char** argv,
+                                  std::initializer_list<Flag> accepted,
+                                  std::uint64_t default_seed) {
+  BenchArgs args;
+  args.seed = default_seed;
+  const char* prog = argc > 0 ? argv[0] : "bench";
+  const auto accepts = [&](const FlagSpec& f) {
+    return std::find(accepted.begin(), accepted.end(), f.flag) !=
+           accepted.end();
+  };
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view a = argv[i];
+    if (a == "--help" || a == "-h") {
+      // The value hint of each member type, in variant order.
+      constexpr std::string_view kHint[] = {"", " <n>", " <file>"};
+      std::cout << "usage: " << prog;
+      for (const FlagSpec& f : kFlagTable) {
+        if (accepts(f)) {
+          std::cout << " [" << f.name << kHint[f.member.index()] << "]";
+        }
+      }
+      std::cout << "\n";
+      std::exit(0);
+    }
+    const FlagSpec* f =
+        std::find_if(std::begin(kFlagTable), std::end(kFlagTable),
+                     [&](const FlagSpec& s) { return s.name == a; });
+    if (f == std::end(kFlagTable) || !accepts(*f)) {
+      std::cerr << prog << ": unknown argument '" << a << "' (try --help)\n";
+      std::exit(2);
+    }
+    if (const auto* sw = std::get_if<bool BenchArgs::*>(&f->member)) {
+      args.*(*sw) = true;
+      continue;
+    }
+    if (++i >= argc) {
+      std::cerr << prog << ": " << a << " needs a value\n";
+      std::exit(2);
+    }
+    const char* text = argv[i];
+    if (const auto* path =
+            std::get_if<std::optional<std::string> BenchArgs::*>(
+                &f->member)) {
+      args.*(*path) = text;
+      continue;
+    }
+    // Whole non-negative number or exit 2: strtoull alone would read
+    // "abc" as 0, "2x" as 2 and "-1" as 2^64-1.
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(text, &end, 0);
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
+        errno == ERANGE) {
+      std::cerr << prog << ": " << a << " needs a non-negative integer, "
+                << "got '" << text << "'\n";
+      std::exit(2);
+    }
+    args.*std::get<std::uint64_t BenchArgs::*>(f->member) = v;
+  }
+  return args;
+}
 
 /// A bench's shape checks. Each is declared once, as its text and whether
 /// it held; the same object prints it and turns the lot into the exit

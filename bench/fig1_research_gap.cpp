@@ -16,9 +16,9 @@
 int main(int argc, char** argv) {
   using namespace steelnet;
 
-  const auto args =
-      bench::BenchArgs::parse(argc, argv, /*default_seed=*/20251117);
-  args.warn_obs_unsupported("fig1_research_gap");
+  using enum bench::Flag;
+  const auto args = bench::BenchArgs::parse(
+      argc, argv, {kSeed}, /*default_seed=*/20251117);
 
   std::cout << "=== Fig. 1: term occurrences (with permutations) in recent "
                "SIGCOMM/HotNets proceedings ===\n\n";

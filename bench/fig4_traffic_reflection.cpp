@@ -18,8 +18,9 @@
 int main(int argc, char** argv) {
   using namespace steelnet;
 
-  const auto args = bench::BenchArgs::parse(argc, argv, /*default_seed=*/42);
-  args.warn_obs_unsupported("fig4_traffic_reflection");
+  using enum bench::Flag;
+  const auto args = bench::BenchArgs::parse(
+      argc, argv, {kSeed}, /*default_seed=*/42);
 
   constexpr std::size_t kPackets = 10'000;
 

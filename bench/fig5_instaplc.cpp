@@ -17,8 +17,7 @@ int main(int argc, char** argv) {
   using namespace steelnet;
   using namespace steelnet::sim::literals;
 
-  const auto args = bench::BenchArgs::parse(argc, argv);
-  args.warn_obs_unsupported("fig5_instaplc");  // tab_obs traces this run
+  const auto args = bench::BenchArgs::parse(argc, argv, {});
 
   // Timeline: vPLC1 connects at t=0, vPLC2 at t=100 ms, vPLC1 stops at
   // t=1.5 s (as in Fig. 5), run to 3 s.

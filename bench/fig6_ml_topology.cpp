@@ -16,8 +16,9 @@ int main(int argc, char** argv) {
   using namespace steelnet;
   using namespace steelnet::sim::literals;
 
-  const auto args = bench::BenchArgs::parse(argc, argv, /*default_seed=*/1234);
-  args.warn_obs_unsupported("fig6_ml_topology");
+  using enum bench::Flag;
+  const auto args = bench::BenchArgs::parse(
+      argc, argv, {kSeed}, /*default_seed=*/1234);
 
   const std::vector<std::size_t> client_counts{32, 64, 128, 256};
 

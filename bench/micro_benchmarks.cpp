@@ -682,3 +682,15 @@ BENCHMARK(BM_PartitionCompute)
     ->Args({240, 0})->Args({240, 1})->Args({4096, 0})->Args({4096, 1});
 
 }  // namespace
+
+// benchmark_main's body, plus how steelnet was built in the JSON context
+// (google-benchmark's own "library_build_type" is the installed library's).
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::AddCustomContext("steelnet_build_type", STEELNET_BUILD_TYPE);
+  benchmark::AddCustomContext("steelnet_compiler", STEELNET_COMPILER);
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

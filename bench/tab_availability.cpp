@@ -113,8 +113,9 @@ sim::SimTime measure_instaplc() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = steelnet::bench::BenchArgs::parse(argc, argv);
-  args.warn_obs_unsupported("tab_availability");
+  using enum steelnet::bench::Flag;
+  const auto args = steelnet::bench::BenchArgs::parse(
+      argc, argv, {kCsv, kJobs});
 
   struct Mechanism {
     std::string name;

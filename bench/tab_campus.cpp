@@ -117,7 +117,12 @@ std::string json_array(const V& v) {
 int main(int argc, char** argv) {
   using namespace steelnet;
 
-  const auto args = bench::BenchArgs::parse(argc, argv, /*default_seed=*/1);
+  using enum bench::Flag;
+  const auto args = bench::BenchArgs::parse(
+      argc, argv,
+      {kSeed, kCsv, kTrace, kMetrics, kSweep, kJobs, kScale, kBenchJson,
+       kShards, kSkew, kProfileOut, kProfileIn},
+      /*default_seed=*/1);
 
   // --- big-campus shard ladder -> BENCH_campus.json ------------------------
   //
@@ -195,7 +200,10 @@ int main(int argc, char** argv) {
         << ", \"seed\": " << args.seed
         << ", \"skew\": " << (args.skew ? "true" : "false")
         << ", \"hardware_concurrency\": "
-        << std::thread::hardware_concurrency() << "},\n  \"points\": [\n";
+        << std::thread::hardware_concurrency()
+        << ", \"steelnet_build_type\": \"" STEELNET_BUILD_TYPE
+           "\", \"steelnet_compiler\": \"" STEELNET_COMPILER
+           "\"},\n  \"points\": [\n";
     for (std::size_t i = 0; i < rungs.size(); ++i) {
       const Rung& r = rungs[i];
       char line[320];

@@ -45,7 +45,10 @@ int main(int argc, char** argv) {
   using namespace steelnet;
   using namespace steelnet::sim::literals;
 
-  const auto args = bench::BenchArgs::parse(argc, argv, /*default_seed=*/1);
+  using enum bench::Flag;
+  const auto args = bench::BenchArgs::parse(
+      argc, argv, {kSeed, kCsv, kTrace, kMetrics, kSweep, kJobs},
+      /*default_seed=*/1);
 
   faults::RunnerOptions opts;
   opts.keep_exports = args.trace_path.has_value() ||

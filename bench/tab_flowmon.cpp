@@ -17,18 +17,9 @@ int main(int argc, char** argv) {
   using namespace steelnet;
   using bench::hex16;
 
-  const auto args = bench::BenchArgs::parse(argc, argv, /*default_seed=*/7);
-  if (args.trace_path.has_value()) {
-    std::cerr << "tab_flowmon: no frame tracing here; --trace ignored\n";
-  }
-  if (args.bench_json_path.has_value()) {
-    std::cerr << "tab_flowmon: the cache-scaling curve is retired; "
-                 "--bench-json ignored\n";
-  }
-  if (args.scale != 0) {
-    std::cerr << "tab_flowmon: the cache-scaling curve is retired; "
-                 "--scale ignored\n";
-  }
+  using enum bench::Flag;
+  const auto args = bench::BenchArgs::parse(
+      argc, argv, {kSeed, kCsv, kMetrics}, /*default_seed=*/7);
 
   flowmon::MeasuredMixSpec spec;
   spec.seed = args.seed;

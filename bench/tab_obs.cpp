@@ -25,7 +25,9 @@ int main(int argc, char** argv) {
   using namespace steelnet;
   using namespace steelnet::sim::literals;
 
-  const auto args = bench::BenchArgs::parse(argc, argv);
+  using enum bench::Flag;
+  const auto args = bench::BenchArgs::parse(
+      argc, argv, {kCsv, kTrace, kMetrics});
 
   // Same testbed and timeline as fig5_instaplc; the testbed registers
   // every module's counters on its hub.

@@ -72,11 +72,9 @@ OrchConfig base_config(std::uint64_t seed) {
 int main(int argc, char** argv) {
   using namespace steelnet;
 
-  const auto args = bench::BenchArgs::parse(argc, argv, /*default_seed=*/1);
-  if (args.trace_path.has_value()) {
-    std::cerr << "tab_orch: placement traces are CSV, not Chrome-trace; "
-                 "--trace ignored\n";
-  }
+  using enum bench::Flag;
+  const auto args = bench::BenchArgs::parse(
+      argc, argv, {kSeed, kCsv, kMetrics, kSweep, kJobs}, /*default_seed=*/1);
 
   struct Plan {
     std::string label;

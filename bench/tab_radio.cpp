@@ -60,14 +60,14 @@ const char* placement() { return g_weights.empty() ? "prefix" : "measured"; }
 int main(int argc, char** argv) {
   using namespace steelnet;
 
-  const auto args = bench::BenchArgs::parse(argc, argv, /*default_seed=*/1);
+  using enum bench::Flag;
+  const auto args = bench::BenchArgs::parse(
+      argc, argv,
+      {kSeed, kCsv, kTrace, kMetrics, kSweep, kJobs, kShards, kProfileOut,
+       kProfileIn},
+      /*default_seed=*/1);
   if (args.profile_in_path.has_value()) {
     g_weights = bench::read_profile(kProg, *args.profile_in_path).weights();
-  }
-
-  if (args.bench_json_path.has_value()) {
-    std::cerr << "tab_radio: the degradation curve is the --csv output; "
-                 "--bench-json ignored\n";
   }
 
   // --- seed sweep (each task itself sharded) --------------------------------

@@ -16,8 +16,9 @@
 int main(int argc, char** argv) {
   using namespace steelnet;
 
-  const auto args = bench::BenchArgs::parse(argc, argv, /*default_seed=*/7);
-  args.warn_obs_unsupported("tab_traffic_mix");
+  using enum bench::Flag;
+  const auto args = bench::BenchArgs::parse(
+      argc, argv, {kSeed}, /*default_seed=*/7);
 
   std::cout << "=== §2.3: flow taxonomy over a mixed DC + vPLC workload, "
                "measured in-network by flowmon ===\n\n";

@@ -29,8 +29,7 @@ std::optional<Heartbeat> Heartbeat::decode(const net::Frame& f) {
 
 FleetManager::FleetManager(sim::Simulator& sim, PolicyKind policy)
     : sim_(sim),
-      policy_(make_policy(policy)),
-      placer_(*policy_),
+      placer_(policy),
       trace_("t_ns,vplc,role,node,cause\n") {}
 
 FleetManager::~FleetManager() = default;

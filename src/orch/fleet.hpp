@@ -325,7 +325,6 @@ class FleetManager {
   void record_trace(VplcId v, char role, ComputeId node, const char* cause);
 
   sim::Simulator& sim_;
-  std::unique_ptr<PlacementPolicy> policy_;
   Placer placer_;
 
   std::vector<ComputeNodeState> nodes_;

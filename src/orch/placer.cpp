@@ -28,31 +28,23 @@ const char* to_string(PolicyKind k) {
   return "?";
 }
 
-std::unique_ptr<PlacementPolicy> make_policy(PolicyKind k) {
-  switch (k) {
+double score(PolicyKind policy, const ComputeNodeState& node,
+             const PlacementRequest& req) {
+  switch (policy) {
     case PolicyKind::kBinPack:
-      return std::make_unique<BinPackPolicy>();
-    case PolicyKind::kLatencyAware:
-      return std::make_unique<LatencyAwarePolicy>();
+      if (node.spec.capacity_mcpu == 0) return 0.0;
+      return static_cast<double>(node.used_mcpu + req.demand_mcpu) /
+             node.spec.capacity_mcpu;
+    case PolicyKind::kLatencyAware: {
+      // In-rack nodes occupy the [2, 3) score band, cross-rack nodes
+      // [0, 1): locality always dominates, load spreading
+      // (1 - utilization) ranks within a band.
+      const bool local = req.preferred_rack != kNoRack &&
+                         node.spec.rack == req.preferred_rack;
+      return (local ? 2.0 : 0.0) + (1.0 - node.utilization());
+    }
   }
-  return std::make_unique<BinPackPolicy>();
-}
-
-double BinPackPolicy::score(const ComputeNodeState& node,
-                            const PlacementRequest& req) const {
-  if (node.spec.capacity_mcpu == 0) return 0.0;
-  return static_cast<double>(node.used_mcpu + req.demand_mcpu) /
-         node.spec.capacity_mcpu;
-}
-
-double LatencyAwarePolicy::score(const ComputeNodeState& node,
-                                 const PlacementRequest& req) const {
-  // In-rack nodes occupy the [2, 3) score band, cross-rack nodes [0, 1):
-  // locality always dominates, load spreading (1 - utilization) ranks
-  // within a band.
-  const bool local = req.preferred_rack != kNoRack &&
-                     node.spec.rack == req.preferred_rack;
-  return (local ? 2.0 : 0.0) + (1.0 - node.utilization());
+  return 0.0;
 }
 
 PlaceResult Placer::place(const std::vector<ComputeNodeState>& nodes,
@@ -76,7 +68,7 @@ PlaceResult Placer::place(const std::vector<ComputeNodeState>& nodes,
     }
     any_outside_excluded_rack = true;
     if (n.free_mcpu() < req.demand_mcpu) continue;
-    const double s = policy_.score(n, req);
+    const double s = score(policy_, n, req);
     if (!best_found || s > best_score) {
       best_found = true;
       best_score = s;

@@ -5,10 +5,10 @@
 //     excluded by anti-affinity) is checked by the Placer itself, and the
 //     reason the fleet could not be placed comes back as a typed error --
 //     an oversubscribed fleet is an answer, never a crash;
-//   * preference is a pluggable PlacementPolicy scoring every feasible
-//     node through one shared interface. Ties break toward the lowest
-//     node index, so placement is a pure function of (nodes, request,
-//     policy) and placement traces replay byte-identically.
+//   * preference is score(policy, node, request), computed for every
+//     feasible node. Ties break toward the lowest node index, so placement
+//     is a pure function of (nodes, request, policy) and placement traces
+//     replay byte-identically.
 //
 // Two policies ship (the tab_orch ablation):
 //   * bin-packing  -- best-fit: prefer the fullest feasible node, which
@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 
@@ -66,38 +65,20 @@ struct PlaceResult {
   [[nodiscard]] bool ok() const { return node.has_value(); }
 };
 
-/// Shared scoring interface of all placement policies. The Placer calls
-/// score() only for feasible nodes; higher wins, ties break toward the
-/// lower node index.
-class PlacementPolicy {
- public:
-  virtual ~PlacementPolicy() = default;
-  [[nodiscard]] virtual const char* name() const = 0;
-  [[nodiscard]] virtual double score(const ComputeNodeState& node,
-                                     const PlacementRequest& req) const = 0;
+enum class PolicyKind : std::uint8_t {
+  /// Best-fit bin packing: score = post-placement utilization.
+  kBinPack,
+  /// Rack locality first, then load spreading: in-rack nodes outrank any
+  /// cross-rack node; within a tier the least-utilized node wins.
+  kLatencyAware,
 };
-
-/// Best-fit bin packing: score = post-placement utilization.
-class BinPackPolicy final : public PlacementPolicy {
- public:
-  [[nodiscard]] const char* name() const override { return "binpack"; }
-  [[nodiscard]] double score(const ComputeNodeState& node,
-                             const PlacementRequest& req) const override;
-};
-
-/// Rack locality first, then load spreading: in-rack nodes outrank any
-/// cross-rack node; within a tier the least-utilized node wins.
-class LatencyAwarePolicy final : public PlacementPolicy {
- public:
-  [[nodiscard]] const char* name() const override { return "latency"; }
-  [[nodiscard]] double score(const ComputeNodeState& node,
-                             const PlacementRequest& req) const override;
-};
-
-enum class PolicyKind : std::uint8_t { kBinPack, kLatencyAware };
 
 [[nodiscard]] const char* to_string(PolicyKind k);
-[[nodiscard]] std::unique_ptr<PlacementPolicy> make_policy(PolicyKind k);
+
+/// How much `policy` prefers placing `req` on the feasible `node`; higher
+/// wins.
+[[nodiscard]] double score(PolicyKind policy, const ComputeNodeState& node,
+                           const PlacementRequest& req);
 
 /// Stateless placement driver: scans `nodes` in index order, filters by
 /// feasibility, ranks by `policy`. Does NOT reserve capacity -- the
@@ -105,14 +86,14 @@ enum class PolicyKind : std::uint8_t { kBinPack, kLatencyAware };
 /// leave no trace.
 class Placer {
  public:
-  explicit Placer(const PlacementPolicy& policy) : policy_(policy) {}
+  explicit Placer(PolicyKind policy) : policy_(policy) {}
 
   [[nodiscard]] PlaceResult place(
       const std::vector<ComputeNodeState>& nodes,
       const PlacementRequest& req) const;
 
  private:
-  const PlacementPolicy& policy_;
+  PolicyKind policy_;
 };
 
 }  // namespace steelnet::orch

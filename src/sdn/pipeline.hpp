@@ -49,7 +49,7 @@ struct ActionPrimitive {
     kSetDst,          ///< arg0 = mac bits
     kSetSrc,          ///< arg0 = mac bits
     kRewriteBytes,    ///< payload[offset..] = bytes
-    kPunt,            ///< hand a copy to the control application
+    kPunt,            ///< count the frame as punted to the controller
     kGotoTable,       ///< arg0 = next table index
   };
   Kind kind;

@@ -37,10 +37,7 @@ void SdnSwitchNode::handle_frame(net::Frame frame, net::PortId in_port) {
       [this, f = std::move(frame), in_port]() mutable {
         net::Frame frame = std::move(f);
         const PipelineResult r = pipeline_.process(frame, in_port);
-        if (r.punted) {
-          ++counters_.punted;
-          if (punt_) punt_(frame, in_port);
-        }
+        if (r.punted) ++counters_.punted;
         if (r.dropped) {
           ++counters_.dropped;
           network().frame_pool().recycle(std::move(frame));

@@ -22,9 +22,9 @@ struct SdnSwitchCounters {
 /// A switch whose entire forwarding behaviour is its Pipeline.
 ///
 /// The control application can: edit tables (via pipeline()), observe
-/// every ingress frame (inspector -- models mirror-to-CPU), receive
-/// punted frames, and inject frames out of any port (in-network endpoint
-/// behaviour, e.g. InstaPLC's digital twin answering a vPLC).
+/// every ingress frame (inspector -- models mirror-to-CPU), and inject
+/// frames out of any port (in-network endpoint behaviour, e.g. InstaPLC's
+/// digital twin answering a vPLC). Punted frames are counted.
 class SdnSwitchNode final : public net::Node {
  public:
   void handle_frame(net::Frame frame, net::PortId in_port) override;
@@ -36,11 +36,6 @@ class SdnSwitchNode final : public net::Node {
   void set_inspector(
       std::function<void(const net::Frame&, net::PortId)> fn) {
     inspector_ = std::move(fn);
-  }
-  /// Receives a copy of frames whose action list includes kPunt.
-  void set_punt_handler(
-      std::function<void(const net::Frame&, net::PortId)> fn) {
-    punt_ = std::move(fn);
   }
 
   /// Emits a control-application-crafted frame out of `port`.
@@ -62,7 +57,6 @@ class SdnSwitchNode final : public net::Node {
   std::vector<std::unique_ptr<net::EgressQueue>> egress_;
   std::uint32_t obs_track_ = static_cast<std::uint32_t>(-1);
   std::function<void(const net::Frame&, net::PortId)> inspector_;
-  std::function<void(const net::Frame&, net::PortId)> punt_;
   SdnSwitchCounters counters_;
 };
 

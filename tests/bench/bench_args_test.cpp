@@ -1,15 +1,19 @@
-// The shared bench CLI: numeric flags take whole non-negative numbers
-// only, and anything else -- a malformed flag, an unreadable or malformed
-// --profile-in, an unwritable output path -- exits 2 as the usage
-// contract promises. A failed shape check prints its MISMATCH line and
-// makes the exit code 1. An outcome's CSV header and row come from its
-// one field list and agree with each other.
+// The shared bench CLI: a binary takes only the flags it accepts, and
+// --help lists exactly those. Numeric flags take whole non-negative
+// numbers only, and anything else -- a flag the binary does not accept, a
+// malformed value, an unreadable or malformed --profile-in, an unwritable
+// output path -- exits 2 as the usage contract promises. A failed shape
+// check prints its MISMATCH line and makes the exit code 1. An outcome's
+// CSV header and row come from its one field list and agree with each
+// other.
 #include "bench_args.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <fstream>
+#include <initializer_list>
+#include <iostream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -22,12 +26,19 @@
 namespace steelnet::bench {
 namespace {
 
-BenchArgs parse(std::vector<std::string> words) {
+using enum Flag;
+
+/// Parses `words` as a binary accepting `accepted` (by default, every
+/// flag) would.
+BenchArgs parse(std::vector<std::string> words,
+                std::initializer_list<Flag> accepted = {
+                    kSeed, kCsv, kTrace, kMetrics, kSweep, kJobs, kScale,
+                    kBenchJson, kShards, kSkew, kProfileOut, kProfileIn}) {
   words.insert(words.begin(), "bench");
   std::vector<char*> argv;
   for (std::string& w : words) argv.push_back(w.data());
   return BenchArgs::parse(static_cast<int>(argv.size()), argv.data(),
-                          /*default_seed=*/1);
+                          accepted, /*default_seed=*/1);
 }
 
 TEST(BenchArgs, ParsesDecimalHexAndOctal) {
@@ -37,6 +48,58 @@ TEST(BenchArgs, ParsesDecimalHexAndOctal) {
   EXPECT_EQ(a.shards, 8u);
   EXPECT_EQ(a.sweep, 8u);
   EXPECT_EQ(parse({}).seed, 1u);
+}
+
+TEST(BenchArgs, FillsEachFlagsMember) {
+  const BenchArgs a =
+      parse({"--csv", "--trace", "t.json", "--metrics", "m.prom", "--jobs",
+             "3", "--scale", "9", "--bench-json", "b.json", "--skew",
+             "--profile-out", "o.txt", "--profile-in", "i.txt"});
+  EXPECT_TRUE(a.csv);
+  EXPECT_EQ(a.trace_path, "t.json");
+  EXPECT_EQ(a.metrics_path, "m.prom");
+  EXPECT_EQ(a.jobs, 3u);
+  EXPECT_EQ(a.scale, 9u);
+  EXPECT_EQ(a.bench_json_path, "b.json");
+  EXPECT_TRUE(a.skew);
+  EXPECT_EQ(a.profile_out_path, "o.txt");
+  EXPECT_EQ(a.profile_in_path, "i.txt");
+  EXPECT_FALSE(parse({}).csv);
+  EXPECT_FALSE(parse({}).trace_path.has_value());
+}
+
+TEST(BenchArgs, FlagOutsideAcceptedSetExitsTwo) {
+  EXPECT_EQ(parse({"--seed", "3"}, {kSeed}).seed, 3u);
+  EXPECT_EXIT(parse({"--seed", "3"}, {}), testing::ExitedWithCode(2),
+              "bench: unknown argument '--seed' \\(try --help\\)");
+  EXPECT_EXIT(parse({"--seed", "3", "--skew"}, {kSeed, kCsv}),
+              testing::ExitedWithCode(2), "unknown argument '--skew'");
+  EXPECT_EXIT(parse({"--bench-json", "b.json"}, {kSeed, kCsv, kMetrics}),
+              testing::ExitedWithCode(2), "unknown argument '--bench-json'");
+}
+
+/// Runs --help for a binary accepting `accepted`, its usage line sent to
+/// stderr where a death test can match it.
+void help(std::initializer_list<Flag> accepted) {
+  std::cout.rdbuf(std::cerr.rdbuf());
+  parse({"--help"}, accepted);
+}
+
+TEST(BenchArgs, HelpListsExactlyTheAcceptedFlags) {
+  // In table order, whatever order the binary lists them in.
+  EXPECT_EXIT(help({kSkew, kSeed, kTrace}), testing::ExitedWithCode(0),
+              "usage: bench \\[--seed <n>\\] \\[--trace <file>\\] "
+              "\\[--skew\\]\n$");
+  EXPECT_EXIT(help({}), testing::ExitedWithCode(0), "usage: bench\n$");
+  EXPECT_EXIT(help({kSeed, kCsv, kTrace, kMetrics, kSweep, kJobs, kScale,
+                    kBenchJson, kShards, kSkew, kProfileOut, kProfileIn}),
+              testing::ExitedWithCode(0),
+              "usage: bench \\[--seed <n>\\] \\[--csv\\] "
+              "\\[--trace <file>\\] \\[--metrics <file>\\] "
+              "\\[--sweep <n>\\] \\[--jobs <n>\\] \\[--scale <n>\\] "
+              "\\[--bench-json <file>\\] \\[--shards <n>\\] "
+              "\\[--skew\\] \\[--profile-out <file>\\] "
+              "\\[--profile-in <file>\\]\n$");
 }
 
 TEST(BenchArgs, MalformedNumberExitsTwo) {

@@ -27,108 +27,97 @@ PlacementRequest demand(std::uint32_t mcpu) {
 }
 
 TEST(Placer, EmptyFleetIsTypedError) {
-  BinPackPolicy policy;
-  const auto r = Placer{policy}.place({}, demand(100));
+  const auto r = Placer{PolicyKind::kBinPack}.place({}, demand(100));
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.error, PlaceError::kNoNodes);
 }
 
 TEST(Placer, ZeroCapacityNodesPlaceNothing) {
-  BinPackPolicy policy;
   const std::vector<ComputeNodeState> nodes = {make_node(0, 0),
                                                make_node(1, 0)};
-  const auto r = Placer{policy}.place(nodes, demand(1));
+  const auto r = Placer{PolicyKind::kBinPack}.place(nodes, demand(1));
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.error, PlaceError::kInsufficientCapacity);
 }
 
 TEST(Placer, DemandLargerThanEveryNodeIsInsufficientCapacity) {
-  BinPackPolicy policy;
   const std::vector<ComputeNodeState> nodes = {make_node(0, 4000),
                                                make_node(1, 4000)};
-  const auto r = Placer{policy}.place(nodes, demand(4001));
+  const auto r = Placer{PolicyKind::kBinPack}.place(nodes, demand(4001));
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.error, PlaceError::kInsufficientCapacity);
 }
 
 TEST(Placer, AllNodesDeadOrDrainingIsNoEligibleNode) {
-  BinPackPolicy policy;
   std::vector<ComputeNodeState> nodes = {make_node(0, 4000),
                                          make_node(1, 4000)};
   nodes[0].alive = false;
   nodes[1].draining = true;
-  const auto r = Placer{policy}.place(nodes, demand(100));
+  const auto r = Placer{PolicyKind::kBinPack}.place(nodes, demand(100));
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.error, PlaceError::kNoEligibleNode);
 }
 
 TEST(Placer, SingleRackAntiAffinityUnsatisfiable) {
-  BinPackPolicy policy;
   // All capacity lives in rack 0; a twin excluded from rack 0 has
   // nowhere to go, and the error says so (not "insufficient capacity").
   const std::vector<ComputeNodeState> nodes = {make_node(0, 4000),
                                                make_node(0, 4000)};
   PlacementRequest req = demand(100);
   req.exclude_rack = 0;
-  const auto r = Placer{policy}.place(nodes, req);
+  const auto r = Placer{PolicyKind::kBinPack}.place(nodes, req);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.error, PlaceError::kAntiAffinityUnsatisfiable);
 }
 
 TEST(Placer, AntiAffinitySkipsExcludedRack) {
-  BinPackPolicy policy;
   // Rack 0 is fuller (bin-pack would prefer it) but excluded.
   const std::vector<ComputeNodeState> nodes = {make_node(0, 4000, 3000),
                                                make_node(1, 4000, 100)};
   PlacementRequest req = demand(100);
   req.exclude_rack = 0;
-  const auto r = Placer{policy}.place(nodes, req);
+  const auto r = Placer{PolicyKind::kBinPack}.place(nodes, req);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(*r.node, 1u);
 }
 
 TEST(Placer, BinPackPrefersFullestFeasibleNode) {
-  BinPackPolicy policy;
   const std::vector<ComputeNodeState> nodes = {
       make_node(0, 4000, 1000), make_node(0, 4000, 3500),
       make_node(0, 4000, 3950)};  // too full for 100 mcpu
-  const auto r = Placer{policy}.place(nodes, demand(100));
+  const auto r = Placer{PolicyKind::kBinPack}.place(nodes, demand(100));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(*r.node, 1u);
 }
 
 TEST(Placer, LatencyAwarePrefersPreferredRackEvenWhenBusier) {
-  LatencyAwarePolicy policy;
   const std::vector<ComputeNodeState> nodes = {make_node(0, 4000, 0),
                                                make_node(1, 4000, 3000)};
   PlacementRequest req = demand(100);
   req.preferred_rack = 1;
-  const auto r = Placer{policy}.place(nodes, req);
+  const auto r = Placer{PolicyKind::kLatencyAware}.place(nodes, req);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(*r.node, 1u) << "locality must dominate load";
 }
 
 TEST(Placer, LatencyAwareSpreadsLoadInsideRack) {
-  LatencyAwarePolicy policy;
   const std::vector<ComputeNodeState> nodes = {make_node(0, 4000, 2000),
                                                make_node(0, 4000, 500)};
   PlacementRequest req = demand(100);
   req.preferred_rack = 0;
-  const auto r = Placer{policy}.place(nodes, req);
+  const auto r = Placer{PolicyKind::kLatencyAware}.place(nodes, req);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(*r.node, 1u);
 }
 
 TEST(Placer, TiesBreakTowardLowestIndex) {
-  BinPackPolicy binpack;
-  LatencyAwarePolicy latency;
   const std::vector<ComputeNodeState> nodes = {
       make_node(0, 4000, 1000), make_node(0, 4000, 1000),
       make_node(0, 4000, 1000)};
   PlacementRequest req = demand(100);
   req.preferred_rack = 0;
-  const auto rb = Placer{binpack}.place(nodes, req);
-  const auto rl = Placer{latency}.place(nodes, req);
+  const auto rb = Placer{PolicyKind::kBinPack}.place(nodes, req);
+  const auto rl = Placer{PolicyKind::kLatencyAware}.place(nodes, req);
   ASSERT_TRUE(rb.ok());
   ASSERT_TRUE(rl.ok());
   EXPECT_EQ(*rb.node, 0u);
@@ -136,16 +125,15 @@ TEST(Placer, TiesBreakTowardLowestIndex) {
 }
 
 TEST(Placer, PlacementIsPureAndRepeatable) {
-  LatencyAwarePolicy policy;
   std::vector<ComputeNodeState> nodes;
   for (std::uint32_t i = 0; i < 16; ++i) {
     nodes.push_back(make_node(i % 4, 4000, (i * 977) % 3000));
   }
   PlacementRequest req = demand(250);
   req.preferred_rack = 2;
-  const auto first = Placer{policy}.place(nodes, req);
+  const auto first = Placer{PolicyKind::kLatencyAware}.place(nodes, req);
   for (int i = 0; i < 10; ++i) {
-    const auto again = Placer{policy}.place(nodes, req);
+    const auto again = Placer{PolicyKind::kLatencyAware}.place(nodes, req);
     ASSERT_TRUE(again.ok());
     EXPECT_EQ(*again.node, *first.node);
   }

@@ -123,21 +123,19 @@ TEST(SdnSwitch, TransformedMirrorRewritesCopyOnly) {
   EXPECT_EQ(mirror_byte, 0xEE);
 }
 
-TEST(SdnSwitch, PuntHandlerReceivesCopy) {
+TEST(SdnSwitch, PuntIsCountedAndNotForwarded) {
   SdnFixture fx;
   fx.install({ActionPrimitive::punt(), ActionPrimitive::drop()});
-  int punted = 0;
-  net::PortId punt_port = 99;
-  fx.sw->set_punt_handler([&](const net::Frame&, net::PortId p) {
-    ++punted;
-    punt_port = p;
-  });
+  int got = 0;
+  for (net::HostNode* h : fx.hosts) {
+    h->set_receiver([&](net::Frame, sim::SimTime) { ++got; });
+  }
   fx.hosts[1]->send(fx.frame_to(1));
   fx.simulator.run();
-  EXPECT_EQ(punted, 1);
-  EXPECT_EQ(punt_port, 1);
+  EXPECT_EQ(got, 0);
   EXPECT_EQ(fx.sw->counters().punted, 1u);
   EXPECT_EQ(fx.sw->counters().dropped, 1u);
+  EXPECT_EQ(fx.sw->counters().frames_out, 0u);
 }
 
 TEST(SdnSwitch, InspectorSeesEverythingBeforePipeline) {
