@@ -5,10 +5,13 @@
 // whose type says how its value is read -- a bool is a switch, a number
 // takes a whole non-negative <n> (decimal, 0x hex or 0 octal), an
 // optional string takes a <file>. Each main passes BenchArgs::parse the
-// flags it reads, and only those: --help lists them, and any other flag
-// exits 2 as an unknown argument, so no flag is silently ignored. A flag
-// a binary honours in one mode but not in another is named on stderr by
-// warn_obs_ignored().
+// flags it reads, and only those. A binary that runs in more than one
+// mode also passes its other modes: a mode is the flag that selects it
+// (--sweep, --bench-json) plus the flags that mode reads, and the first
+// selector on the command line picks it. --help prints one usage line
+// per mode, and any flag outside the picked mode's set -- a second
+// selector included -- exits 2 as an unknown argument before any work,
+// so no flag is silently ignored.
 //
 // Every bench reports through the two helpers below. Output files
 // (--trace, --metrics, --bench-json, --profile-out) go through
@@ -78,7 +81,8 @@ struct CsvFields {
 };
 
 /// Reads a cell-rate profile (`--profile-in`); exits 2 if it is
-/// unreadable or not a profile.
+/// unreadable, not a profile, or lists no cells (placement would fall
+/// back to prefix-quota and the flag would change nothing).
 inline sim::RateProfile read_profile(const char* prog,
                                      const std::string& path) {
   std::ifstream in{path};
@@ -88,12 +92,18 @@ inline sim::RateProfile read_profile(const char* prog,
   }
   std::ostringstream text;
   text << in.rdbuf();
+  sim::RateProfile profile;
   try {
-    return sim::RateProfile::parse(text.str());
+    profile = sim::RateProfile::parse(text.str());
   } catch (const sim::PartitionError& e) {
     std::cerr << prog << ": " << e.what() << "\n";
     std::exit(2);
   }
+  if (profile.cells.empty()) {
+    std::cerr << prog << ": profile '" << path << "' lists no cells\n";
+    std::exit(2);
+  }
+  return profile;
 }
 
 /// Writes one output file exactly as rendered; the note goes to stderr so
@@ -124,6 +134,13 @@ enum class Flag : std::uint8_t {
   kShards, kSkew, kProfileOut, kProfileIn
 };
 
+/// A mode other than a binary's default one: the flag that selects it and
+/// the flags the mode reads besides.
+struct Mode {
+  Flag selector;
+  std::initializer_list<Flag> flags;
+};
+
 struct BenchArgs {
   /// --seed <n>: RNG seed; each binary keeps its historical default.
   std::uint64_t seed = 0;
@@ -133,7 +150,8 @@ struct BenchArgs {
   std::optional<std::string> trace_path;
   /// --metrics <file>: write a Prometheus-style metrics dump of the run.
   std::optional<std::string> metrics_path;
-  /// --sweep <n>: sweep n seeds instead of the one default run; 0 = none.
+  /// --sweep <n>: n seeded runs, after the default ones -- or, where
+  /// --sweep selects a mode, instead of them; 0 = none.
   std::uint64_t sweep = 0;
   /// --jobs <n>: worker threads for independent runs (core::SweepRunner:
   /// 0 = hardware concurrency, 1 = the sequential loop); output is
@@ -154,19 +172,17 @@ struct BenchArgs {
   /// profile (measured-rate LPT) instead of prefix-quota.
   std::optional<std::string> profile_in_path;
 
-  /// Parses argv, taking only the `accepted` flags; exits on --help (0)
-  /// and on malformed, unknown or unaccepted flags (2).
+  /// The selector of the mode this run takes; empty for the default mode.
+  std::optional<Flag> mode;
+
+  /// Parses argv. The first selector of `modes` on the command line picks
+  /// that mode and its flags; without one, the default mode takes the
+  /// `accepted` flags. Exits on --help (0) and on malformed, unknown or
+  /// unaccepted flags (2).
   static BenchArgs parse(int argc, char** argv,
                          std::initializer_list<Flag> accepted,
-                         std::uint64_t default_seed = 0);
-
-  /// Warns on stderr when a trace/metrics file was requested that this
-  /// run will not write, saying why; the run goes on.
-  void warn_obs_ignored(const char* prog, std::string_view why) const {
-    if (trace_path.has_value() || metrics_path.has_value()) {
-      std::cerr << prog << ": " << why << "; --trace/--metrics ignored\n";
-    }
-  }
+                         std::uint64_t default_seed = 0,
+                         std::initializer_list<Mode> modes = {});
 };
 
 /// One flag: its name and the member it fills, whose type says how its
@@ -195,34 +211,67 @@ inline constexpr FlagSpec kFlagTable[] = {
     {Flag::kProfileIn, "--profile-in", &BenchArgs::profile_in_path},
 };
 
+/// The kFlagTable entry named `name`, or nullptr.
+inline const FlagSpec* find_flag(std::string_view name) {
+  const FlagSpec* f =
+      std::find_if(std::begin(kFlagTable), std::end(kFlagTable),
+                   [&](const FlagSpec& s) { return s.name == name; });
+  return f == std::end(kFlagTable) ? nullptr : f;
+}
+
 inline BenchArgs BenchArgs::parse(int argc, char** argv,
                                   std::initializer_list<Flag> accepted,
-                                  std::uint64_t default_seed) {
+                                  std::uint64_t default_seed,
+                                  std::initializer_list<Mode> modes) {
   BenchArgs args;
   args.seed = default_seed;
   const char* prog = argc > 0 ? argv[0] : "bench";
-  const auto accepts = [&](const FlagSpec& f) {
-    return std::find(accepted.begin(), accepted.end(), f.flag) !=
-           accepted.end();
+  const auto in = [](std::initializer_list<Flag> set, Flag f) {
+    return std::find(set.begin(), set.end(), f) != set.end();
   };
+  // The first selector picks the mode. A flag's value is skipped, so a
+  // path that reads like a selector never picks one.
+  std::initializer_list<Flag> picked = accepted;
+  for (int i = 1; i < argc && !args.mode.has_value(); ++i) {
+    const FlagSpec* f = find_flag(argv[i]);
+    if (f == nullptr) continue;
+    for (const Mode& m : modes) {
+      if (m.selector == f->flag) {
+        args.mode = m.selector;
+        picked = m.flags;
+      }
+    }
+    if (!std::holds_alternative<bool BenchArgs::*>(f->member)) ++i;
+  }
+  const auto accepts = [&](Flag f) { return f == args.mode || in(picked, f); };
   for (int i = 1; i < argc; ++i) {
     const std::string_view a = argv[i];
     if (a == "--help" || a == "-h") {
       // The value hint of each member type, in variant order.
       constexpr std::string_view kHint[] = {"", " <n>", " <file>"};
-      std::cout << "usage: " << prog;
-      for (const FlagSpec& f : kFlagTable) {
-        if (accepts(f)) {
-          std::cout << " [" << f.name << kHint[f.member.index()] << "]";
+      // One line per mode: its selector, then its flags in table order.
+      const auto usage = [&](std::string_view lead,
+                             std::optional<Flag> selector,
+                             std::initializer_list<Flag> flags) {
+        std::cout << lead << prog;
+        for (const FlagSpec& f : kFlagTable) {
+          if (f.flag == selector) {
+            std::cout << " " << f.name << kHint[f.member.index()];
+          }
         }
-      }
-      std::cout << "\n";
+        for (const FlagSpec& f : kFlagTable) {
+          if (in(flags, f.flag)) {
+            std::cout << " [" << f.name << kHint[f.member.index()] << "]";
+          }
+        }
+        std::cout << "\n";
+      };
+      usage("usage: ", std::nullopt, accepted);
+      for (const Mode& m : modes) usage("       ", m.selector, m.flags);
       std::exit(0);
     }
-    const FlagSpec* f =
-        std::find_if(std::begin(kFlagTable), std::end(kFlagTable),
-                     [&](const FlagSpec& s) { return s.name == a; });
-    if (f == std::end(kFlagTable) || !accepts(*f)) {
+    const FlagSpec* f = find_flag(a);
+    if (f == nullptr || !accepts(f->flag)) {
       std::cerr << prog << ": unknown argument '" << a << "' (try --help)\n";
       std::exit(2);
     }

@@ -568,7 +568,11 @@ void BM_NullMessageRound(benchmark::State& state) {
   for (auto _ : state) {
     sim::ShardedSimulator ss;
     for (std::uint32_t i = 0; i < kCells; ++i) {
-      ss.add_cell("c" + std::to_string(i));
+      // Appended: GCC 12 at -O3 warns -Wrestrict inside libstdc++ on
+      // `"c" + std::to_string(i)`.
+      std::string name = "c";
+      name += std::to_string(i);
+      ss.add_cell(name);
     }
     for (std::uint32_t i = 0; i < kCells; ++i) {
       ss.connect(i, (i + 1) % kCells, 1_us);

@@ -6,20 +6,31 @@
 // Default mode runs the table campus at shards 1 and 8 and reports, per
 // shard count, the cyclic/report/drop totals plus the artifact
 // fingerprint -- which must be identical across the two rows (the
-// determinism headline the tests and the `contract` gates pin). Modes:
+// determinism headline the tests and the `contract` gates pin).
 //
-//   --shards <n>      run a single shard count instead of {1, 8}
-//   --csv             the per-cell CSV artifact of one run (the exact
-//                     byte stream the `contract` ctest gates compare
-//                     across shard counts) instead of the rendered table;
+// Modes. Each takes --seed <n>, --csv and the flags listed under it, and
+// any other flag exits 2 (`--help` prints the three sets):
+//
+// (no selector)       the table above, or with --csv the per-cell CSV
+//                     artifact of one run (the exact byte stream the
+//                     `contract` ctest gates compare across shard counts);
 //                     the checks still set the exit code, on stderr
-//   --sweep <k>       k seeded small campuses through the seed-sweep
-//                     harness (each itself sharded via --shards); prints
-//                     one fingerprint row per seed, byte-identical at any
-//                     --jobs/--shards combination
+//   --shards <n>      run a single shard count instead of {1, 8}
 //   --metrics <file>  Prometheus dump of the (first) run
 //   --trace <file>    Chrome-trace JSON of the (first) run
-//   --bench-json <f>  the BIG campus (240 cells x 48 devices ~ 11.5k
+//   --profile-out <f> write the (first) run's measured cell-rate profile
+//   --profile-in <f>  feed a calibration profile back: cells are placed
+//                     by measured rate (LPT) instead of prefix-quota
+//   --skew            hot-zone variant: the first quarter of the cells
+//                     runs 4x cyclic rate + fault storms (the workload
+//                     the measured-rate partitioner exists for)
+// --sweep <k>         k seeded small campuses through the seed-sweep
+//                     harness (each itself sharded via --shards); one
+//                     fingerprint row per seed, byte-identical at any
+//                     --jobs/--shards combination. The output is CSV
+//                     either way, so --csv changes nothing here
+//   --shards <n> --jobs <n> --skew
+// --bench-json <f>    the BIG campus (240 cells x 48 devices ~ 11.5k
 //                     PROFINET endpoints) over a shard ladder {1,2,4,8};
 //                     the shards=1 rung doubles as the calibration run
 //                     whose measured profile drives a second, profile-
@@ -28,12 +39,8 @@
 //                     with per-rung partition map / per-shard loads /
 //                     imbalance recorded for post-hoc diagnosis
 //   --scale <n>       override the big campus cell count (default 240)
-//   --skew            hot-zone variant: the first quarter of the cells
-//                     runs 4x cyclic rate + fault storms (the workload
-//                     the measured-rate partitioner exists for)
-//   --profile-out <f> write the (first) run's measured cell-rate profile
-//   --profile-in <f>  feed a calibration profile back: cells are placed
-//                     by measured rate (LPT) instead of prefix-quota
+//   --profile-out <f> write the calibration run's profile
+//   --skew
 #include <cinttypes>
 #include <cstdio>
 #include <iostream>
@@ -51,7 +58,6 @@
 namespace {
 
 using steelnet::net::CampusOptions;
-using steelnet::net::CampusPartitioner;
 using steelnet::net::CampusResult;
 using steelnet::bench::hex16;
 
@@ -120,9 +126,11 @@ int main(int argc, char** argv) {
   using enum bench::Flag;
   const auto args = bench::BenchArgs::parse(
       argc, argv,
-      {kSeed, kCsv, kTrace, kMetrics, kSweep, kJobs, kScale, kBenchJson,
-       kShards, kSkew, kProfileOut, kProfileIn},
-      /*default_seed=*/1);
+      {kSeed, kCsv, kTrace, kMetrics, kShards, kSkew, kProfileOut,
+       kProfileIn},
+      /*default_seed=*/1,
+      {{kSweep, {kSeed, kCsv, kJobs, kShards, kSkew}},
+       {kBenchJson, {kSeed, kCsv, kScale, kSkew, kProfileOut}}});
 
   // --- big-campus shard ladder -> BENCH_campus.json ------------------------
   //
@@ -133,9 +141,7 @@ int main(int argc, char** argv) {
   // artifacts -- and under --skew the measured pass must beat prefix on
   // the max/mean load ratio (checked; wall clock is recorded but only
   // meaningful on multi-core hosts).
-  if (args.bench_json_path.has_value()) {
-    args.warn_obs_ignored(kProg, "--bench-json runs a ladder, not one run "
-                                 "to export");
+  if (args.mode == kBenchJson) {
     struct Rung {
       std::size_t shards;
       const char* strategy;
@@ -154,10 +160,7 @@ int main(int argc, char** argv) {
       CampusOptions opt = big_options(args.seed, args.scale);
       opt.shards = sh;
       opt.skew = args.skew;
-      if (measured) {
-        opt.partitioner = CampusPartitioner::kMeasuredRate;
-        opt.measured_weights = calibration.weights();
-      }
+      if (measured) opt.measured_weights = calibration.weights();
       const CampusResult r = net::run_campus(opt);
       const Totals t = totals_of(r);
       rungs.push_back({sh, measured ? "measured" : "prefix",
@@ -272,9 +275,7 @@ int main(int argc, char** argv) {
   }
 
   // --- seed sweep (each task itself sharded) --------------------------------
-  if (args.sweep > 0) {
-    args.warn_obs_ignored(kProg, "--sweep runs many seeds, not one run to "
-                                 "export");
+  if (args.mode == kSweep) {
     const std::size_t shards = args.shards == 0 ? 2 : args.shards;
     const auto slots =
         core::SweepRunner{args.jobs, shards}.run(
@@ -320,10 +321,7 @@ int main(int argc, char** argv) {
     CampusOptions opt = table_options(args.seed);
     opt.shards = sh;
     opt.skew = args.skew;
-    if (args.profile_in_path.has_value()) {
-      opt.partitioner = CampusPartitioner::kMeasuredRate;
-      opt.measured_weights = profile_in.weights();
-    }
+    opt.measured_weights = profile_in.weights();
     results.push_back(net::run_campus(opt));
     std::fprintf(stderr,
                  "tab_campus: shards=%zu imbalance_permille=%" PRIu64 "\n", sh,

@@ -7,22 +7,27 @@
 // link quality drops, and the acceptance gate is that the degradation
 // curve is monotone down the ladder at the default seed.
 //
-// Modes:
-//   --shards <n>      run a single shard count instead of {1, 8}
-//   --csv             the per-cell CSV artifact of one run (the exact
-//                     byte stream the `contract` ctest gates compare
-//                     across shard counts) instead of the rendered table;
-//                     the checks still set the exit code, on stderr
-//   --sweep <k>       k seeded floors through the sweep pool; one
-//                     fingerprint row per seed, byte-identical at any
-//                     --jobs/--shards combination
+// Modes. Each takes --seed <n>, --csv, --shards <n>, --profile-in <f>
+// and the flags listed under it, and any other flag exits 2:
+//
+// (no selector)       the per-cell table at shards {1, 8}, or the one
+//                     --shards count; with --csv the per-cell CSV artifact
+//                     of one run (the exact byte stream the `contract`
+//                     ctest gates compare across shard counts), the checks
+//                     still setting the exit code, on stderr
 //   --metrics <file>  Prometheus dump of the (first) run
 //   --trace <file>    Chrome-trace JSON of the (first) run
 //   --profile-out <f> write the (first) run's measured cell-rate profile
-//   --profile-in <f>  feed a calibration profile back: cells are placed
-//                     by measured rate (the SNR ladder is naturally
-//                     skewed: dead rungs run far fewer events than
-//                     healthy ones)
+// --sweep <k>         k seeded floors through the sweep pool (each on
+//                     --shards, default 2); one fingerprint row per seed,
+//                     byte-identical at any --jobs/--shards combination.
+//                     The output is CSV either way, so --csv changes
+//                     nothing here
+//   --jobs <n>
+//
+// --profile-in feeds a calibration profile back: cells are placed by
+// measured rate (the SNR ladder is naturally skewed: dead rungs run far
+// fewer events than healthy ones).
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -63,17 +68,15 @@ int main(int argc, char** argv) {
   using enum bench::Flag;
   const auto args = bench::BenchArgs::parse(
       argc, argv,
-      {kSeed, kCsv, kTrace, kMetrics, kSweep, kJobs, kShards, kProfileOut,
-       kProfileIn},
-      /*default_seed=*/1);
+      {kSeed, kCsv, kTrace, kMetrics, kShards, kProfileOut, kProfileIn},
+      /*default_seed=*/1,
+      {{kSweep, {kSeed, kCsv, kJobs, kShards, kProfileIn}}});
   if (args.profile_in_path.has_value()) {
     g_weights = bench::read_profile(kProg, *args.profile_in_path).weights();
   }
 
   // --- seed sweep (each task itself sharded) --------------------------------
-  if (args.sweep > 0) {
-    args.warn_obs_ignored(kProg, "--sweep runs many seeds, not one run to "
-                                 "export");
+  if (args.mode == kSweep) {
     const std::size_t shards = args.shards == 0 ? 2 : args.shards;
     const auto slots = core::SweepRunner{args.jobs, shards}.run(
         args.sweep, [&](std::size_t i) {

@@ -36,12 +36,12 @@ struct FaultSpec {
   FaultKind kind = FaultKind::kLinkDown;
   std::string node;        ///< endpoint / target node name
   net::PortId port = 0;    ///< link faults: the endpoint's port
-  sim::SimTime at;         ///< onset
-  sim::SimTime duration;   ///< window (zero = permanent); flap: down time
+  sim::SimTime at{};       ///< onset
+  sim::SimTime duration{}; ///< window (zero = permanent); flap: down time
   double probability = 0;  ///< loss/corrupt/duplicate/reorder
-  sim::SimTime delay;      ///< jitter bound / reorder extra delay
+  sim::SimTime delay{};    ///< jitter bound / reorder extra delay
   std::uint32_t count = 0; ///< flap cycles
-  sim::SimTime period;     ///< flap cycle period
+  sim::SimTime period{};   ///< flap cycle period
 };
 
 struct FaultScenario {

@@ -103,7 +103,7 @@ struct FlowCacheConfig {
   sim::SimTime idle_timeout = sim::milliseconds(500);
   sim::SimTime active_timeout = sim::seconds(1);
   /// Unread. It exists only because perfbench's plant_bench assigns it;
-  /// the benchmark change of ROADMAP item 3 removes it.
+  /// ROADMAP item 7(b) stops that, and item 2 then removes it.
   ExpiryEngine engine = ExpiryEngine::kWheel;
   /// Wheel granularity. Expiry is exact at any sweep spacing; the tick
   /// sets only how many wheel slots a sweep walks (one per tick crossed).

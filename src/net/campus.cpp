@@ -209,14 +209,6 @@ CampusResult run_campus(const CampusOptions& opt) {
   }
   const std::size_t hot_cells = opt.skew ? std::max<std::size_t>(1, opt.cells / 4) : 0;
 
-  const bool measured = opt.partitioner == CampusPartitioner::kMeasuredRate;
-  if (measured && opt.measured_weights.empty()) {
-    throw sim::PartitionError(
-        sim::PartitionErrorCode::kProfileMismatch,
-        "run_campus: measured-rate partitioner needs measured_weights "
-        "(run a calibration pass and feed its profile back)");
-  }
-
   // Ring backbone with chords: cell i reports to (i+1 .. i+degree) mod n.
   std::vector<std::vector<std::uint32_t>> dsts(opt.cells);
   if (opt.cells > 1) {
@@ -271,9 +263,7 @@ CampusResult run_campus(const CampusOptions& opt) {
   }
 
   CampusResult result;
-  run_placed(ss, opt.horizon, opt.shards,
-             measured ? opt.measured_weights : std::vector<std::uint64_t>{},
-             result);
+  run_placed(ss, opt.horizon, opt.shards, opt.measured_weights, result);
 
   result.cells.reserve(opt.cells);
   for (std::size_t i = 0; i < opt.cells; ++i) {

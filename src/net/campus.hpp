@@ -32,12 +32,8 @@ inline constexpr std::uint32_t kCampusReportMsg = 1;
 /// Period of every cell's telemetry report to its backbone neighbours.
 inline constexpr sim::SimTime kCampusReportPeriod = sim::milliseconds(10);
 
-/// Placement strategy for the campus run. Placement decides wall-clock
-/// only; artifacts are byte-identical under either choice.
-enum class CampusPartitioner : std::uint8_t {
-  kPrefixQuota,   ///< contiguous walk over declared weights (the default)
-  kMeasuredRate,  ///< LPT bin-pack over `measured_weights` (profile-guided)
-};
+/// Unread; see CampusOptions::partitioner.
+enum class CampusPartitioner : std::uint8_t { kPrefixQuota, kMeasuredRate };
 
 struct CampusOptions {
   std::size_t cells = 8;
@@ -60,10 +56,15 @@ struct CampusOptions {
   /// fixes. The hot zone is contiguous so it lands on few shards under a
   /// contiguous equal-weight split.
   bool skew = false;
+  /// Unread: placement follows `measured_weights` alone. It exists only
+  /// because perfbench's plant_bench assigns it; ROADMAP item 7(b) stops
+  /// that, and item 2 then removes it.
   CampusPartitioner partitioner = CampusPartitioner::kPrefixQuota;
   /// Measured per-cell rates (one per cell, e.g. RateProfile::weights()
-  /// of a calibration run). Required non-empty with kMeasuredRate;
-  /// run_campus throws sim::PartitionError{kProfileMismatch} otherwise.
+  /// of a calibration run). Non-empty places cells by LPT over them;
+  /// empty keeps the prefix-quota walk over uniform declared weights.
+  /// Placement decides wall-clock only; artifacts are byte-identical
+  /// under either.
   std::vector<std::uint64_t> measured_weights;
 };
 

@@ -14,6 +14,11 @@
 
 namespace steelnet::net {
 
+// Testbeds run at the default timing, so the floor's constants must name it.
+static_assert(RadioFloorOptions::switchover_cycles ==
+              faults::RunnerOptions{}.switchover_cycles);
+static_assert(RadioFloorOptions::io_cycle == faults::RunnerOptions{}.io_cycle);
+
 namespace {
 
 /// The SNR ladder: healthy link down to below the association floor.
@@ -100,8 +105,6 @@ std::unique_ptr<FloorCell> build_cell(sim::ShardedSimulator::Cell& cell,
 
   faults::InstaPlcTestbed::Config tcfg;
   tcfg.opts.horizon = opt.horizon;
-  tcfg.opts.switchover_cycles = opt.switchover_cycles;
-  tcfg.opts.io_cycle = opt.io_cycle;
   tcfg.device_backend = fc->backend.get();
   LossyRadioBackend* be = fc->backend.get();
   tcfg.before_device_connect = [be, station](NodeId dev, PortId dev_port,
@@ -142,11 +145,8 @@ RadioFloorResult run_radio_floor(const RadioFloorOptions& opt) {
   }
 
   RadioFloorResult result;
-  faults::RunnerOptions bound_opts;
-  bound_opts.switchover_cycles = opt.switchover_cycles;
-  bound_opts.io_cycle = opt.io_cycle;
-  result.watchdog_bound_ns = faults::switchover_bound(bound_opts).nanos();
-  result.io_cycle_ns = opt.io_cycle.nanos();
+  result.watchdog_bound_ns = faults::switchover_bound({}).nanos();
+  result.io_cycle_ns = RadioFloorOptions::io_cycle.nanos();
   run_placed(ss, opt.horizon, opt.shards, opt.measured_weights, result);
 
   // Collection is outside the kernel's timed run. Each collect() reads

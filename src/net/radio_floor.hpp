@@ -34,9 +34,11 @@ struct RadioFloorOptions {
   sim::SimTime horizon = sim::seconds(3);
   std::uint64_t seed = 1;
   std::size_t shards = 1;
-  /// Silent I/O cycles before the in-network monitor switches over.
-  std::uint16_t switchover_cycles = 3;
-  sim::SimTime io_cycle = sim::milliseconds(2);
+  /// Silent I/O cycles before the in-network monitor switches over, and
+  /// the I/O cycle: every testbed runs at faults::RunnerOptions' default
+  /// timing, which these name.
+  static constexpr std::uint16_t switchover_cycles = 3;
+  static constexpr sim::SimTime io_cycle = sim::milliseconds(2);
   /// Measured per-cell rates (one per cell, e.g. RateProfile::weights()
   /// of a calibration run). Non-empty places cells by LPT over them;
   /// empty keeps the prefix-quota walk over uniform declared weights. The

@@ -21,8 +21,8 @@ namespace steelnet::net {
 /// A built topology: node ids of all hosts and switches, in creation order.
 struct Fabric {
   Network* net = nullptr;
-  std::vector<NodeId> hosts;
-  std::vector<NodeId> switches;
+  std::vector<NodeId> hosts{};
+  std::vector<NodeId> switches{};
 
   [[nodiscard]] HostNode& host(std::size_t i) const;
   [[nodiscard]] std::size_t host_count() const { return hosts.size(); }

@@ -36,10 +36,6 @@ class RingQueue {
     --size_;
   }
 
-  void clear() {
-    while (!empty()) pop_front();
-  }
-
  private:
   void grow() {
     const std::size_t cap = buf_.empty() ? kInitialCapacity : buf_.size() * 2;

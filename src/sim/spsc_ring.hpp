@@ -34,21 +34,10 @@ class SpscRing {
 
   [[nodiscard]] std::size_t capacity() const { return buf_.size(); }
 
-  /// Producer side. Returns false when the ring is full.
-  bool try_push(const T& value) {
-    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail - head_.load(std::memory_order_acquire) == buf_.size()) {
-      return false;
-    }
-    buf_[tail & mask_] = value;
-    tail_.store(tail + 1, std::memory_order_release);
-    return true;
-  }
-
-  /// Rvalue producer side: moves instead of copying. The fullness check
-  /// runs *before* the move, so a false return leaves `value` intact --
-  /// which is what lets the sharded kernel's backpressure loop retry the
-  /// same message. Same acquire/release protocol as the copy overload.
+  /// Producer side: moves `value` in, or returns false when the ring is
+  /// full. The fullness check runs *before* the move, so a false return
+  /// leaves `value` intact -- which is what lets the sharded kernel's
+  /// backpressure loop retry the same message.
   bool try_push(T&& value) {
     const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
     if (tail - head_.load(std::memory_order_acquire) == buf_.size()) {
@@ -87,13 +76,6 @@ class SpscRing {
     }
     if (n != 0) head_.store(head + n, std::memory_order_release);
     return n;
-  }
-
-  /// Racy size estimate -- exact only when both sides are quiescent
-  /// (which is when the sharded kernel reads it, after the join).
-  [[nodiscard]] std::size_t size_approx() const {
-    return static_cast<std::size_t>(tail_.load(std::memory_order_acquire) -
-                                    head_.load(std::memory_order_acquire));
   }
 
  private:

@@ -1,8 +1,10 @@
-// The shared bench CLI: a binary takes only the flags it accepts, and
-// --help lists exactly those. Numeric flags take whole non-negative
-// numbers only, and anything else -- a flag the binary does not accept, a
-// malformed value, an unreadable or malformed --profile-in, an unwritable
-// output path -- exits 2 as the usage contract promises. A failed shape
+// The shared bench CLI: a binary takes only the flags it accepts -- in
+// the mode its first selector picks, if it has modes -- and --help lists
+// exactly those, one line per mode. Numeric flags take whole non-negative
+// numbers only, and anything else -- a flag the binary or the mode does
+// not accept, a second selector, a malformed value, an unreadable,
+// malformed or empty --profile-in, an unwritable output path -- exits 2
+// as the usage contract promises. A failed shape
 // check prints its MISMATCH line and makes the exit code 1. An outcome's
 // CSV header and row come from its one field list and agree with each
 // other.
@@ -17,6 +19,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "faults/scenario_runner.hpp"
@@ -29,16 +32,26 @@ namespace {
 using enum Flag;
 
 /// Parses `words` as a binary accepting `accepted` (by default, every
-/// flag) would.
+/// flag) in its default mode, and `modes` besides, would.
 BenchArgs parse(std::vector<std::string> words,
                 std::initializer_list<Flag> accepted = {
                     kSeed, kCsv, kTrace, kMetrics, kSweep, kJobs, kScale,
-                    kBenchJson, kShards, kSkew, kProfileOut, kProfileIn}) {
+                    kBenchJson, kShards, kSkew, kProfileOut, kProfileIn},
+                std::initializer_list<Mode> modes = {}) {
   words.insert(words.begin(), "bench");
   std::vector<char*> argv;
   for (std::string& w : words) argv.push_back(w.data());
   return BenchArgs::parse(static_cast<int>(argv.size()), argv.data(),
-                          accepted, /*default_seed=*/1);
+                          accepted, /*default_seed=*/1, modes);
+}
+
+/// Parses `words` as tab_campus, whose three modes are the widest.
+BenchArgs parse_campus(std::vector<std::string> words) {
+  return parse(std::move(words),
+               {kSeed, kCsv, kTrace, kMetrics, kShards, kSkew, kProfileOut,
+                kProfileIn},
+               {{kSweep, {kSeed, kCsv, kJobs, kShards, kSkew}},
+                {kBenchJson, {kSeed, kCsv, kScale, kSkew, kProfileOut}}});
 }
 
 TEST(BenchArgs, ParsesDecimalHexAndOctal) {
@@ -78,11 +91,103 @@ TEST(BenchArgs, FlagOutsideAcceptedSetExitsTwo) {
               testing::ExitedWithCode(2), "unknown argument '--bench-json'");
 }
 
-/// Runs --help for a binary accepting `accepted`, its usage line sent to
-/// stderr where a death test can match it.
-void help(std::initializer_list<Flag> accepted) {
+TEST(BenchArgs, EveryFlagOfEachModeParses) {
+  const BenchArgs table = parse_campus(
+      {"--seed", "4", "--csv", "--trace", "t.json", "--metrics", "m.prom",
+       "--shards", "3", "--skew", "--profile-out", "o.txt", "--profile-in",
+       "i.txt"});
+  EXPECT_FALSE(table.mode.has_value());
+  EXPECT_EQ(table.seed, 4u);
+  EXPECT_TRUE(table.csv);
+  EXPECT_EQ(table.trace_path, "t.json");
+  EXPECT_EQ(table.metrics_path, "m.prom");
+  EXPECT_EQ(table.shards, 3u);
+  EXPECT_TRUE(table.skew);
+  EXPECT_EQ(table.profile_out_path, "o.txt");
+  EXPECT_EQ(table.profile_in_path, "i.txt");
+
+  // The selector need not come first.
+  const BenchArgs sweep = parse_campus(
+      {"--seed", "5", "--csv", "--jobs", "2", "--sweep", "7", "--shards",
+       "4", "--skew"});
+  EXPECT_EQ(sweep.mode, kSweep);
+  EXPECT_EQ(sweep.sweep, 7u);
+  EXPECT_EQ(sweep.seed, 5u);
+  EXPECT_TRUE(sweep.csv);
+  EXPECT_EQ(sweep.jobs, 2u);
+  EXPECT_EQ(sweep.shards, 4u);
+  EXPECT_TRUE(sweep.skew);
+  // A sweep of no seeds is still the sweep mode.
+  EXPECT_EQ(parse_campus({"--sweep", "0"}).mode, kSweep);
+
+  const BenchArgs ladder = parse_campus(
+      {"--bench-json", "b.json", "--seed", "6", "--csv", "--scale", "9",
+       "--skew", "--profile-out", "p.txt"});
+  EXPECT_EQ(ladder.mode, kBenchJson);
+  EXPECT_EQ(ladder.bench_json_path, "b.json");
+  EXPECT_EQ(ladder.seed, 6u);
+  EXPECT_TRUE(ladder.csv);
+  EXPECT_EQ(ladder.scale, 9u);
+  EXPECT_TRUE(ladder.skew);
+  EXPECT_EQ(ladder.profile_out_path, "p.txt");
+
+  // A path that reads like a selector is a value, not a selector.
+  const BenchArgs path = parse_campus({"--trace", "--sweep"});
+  EXPECT_FALSE(path.mode.has_value());
+  EXPECT_EQ(path.trace_path, "--sweep");
+}
+
+TEST(BenchArgs, FlagOutsideSelectedModeExitsTwo) {
+  EXPECT_EXIT(parse_campus({"--shards", "1", "--scale", "9"}),
+              testing::ExitedWithCode(2),
+              "bench: unknown argument '--scale' \\(try --help\\)");
+  EXPECT_EXIT(parse_campus({"--sweep", "2", "--csv", "--profile-out", "p"}),
+              testing::ExitedWithCode(2), "unknown argument '--profile-out'");
+  EXPECT_EXIT(parse_campus({"--bench-json", "b.json", "--scale", "4",
+                            "--profile-in", "/nonexistent"}),
+              testing::ExitedWithCode(2), "unknown argument '--profile-in'");
+  // The flag is rejected by name even when it precedes the selector.
+  EXPECT_EXIT(parse_campus({"--trace", "t.json", "--sweep", "2"}),
+              testing::ExitedWithCode(2), "unknown argument '--trace'");
+}
+
+TEST(BenchArgs, SecondSelectorExitsTwo) {
+  EXPECT_EXIT(parse_campus({"--sweep", "2", "--bench-json", "x.json"}),
+              testing::ExitedWithCode(2), "unknown argument '--bench-json'");
+  EXPECT_EXIT(parse_campus({"--bench-json", "x.json", "--sweep", "2"}),
+              testing::ExitedWithCode(2), "unknown argument '--sweep'");
+}
+
+/// Runs `words` (by default --help alone) for a binary accepting
+/// `accepted` and `modes`, its usage lines sent to stderr where a death
+/// test can match them.
+void help(std::initializer_list<Flag> accepted,
+          std::initializer_list<Mode> modes = {},
+          std::vector<std::string> words = {"--help"}) {
   std::cout.rdbuf(std::cerr.rdbuf());
-  parse({"--help"}, accepted);
+  parse(std::move(words), accepted, modes);
+}
+
+TEST(BenchArgs, HelpPrintsOneLinePerMode) {
+  // Each line: the selector, then that mode's flags in table order.
+  EXPECT_EXIT(help({kSeed, kCsv, kTrace, kMetrics, kShards, kSkew,
+                    kProfileOut, kProfileIn},
+                   {{kSweep, {kShards, kJobs, kSkew, kCsv, kSeed}},
+                    {kBenchJson, {kSeed, kCsv, kScale, kSkew, kProfileOut}}}),
+              testing::ExitedWithCode(0),
+              "^usage: bench \\[--seed <n>\\] \\[--csv\\] "
+              "\\[--trace <file>\\] \\[--metrics <file>\\] "
+              "\\[--shards <n>\\] \\[--skew\\] "
+              "\\[--profile-out <file>\\] \\[--profile-in <file>\\]\n"
+              "       bench --sweep <n> \\[--seed <n>\\] \\[--csv\\] "
+              "\\[--jobs <n>\\] \\[--shards <n>\\] \\[--skew\\]\n"
+              "       bench --bench-json <file> \\[--seed <n>\\] "
+              "\\[--csv\\] \\[--scale <n>\\] \\[--skew\\] "
+              "\\[--profile-out <file>\\]\n$");
+  // --help wins in any mode and still lists them all.
+  EXPECT_EXIT(help({kSeed}, {{kSweep, {}}}, {"--sweep", "2", "--help"}),
+              testing::ExitedWithCode(0),
+              "^usage: bench \\[--seed <n>\\]\n       bench --sweep <n>\n$");
 }
 
 TEST(BenchArgs, HelpListsExactlyTheAcceptedFlags) {
@@ -125,6 +230,15 @@ TEST(BenchArgs, MalformedProfileInExitsTwo) {
   std::ofstream{path} << "garbage line\n";
   EXPECT_EXIT(read_profile("bench", path), testing::ExitedWithCode(2),
               "bench: profile line 1: expected header");
+}
+
+TEST(BenchArgs, EmptyProfileInExitsTwo) {
+  // A profile of no cells would leave placement at prefix-quota, so the
+  // flag would change nothing.
+  const std::string path = testing::TempDir() + "bench_args_no_cells.txt";
+  std::ofstream{path} << "cell,events,msgs\n";
+  EXPECT_EXIT(read_profile("bench", path), testing::ExitedWithCode(2),
+              "bench: profile '.*bench_args_no_cells.txt' lists no cells");
 }
 
 TEST(BenchArgs, UnwritableProfileOutExitsTwo) {

@@ -31,7 +31,7 @@ TEST(Availability, FailoverMath) {
   // 12 failures/year at 55.4 s (worst k8s case in [57]) -> fails hard.
   const double bad = failover_availability(12.0, 55'400_ms);
   EXPECT_LT(bad, nines_to_availability(5.0));
-  EXPECT_THROW(failover_availability(-1.0, 1_s), std::invalid_argument);
+  EXPECT_THROW((void)failover_availability(-1.0, 1_s), std::invalid_argument);
 }
 
 TEST(Availability, RowConstruction) {
@@ -44,8 +44,8 @@ TEST(Availability, RowConstruction) {
 }
 
 TEST(Availability, RangeChecks) {
-  EXPECT_THROW(downtime_per_year(1.5), std::invalid_argument);
-  EXPECT_THROW(downtime_per_year(-0.1), std::invalid_argument);
+  EXPECT_THROW((void)downtime_per_year(1.5), std::invalid_argument);
+  EXPECT_THROW((void)downtime_per_year(-0.1), std::invalid_argument);
 }
 
 TEST(TrafficMix, ClassifiesByBytes) {

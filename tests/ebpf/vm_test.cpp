@@ -19,7 +19,6 @@ net::Frame frame_with_payload(std::size_t bytes) {
 }
 
 CostParams zero_costs() {
-  CostParams p{};
   return CostModel::deterministic(CostParams{
       .per_run_base_ns = 0, .insn_ns = 0, .pkt_access_ns = 0,
       .stack_access_ns = 0, .ktime_ns = 0, .ringbuf_base_ns = 0,

@@ -32,7 +32,7 @@ TEST(MlAwarePlanner, HigherAccuracySmallerCells) {
 }
 
 TEST(MlAwarePlanner, ZeroClientsThrows) {
-  EXPECT_THROW(plan_ml_aware(MlApp::kDefectDetection, 0, 0.9),
+  EXPECT_THROW((void)plan_ml_aware(MlApp::kDefectDetection, 0, 0.9),
                std::invalid_argument);
 }
 

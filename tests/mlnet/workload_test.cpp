@@ -68,7 +68,7 @@ TEST(Degradation, DefectNeedsMoreBytesThanObjectId) {
 }
 
 TEST(Degradation, ImpossibleTargetThrows) {
-  EXPECT_THROW(required_frame_bytes(MlApp::kDefectDetection, 0.999),
+  EXPECT_THROW((void)required_frame_bytes(MlApp::kDefectDetection, 0.999),
                std::invalid_argument);
 }
 

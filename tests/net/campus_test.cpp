@@ -158,10 +158,7 @@ TEST(Campus, SkewedCampusByteIdenticalAcrossPartitionerAndShards) {
     for (const bool use_measured : {false, true}) {
       CampusOptions opt = small_campus(shards);
       opt.skew = true;
-      if (use_measured) {
-        opt.partitioner = CampusPartitioner::kMeasuredRate;
-        opt.measured_weights = measured;
-      }
+      if (use_measured) opt.measured_weights = measured;
       const CampusResult r = run_campus(opt);
       EXPECT_EQ(r.to_csv(), csv)
           << "shards=" << shards << " measured=" << use_measured;
@@ -186,7 +183,6 @@ TEST(Campus, MeasuredPartitionerReducesImbalanceOnSkew) {
   const CampusResult prefix = run_campus(prefix_opt);
 
   CampusOptions measured_opt = prefix_opt;
-  measured_opt.partitioner = CampusPartitioner::kMeasuredRate;
   measured_opt.measured_weights = golden.profile.weights();
   const CampusResult measured = run_campus(measured_opt);
 
@@ -214,17 +210,6 @@ TEST(Campus, SkewActuallySkewsTheLoad) {
   const CampusResult flat = run_campus(small_campus(2));
   EXPECT_LT(flat.profile.cells[0].events,
             2 * flat.profile.cells[9].events);
-}
-
-TEST(Campus, MeasuredPartitionerWithoutWeightsIsTyped) {
-  CampusOptions opt = small_campus(2);
-  opt.partitioner = CampusPartitioner::kMeasuredRate;
-  try {
-    (void)run_campus(opt);
-    FAIL() << "expected PartitionError";
-  } catch (const sim::PartitionError& e) {
-    EXPECT_EQ(e.code(), sim::PartitionErrorCode::kProfileMismatch);
-  }
 }
 
 TEST(Campus, SingleCellCampusIsDegenerateButValid) {

@@ -53,9 +53,9 @@ TEST(Frame, PayloadIntegerRoundTrip) {
 TEST(Frame, PayloadAccessBoundsChecked) {
   Frame f;
   f.payload.resize(10);
-  EXPECT_THROW(f.read_u64(3), std::out_of_range);
+  EXPECT_THROW((void)f.read_u64(3), std::out_of_range);
   EXPECT_THROW(f.write_u64(3, 0), std::out_of_range);
-  EXPECT_THROW(f.read_u32(7), std::out_of_range);
+  EXPECT_THROW((void)f.read_u32(7), std::out_of_range);
   EXPECT_THROW(f.write_u32(7, 0), std::out_of_range);
 }
 
@@ -75,16 +75,16 @@ TEST(Frame, HugeOffsetsDoNotWrapTheBoundsCheck) {
   Frame f;
   f.payload.resize(64);
   const std::size_t huge = std::numeric_limits<std::size_t>::max() - 3;
-  EXPECT_THROW(f.read_u64(huge), std::out_of_range);
+  EXPECT_THROW((void)f.read_u64(huge), std::out_of_range);
   EXPECT_THROW(f.write_u64(huge, 1), std::out_of_range);
-  EXPECT_THROW(f.read_u32(huge), std::out_of_range);
+  EXPECT_THROW((void)f.read_u32(huge), std::out_of_range);
   EXPECT_THROW(f.write_u32(huge, 1), std::out_of_range);
 }
 
 TEST(Frame, EmptyPayloadAlwaysThrows) {
   Frame f;
-  EXPECT_THROW(f.read_u64(0), std::out_of_range);
-  EXPECT_THROW(f.read_u32(0), std::out_of_range);
+  EXPECT_THROW((void)f.read_u64(0), std::out_of_range);
+  EXPECT_THROW((void)f.read_u32(0), std::out_of_range);
   EXPECT_THROW(f.write_u32(0, 1), std::out_of_range);
 }
 
@@ -93,7 +93,7 @@ TEST(SerializationTime, GigabitMath) {
   EXPECT_EQ(serialization_time(84, 1'000'000'000).nanos(), 672);
   // At 100 Mb/s it is 10x longer.
   EXPECT_EQ(serialization_time(84, 100'000'000).nanos(), 6720);
-  EXPECT_THROW(serialization_time(84, 0), std::invalid_argument);
+  EXPECT_THROW((void)serialization_time(84, 0), std::invalid_argument);
 }
 
 TEST(SerializationTime, RoundsUp) {

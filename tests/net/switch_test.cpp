@@ -19,8 +19,11 @@ struct StarFixture {
   explicit StarFixture(std::size_t n_hosts, SwitchConfig cfg = {}) {
     sw = &net.add_node<SwitchNode>("sw", cfg);
     for (std::size_t i = 0; i < n_hosts; ++i) {
-      auto& h = net.add_node<HostNode>("h" + std::to_string(i),
-                                       MacAddress{i + 1});
+      // Appended: GCC 12 at -O3 warns -Wrestrict inside libstdc++ on
+      // `"h" + std::to_string(i)`.
+      std::string name = "h";
+      name += std::to_string(i);
+      auto& h = net.add_node<HostNode>(name, MacAddress{i + 1});
       net.connect(h.id(), 0, sw->id(), static_cast<PortId>(i));
       hosts.push_back(&h);
     }

@@ -30,8 +30,11 @@ NodeId add_switch(Fabric& f) {
 
 void add_host(Fabric& f, NodeId sw, PortId port) {
   const auto idx = static_cast<std::uint32_t>(f.hosts.size());
-  const NodeId h =
-      f.net->add_node<HostNode>("h" + std::to_string(idx), host_mac(idx)).id();
+  // Appended: GCC 12 at -O3 warns -Wrestrict inside libstdc++ on
+  // `"h" + std::to_string(idx)`.
+  std::string name = "h";
+  name += std::to_string(idx);
+  const NodeId h = f.net->add_node<HostNode>(name, host_mac(idx)).id();
   f.net->connect(h, HostNode::kNicPort, sw, port);
   f.hosts.push_back(h);
 }

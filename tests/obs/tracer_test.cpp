@@ -117,7 +117,13 @@ TEST(SpanTracer, OpenHopTableMatchesAMapReference) {
   };
 
   SpanTracer tr;
-  for (int i = 0; i < 8; ++i) tr.track("t" + std::to_string(i));
+  for (int i = 0; i < 8; ++i) {
+    // Appended: GCC 12 at -O3 warns -Wrestrict inside libstdc++ on
+    // `"t" + std::to_string(i)`.
+    std::string name = "t";
+    name += std::to_string(i);
+    tr.track(name);
+  }
   std::map<Key, sim::SimTime> ref_open;
   std::vector<Expected> ref_spans;
   std::uint64_t ref_unmatched = 0;

@@ -19,8 +19,11 @@ struct SdnFixture {
   explicit SdnFixture(std::size_t n_hosts = 3) {
     sw = &network.add_node<SdnSwitchNode>("sdn");
     for (std::size_t i = 0; i < n_hosts; ++i) {
-      auto& h = network.add_node<net::HostNode>("h" + std::to_string(i),
-                                                net::MacAddress{i + 1});
+      // Appended: GCC 12 at -O3 warns -Wrestrict inside libstdc++ on
+      // `"h" + std::to_string(i)`.
+      std::string name = "h";
+      name += std::to_string(i);
+      auto& h = network.add_node<net::HostNode>(name, net::MacAddress{i + 1});
       network.connect(h.id(), 0, sw->id(), static_cast<net::PortId>(i));
       hosts.push_back(&h);
     }

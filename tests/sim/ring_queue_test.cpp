@@ -69,16 +69,5 @@ TEST(RingQueue, PopReleasesHeldResources) {
   EXPECT_TRUE(watch.expired());
 }
 
-TEST(RingQueue, ClearEmptiesAndReleases) {
-  RingQueue<std::string> q;
-  for (int i = 0; i < 20; ++i) {
-    q.push_back("payload-" + std::to_string(i));
-  }
-  q.clear();
-  EXPECT_TRUE(q.empty());
-  q.push_back("after");
-  EXPECT_EQ(q.front(), "after");
-}
-
 }  // namespace
 }  // namespace steelnet::sim

@@ -123,7 +123,11 @@ TEST(ShardedStress, ManyCells1nsRingStaysExact) {
   for (const std::size_t shards : {1, 4, 8}) {
     ShardedSimulator ss;
     for (std::size_t i = 0; i < kCells; ++i) {
-      ss.add_cell("r" + std::to_string(i));
+      // Appended: GCC 12 at -O3 warns -Wrestrict inside libstdc++ on
+      // `"r" + std::to_string(i)`.
+      std::string name = "r";
+      name += std::to_string(i);
+      ss.add_cell(name);
     }
     for (std::size_t i = 0; i < kCells; ++i) {
       ss.connect(static_cast<std::uint32_t>(i),

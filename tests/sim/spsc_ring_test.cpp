@@ -1,5 +1,5 @@
-// SpscRing move semantics: the rvalue try_push overload used by the
-// sharded kernel's route() must move on success and leave the value
+// SpscRing move semantics: try_push, used by the sharded kernel's
+// route(), must move on success and leave the value
 // intact on a full-ring refusal (the backpressure loop retries the same
 // message), under the unchanged acquire/release protocol -- the threaded
 // soak below is what the TSan preset sweeps.
@@ -84,7 +84,7 @@ TEST(SpscRing, PopNReturnsPartialBatchAndZeroWhenEmpty) {
   std::array<int, 8> out{};
   EXPECT_EQ(ring.try_pop_n(out.data(), out.size()), 0u);
 
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(ring.try_push(i));
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(ring.try_push(int{i}));
   // max > available: the batch is the 3 queued elements, in FIFO order.
   ASSERT_EQ(ring.try_pop_n(out.data(), out.size()), 3u);
   EXPECT_EQ(out[0], 0);
@@ -93,7 +93,7 @@ TEST(SpscRing, PopNReturnsPartialBatchAndZeroWhenEmpty) {
   EXPECT_EQ(ring.try_pop_n(out.data(), out.size()), 0u);
 
   // max < available: exactly max come out, the rest stay queued.
-  for (int i = 10; i < 15; ++i) ASSERT_TRUE(ring.try_push(i));
+  for (int i = 10; i < 15; ++i) ASSERT_TRUE(ring.try_push(int{i}));
   ASSERT_EQ(ring.try_pop_n(out.data(), 2), 2u);
   EXPECT_EQ(out[0], 10);
   EXPECT_EQ(out[1], 11);
@@ -108,10 +108,12 @@ TEST(SpscRing, PopNCrossesTheWraparoundBoundary) {
   // Advance the cursors to 3 so a full batch straddles index 3 -> 0.
   std::uint64_t scratch = 0;
   for (std::uint64_t i = 0; i < 3; ++i) {
-    ASSERT_TRUE(ring.try_push(i));
+    ASSERT_TRUE(ring.try_push(std::uint64_t{i}));
     ASSERT_TRUE(ring.try_pop(scratch));
   }
-  for (std::uint64_t i = 100; i < 104; ++i) ASSERT_TRUE(ring.try_push(i));
+  for (std::uint64_t i = 100; i < 104; ++i) {
+    ASSERT_TRUE(ring.try_push(std::uint64_t{i}));
+  }
 
   std::array<std::uint64_t, 4> out{};
   ASSERT_EQ(ring.try_pop_n(out.data(), out.size()), 4u);
@@ -167,7 +169,7 @@ TEST(SpscRing, BatchedPopSurvivesTwoThreads) {
   }};
 
   for (std::uint64_t i = 1; i <= kMessages; ++i) {
-    while (!ring.try_push(i)) std::this_thread::yield();
+    while (!ring.try_push(std::uint64_t{i})) std::this_thread::yield();
   }
   consumer.join();
 

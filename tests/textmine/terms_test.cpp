@@ -57,8 +57,12 @@ TEST(CountTerms, LongestMatchShadowsAcrossGroups) {
       "the industrial internet of things changes manufacturing"};
   const auto counts = count_terms(groups, docs);
   for (const auto& c : counts) {
-    if (c.name == "IIoT") EXPECT_EQ(c.count, 1u);
-    if (c.name == "Internet") EXPECT_EQ(c.count, 0u);  // shadowed by IIoT
+    if (c.name == "IIoT") {
+      EXPECT_EQ(c.count, 1u);
+    }
+    if (c.name == "Internet") {
+      EXPECT_EQ(c.count, 0u);  // shadowed by IIoT
+    }
   }
 }
 
@@ -67,8 +71,12 @@ TEST(CountTerms, PluralNotDoubleCounted) {
   const auto counts =
       count_terms(groups, {"many data centers and cyber-physical systems"});
   for (const auto& c : counts) {
-    if (c.name == "Datacenter") EXPECT_EQ(c.count, 1u);
-    if (c.name == "Cyber Physical System") EXPECT_EQ(c.count, 1u);
+    if (c.name == "Datacenter") {
+      EXPECT_EQ(c.count, 1u);
+    }
+    if (c.name == "Cyber Physical System") {
+      EXPECT_EQ(c.count, 1u);
+    }
   }
 }
 
