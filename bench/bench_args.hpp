@@ -80,11 +80,12 @@ struct CsvFields {
   }
 };
 
-/// Reads a cell-rate profile (`--profile-in`); exits 2 if it is
-/// unreadable, not a profile, or lists no cells (placement would fall
-/// back to prefix-quota and the flag would change nothing).
-inline sim::RateProfile read_profile(const char* prog,
-                                     const std::string& path) {
+/// Reads a cell-rate profile (`--profile-in`) for a run of `cells` cells;
+/// exits 2 if it is unreadable, not a profile, or lists another number
+/// of cells -- none at all included, where placement would fall back to
+/// prefix-quota and the flag would change nothing.
+inline sim::RateProfile read_profile(const char* prog, const std::string& path,
+                                     std::size_t cells) {
   std::ifstream in{path};
   if (!in) {
     std::cerr << prog << ": cannot read profile '" << path << "'\n";
@@ -99,8 +100,14 @@ inline sim::RateProfile read_profile(const char* prog,
     std::cerr << prog << ": " << e.what() << "\n";
     std::exit(2);
   }
-  if (profile.cells.empty()) {
-    std::cerr << prog << ": profile '" << path << "' lists no cells\n";
+  if (profile.cells.size() != cells) {
+    std::cerr << prog << ": profile '" << path << "' lists ";
+    if (profile.cells.empty()) {
+      std::cerr << "no cells";
+    } else {
+      std::cerr << profile.cells.size() << " cells";
+    }
+    std::cerr << ", but the run has " << cells << " cells\n";
     std::exit(2);
   }
   return profile;

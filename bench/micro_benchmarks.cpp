@@ -6,6 +6,7 @@
 #include <array>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/sweep_runner.hpp"
 #include "ebpf/programs.hpp"
@@ -13,6 +14,7 @@
 #include "ebpf/vm.hpp"
 #include "faults/scenario_runner.hpp"
 #include "flowmon/flow_cache.hpp"
+#include "flowmon/ipfix.hpp"
 #include "net/host_node.hpp"
 #include "net/switch_node.hpp"
 #include "obs/exporters.hpp"
@@ -269,6 +271,76 @@ void BM_FlowCacheSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_FlowCacheSweep)->Args({1 << 14, 100})->Args({1 << 20, 100})
     ->Unit(benchmark::kMicrosecond);
+
+// The IPFIX export codec, the layer perfbench reports as
+// ipfix.{encode,decode}_ns_per_record: one data-only message of
+// kIpfixRecords flow_template() records, as the meter exports them.
+// Items are records; the `per_record` counter is seconds per record.
+constexpr std::size_t kIpfixRecords = 16;
+
+std::vector<flowmon::ExportRecord> ipfix_batch() {
+  sim::Rng rng{16};
+  std::vector<flowmon::ExportRecord> batch(kIpfixRecords);
+  for (flowmon::ExportRecord& r : batch) {
+    r.key.src = net::MacAddress{rng.next_u64() >> 16};
+    r.key.dst = net::MacAddress{rng.next_u64() >> 16};
+    r.key.pcp = 6;
+    r.key.ethertype = net::EtherType::kProfinetRt;
+    r.packets = rng.next_u64() >> 40;
+    r.bytes = r.packets * 64;
+    r.wire_bytes = r.packets * 84;
+    r.first_seen = sim::SimTime{static_cast<std::int64_t>(rng.next_u64() >> 24)};
+    r.last_seen = r.first_seen + 100_ms;
+    r.min_iat = 1_ms;
+    r.mean_iat = 2_ms;
+    r.jitter = 3_us;
+    r.end_reason = flowmon::EndReason::kIdleTimeout;
+  }
+  return batch;
+}
+
+void set_time_per_record(benchmark::State& state) {
+  const auto records =
+      static_cast<std::int64_t>(state.iterations() * kIpfixRecords);
+  state.SetItemsProcessed(records);
+  state.counters["per_record"] = benchmark::Counter(
+      static_cast<double>(records),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+void BM_IpfixEncode(benchmark::State& state) {
+  const std::vector<flowmon::ExportRecord> batch = ipfix_batch();
+  flowmon::MessageHeader header;
+  header.observation_domain = 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(flowmon::encode_message(
+        header, flowmon::flow_template(), /*include_template=*/false, batch));
+  }
+  set_time_per_record(state);
+}
+BENCHMARK(BM_IpfixEncode);
+
+void BM_IpfixDecode(benchmark::State& state) {
+  flowmon::MessageHeader header;
+  header.observation_domain = 1;
+  flowmon::TemplateStore store;
+  const auto learned = flowmon::decode_message(
+      flowmon::encode_message(header, flowmon::flow_template(), true, {}),
+      store);
+  const std::vector<std::uint8_t> message = flowmon::encode_message(
+      header, flowmon::flow_template(), false, ipfix_batch());
+  const auto check = flowmon::decode_message(message, store);
+  if (!learned.has_value() || !check.has_value() ||
+      check->records.size() != kIpfixRecords) {
+    state.SkipWithError("the message did not decode");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(flowmon::decode_message(message, store));
+  }
+  set_time_per_record(state);
+}
+BENCHMARK(BM_IpfixDecode);
 
 // The entire hot-path cost of an obs hook site when no hub is attached:
 // one pointer-null test plus one trace-id test. This is the branch every

@@ -314,7 +314,8 @@ int main(int argc, char** argv) {
                        : std::vector<std::size_t>{1, 8};
   sim::RateProfile profile_in;
   if (args.profile_in_path.has_value()) {
-    profile_in = bench::read_profile(kProg, *args.profile_in_path);
+    profile_in = bench::read_profile(kProg, *args.profile_in_path,
+                                     table_options(args.seed).cells);
   }
   std::vector<CampusResult> results;
   for (const std::size_t sh : shard_counts) {

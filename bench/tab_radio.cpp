@@ -72,7 +72,9 @@ int main(int argc, char** argv) {
       /*default_seed=*/1,
       {{kSweep, {kSeed, kCsv, kJobs, kShards, kProfileIn}}});
   if (args.profile_in_path.has_value()) {
-    g_weights = bench::read_profile(kProg, *args.profile_in_path).weights();
+    g_weights = bench::read_profile(kProg, *args.profile_in_path,
+                                    net::kRadioFloorCells)
+                    .weights();
   }
 
   // --- seed sweep (each task itself sharded) --------------------------------

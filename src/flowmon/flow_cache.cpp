@@ -127,7 +127,6 @@ FlowRecord* FlowCache::record(const net::Frame& frame, sim::SimTime now) {
     FlowRecord& r = slab_[e.rec];
     const sim::SimTime iat = now - r.last_seen;
     if (iat < r.min_iat) r.min_iat = iat;
-    if (iat > r.max_iat) r.max_iat = iat;
     r.iat_sum_ns += iat.nanos();
     if (r.packets >= 2) {  // a previous gap exists
       const std::int64_t d = iat.nanos() - r.prev_iat.nanos();
@@ -174,17 +173,77 @@ void FlowCache::remove_at(std::size_t pos) {
   index_[hole].rec = kEmpty;
 }
 
-void FlowCache::sort_candidates() {
+bool FlowCache::canonical_less(const Candidate& a, const Candidate& b) const {
   // Canonical export order: (first_seen, FlowKey) -- independent of slot
   // layout and of the order in which the wheel fired the timers. Only a
   // first_seen tie reads the two records.
-  std::sort(candidates_.begin(), candidates_.end(),
-            [this](const Candidate& a, const Candidate& b) {
-              if (a.first_seen_ns != b.first_seen_ns) {
-                return a.first_seen_ns < b.first_seen_ns;
-              }
-              return slab_[a.rec].key < slab_[b.rec].key;
-            });
+  if (a.first_seen_ns != b.first_seen_ns) {
+    return a.first_seen_ns < b.first_seen_ns;
+  }
+  return slab_[a.rec].key < slab_[b.rec].key;
+}
+
+void FlowCache::sort_candidates() {
+  // A natural merge sort: the wheel hands candidates over in a few
+  // ascending runs, so find the runs, then merge adjacent pairs of runs
+  // until one is left -- O(n log runs), and one pass over a sorted input.
+  const Candidate* const c = candidates_.data();
+  const std::size_t n = candidates_.size();
+  run_ends_.clear();
+  for (std::size_t i = 1; i < n; ++i) {
+    if (canonical_less(c[i], c[i - 1])) {
+      run_ends_.push_back(static_cast<std::uint32_t>(i));
+    }
+  }
+  if (run_ends_.empty()) return;
+  run_ends_.push_back(static_cast<std::uint32_t>(n));
+  while (run_ends_.size() > 1) {
+    std::size_t lo = 0;
+    std::size_t kept = 0;
+    for (std::size_t k = 0; k + 1 < run_ends_.size(); k += 2) {
+      merge_runs(lo, run_ends_[k], run_ends_[k + 1]);
+      lo = run_ends_[k + 1];
+      run_ends_[kept++] = run_ends_[k + 1];
+    }
+    if (run_ends_.size() % 2 != 0) run_ends_[kept++] = run_ends_.back();
+    run_ends_.resize(kept);
+  }
+}
+
+void FlowCache::merge_runs(std::size_t lo, std::size_t mid, std::size_t hi) {
+  Candidate* const c = candidates_.data();
+  const auto less = [this](const Candidate& a, const Candidate& b) {
+    return canonical_less(a, b);
+  };
+  // Left-run elements below the right run's first, and right-run
+  // elements above the left run's last, are already in place.
+  lo = static_cast<std::size_t>(
+      std::upper_bound(c + lo, c + mid, c[mid], less) - c);
+  hi = static_cast<std::size_t>(
+      std::lower_bound(c + mid, c + hi, c[mid - 1], less) - c);
+  // Copy the shorter run out and merge into the gap it leaves: forward
+  // for a left copy, backward for a right one.
+  if (mid - lo <= hi - mid) {
+    merge_scratch_.assign(c + lo, c + mid);
+    const Candidate* a = merge_scratch_.data();
+    const Candidate* const a_end = a + merge_scratch_.size();
+    const Candidate* b = c + mid;
+    const Candidate* const b_end = c + hi;
+    Candidate* out = c + lo;
+    while (a != a_end && b != b_end) *out++ = less(*b, *a) ? *b++ : *a++;
+    std::copy(a, a_end, out);  // what is left of b is in place
+  } else {
+    merge_scratch_.assign(c + mid, c + hi);
+    const Candidate* const b_begin = merge_scratch_.data();
+    const Candidate* b = b_begin + merge_scratch_.size();
+    const Candidate* a = c + mid;
+    const Candidate* const a_begin = c + lo;
+    Candidate* out = c + hi;
+    while (a != a_begin && b != b_begin) {
+      *--out = less(b[-1], a[-1]) ? *--a : *--b;
+    }
+    std::copy_backward(b_begin, b, out);  // what is left of a is in place
+  }
 }
 
 void FlowCache::emit_candidates(sim::SimTime now, const ExportFn& fn) {

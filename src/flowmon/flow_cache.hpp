@@ -19,7 +19,11 @@
 // was computed, which are lazily re-armed. A sweep therefore emits
 // exactly the flows a full-table walk would find due at `now`, in the
 // canonical (first_seen, FlowKey) order, at any sweep spacing. The
-// flowmon tests keep the walk as the wheel's oracle.
+// flowmon tests keep the walk as the wheel's oracle. The wheel hands its
+// due timers over slot by slot, each slot in arm order, which at a meter's
+// steady state is already nearly canonical: the sweep's sort is a natural
+// merge sort that merges the wheel's few ascending arm-order runs rather
+// than sorting from scratch.
 #pragma once
 
 #include <cstdint>
@@ -57,7 +61,6 @@ struct FlowRecord {
   // the mean |successive difference| of gaps (RFC 3550 flavour) over the
   // packets-2 gap pairs.
   sim::SimTime min_iat = sim::SimTime::max();
-  sim::SimTime max_iat = sim::SimTime::zero();
   std::int64_t iat_sum_ns = 0;
   std::int64_t iat_jitter_sum_ns = 0;
   sim::SimTime prev_iat;  ///< last gap; meaningful once packets >= 2
@@ -180,7 +183,7 @@ class FlowCache {
     EndReason reason = EndReason::kIdleTimeout;
   };
   static_assert(sizeof(Entry) == 8);
-  static_assert(sizeof(FlowRecord) <= 112);
+  static_assert(sizeof(FlowRecord) <= 104);
 
   [[nodiscard]] std::size_t mask() const { return index_.size() - 1; }
   /// Position in index_ of the entry holding `key` (hash `h`), or of the
@@ -191,7 +194,13 @@ class FlowCache {
   /// Removes index entry `pos` (its timer already disarmed) and frees
   /// its record's slab index.
   void remove_at(std::size_t pos);
+  [[nodiscard]] bool canonical_less(const Candidate& a,
+                                    const Candidate& b) const;
+  /// Sorts candidates_ into canonical order.
   void sort_candidates();
+  /// Merges the adjacent ascending runs [lo, mid) and [mid, hi) of
+  /// candidates_ in place.
+  void merge_runs(std::size_t lo, std::size_t mid, std::size_t hi);
   void emit_candidates(sim::SimTime now, const ExportFn& fn);
 
   FlowCacheConfig cfg_;
@@ -207,6 +216,10 @@ class FlowCache {
   // Sweep scratch, reused across calls to keep steady state allocation-free.
   std::vector<std::uint32_t> due_;
   std::vector<Candidate> candidates_;
+  /// Where each ascending run of candidates_ ends; sized by the run count.
+  std::vector<std::uint32_t> run_ends_;
+  /// The shorter run of one merge; grows to the longest such copy yet.
+  std::vector<Candidate> merge_scratch_;
 };
 
 }  // namespace steelnet::flowmon

@@ -1,46 +1,67 @@
 #include "flowmon/ipfix.hpp"
 
+#include <bit>
+#include <cassert>
+#include <cstring>
+
 namespace steelnet::flowmon {
-
-namespace wire {
-
-void put_be(std::vector<std::uint8_t>& buf, std::uint64_t value,
-            std::size_t width) {
-  for (std::size_t i = width; i-- > 0;) {
-    buf.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
-  }
-}
-
-void patch_be16(std::vector<std::uint8_t>& buf, std::size_t at,
-                std::uint16_t value) {
-  buf[at] = static_cast<std::uint8_t>(value >> 8);
-  buf[at + 1] = static_cast<std::uint8_t>(value);
-}
-
-bool read_be(const std::vector<std::uint8_t>& buf, std::size_t& at,
-             std::size_t width, std::uint64_t& out) {
-  if (at + width > buf.size()) return false;
-  out = 0;
-  for (std::size_t i = 0; i < width; ++i) {
-    out = (out << 8) | buf[at + i];
-  }
-  at += width;
-  return true;
-}
-
-}  // namespace wire
 
 namespace {
 
-using wire::patch_be16;
-using wire::put_be;
-using wire::read_be;
-
 /// RFC 7011 §3.1: version, length, exportTime, sequenceNumber, ODID.
 constexpr std::size_t kHeaderBytes = 16;
+constexpr std::size_t kSetHeaderBytes = 4;
 constexpr std::uint16_t kTemplateSetId = 2;
 constexpr std::uint16_t kMinDataSetId = 256;
 constexpr std::int64_t kNsPerSecond = 1'000'000'000;
+/// Room the encoder keeps past a message's last octet, so that every
+/// field, whatever its width, is one fixed 8-octet store.
+constexpr std::size_t kStoreSlack = 8;
+
+constexpr std::uint64_t to_big_endian(std::uint64_t v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    return __builtin_bswap64(v);
+  } else {
+    return v;
+  }
+}
+
+/// Writes the low `width` (1..8) octets of `v` big-endian at `p` and
+/// returns the octet after them. It stores all 8 octets -- the field,
+/// then zeros -- so at least 8 octets at `p` must be writable; the next
+/// field overwrites the zeros. (A memcpy of `width` octets would be a
+/// library call per field.)
+std::uint8_t* put_field(std::uint8_t* p, std::uint64_t v, std::size_t width) {
+  assert(width >= 1 && width <= 8);
+  const std::uint64_t be = to_big_endian(v << (8 * (8 - width)));
+  std::memcpy(p, &be, sizeof be);
+  return p + width;
+}
+
+/// Reads a `width`-octet (1..8) big-endian field at `p`. With `room`, the
+/// 8 octets at `p` are readable and the read is one load; without it,
+/// only the field's own octets are.
+std::uint64_t load_field(const std::uint8_t* p, std::size_t width,
+                         bool room) {
+  if (room) {
+    std::uint64_t be = 0;
+    std::memcpy(&be, p, sizeof be);
+    return to_big_endian(be) >> (8 * (8 - width));
+  }
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < width; ++i) v = (v << 8) | p[i];
+  return v;
+}
+
+/// Bounded big-endian read for the message and set headers and the
+/// template set: false if fewer than `width` octets remain.
+bool read_be(const std::vector<std::uint8_t>& buf, std::size_t& at,
+             std::size_t width, std::uint64_t& out) {
+  if (at + width > buf.size()) return false;
+  out = load_field(buf.data() + at, width, /*room=*/false);
+  at += width;
+  return true;
+}
 
 /// ns time fields are unsigned64 on the wire; past INT64_MAX they have
 /// no SimTime.
@@ -52,10 +73,74 @@ bool set_ns(sim::SimTime& t, std::uint64_t v) {
   return true;
 }
 
-/// Pads `buf` with zero octets to the next 4-byte set boundary measured
-/// from `set_start` (RFC 7011 §3.3.1 set padding).
-void pad_set(std::vector<std::uint8_t>& buf, std::size_t set_start) {
-  while ((buf.size() - set_start) % 4 != 0) buf.push_back(0);
+/// Octets of `n` padded to the next 4-byte set boundary (RFC 7011
+/// §3.3.1 set padding).
+constexpr std::size_t padded(std::size_t n) { return (n + 3) / 4 * 4; }
+
+/// Octets of the template set describing `tmpl`.
+std::size_t template_set_bytes(const Template& tmpl) {
+  std::size_t n = kSetHeaderBytes + 4;  // + template id, field count
+  for (const TemplateField& f : tmpl.fields) {
+    n += (static_cast<std::uint16_t>(f.id) & kEnterpriseBit) != 0 ? 8 : 4;
+  }
+  return padded(n);
+}
+
+/// The one message writer behind encode_message and encode_message_fn:
+/// sizes the buffer once, then writes every field in place.
+/// `value(record_index, field_index)` supplies field values.
+template <typename ValueFn>
+std::vector<std::uint8_t> write_message(const MessageHeader& header,
+                                        const Template& tmpl,
+                                        bool include_template,
+                                        std::size_t record_count,
+                                        const ValueFn& value) {
+  const std::size_t tmpl_bytes =
+      include_template ? template_set_bytes(tmpl) : 0;
+  const std::size_t data_bytes =
+      record_count > 0
+          ? padded(kSetHeaderBytes + record_count * tmpl.record_bytes())
+          : 0;
+  const std::size_t total = kHeaderBytes + tmpl_bytes + data_bytes;
+  // Zero-filled, so set padding needs no writes.
+  std::vector<std::uint8_t> buf(total + kStoreSlack);
+  std::uint8_t* p = buf.data();
+  p = put_field(p, header.version, 2);
+  p = put_field(p, total, 2);
+  p = put_field(
+      p, static_cast<std::uint64_t>(header.export_time.nanos() / kNsPerSecond),
+      4);
+  p = put_field(p, header.sequence, 4);
+  p = put_field(p, header.observation_domain, 4);
+
+  if (include_template) {
+    std::uint8_t* const set_start = p;
+    p = put_field(p, kTemplateSetId, 2);
+    p = put_field(p, tmpl_bytes, 2);
+    p = put_field(p, tmpl.id, 2);
+    p = put_field(p, tmpl.fields.size(), 2);
+    for (const TemplateField& f : tmpl.fields) {
+      const auto raw = static_cast<std::uint16_t>(f.id);
+      p = put_field(p, raw, 2);
+      p = put_field(p, f.width, 2);
+      if ((raw & kEnterpriseBit) != 0) p = put_field(p, kSteelnetPen, 4);
+    }
+    p = set_start + tmpl_bytes;
+  }
+
+  if (record_count > 0) {
+    p = put_field(p, tmpl.id, 2);
+    p = put_field(p, data_bytes, 2);
+    const std::size_t fields = tmpl.fields.size();
+    for (std::size_t r = 0; r < record_count; ++r) {
+      for (std::size_t f = 0; f < fields; ++f) {
+        p = put_field(p, value(r, f), tmpl.fields[f].width);
+      }
+    }
+  }
+
+  buf.resize(total);  // drop the store slack; capacity is kept
+  return buf;
 }
 
 }  // namespace
@@ -169,59 +254,16 @@ std::vector<std::uint8_t> encode_message_fn(
     const MessageHeader& header, const Template& tmpl, bool include_template,
     std::size_t record_count,
     const std::function<std::uint64_t(std::size_t, std::size_t)>& value) {
-  std::vector<std::uint8_t> buf;
-  buf.reserve(kHeaderBytes + record_count * tmpl.record_bytes() + 64);
-  put_be(buf, header.version, 2);
-  put_be(buf, 0, 2);  // total length, patched below
-  put_be(buf,
-         static_cast<std::uint64_t>(header.export_time.nanos() / kNsPerSecond),
-         4);
-  put_be(buf, header.sequence, 4);
-  put_be(buf, header.observation_domain, 4);
-
-  if (include_template) {
-    const std::size_t set_start = buf.size();
-    put_be(buf, kTemplateSetId, 2);
-    put_be(buf, 0, 2);  // set length, patched below
-    put_be(buf, tmpl.id, 2);
-    put_be(buf, tmpl.fields.size(), 2);
-    for (const auto& f : tmpl.fields) {
-      const auto raw = static_cast<std::uint16_t>(f.id);
-      put_be(buf, raw, 2);
-      put_be(buf, f.width, 2);
-      if ((raw & kEnterpriseBit) != 0) put_be(buf, kSteelnetPen, 4);
-    }
-    pad_set(buf, set_start);
-    patch_be16(buf, set_start + 2,
-               static_cast<std::uint16_t>(buf.size() - set_start));
-  }
-
-  if (record_count > 0) {
-    const std::size_t set_start = buf.size();
-    put_be(buf, tmpl.id, 2);
-    put_be(buf, 0, 2);
-    for (std::size_t r = 0; r < record_count; ++r) {
-      for (std::size_t f = 0; f < tmpl.fields.size(); ++f) {
-        put_be(buf, value(r, f), tmpl.fields[f].width);
-      }
-    }
-    pad_set(buf, set_start);
-    patch_be16(buf, set_start + 2,
-               static_cast<std::uint16_t>(buf.size() - set_start));
-  }
-
-  patch_be16(buf, 2, static_cast<std::uint16_t>(buf.size()));
-  return buf;
+  return write_message(header, tmpl, include_template, record_count, value);
 }
 
 std::vector<std::uint8_t> encode_message(
     const MessageHeader& header, const Template& tmpl, bool include_template,
     const std::vector<ExportRecord>& records) {
-  return encode_message_fn(
-      header, tmpl, include_template, records.size(),
-      [&](std::size_t r, std::size_t f) {
-        return field_value(records[r], tmpl.fields[f].id);
-      });
+  return write_message(header, tmpl, include_template, records.size(),
+                       [&](std::size_t r, std::size_t f) {
+                         return field_value(records[r], tmpl.fields[f].id);
+                       });
 }
 
 std::optional<DecodedMessage> decode_message(
@@ -300,13 +342,22 @@ std::optional<DecodedMessage> decode_message(
         continue;
       }
       const std::size_t rb = tmpl->record_bytes();
+      msg.records.reserve(msg.records.size() + (set_end - at) / rb);
+      // A whole record lies inside the set, so its fields are read by
+      // pointer; a field is one 8-octet load while 8 octets remain in
+      // the payload after the record's last field starts.
       while (at + rb <= set_end) {
+        const std::uint8_t* p = payload.data() + at;
+        const bool room = at + rb + 7 <= payload.size();
         ExportRecord r;
-        for (const auto& f : tmpl->fields) {
-          if (!read_be(payload, at, f.width, v)) return std::nullopt;
-          if (!assign_field(r, f.id, v)) return std::nullopt;
+        for (const TemplateField& f : tmpl->fields) {
+          if (!assign_field(r, f.id, load_field(p, f.width, room))) {
+            return std::nullopt;
+          }
+          p += f.width;
         }
         msg.records.push_back(r);
+        at += rb;
       }
       // Whatever remains must be set padding; more than 3 octets means
       // the set length does not tile into records of this template.

@@ -12,6 +12,11 @@
 // the property templates buy real IPFIX deployments. Messages travel as
 // net::Frame payloads (EtherType::kFlowmonExport).
 //
+// Both directions move whole fields: the encoder sizes a message once and
+// writes each field as one fixed 8-octet big-endian store, and the
+// decoder, once a set's length has vouched for a whole record, reads its
+// fields by pointer with no per-octet bounds check.
+//
 // Sequence numbers follow RFC 7011 §3.1: the count of data records sent
 // prior to this message on this (exporter session, observation domain)
 // stream, modulo 2^32 -- collectors must use serial-number arithmetic.
@@ -118,6 +123,8 @@ struct MessageHeader {
 /// that share a domain number -- we use the exporter's MAC bits.
 class TemplateStore {
  public:
+  /// Field widths must be 1..8, as decode_message checks before it
+  /// learns a template.
   void learn(std::uint64_t session, std::uint32_t domain, Template tmpl);
   [[nodiscard]] const Template* find(std::uint64_t session,
                                      std::uint32_t domain,
@@ -135,9 +142,10 @@ class TemplateStore {
     const MessageHeader& header, const Template& tmpl, bool include_template,
     const std::vector<ExportRecord>& records);
 
-/// Low-level encoder: identical framing, but field values come from
-/// `value(record_index, field_index)` -- the hook mediation transforms
-/// use to re-write records between federation tiers.
+/// Low-level encoder: identical framing and bytes, but field values come
+/// from `value(record_index, field_index)` -- the hook mediation
+/// transforms use to re-write records between federation tiers. Both
+/// encoders take templates whose field widths are 1..8.
 [[nodiscard]] std::vector<std::uint8_t> encode_message_fn(
     const MessageHeader& header, const Template& tmpl, bool include_template,
     std::size_t record_count,
@@ -159,16 +167,5 @@ struct DecodedMessage {
 [[nodiscard]] std::optional<DecodedMessage> decode_message(
     const std::vector<std::uint8_t>& payload, TemplateStore& store,
     std::uint64_t session = 0);
-
-namespace wire {
-/// Big-endian append / patch / bounded read, shared with transform.cpp.
-void put_be(std::vector<std::uint8_t>& buf, std::uint64_t value,
-            std::size_t width);
-void patch_be16(std::vector<std::uint8_t>& buf, std::size_t at,
-                std::uint16_t value);
-[[nodiscard]] bool read_be(const std::vector<std::uint8_t>& buf,
-                           std::size_t& at, std::size_t width,
-                           std::uint64_t& out);
-}  // namespace wire
 
 }  // namespace steelnet::flowmon

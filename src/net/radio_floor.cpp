@@ -38,6 +38,7 @@ constexpr ScenarioRow kMatrix[] = {
     {"crash", "primary_crash"},
 };
 constexpr std::size_t kMatrixRows = std::size(kMatrix);
+static_assert(kMatrixRows * kLadderRungs + 2 == kRadioFloorCells);
 
 /// Rate-adaptation ladder shared by every cell (802.11-flavored MCS
 /// steps; bottom rung doubles as the receiver sensitivity floor).

@@ -30,6 +30,10 @@
 
 namespace steelnet::net {
 
+/// Cells on the floor: the fault matrix times the SNR ladder, plus two
+/// roaming-storm cells.
+inline constexpr std::size_t kRadioFloorCells = 32;
+
 struct RadioFloorOptions {
   sim::SimTime horizon = sim::seconds(3);
   std::uint64_t seed = 1;

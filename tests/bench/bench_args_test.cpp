@@ -228,7 +228,7 @@ TEST(BenchArgs, PartitionerFlagIsGone) {
 TEST(BenchArgs, MalformedProfileInExitsTwo) {
   const std::string path = testing::TempDir() + "bench_args_bad_profile.txt";
   std::ofstream{path} << "garbage line\n";
-  EXPECT_EXIT(read_profile("bench", path), testing::ExitedWithCode(2),
+  EXPECT_EXIT(read_profile("bench", path, 3), testing::ExitedWithCode(2),
               "bench: profile line 1: expected header");
 }
 
@@ -237,8 +237,18 @@ TEST(BenchArgs, EmptyProfileInExitsTwo) {
   // flag would change nothing.
   const std::string path = testing::TempDir() + "bench_args_no_cells.txt";
   std::ofstream{path} << "cell,events,msgs\n";
-  EXPECT_EXIT(read_profile("bench", path), testing::ExitedWithCode(2),
+  EXPECT_EXIT(read_profile("bench", path, 3), testing::ExitedWithCode(2),
               "bench: profile '.*bench_args_no_cells.txt' lists no cells");
+}
+
+TEST(BenchArgs, ProfileInOfAnotherCellCountExitsTwo) {
+  // Measured weights must cover every cell of the run, one each.
+  const std::string path = testing::TempDir() + "bench_args_3_cells.txt";
+  std::ofstream{path} << "cell,events,msgs\nc0,1,0\nc1,2,0\nc2,3,0\n";
+  EXPECT_EXIT(read_profile("bench", path, 48), testing::ExitedWithCode(2),
+              "bench: profile '.*bench_args_3_cells.txt' lists 3 cells, but "
+              "the run has 48 cells");
+  EXPECT_EQ(read_profile("bench", path, 3).cells.size(), 3u);
 }
 
 TEST(BenchArgs, UnwritableProfileOutExitsTwo) {

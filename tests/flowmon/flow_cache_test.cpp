@@ -75,7 +75,6 @@ TEST(FlowCache, InterArrivalStatistics) {
   const FlowRecord* r = cache.find(FlowKey::of(f));
   ASSERT_NE(r, nullptr);
   EXPECT_EQ(r->min_iat, 90_us);
-  EXPECT_EQ(r->max_iat, 110_us);
   EXPECT_EQ(r->mean_iat(), 100_us);
   // Jitter: mean of |110-100| and |90-110| = (10+20)/2 = 15 us.
   EXPECT_EQ(r->mean_jitter(), 15_us);
@@ -165,8 +164,7 @@ bool same_record(const FlowRecord& a, const FlowRecord& b) {
   return a.key == b.key && a.packets == b.packets && a.bytes == b.bytes &&
          a.wire_bytes == b.wire_bytes && a.first_seen == b.first_seen &&
          a.last_seen == b.last_seen && a.last_export == b.last_export &&
-         a.min_iat == b.min_iat && a.max_iat == b.max_iat &&
-         a.iat_sum_ns == b.iat_sum_ns &&
+         a.min_iat == b.min_iat && a.iat_sum_ns == b.iat_sum_ns &&
          a.iat_jitter_sum_ns == b.iat_jitter_sum_ns &&
          a.prev_iat == b.prev_iat;
 }
@@ -198,7 +196,6 @@ struct MapModel {
       FlowRecord& r = it->second;
       const sim::SimTime iat = now - r.last_seen;
       r.min_iat = std::min(r.min_iat, iat);
-      r.max_iat = std::max(r.max_iat, iat);
       r.iat_sum_ns += iat.nanos();
       if (r.packets >= 2) {
         r.iat_jitter_sum_ns += std::abs(iat.nanos() - r.prev_iat.nanos());

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "ipfix_oracle.hpp"
+
 namespace steelnet::flowmon {
 namespace {
 
@@ -150,7 +152,7 @@ TEST(Ipfix, MalformedBuffersRejected) {
   // A set whose declared length overruns the message.
   std::vector<std::uint8_t> s = encode_message(header_with(0), flow_template(),
                                                /*include_template=*/true, {});
-  wire::patch_be16(s, 16 + 2, static_cast<std::uint16_t>(s.size() + 8));
+  oracle::patch_be16(s, 16 + 2, static_cast<std::uint16_t>(s.size() + 8));
   EXPECT_FALSE(decode_message(s, store).has_value());
 }
 
@@ -240,30 +242,30 @@ TEST(Ipfix, DataSetMustTileIntoWholeRecords) {
   // Hand-built message: an 8-byte-record template, then a data set whose
   // 6 payload octets neither tile into records nor pass as <=3 padding.
   std::vector<std::uint8_t> buf;
-  wire::put_be(buf, MessageHeader::kVersion, 2);
-  wire::put_be(buf, 0, 2);  // length, patched below
-  wire::put_be(buf, 0, 4);
-  wire::put_be(buf, 0, 4);
-  wire::put_be(buf, 1, 4);
-  wire::put_be(buf, 2, 2);   // template set
-  wire::put_be(buf, 12, 2);  // set hdr + id/count + one field
-  wire::put_be(buf, 256, 2);
-  wire::put_be(buf, 1, 2);
-  wire::put_be(buf, static_cast<std::uint16_t>(FieldId::kPackets), 2);
-  wire::put_be(buf, 8, 2);
-  wire::put_be(buf, 256, 2);  // data set: 6 octets of "record"
-  wire::put_be(buf, 10, 2);
+  oracle::put_be(buf, MessageHeader::kVersion, 2);
+  oracle::put_be(buf, 0, 2);  // length, patched below
+  oracle::put_be(buf, 0, 4);
+  oracle::put_be(buf, 0, 4);
+  oracle::put_be(buf, 1, 4);
+  oracle::put_be(buf, 2, 2);   // template set
+  oracle::put_be(buf, 12, 2);  // set hdr + id/count + one field
+  oracle::put_be(buf, 256, 2);
+  oracle::put_be(buf, 1, 2);
+  oracle::put_be(buf, static_cast<std::uint16_t>(FieldId::kPackets), 2);
+  oracle::put_be(buf, 8, 2);
+  oracle::put_be(buf, 256, 2);  // data set: 6 octets of "record"
+  oracle::put_be(buf, 10, 2);
   for (int i = 0; i < 6; ++i) buf.push_back(0);
-  wire::patch_be16(buf, 2, static_cast<std::uint16_t>(buf.size()));
+  oracle::patch_be16(buf, 2, static_cast<std::uint16_t>(buf.size()));
   TemplateStore store;
   EXPECT_FALSE(decode_message(buf, store).has_value());
 
   // The same set carrying one whole record + 3 octets is legal padding.
   buf.resize(buf.size() - 6);
-  wire::patch_be16(buf, buf.size() - 2, 4 + 8 + 3);
-  wire::put_be(buf, 0x0000000000000009ULL, 8);
+  oracle::patch_be16(buf, buf.size() - 2, 4 + 8 + 3);
+  oracle::put_be(buf, 0x0000000000000009ULL, 8);
   for (int i = 0; i < 3; ++i) buf.push_back(0);
-  wire::patch_be16(buf, 2, static_cast<std::uint16_t>(buf.size()));
+  oracle::patch_be16(buf, 2, static_cast<std::uint16_t>(buf.size()));
   const auto msg = decode_message(buf, store);
   ASSERT_TRUE(msg.has_value());
   ASSERT_EQ(msg->records.size(), 1u);
